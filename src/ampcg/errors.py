@@ -92,14 +92,15 @@ class ParseError(Exception):
 
 
 class ModelError(Exception):
-    """A linear-Gaussian model violates its structural constraints."""
+    """A linear-Gaussian model violates its structural constraints, or a model
+    quantity cannot be computed from the given covariance or data."""
 
 
-class SingularSystemError(Exception):
+class SingularSystemError(ModelError):
     """A structural linear system could not be solved."""
 
 
-class SingularRegressionError(Exception):
+class SingularRegressionError(ModelError):
     """The regression design is collinear; offending columns are attached."""
 
     def __init__(self, columns):

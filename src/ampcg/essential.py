@@ -24,17 +24,15 @@ RULE_NAMES = ("R1", "R2", "R3", "R4")
 
 @dataclass(frozen=True)
 class MarkedGraph:
-    """A skeleton with per-edge-end block marks and strong labels.
+    """A skeleton with per-edge-end block marks.
 
     `blocked` holds (end, other) pairs: the edge {end, other} carries a block
-    at `end`.  `strong` holds canonical pairs labeled strong by the edge
-    labeling pass; it is empty during essential-graph construction.
+    at `end`.
     """
 
     nodes: frozenset[NodeId]
     skeleton: frozenset[tuple[NodeId, NodeId]]
     blocked: frozenset[tuple[NodeId, NodeId]]
-    strong: frozenset[tuple[NodeId, NodeId]] = frozenset()
 
     @cached_property
     def sorted_nodes(self) -> tuple[NodeId, ...]:

@@ -9,7 +9,6 @@ parse(serialize(g)) == g.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from typing import Any
 
@@ -95,7 +94,6 @@ def graph_to_json(
                     "v": b,
                     "blocked_u": obj.is_blocked(a, b),
                     "blocked_v": obj.is_blocked(b, a),
-                    "strong": pair(a, b) in obj.strong,
                 }
                 for a, b in sorted(obj.skeleton)
             ],
@@ -148,16 +146,12 @@ def write_dataset(ds: Dataset, path: str) -> None:
             writer.writerow([format(v, ".17g") for v in row])
 
 
-def dataset_to_csv(ds: Dataset) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(ds.columns)
-    for row in ds.rows:
-        writer.writerow([format(v, ".17g") for v in row])
-    return buf.getvalue()
-
-
 def read_dataset(path: str) -> Dataset:
+    """Read a CSV written by `write_dataset`; every value must be finite.
+
+    Blank lines are skipped; the line number of a non-finite value counts
+    the header and the non-blank rows only.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -165,4 +159,9 @@ def read_dataset(path: str) -> Dataset:
         except StopIteration:
             raise ParseError(1, "empty dataset") from None
         rows = [[float(v) for v in row] for row in reader if row]
-    return Dataset(columns=tuple(header), rows=np.asarray(rows, dtype=float))
+    values = np.asarray(rows, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise ParseError(int(r) + 2, f"non-finite value in column {int(c) + 1}")
+    return Dataset(columns=tuple(header), rows=values)

@@ -4,8 +4,9 @@ Merging two components turns every directed edge between them undirected;
 splitting re-orients the undirected edges across a bipartition of one
 component.  Both operations preserve Markov equivalence when feasible, and
 iterating them reaches the whole equivalence class, which this module
-exploits both to enumerate classes and to find the minimally and maximally
-oriented members.
+exploits to enumerate classes and to find the minimally oriented members.
+A maximally oriented member is built directly from the strong labels of the
+essential graph; the split search here only serves as its oracle.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .equivalence import EquivalenceClass, enumerate_class, equivalent
+from .essential import essential_graph
 from .errors import (
     InfeasibleMergeError,
     InfeasibleSplitError,
@@ -27,9 +29,11 @@ from .graphs import (
     chain_components,
     family,
     is_complete,
+    orient_by_mcs,
     pair,
     validate_chain_graph,
 )
+from .strong import label_strong
 
 
 def _components_of(g: ChainGraph) -> tuple[frozenset[NodeId], ...]:
@@ -228,32 +232,30 @@ def minimally_oriented(g: ChainGraph, max_edges: int = 16) -> frozenset[ChainGra
 
 
 def has_feasible_split(g: ChainGraph) -> bool:
+    """Does some bipartition of some component split feasibly? (brute force)"""
     return any(
         _split_result(g, comp, upper) is not None
         for comp, upper in _split_candidates(g)
     )
 
 
-def maximally_oriented(g: ChainGraph, reverse_order: bool = False) -> ChainGraph:
+def maximally_oriented(g: ChainGraph) -> ChainGraph:
     """One equivalent chain graph admitting no feasible split.
 
-    Greedy: repeatedly apply the first feasible split in a deterministic
-    candidate order.  All maximally oriented members share one undirected
-    edge set, so the witness choice only affects arrow directions; passing
-    `reverse_order` picks a second witness for exactly that cross-check.
+    Constructive: every maximally oriented member carries the essential
+    graph's arrows and keeps exactly its strong undirected edges undirected.
+    The remaining undirected edges are oriented acyclically and triplex-free
+    by maximum cardinality search, with lexicographic tie-breaking.
     """
-    current = g
-    while True:
-        candidates = list(_split_candidates(current))
-        if reverse_order:
-            candidates.reverse()
-        for comp, upper in candidates:
-            result = _split_result(current, comp, upper)
-            if result is not None:
-                current = result
-                break
-        else:
-            return current
+    result = essential_graph(g)
+    labeling = label_strong(result.marks, result.separators, use_accelerator=True)
+    eg = labeling.graph
+    loose = validate_chain_graph(eg.nodes, (), eg.undirected - labeling.strong_undirected)
+    return validate_chain_graph(
+        eg.nodes,
+        eg.directed | orient_by_mcs(loose).directed,
+        labeling.strong_undirected,
+    )
 
 
 def maximally_oriented_members(

@@ -18,6 +18,7 @@ from ampcg import (
 )
 from ampcg.equivalence import _triplex_keys
 from ampcg.graphs import _undirected_components
+from ampcg.transform import _split_candidates, _split_result
 
 
 def cg(nodes, directed=(), undirected=()) -> ChainGraph:
@@ -62,6 +63,27 @@ def same_separations(g: ChainGraph, h: ChainGraph) -> bool:
         separated(g, {x}, {y}, z) == separated(h, {x}, {y}, z)
         for x, y, z in all_singleton_queries(g)
     )
+
+
+def greedy_maximally_oriented(g: ChainGraph, reverse_order: bool = False) -> ChainGraph:
+    """A maximally oriented member by greedy search over all bipartitions.
+
+    Repeatedly applies the first feasible split in a deterministic candidate
+    order (reversed with `reverse_order`, which picks a second witness).
+    Exponential in the component size; an oracle for `maximally_oriented`.
+    """
+    current = g
+    while True:
+        candidates = list(_split_candidates(current))
+        if reverse_order:
+            candidates.reverse()
+        for comp, upper in candidates:
+            result = _split_result(current, comp, upper)
+            if result is not None:
+                current = result
+                break
+        else:
+            return current
 
 
 def random_corpus(seed: int, count: int, sizes, **kwargs) -> list[ChainGraph]:

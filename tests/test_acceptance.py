@@ -41,7 +41,7 @@ from ampcg.transform import (
     minimally_oriented,
 )
 
-from .support import cg, same_separations
+from .support import cg, greedy_maximally_oriented, same_separations
 
 
 def _report(line: str) -> None:
@@ -149,9 +149,10 @@ def test_criterion_5_transformation_coherence(corpus4, classes4, run56, run7):
         }
         assert mins == arrow_minimal, rep
         maxes = maximally_oriented_members(rep)
+        assert maximally_oriented(rep) in maxes, rep
         undirected_sets = {m.undirected for m in maxes}
-        undirected_sets.add(maximally_oriented(rep).undirected)
-        undirected_sets.add(maximally_oriented(rep, reverse_order=True).undirected)
+        undirected_sets.add(greedy_maximally_oriented(rep).undirected)
+        undirected_sets.add(greedy_maximally_oriented(rep, reverse_order=True).undirected)
         assert len(undirected_sets) == 1, rep
     _report(
         f"ACCEPTANCE 5 transformation coherence ({len(classes)} classes "

@@ -70,6 +70,7 @@ class TestExports:
         doc = json.loads(to_json(essential_graph(g).marks))
         edge = next(e for e in doc["edges"] if e["u"] == "A")
         assert edge["blocked_u"] is True and edge["blocked_v"] is False
+        assert set(edge) == {"u", "v", "blocked_u", "blocked_v"}
         lab_doc = json.loads(to_json(strong_labeling(g)))
         assert lab_doc["strong_directed"] == []
 
@@ -182,6 +183,22 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert "bounds: [" in out
+
+    def test_one_row_dataset_is_exit_two(self, graph_file, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        data.write_text("A,B,C,D\n0.5,1.0,-0.25,2.0\n")
+        argv = ["bound", graph_file, "--data", str(data), "--x", "C", "--y", "B"]
+        assert cli(argv) == 2
+        assert capsys.readouterr().err.startswith("error: collinear regression columns")
+
+    def test_non_finite_dataset_is_exit_two(self, graph_file, tmp_path, capsys):
+        data = tmp_path / "nan.csv"
+        data.write_text("A,B,C,D\n0.5,1.0,-0.25,2.0\n0.1,0.2,nan,0.4\n1,2,3,4\n")
+        argv = ["bound", graph_file, "--data", str(data), "--x", "C", "--y", "B"]
+        assert cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 3: non-finite value in column 3\n"
 
     def test_json_format(self, graph_file, capsys):
         assert cli(["--format", "json", "eg", graph_file]) == 0

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ampcg import (
+    chain_components,
     class_by_merge_split,
     enumerate_class,
     equivalent,
@@ -18,9 +19,9 @@ from ampcg import (
     strong_oracle,
 )
 from ampcg.errors import InfeasibleMergeError, InfeasibleSplitError, NotComponentsError
-from ampcg.transform import _split_candidates, _split_result
+from ampcg.transform import _split_candidates, _split_result, has_feasible_split
 
-from .support import cg
+from .support import cg, greedy_maximally_oriented
 
 
 class TestFeasibleMerge:
@@ -107,11 +108,24 @@ class TestMinMaxOriented:
         for _ in range(80):
             g = random_chain_graph(rnd, node_names(rnd.randint(2, 5)),
                                    p_undirected=0.3, p_directed=0.3)
-            w1 = maximally_oriented(g)
-            w2 = maximally_oriented(g, reverse_order=True)
+            w1 = greedy_maximally_oriented(g)
+            w2 = greedy_maximally_oriented(g, reverse_order=True)
             members = maximally_oriented_members(g)
+            assert maximally_oriented(g) in members
             assert {w1.undirected, w2.undirected} | {m.undirected for m in members} \
                 == {w1.undirected}
+
+    def test_no_feasible_split_on_large_components(self):
+        rnd = random.Random(83)
+        checked = 0
+        while checked < 12:
+            g = random_chain_graph(rnd, node_names(12), p_undirected=0.2, p_directed=0.15)
+            if max(len(c) for c in chain_components(g).components) < 8:
+                continue
+            w = maximally_oriented(g)
+            assert equivalent(g, w), g
+            assert not has_feasible_split(w), g
+            checked += 1
 
     def test_strong_arrows_live_in_every_minimally_oriented_member(self):
         rnd = random.Random(73)
