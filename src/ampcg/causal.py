@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Literal
 
-from .equivalence import enumerate_class
+from .equivalence import _triplex_flanks, enumerate_class
 from .errors import (
     MixedStrongNeighborsError,
     NotNonStrongNeighborError,
@@ -89,7 +89,7 @@ def locally_valid(labeling: StrongLabeling, x: NodeId, s: Iterable[NodeId]) -> b
         )
     into = eg.parent_map[x] | s
     und = partition.st
-    allowed = {fl for _, fl in _triplexes_at(eg, x)}
+    allowed = _triplex_flanks(eg, x)
     for a, b in combinations(sorted(into | und), 2):
         if eg.is_adjacent(a, b):
             continue
@@ -97,17 +97,6 @@ def locally_valid(labeling: StrongLabeling, x: NodeId, s: Iterable[NodeId]) -> b
             if pair(a, b) not in allowed:
                 return False
     return True
-
-
-def _triplexes_at(g: ChainGraph, x: NodeId) -> set[tuple[NodeId, tuple[NodeId, NodeId]]]:
-    out = set()
-    into_or_und = sorted(g.parent_map[x] | g.neighbor_map[x])
-    for a, b in combinations(into_or_und, 2):
-        if g.is_adjacent(a, b):
-            continue
-        if a in g.parent_map[x] or b in g.parent_map[x]:
-            out.add((x, pair(a, b)))
-    return out
 
 
 def enumerate_adjusting_sets(

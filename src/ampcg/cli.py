@@ -228,6 +228,12 @@ def _cmd_sample(ns) -> int:
 def _cmd_bound(ns) -> int:
     g = _load_graph(ns.graph)
     ds = read_dataset(ns.data)
+    columns = set(ds.columns)
+    if len(columns) != len(ds.columns) or columns != g.nodes:
+        raise ModelError(
+            f"dataset columns {list(ds.columns)} must name each graph node "
+            f"{list(g.sorted_nodes)} exactly once"
+        )
     result = essential_graph(g)
     labeling = label_strong(result.marks, result.separators)
     report = bound_effect(

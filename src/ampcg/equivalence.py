@@ -37,16 +37,20 @@ class Triplex:
         return (self.middle, tuple(sorted(self.flanks)))
 
 
-def _triplex_keys(g: ChainGraph) -> frozenset[tuple[NodeId, tuple[NodeId, NodeId]]]:
+def _triplex_flanks(g: ChainGraph, b: NodeId) -> set[tuple[NodeId, NodeId]]:
+    """Flank pairs of the triplexes whose middle node is b."""
     out = set()
-    for b in g.nodes:
-        into_or_und = sorted(g.parent_map[b] | g.neighbor_map[b])
-        for a, c in combinations(into_or_und, 2):
-            if g.is_adjacent(a, c):
-                continue
-            if a in g.parent_map[b] or c in g.parent_map[b]:
-                out.add((b, pair(a, c)))
-    return frozenset(out)
+    into_or_und = sorted(g.parent_map[b] | g.neighbor_map[b])
+    for a, c in combinations(into_or_und, 2):
+        if g.is_adjacent(a, c):
+            continue
+        if a in g.parent_map[b] or c in g.parent_map[b]:
+            out.add(pair(a, c))
+    return out
+
+
+def _triplex_keys(g: ChainGraph) -> frozenset[tuple[NodeId, tuple[NodeId, NodeId]]]:
+    return frozenset((b, fl) for b in g.nodes for fl in _triplex_flanks(g, b))
 
 
 def triplexes(g: ChainGraph) -> frozenset[Triplex]:

@@ -186,42 +186,50 @@ def _r2_instances(m: MarkedGraph, t: SeparatorTable):
                 yield ("R2", frozenset({(b, c)}))
 
 
-def _r3_closes(m: MarkedGraph, a: NodeId, b: NodeId) -> bool:
-    """Is there a chordless cycle a ~ v1 ~ ... ~ vk ~ b (k >= 1) whose path
-    edges are all blocked at the end nearer a, the closing edge being a ~ b?
+def _chordless_search(
+    adj: Mapping[NodeId, frozenset[NodeId]],
+    path: list[NodeId],
+    b: NodeId,
+    step: Callable[[NodeId, NodeId], bool],
+    accept: Callable[[list[NodeId]], bool],
+) -> bool:
+    """Search chordless cycles through the edge a ~ b, walking from a = path[0].
 
-    Interior nodes may touch a and b only through the path and closing edges.
+    The path grows by steps last -> w with `step(last, w)`, never onto b and
+    never onto a node adjacent to an earlier path node but `last`.  Once the
+    path's last node (other than a) is adjacent to b, `path + [b]` is a
+    chordless cycle: it goes to `accept` and is not extended, since any
+    extension would leave the chord last ~ b.  Returns True as soon as
+    `accept` does; visits candidates in sorted, depth-first order.
     """
-    adj = m.adjacency
-
-    def dfs(path: list[NodeId]) -> bool:
-        last = path[-1]
-        if len(path) >= 2 and b in adj[last] and (last, b) in m.blocked:
-            if all(b not in adj[p] for p in path[1:-1]):
-                return True
-        if b in adj[last] and len(path) >= 2:
-            return False  # extending past `last` would leave the chord last~b
-        for w in sorted(adj[last]):
-            if w == b or w in path:
-                continue
-            if (last, w) not in m.blocked:
-                continue
-            if any(w in adj[p] for p in path[:-1]):
-                continue
-            if dfs(path + [w]):
-                return True
-        return False
-
-    return dfs([a])
+    last = path[-1]
+    if len(path) >= 2 and b in adj[last]:
+        return accept(path)
+    for w in sorted(adj[last]):
+        if w == b or w in path or not step(last, w):
+            continue
+        if not adj[w].isdisjoint(path[:-1]):
+            continue
+        if _chordless_search(adj, path + [w], b, step, accept):
+            return True
+    return False
 
 
 def _r3_instances(m: MarkedGraph, t: SeparatorTable):
+    """R3: a ~ b closes a chordless cycle a ~ v1 ~ ... ~ vk ~ b (k >= 1)
+    whose every edge, vk ~ b included, is blocked at its end nearer a."""
     del t
+    adj = m.adjacency
+    blocked = m.blocked
+
+    def step(u: NodeId, w: NodeId) -> bool:
+        return (u, w) in blocked
+
     for u, v in sorted(m.skeleton):
         for a, b in ((u, v), (v, u)):
-            if (a, b) in m.blocked:
+            if (a, b) in blocked:
                 continue
-            if _r3_closes(m, a, b):
+            if _chordless_search(adj, [a], b, step, lambda p: (p[-1], b) in blocked):
                 yield ("R3", frozenset({(a, b)}))
 
 
@@ -294,24 +302,19 @@ def chordless_cycles(
     adj = m.adjacency
     ok = edge_ok or (lambda u, v: True)
     cycles: list[list[NodeId]] = []
-
-    def dfs(path: list[NodeId], s: NodeId) -> None:
-        last = path[-1]
-        for w in sorted(adj[last]):
-            if w <= s or w in path or not ok(last, w):
-                continue
-            if any(w in adj[p] for p in path[1:-1]):
-                continue
-            if s in adj[w]:
-                if ok(w, s) and len(path) + 1 >= min_len and path[1] < w:
-                    cycles.append(path + [w])
-                continue  # any extension past w would leave the chord w~s
-            dfs(path + [w], s)
-
     for s in m.sorted_nodes:
+
+        def step(u: NodeId, w: NodeId) -> bool:
+            return w > s and ok(u, w)
+
+        def accept(path: list[NodeId]) -> bool:
+            if ok(path[-1], s) and len(path) + 1 >= min_len and path[0] < path[-1]:
+                cycles.append([s] + path)
+            return False
+
         for v1 in sorted(adj[s]):
             if v1 > s and ok(s, v1):
-                dfs([s, v1], s)
+                _chordless_search(adj, [v1], s, step, accept)
     return cycles
 
 

@@ -30,6 +30,11 @@ Relation = Literal["pa", "ch", "ne", "ad", "de"]
 _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
+def is_valid_name(name: str) -> bool:
+    """Is `name` a non-empty run of ASCII letters, digits and underscores?"""
+    return _NAME.match(name) is not None
+
+
 def pair(u: NodeId, v: NodeId) -> tuple[NodeId, NodeId]:
     """Canonical (sorted) key for the unordered node pair {u, v}."""
     return (u, v) if u <= v else (v, u)
@@ -255,7 +260,7 @@ def validate_chain_graph(
     """
     node_set = frozenset(nodes)
     for n in node_set:
-        if not _NAME.match(n):
+        if not is_valid_name(n):
             raise UnknownNodeError(f"invalid node name {n!r}")
     directed = list(directed)
     undirected = list(undirected)

@@ -17,14 +17,8 @@ import numpy as np
 from .errors import DuplicateEdgeError, ParseError
 from .essential import MarkedGraph
 from .gaussian import Dataset
-from .graphs import ChainGraph, NodeId, pair, validate_chain_graph
+from .graphs import ChainGraph, NodeId, is_valid_name, pair, validate_chain_graph
 from .strong import StrongLabeling
-
-_NAME_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
-
-
-def _valid_name(token: str) -> bool:
-    return bool(token) and set(token) <= _NAME_CHARS
 
 
 def parse_graph(text: str) -> ChainGraph:
@@ -39,14 +33,14 @@ def parse_graph(text: str) -> ChainGraph:
             continue
         tokens = line.split()
         if tokens[0] == "node":
-            if len(tokens) != 2 or not _valid_name(tokens[1]):
+            if len(tokens) != 2 or not is_valid_name(tokens[1]):
                 raise ParseError(lineno, f"expected 'node NAME', got {line!r}")
             nodes.add(tokens[1])
         elif tokens[0] == "edge":
             if len(tokens) != 4 or tokens[2] not in ("->", "--"):
                 raise ParseError(lineno, f"expected 'edge A -> B' or 'edge A -- B', got {line!r}")
             a, op, b = tokens[1], tokens[2], tokens[3]
-            if not (_valid_name(a) and _valid_name(b)):
+            if not (is_valid_name(a) and is_valid_name(b)):
                 raise ParseError(lineno, f"invalid node name in {line!r}")
             if a == b:
                 raise ParseError(lineno, f"self-loop at {a!r}")
@@ -147,10 +141,11 @@ def write_dataset(ds: Dataset, path: str) -> None:
 
 
 def read_dataset(path: str) -> Dataset:
-    """Read a CSV written by `write_dataset`; every value must be finite.
+    """Read a CSV written by `write_dataset`; every row must be as wide as
+    the header and every value finite.
 
-    Blank lines are skipped; the line number of a non-finite value counts
-    the header and the non-blank rows only.
+    Blank lines are skipped; the line number in an error counts the header
+    and the non-blank rows only.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -159,6 +154,9 @@ def read_dataset(path: str) -> Dataset:
         except StopIteration:
             raise ParseError(1, "empty dataset") from None
         rows = [[float(v) for v in row] for row in reader if row]
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ParseError(i + 2, f"{len(row)} values under {len(header)} column names")
     values = np.asarray(rows, dtype=float)
     finite = np.isfinite(values)
     if not finite.all():

@@ -19,6 +19,7 @@ from .errors import InvalidStateError, InvariantViolationError
 from .essential import (
     MarkedGraph,
     SeparatorTable,
+    _chordless_search,
     apply_rules_R,
     chordless_cycles,
     essential_graph,
@@ -94,30 +95,25 @@ def _verify_candidate_state(
 def label_strong(
     m: MarkedGraph,
     t: SeparatorTable,
-    use_accelerator: bool = False,
     check_invariants: bool = False,
 ) -> StrongLabeling:
     """Classify every edge of the essential graph as strong or not.
 
-    `m` must be the pre-finalization marks of an essential graph.  With
-    `use_accelerator`, S1-S6 conclusions skip their per-edge re-blocking
-    checks; the output is unchanged.  With `check_invariants`, every
-    re-blocked copy is asserted against the orientation invariants.
+    `m` must be the pre-finalization marks of an essential graph.  Edges the
+    sound shortcut rules already label strong (S1-S3 up front, S4-S6 chained
+    from each strong arrow a re-blocking check finds) skip their own checks.
+    With `check_invariants`, every singly blocked edge is re-blocked anyway:
+    each re-blocked copy is asserted against the orientation invariants, and
+    each shortcut label must be confirmed by its own re-blocking check.
     """
     _check_line6_fixpoint(m, t)
     eg = m.finalize()
     eg_triplexes = _triplex_keys(eg) if check_invariants else frozenset()
-    strong_pairs: set[tuple[NodeId, NodeId]] = set(
-        pair(a, b) for a, b in m.skeleton if m.doubly_blocked(a, b)
-    )
     pretriplexes = _pretriplex_instances(m)
-    resolved: set[tuple[NodeId, NodeId]] = set()
-    if use_accelerator:
-        for x, y in accelerator_labels(m):
-            resolved.add((x, y))
-            strong_pairs.add(pair(x, y))
+    strong_arrows = _s1(m) | _s2(m) | _s3(m)
+    confirmed: set[tuple[NodeId, NodeId]] = set()
     for x, y in m.edges_blocked_at_one_end():
-        if (x, y) in resolved:
+        if (x, y) in strong_arrows and not check_invariants:
             continue
         h = apply_rules_R(m.with_blocks([(y, x)]), t, rules=("R2", "R3"))
         if check_invariants:
@@ -127,12 +123,16 @@ def label_strong(
             for a, b, c in pretriplexes
         )
         if destroyed:
-            resolved.add((x, y))
-            strong_pairs.add(pair(x, y))
-            if use_accelerator:
-                for u, v in accelerator_labels(m, known_strong=resolved):
-                    resolved.add((u, v))
-                    strong_pairs.add(pair(u, v))
+            confirmed.add((x, y))
+            if (x, y) not in strong_arrows:
+                strong_arrows.add((x, y))
+                strong_arrows |= _propagate(m, strong_arrows)
+    if check_invariants and strong_arrows - confirmed:
+        raise InvariantViolationError(
+            f"shortcut labels {sorted(strong_arrows - confirmed)} destroy no pretriplex"
+        )
+    strong_pairs = {pair(a, b) for a, b in m.skeleton if m.doubly_blocked(a, b)}
+    strong_pairs |= {pair(u, v) for u, v in strong_arrows}
     strong_directed = frozenset(
         (u, v) for u, v in eg.directed if pair(u, v) in strong_pairs
     )
@@ -142,10 +142,10 @@ def label_strong(
     )
 
 
-def strong_labeling(g: ChainGraph, use_accelerator: bool = False) -> StrongLabeling:
+def strong_labeling(g: ChainGraph) -> StrongLabeling:
     """Convenience pipeline: essential graph of g, then edge labeling."""
     result = essential_graph(g)
-    return label_strong(result.marks, result.separators, use_accelerator=use_accelerator)
+    return label_strong(result.marks, result.separators)
 
 
 # ---------------------------------------------------------------------------
@@ -184,34 +184,18 @@ def _s3(m: MarkedGraph) -> set[tuple[NodeId, NodeId]]:
     """Chordless cycle a ~ p1 ~ ... ~ pk ~ b (k >= 2) plus the edge a ~ b,
     with every path edge blocked at its end nearer a, the last path edge and
     the closing edge singly blocked at pk and a respectively."""
-    out = set()
     adj = m.adjacency
 
-    def search(a: NodeId, b: NodeId) -> bool:
-        def dfs(path: list[NodeId]) -> bool:
-            last = path[-1]
-            if len(path) >= 3 and b in adj[last] and m.singly_blocked(last, b):
-                if all(b not in adj[p] for p in path[1:-1]):
-                    return True
-            if b in adj[last] and len(path) >= 2:
-                return False
-            for w in sorted(adj[last]):
-                if w == b or w in path:
-                    continue
-                if (last, w) not in m.blocked:
-                    continue
-                if any(w in adj[p] for p in path[:-1]):
-                    continue
-                if dfs(path + [w]):
-                    return True
-            return False
+    def step(u: NodeId, w: NodeId) -> bool:
+        return (u, w) in m.blocked
 
-        return dfs([a])
-
-    for a, b in m.edges_blocked_at_one_end():
-        if search(a, b):
-            out.add((a, b))
-    return out
+    return {
+        (a, b)
+        for a, b in m.edges_blocked_at_one_end()
+        if _chordless_search(
+            adj, [a], b, step, lambda p: len(p) >= 3 and m.singly_blocked(p[-1], b)
+        )
+    }
 
 
 def _s4(m: MarkedGraph, strong: set[tuple[NodeId, NodeId]]) -> set[tuple[NodeId, NodeId]]:
@@ -249,6 +233,18 @@ def _s6(m: MarkedGraph, strong: set[tuple[NodeId, NodeId]]) -> set[tuple[NodeId,
     return out
 
 
+def _propagate(
+    m: MarkedGraph, strong: set[tuple[NodeId, NodeId]]
+) -> set[tuple[NodeId, NodeId]]:
+    """Strong arrows S4-S6 chain from `strong` until stable, minus `strong`."""
+    closure = set(strong)
+    frontier = strong
+    while frontier:
+        frontier = (_s4(m, frontier) | _s5(m, frontier) | _s6(m, frontier)) - closure
+        closure |= frontier
+    return closure - strong
+
+
 def accelerator_labels(
     m: MarkedGraph,
     known_strong: Iterable[tuple[NodeId, NodeId]] = (),
@@ -261,12 +257,4 @@ def accelerator_labels(
     arrows are only found by the full re-blocking check.
     """
     known = set(known_strong)
-    found = _s1(m) | _s2(m) | _s3(m)
-    seeds = set(known)
-    while True:
-        new = (_s4(m, seeds) | _s5(m, seeds) | _s6(m, seeds)) - seeds
-        if not new:
-            break
-        seeds |= new
-        found |= new
-    return frozenset(found - known)
+    return frozenset((_s1(m) | _s2(m) | _s3(m) | _propagate(m, known)) - known)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
@@ -17,6 +17,7 @@ from ampcg import (
     validate_chain_graph,
 )
 from ampcg.equivalence import _triplex_keys
+from ampcg.essential import MarkedGraph
 from ampcg.graphs import _undirected_components
 from ampcg.transform import _split_candidates, _split_result
 
@@ -86,6 +87,25 @@ def greedy_maximally_oriented(g: ChainGraph, reverse_order: bool = False) -> Cha
             return current
 
 
+def chordless_cycle_orders(m: MarkedGraph) -> list[tuple[str, ...]]:
+    """Every node order (v0, ..., vk), k >= 2, that walks a chordless cycle
+    v0 ~ v1 ~ ... ~ vk ~ v0, once per rotation and direction.
+
+    Brute force over permutations: a node set spans a chordless cycle exactly
+    when its induced skeleton has as many edges as nodes and some ordering
+    of it is a closed walk.  An oracle for the chordless-path search.
+    """
+    out = []
+    for k in range(3, len(m.nodes) + 1):
+        for subset in combinations(m.sorted_nodes, k):
+            if sum(m.is_adjacent(u, v) for u, v in combinations(subset, 2)) != k:
+                continue
+            for order in permutations(subset):
+                if all(m.is_adjacent(u, v) for u, v in zip(order, order[1:] + order[:1])):
+                    out.append(order)
+    return out
+
+
 def random_corpus(seed: int, count: int, sizes, **kwargs) -> list[ChainGraph]:
     rnd = random.Random(seed)
     sizes = list(sizes)
@@ -114,3 +134,19 @@ def chain_graphs(draw, max_nodes: int = 5) -> ChainGraph:
         if draw(st.booleans(), label=f"dir {a}{b}"):
             directed.append((a, b) if rank[a] < rank[b] else (b, a))
     return validate_chain_graph(nodes, directed, undirected)
+
+
+@st.composite
+def marked_graphs(draw, max_nodes: int = 7) -> MarkedGraph:
+    """Skeletons with arbitrary end blocks, reachable by the rules or not."""
+    nodes = node_names(draw(st.integers(min_value=1, max_value=max_nodes)))
+    skeleton = frozenset(
+        p for p in combinations(nodes, 2) if draw(st.booleans(), label=f"edge {p}")
+    )
+    blocked = frozenset(
+        end
+        for a, b in sorted(skeleton)
+        for end in ((a, b), (b, a))
+        if draw(st.booleans(), label=f"block {end}")
+    )
+    return MarkedGraph(nodes=frozenset(nodes), skeleton=skeleton, blocked=blocked)

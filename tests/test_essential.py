@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from ampcg import (
     apply_rules_R,
@@ -15,9 +16,10 @@ from ampcg import (
     separator_table,
     unmarked_skeleton,
 )
-from ampcg.essential import MarkedGraph, SeparatorTable, chordless_cycles
+from ampcg.essential import MarkedGraph, SeparatorTable, _r3_instances, chordless_cycles
+from ampcg.strong import _s3
 
-from .support import cg
+from .support import cg, chordless_cycle_orders, marked_graphs
 
 
 class TestSeparatorTable:
@@ -119,6 +121,41 @@ class TestLine5:
         assert ["A", "B", "C", "D"] in cycles
         assert ["C", "D", "E"] in cycles
         assert len(cycles) == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(marked_graphs(max_nodes=7))
+def test_chordless_searches_match_brute_force(m):
+    orders = chordless_cycle_orders(m)
+
+    def blocked_walk(order):
+        return all((u, w) in m.blocked for u, w in zip(order, order[1:]))
+
+    # R3 blocks a at a ~ b closing a cycle a ~ ... ~ b blocked at every near end
+    r3 = {(o[0], o[-1]) for o in orders if blocked_walk(o) and (o[0], o[-1]) not in m.blocked}
+    assert {next(iter(adds)) for _, adds in _r3_instances(m, None)} == r3
+    # S3: at least four nodes, the closing end and a ~ b singly blocked
+    s3 = {
+        (o[0], o[-1])
+        for o in orders
+        if len(o) >= 4
+        and blocked_walk(o[:-1])
+        and m.singly_blocked(o[-2], o[-1])
+        and m.singly_blocked(o[0], o[-1])
+    }
+    assert _s3(m) == s3
+    for min_len in (3, 4):
+        for edge_ok in (None, m.plain_edge, m.is_blocked):
+            ok = edge_ok or (lambda u, v: True)
+            canonical = sorted(
+                list(o)
+                for o in orders
+                if len(o) >= min_len
+                and o[0] == min(o)
+                and o[1] < o[-1]
+                and all(ok(u, v) for u, v in zip(o, o[1:] + o[:1]))
+            )
+            assert chordless_cycles(m, min_len=min_len, edge_ok=edge_ok) == canonical
 
 
 class TestEssentialGraph:

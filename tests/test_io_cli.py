@@ -200,6 +200,33 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: line 3: non-finite value in column 3\n"
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("A,B,C\n0.5,1.0,-0.25,2.0\n0.1,0.2,0.3,0.4\n", 2),  # wider than the header
+            ("A,B,C,D\n0.5,1.0,-0.25,2.0\n0.1,0.2,0.3\n", 3),  # ragged
+        ],
+        ids=["wide", "ragged"],
+    )
+    def test_row_width_mismatch_is_exit_two(self, graph_file, tmp_path, capsys, text, line):
+        data = tmp_path / "ragged.csv"
+        data.write_text(text)
+        argv = ["bound", graph_file, "--data", str(data), "--x", "C", "--y", "B"]
+        assert cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: line {line}: ")
+
+    @pytest.mark.parametrize("header", ["A,B,C", "A,B,C,D,E", "A,B,C,D,D"])
+    def test_dataset_columns_must_match_the_graph(self, graph_file, tmp_path, capsys, header):
+        width = header.count(",") + 1
+        rows = [",".join(str(i * width + j) for j in range(width)) for i in range(5)]
+        data = tmp_path / "cols.csv"
+        data.write_text("\n".join([header] + rows) + "\n")
+        argv = ["bound", graph_file, "--data", str(data), "--x", "C", "--y", "B"]
+        assert cli(argv) == 2
+        assert capsys.readouterr().err.startswith("error: dataset columns")
+
     def test_json_format(self, graph_file, capsys):
         assert cli(["--format", "json", "eg", graph_file]) == 0
         doc = json.loads(capsys.readouterr().out)

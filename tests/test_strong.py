@@ -13,7 +13,7 @@ from ampcg import (
     strong_oracle,
     unmarked_skeleton,
 )
-from ampcg.errors import InvalidStateError
+from ampcg.errors import InvalidStateError, InvariantViolationError
 
 from .support import cg
 
@@ -54,14 +54,20 @@ class TestLabelStrong:
         with pytest.raises(InvalidStateError):
             label_strong(unsettled, result.separators)
 
-    def test_accelerated_mode_matches_plain_mode(self):
+    def test_shortcut_labels_match_checked_labels(self):
         rnd = random.Random(23)
         for _ in range(120):
             g = random_chain_graph(rnd, node_names(rnd.randint(2, 6)))
             result = essential_graph(g)
-            plain = label_strong(result.marks, result.separators)
-            fast = label_strong(result.marks, result.separators, use_accelerator=True)
-            assert plain == fast
+            m, t = result.marks, result.separators
+            assert label_strong(m, t) == label_strong(m, t, check_invariants=True)
+
+    def test_checked_mode_rejects_an_unconfirmed_shortcut_label(self, monkeypatch):
+        g = cg("ABCD", [("A", "B"), ("C", "B")], [("C", "D")])
+        result = essential_graph(g)
+        monkeypatch.setattr("ampcg.strong._s1", lambda m: {("A", "B")})
+        with pytest.raises(InvariantViolationError, match="shortcut labels"):
+            label_strong(result.marks, result.separators, check_invariants=True)
 
     def test_matches_oracle_on_random_graphs(self):
         rnd = random.Random(29)
@@ -129,4 +135,3 @@ def test_strong_labeling_convenience_matches_pipeline():
     g = cg("ABCD", [("A", "C"), ("B", "C"), ("C", "D")])
     result, lab = _pipeline(g)
     assert strong_labeling(g) == lab
-    assert strong_labeling(g, use_accelerator=True) == lab
