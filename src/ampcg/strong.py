@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
 
 from .equivalence import _triplex_keys
 from .errors import InvalidStateError, InvariantViolationError
@@ -110,7 +109,7 @@ def label_strong(
     eg = m.finalize()
     eg_triplexes = _triplex_keys(eg) if check_invariants else frozenset()
     pretriplexes = _pretriplex_instances(m)
-    strong_arrows = _s1(m) | _s2(m) | _s3(m)
+    strong_arrows = set(accelerator_labels(m))
     confirmed: set[tuple[NodeId, NodeId]] = set()
     for x, y in m.edges_blocked_at_one_end():
         if (x, y) in strong_arrows and not check_invariants:
@@ -245,16 +244,11 @@ def _propagate(
     return closure - strong
 
 
-def accelerator_labels(
-    m: MarkedGraph,
-    known_strong: Iterable[tuple[NodeId, NodeId]] = (),
-) -> frozenset[tuple[NodeId, NodeId]]:
-    """Strong arrows detected by the shortcut rules alone.
+def accelerator_labels(m: MarkedGraph) -> frozenset[tuple[NodeId, NodeId]]:
+    """Strong arrows detected by S1-S3, which read only the end marks.
 
-    S1-S3 read only the end marks.  S4-S6 propagate labels already
-    established by the caller (`known_strong`), chaining through their own
-    conclusions until stable.  Sound but deliberately incomplete: some strong
-    arrows are only found by the full re-blocking check.
+    Sound but deliberately incomplete: some strong arrows are only found by
+    the full re-blocking check.  S4-S6 need labels established by that check,
+    so `label_strong` chains them from each of its hits.
     """
-    known = set(known_strong)
-    return frozenset((_s1(m) | _s2(m) | _s3(m) | _propagate(m, known)) - known)
+    return frozenset(_s1(m) | _s2(m) | _s3(m))

@@ -31,6 +31,7 @@ from ampcg import (
 from ampcg.causal import enumerate_adjusting_sets
 from ampcg.gaussian import adjusted_effect, linear_gaussian_model
 from ampcg.graphs import family
+from ampcg.strong import _propagate
 from ampcg.transform import (
     _split_candidates,
     _split_result,
@@ -97,17 +98,17 @@ def test_criterion_2_strong_labels_match_class_oracle(corpus4, classes4, run7, r
 def test_criterion_3_accelerator_sound_and_incomplete(corpus4, run56, run7):
     for g in corpus4:
         result = essential_graph(g)
-        labeling = label_strong(result.marks, result.separators)
+        labeling = label_strong(result.marks, result.separators, check_invariants=True)
         assert accelerator_labels(result.marks) <= labeling.strong_directed, g
     for run in (run56, run7):
         for record in run.records:
             marks = record.result.marks
             strong = record.labeling.strong_directed
             assert accelerator_labels(marks) <= strong, record.graph
-            assert accelerator_labels(marks, known_strong=strong) <= strong, record.graph
+            assert _propagate(marks, set(strong)) <= strong, record.graph
     result = essential_graph(DISJUNCTIVE)
     rules_only = accelerator_labels(result.marks)
-    full = label_strong(result.marks, result.separators).strong_directed
+    full = _labeling(DISJUNCTIVE, check_invariants=True).strong_directed
     assert rules_only < full, (sorted(rules_only), sorted(full))
     assert ("D", "E") in full - rules_only
     _report("ACCEPTANCE 3 rule-shortcut soundness, strict gap on the disjunctive instance: PASS")

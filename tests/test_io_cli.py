@@ -236,3 +236,15 @@ class TestCli:
         assert cli(["oracle", graph_file]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out and out.count("PASS") >= 6
+
+    def test_oracle_reports_an_unsound_shortcut_as_a_failed_check(
+        self, graph_file, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("ampcg.strong._s1", lambda m: {("A", "B")})
+        assert cli(["oracle", graph_file]) == 2
+        captured = capsys.readouterr()
+        row = next(
+            line for line in captured.out.splitlines() if "rule shortcut is sound" in line
+        )
+        assert row.endswith("FAIL")
+        assert "shortcut labels" in captured.err

@@ -14,6 +14,7 @@ from ampcg import (
     unmarked_skeleton,
 )
 from ampcg.errors import InvalidStateError, InvariantViolationError
+from ampcg.strong import _propagate
 
 from .support import cg
 
@@ -88,16 +89,16 @@ class TestAccelerator:
 
     def test_rules_alone_miss_the_disjunctive_step(self):
         g = cg("ABCDE", [("A", "C"), ("B", "C"), ("C", "D"), ("D", "E")])
-        result = essential_graph(g)
+        result, lab = _pipeline(g)
         rules_only = accelerator_labels(result.marks)
-        full = label_strong(result.marks, result.separators).strong_directed
+        full = lab.strong_directed
         assert rules_only == {("C", "D")}
         assert rules_only < full  # strict: D->E needs the re-blocking check
 
     def test_s4_propagates_known_labels(self):
         g = cg("ABCDE", [("A", "C"), ("B", "C"), ("C", "D"), ("D", "E")])
         result = essential_graph(g)
-        propagated = accelerator_labels(result.marks, known_strong={("C", "D")})
+        propagated = _propagate(result.marks, {("C", "D")})
         assert ("D", "E") in propagated
 
     def test_s2_uses_double_blocks(self):
@@ -122,13 +123,9 @@ class TestAccelerator:
         rnd = random.Random(31)
         for _ in range(150):
             g = random_chain_graph(rnd, node_names(rnd.randint(2, 6)))
-            result = essential_graph(g)
-            lab = label_strong(result.marks, result.separators)
+            result, lab = _pipeline(g)
             assert accelerator_labels(result.marks) <= lab.strong_directed
-            assert (
-                accelerator_labels(result.marks, known_strong=lab.strong_directed)
-                <= lab.strong_directed
-            )
+            assert _propagate(result.marks, set(lab.strong_directed)) <= lab.strong_directed
 
 
 def test_strong_labeling_convenience_matches_pipeline():
