@@ -2,7 +2,7 @@
 
 The essential graph of an equivalence class keeps an arrow exactly when every
 member of the class that orients the edge does so the same way.  The
-constructive algorithm (separator table + end-block rules) must agree with
+constructive algorithm (triplex set + end-block rules) must agree with
 the definition applied to the brute-force class enumeration.
 """
 

@@ -21,7 +21,7 @@ from ampcg import (
 print("== a directed essential-graph edge that is not strong ==")
 g = validate_chain_graph("ABCD", [("A", "B"), ("C", "B")], [("C", "D")])
 result = essential_graph(g)
-lab = label_strong(result.marks, result.separators)
+lab = label_strong(result.marks, result.triplexes)
 print("essential graph:", result.graph)
 print("strong arrows:  ", sorted(lab.strong_directed) or "(none)")
 print("members showing why:", *sorted(map(repr, enumerate_class(g))), sep="\n  ")
@@ -30,7 +30,7 @@ print()
 print("== a strong arrow, and the shortcut rules finding it ==")
 g = validate_chain_graph("ABCD", [("A", "C"), ("B", "C"), ("C", "D")])
 result = essential_graph(g)
-lab = label_strong(result.marks, result.separators)
+lab = label_strong(result.marks, result.triplexes)
 print("essential graph:", result.graph)
 print("strong arrows:  ", sorted(lab.strong_directed))
 print("rules alone:    ", sorted(accelerator_labels(result.marks)))
@@ -39,7 +39,7 @@ print()
 print("== the rules are incomplete: a two-step disjunction ==")
 g = validate_chain_graph("ABCDE", [("A", "C"), ("B", "C"), ("C", "D"), ("D", "E")])
 result = essential_graph(g)
-lab = label_strong(result.marks, result.separators)
+lab = label_strong(result.marks, result.triplexes)
 rules = accelerator_labels(result.marks)
 print("strong arrows:  ", sorted(lab.strong_directed))
 print("rules alone:    ", sorted(rules), " (D->E needs the re-blocking check)")

@@ -30,12 +30,10 @@ from .equivalence import (
 from .essential import (
     EssentialGraphResult,
     MarkedGraph,
-    SeparatorTable,
     apply_rules_R,
     chordless_cycles,
     double_block_chordless_cycles,
     essential_graph,
-    separator_table,
     unmarked_skeleton,
 )
 from .gaussian import (

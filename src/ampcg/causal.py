@@ -127,19 +127,20 @@ def enumerate_adjusting_sets(
     if mode == "maxoriented":
         partition = st_nst(labeling, x)
         base = partition.st | family(eg, partition.st | {x}, "pa")
-        sets = {}
         nst = sorted(partition.nst)
-        for size in range(len(nst) + 1):
-            for combo in combinations(nst, size):
-                s = frozenset(combo)
-                if not locally_valid(labeling, x, s):
-                    continue
-                z = (base | s) - {x}
-                sets.setdefault(
-                    z,
-                    AdjustingSet(target=x, nodes=z, provenance="maxoriented", source=s),
-                )
-        return frozenset(sets.values())
+        found = []
+
+        def grow(s: frozenset[NodeId], start: int) -> None:
+            # local validity is closed under subsets, so only valid sets grow
+            if not locally_valid(labeling, x, s):
+                return
+            z = (base | s) - {x}
+            found.append(AdjustingSet(target=x, nodes=z, provenance="maxoriented", source=s))
+            for i in range(start, len(nst)):
+                grow(s | {nst[i]}, i + 1)
+
+        grow(frozenset(), 0)
+        return frozenset(found)
     if mode == "superset":
         ad = family(eg, {x}, "ad")
         base = sorted((ad | family(eg, ad, "ad")) - {x})

@@ -161,7 +161,7 @@ def _cmd_strong(ns) -> int:
             if not labels:
                 sys.stdout.write("no strong edges detected by rules\n")
         return 0
-    labeling = label_strong(result.marks, result.separators)
+    labeling = label_strong(result.marks, result.triplexes)
     if ns.format == "json":
         sys.stdout.write(to_json(labeling))
     elif ns.format == "dot":
@@ -201,7 +201,7 @@ def _cmd_minmax(ns) -> int:
 def _cmd_adjust(ns) -> int:
     g = _load_graph(ns.graph)
     result = essential_graph(g)
-    labeling = label_strong(result.marks, result.separators)
+    labeling = label_strong(result.marks, result.triplexes)
     sets = sorted(
         enumerate_adjusting_sets(
             labeling, ns.x, ns.mode, max_edges=ns.max_edges
@@ -241,7 +241,7 @@ def _cmd_bound(ns) -> int:
             f"{list(g.sorted_nodes)} exactly once"
         )
     result = essential_graph(g)
-    labeling = label_strong(result.marks, result.separators)
+    labeling = label_strong(result.marks, result.triplexes)
     report = bound_effect(
         ds, labeling, ns.x, ns.y, ns.mode, max_edges=ns.max_edges
     )
@@ -274,11 +274,11 @@ def _cmd_oracle(ns) -> int:
     eg_oracle = essential_from_class(cls)
     checks.append(("essential graph matches class oracle", result.graph == eg_oracle))
     try:
-        labeling = label_strong(result.marks, result.separators, check_invariants=True)
+        labeling = label_strong(result.marks, result.triplexes, check_invariants=True)
         invariants_hold = True
     except InvariantViolationError as exc:
         sys.stderr.write(f"invariant violation: {exc}\n")
-        labeling = label_strong(result.marks, result.separators)
+        labeling = label_strong(result.marks, result.triplexes)
         invariants_hold = False
     summary = strong_oracle(cls)
     checks.append(

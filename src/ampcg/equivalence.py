@@ -49,7 +49,11 @@ def _triplex_flanks(g: ChainGraph, b: NodeId) -> set[tuple[NodeId, NodeId]]:
     return out
 
 
-def _triplex_keys(g: ChainGraph) -> frozenset[tuple[NodeId, tuple[NodeId, NodeId]]]:
+#: triplexes as (middle, sorted flank pair) keys
+TriplexKeys = frozenset[tuple[NodeId, tuple[NodeId, NodeId]]]
+
+
+def _triplex_keys(g: ChainGraph) -> TriplexKeys:
     return frozenset((b, fl) for b in g.nodes for fl in _triplex_flanks(g, b))
 
 

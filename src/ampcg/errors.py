@@ -67,10 +67,6 @@ class InvalidStateError(GraphError):
     """A marked graph is not in the state an operation requires."""
 
 
-class SeparationWitnessFailedError(GraphError):
-    """No separator could be found for a non-adjacent pair."""
-
-
 class InvariantViolationError(GraphError):
     """An internal consistency invariant of the labeling machinery broke."""
 

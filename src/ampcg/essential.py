@@ -1,10 +1,14 @@
-"""Essential-graph construction via separator sets and end-block rules.
+"""Essential-graph construction via the triplex set and end-block rules.
 
 The working state is a skeleton whose edge ends carry *blocks*.  A block at
 the end of an edge means the edge can never receive an arrowhead there, so an
 edge blocked at exactly one end finalizes to an arrow out of that end and an
 edge blocked at both ends (or at neither) finalizes undirected.  The rules
 R1-R4 only ever add blocks, which makes their fixpoint order-independent.
+
+R1, R2 and R4 read the input graph's triplex set where the paper asks whether
+a common neighbor b of non-adjacent a and c lies in a set separating them:
+b lies in every such set exactly when a ~ b ~ c is not a triplex.
 """
 
 from __future__ import annotations
@@ -13,11 +17,10 @@ import random
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import SeparationWitnessFailedError
-from .graphs import ChainGraph, NodeId, family, pair, validate_chain_graph
-from .separation import separated
+from .equivalence import TriplexKeys, _triplex_keys
+from .graphs import ChainGraph, NodeId, pair, validate_chain_graph
 
 RULE_NAMES = ("R1", "R2", "R3", "R4")
 
@@ -94,93 +97,22 @@ def unmarked_skeleton(g: ChainGraph) -> MarkedGraph:
     return MarkedGraph(nodes=g.nodes, skeleton=g.skeleton, blocked=frozenset())
 
 
-@dataclass(frozen=True, eq=False)
-class SeparatorTable:
-    """Witnessing separator per non-adjacent node pair, symmetric by key."""
-
-    entries: Mapping[tuple[NodeId, NodeId], frozenset[NodeId]]
-
-    def get(self, a: NodeId, b: NodeId) -> frozenset[NodeId]:
-        return self.entries[pair(a, b)]
-
-    def __contains__(self, key: tuple[NodeId, NodeId]) -> bool:
-        return pair(*key) in self.entries
-
-    def items(self) -> Iterator[tuple[tuple[NodeId, NodeId], frozenset[NodeId]]]:
-        return iter(sorted(self.entries.items()))
-
-
-def _local_separator(g: ChainGraph, a: NodeId) -> frozenset[NodeId]:
-    ne = family(g, {a}, "ne")
-    return ne | family(g, ne | {a}, "pa")
-
-
-def _separator_candidates(
-    g: ChainGraph, a: NodeId, b: NodeId
-) -> Iterator[frozenset[NodeId]]:
-    """Deterministic candidate separators for the non-adjacent pair (a, b).
-
-    The neighborhood recipe (use the a-side set when b is not a descendant of
-    a, otherwise the b-side set) comes first; it can fail when the excluded
-    endpoint sits among the other side's parents, so the mirrored set and then
-    all subsets by (size, lex) order serve as fallbacks.  Every candidate is
-    verified before use.
-    """
-    a_side = _local_separator(g, a) - {a, b}
-    b_side = _local_separator(g, b) - {a, b}
-    if b not in family(g, {a}, "de"):
-        first, second = a_side, b_side
-    else:
-        first, second = b_side, a_side
-    yield first
-    if second != first:
-        yield second
-    rest = sorted(g.nodes - {a, b})
-    for size in range(len(rest) + 1):
-        for combo in combinations(rest, size):
-            cand = frozenset(combo)
-            if cand not in (first, second):
-                yield cand
-
-
-def separator_table(g: ChainGraph) -> SeparatorTable:
-    """A verified separator for every non-adjacent pair.
-
-    Raises SeparationWitnessFailedError only if some pair admits no separator
-    at all, which cannot happen for a valid chain graph.
-    """
-    entries: dict[tuple[NodeId, NodeId], frozenset[NodeId]] = {}
-    for a, b in combinations(g.sorted_nodes, 2):
-        if g.is_adjacent(a, b):
-            continue
-        for cand in _separator_candidates(g, a, b):
-            if separated(g, {a}, {b}, cand):
-                entries[(a, b)] = cand
-                break
-        else:
-            raise SeparationWitnessFailedError(f"no separator for {a!r}, {b!r}")
-    return SeparatorTable(entries=entries)
-
-
 # ---------------------------------------------------------------------------
 # rules R1-R4; each finder yields (rule, additions) for firable instances
 # whose additions are not already present
 
 
-def _r1_instances(m: MarkedGraph, t: SeparatorTable):
-    for b in m.sorted_nodes:
-        for a, c in combinations(sorted(m.adjacency[b]), 2):
-            if m.is_adjacent(a, c) or b in t.get(a, c):
-                continue
-            additions = frozenset({(a, b), (c, b)}) - m.blocked
-            if additions:
-                yield ("R1", additions)
+def _r1_instances(m: MarkedGraph, t: TriplexKeys):
+    for b, (a, c) in sorted(t):
+        additions = frozenset({(a, b), (c, b)}) - m.blocked
+        if additions:
+            yield ("R1", additions)
 
 
-def _r2_instances(m: MarkedGraph, t: SeparatorTable):
+def _r2_instances(m: MarkedGraph, t: TriplexKeys):
     for a, b in sorted(m.blocked):
         for c in sorted(m.adjacency[b] - {a}):
-            if m.is_adjacent(a, c) or b not in t.get(a, c):
+            if m.is_adjacent(a, c) or (b, pair(a, c)) in t:
                 continue
             if (b, c) not in m.blocked:
                 yield ("R2", frozenset({(b, c)}))
@@ -215,7 +147,7 @@ def _chordless_search(
     return False
 
 
-def _r3_instances(m: MarkedGraph, t: SeparatorTable):
+def _r3_instances(m: MarkedGraph, t: TriplexKeys):
     """R3: a ~ b closes a chordless cycle a ~ v1 ~ ... ~ vk ~ b (k >= 1)
     whose every edge, vk ~ b included, is blocked at its end nearer a."""
     del t
@@ -233,7 +165,7 @@ def _r3_instances(m: MarkedGraph, t: SeparatorTable):
                 yield ("R3", frozenset({(a, b)}))
 
 
-def _r4_instances(m: MarkedGraph, t: SeparatorTable):
+def _r4_instances(m: MarkedGraph, t: TriplexKeys):
     for b in m.sorted_nodes:
         for a in sorted(m.adjacency[b]):
             if (a, b) in m.blocked:
@@ -242,7 +174,7 @@ def _r4_instances(m: MarkedGraph, t: SeparatorTable):
             for c, d in combinations(shared, 2):
                 if m.is_adjacent(c, d):
                     continue
-                if (c, b) in m.blocked and (d, b) in m.blocked and a in t.get(c, d):
+                if (c, b) in m.blocked and (d, b) in m.blocked and (a, (c, d)) not in t:
                     yield ("R4", frozenset({(a, b)}))
                     break
 
@@ -257,7 +189,7 @@ _FINDERS: dict[str, Callable] = {
 
 def apply_rules_R(
     m: MarkedGraph,
-    t: SeparatorTable,
+    t: TriplexKeys,
     rules: Sequence[str] = RULE_NAMES,
     rng: random.Random | None = None,
 ) -> MarkedGraph:
@@ -340,20 +272,20 @@ class EssentialGraphResult:
 
     graph: ChainGraph
     marks: MarkedGraph
-    separators: SeparatorTable
+    triplexes: TriplexKeys
 
 
 def essential_graph(g: ChainGraph) -> EssentialGraphResult:
     """Construct the essential graph of the equivalence class of g.
 
-    Pipeline: verified separator table; unmarked skeleton; R1-R4 fixpoint;
+    Pipeline: triplex set of g; unmarked skeleton; R1-R4 fixpoint;
     double-blocking of long chordless plain cycles; R2-R4 fixpoint (R1 can no
     longer fire there); finalization of the marks into a chain graph.  The
     marks are returned as well so strong-edge labeling can resume from them.
     """
-    t = separator_table(g)
+    t = _triplex_keys(g)
     m = unmarked_skeleton(g)
     m = apply_rules_R(m, t, rules=RULE_NAMES)
     m = double_block_chordless_cycles(m)
     m = apply_rules_R(m, t, rules=("R2", "R3", "R4"))
-    return EssentialGraphResult(graph=m.finalize(), marks=m, separators=t)
+    return EssentialGraphResult(graph=m.finalize(), marks=m, triplexes=t)

@@ -140,9 +140,17 @@ def write_dataset(ds: Dataset, path: str) -> None:
             writer.writerow([format(v, ".17g") for v in row])
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def read_dataset(path: str) -> Dataset:
     """Read a CSV written by `write_dataset`; every row must be as wide as
-    the header and every value finite.
+    the header and every value a finite number.
 
     Blank lines are skipped; the line number in an error counts the header
     and the non-blank rows only.
@@ -153,10 +161,16 @@ def read_dataset(path: str) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise ParseError(1, "empty dataset") from None
-        rows = [[float(v) for v in row] for row in reader if row]
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ParseError(i + 2, f"{len(row)} values under {len(header)} column names")
+        rows: list[list[float]] = []
+        for row in filter(None, reader):
+            line = len(rows) + 2
+            if len(row) != len(header):
+                raise ParseError(line, f"{len(row)} values under {len(header)} column names")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                col, v = next((j, v) for j, v in enumerate(row, 1) if not _is_number(v))
+                raise ParseError(line, f"non-numeric value {v!r} in column {col}") from None
     values = np.asarray(rows, dtype=float)
     finite = np.isfinite(values)
     if not finite.all():

@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .equivalence import _triplex_keys
+from .equivalence import TriplexKeys, _triplex_keys
 from .errors import InvalidStateError, InvariantViolationError
 from .essential import (
     MarkedGraph,
-    SeparatorTable,
     _chordless_search,
     apply_rules_R,
     chordless_cycles,
@@ -55,15 +54,13 @@ def _pretriplex_instances(m: MarkedGraph) -> list[tuple[NodeId, NodeId, NodeId]]
     return out
 
 
-def _check_line6_fixpoint(m: MarkedGraph, t: SeparatorTable) -> None:
+def _check_line6_fixpoint(m: MarkedGraph, t: TriplexKeys) -> None:
     settled = apply_rules_R(m, t, rules=("R2", "R3", "R4"))
     if settled.blocked != m.blocked:
         raise InvalidStateError("marks are not a fixpoint of the propagation rules")
 
 
-def _verify_candidate_state(
-    m: MarkedGraph, h: MarkedGraph, eg_triplexes: frozenset
-) -> None:
+def _verify_candidate_state(h: MarkedGraph, eg_triplexes: TriplexKeys) -> None:
     """Invariants every re-blocked copy must satisfy before finalization.
 
     Checked: no induced triangle with one blocked edge and two totally plain
@@ -93,12 +90,13 @@ def _verify_candidate_state(
 
 def label_strong(
     m: MarkedGraph,
-    t: SeparatorTable,
+    t: TriplexKeys,
     check_invariants: bool = False,
 ) -> StrongLabeling:
     """Classify every edge of the essential graph as strong or not.
 
-    `m` must be the pre-finalization marks of an essential graph.  Edges the
+    `m` must be the pre-finalization marks of an essential graph and `t` the
+    triplex set of its class (`EssentialGraphResult.triplexes`).  Edges the
     sound shortcut rules already label strong (S1-S3 up front, S4-S6 chained
     from each strong arrow a re-blocking check finds) skip their own checks.
     With `check_invariants`, every singly blocked edge is re-blocked anyway:
@@ -116,7 +114,7 @@ def label_strong(
             continue
         h = apply_rules_R(m.with_blocks([(y, x)]), t, rules=("R2", "R3"))
         if check_invariants:
-            _verify_candidate_state(m, h, eg_triplexes)
+            _verify_candidate_state(h, eg_triplexes)
         destroyed = any(
             h.doubly_blocked(a, b) and h.doubly_blocked(b, c)
             for a, b, c in pretriplexes
@@ -144,7 +142,7 @@ def label_strong(
 def strong_labeling(g: ChainGraph) -> StrongLabeling:
     """Convenience pipeline: essential graph of g, then edge labeling."""
     result = essential_graph(g)
-    return label_strong(result.marks, result.separators)
+    return label_strong(result.marks, result.triplexes)
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ def maximally_oriented(g: ChainGraph) -> ChainGraph:
     by maximum cardinality search, with lexicographic tie-breaking.
     """
     result = essential_graph(g)
-    labeling = label_strong(result.marks, result.separators)
+    labeling = label_strong(result.marks, result.triplexes)
     eg = labeling.graph
     loose = validate_chain_graph(eg.nodes, (), eg.undirected - labeling.strong_undirected)
     return validate_chain_graph(

@@ -42,10 +42,10 @@ def run_pipeline(graphs) -> PipelineRun:
         cls = enumerate_class(g)
         result = essential_graph(g)
         try:
-            labeling = label_strong(result.marks, result.separators, check_invariants=True)
+            labeling = label_strong(result.marks, result.triplexes, check_invariants=True)
         except InvariantViolationError as exc:
             run.invariant_violations.append((g, str(exc)))
-            labeling = label_strong(result.marks, result.separators)
+            labeling = label_strong(result.marks, result.triplexes)
         run.records.append(PipelineRecord(g, cls, result, labeling))
     return run
 

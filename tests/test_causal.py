@@ -119,6 +119,24 @@ class TestEnumerateAdjustingSets:
                 for aset in enumerate_adjusting_sets(lab, x, "class"):
                     assert aset.nodes <= base
 
+    def test_maxoriented_grows_only_valid_sets(self, monkeypatch):
+        # undirected star: any two leaves oriented into X form a new triplex,
+        # so the valid orientation sets are the empty set and each single leaf
+        leaves = [f"L{i:02d}" for i in range(30)]
+        lab = strong_labeling(cg(["X", *leaves], [], [("X", leaf) for leaf in leaves]))
+        calls = []
+
+        def counting(labeling, x, s):
+            calls.append(s)
+            return locally_valid(labeling, x, s)
+
+        monkeypatch.setattr("ampcg.causal.locally_valid", counting)
+        sets = enumerate_adjusting_sets(lab, "X", "maxoriented")
+        assert {a.nodes for a in sets} == {frozenset()} | {frozenset([n]) for n in leaves}
+        assert all(a.source == a.nodes for a in sets)
+        # the empty set, each leaf, and each rejected pair: not 2^30 subsets
+        assert len(calls) == 1 + 30 + 30 * 29 // 2
+
     def test_maxoriented_matches_harvested_members(self):
         rnd = random.Random(97)
         for _ in range(60):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,68 +12,56 @@ from ampcg import (
     essential_from_class,
     essential_graph,
     node_names,
+    pair,
     random_chain_graph,
     separated,
-    separator_table,
     unmarked_skeleton,
 )
-from ampcg.essential import MarkedGraph, SeparatorTable, _r3_instances, chordless_cycles
+from ampcg.equivalence import _triplex_keys
+from ampcg.essential import MarkedGraph, _r3_instances, chordless_cycles
 from ampcg.strong import _s3
 
 from .support import cg, chordless_cycle_orders, marked_graphs
 
 
-class TestSeparatorTable:
-    def test_collider_pair_gets_empty_set(self):
-        g = cg("ABC", [("A", "B"), ("C", "B")])
-        assert separator_table(g).get("A", "C") == frozenset()
-
-    def test_chain_pair_uses_parent(self):
-        g = cg("ABC", [("A", "B"), ("B", "C")])
-        assert separator_table(g).get("A", "C") == {"B"}
-
-    def test_undirected_path(self):
-        g = cg("ABC", [], [("A", "B"), ("B", "C")])
-        assert separator_table(g).get("A", "C") == {"B"}
-
-    def test_every_entry_is_a_witness(self):
+class TestTriplexMembership:
+    def test_separating_sets_contain_exactly_the_non_triplex_middles(self):
+        # the fact R1, R2 and R4 rely on: every non-adjacent pair has a
+        # separating set, and each one holds a common neighbor b exactly when
+        # a ~ b ~ c is not a triplex
         rnd = random.Random(13)
-        for _ in range(80):
-            g = random_chain_graph(rnd, node_names(rnd.randint(2, 6)))
-            table = separator_table(g)
-            for (a, b), zs in table.items():
-                assert separated(g, {a}, {b}, zs)
-                assert not {a, b} & zs
-
-    def test_neighborhood_recipe_can_fail_toward_the_excluded_endpoint(self):
-        # A--C<-B: the a-side set {C} opens the route A--C<-B, so the verified
-        # fallback must pick a different witness
-        g = cg("ABC", [("B", "C")], [("A", "C")])
-        assert not separated(g, "A", "B", "C")
-        assert separator_table(g).get("A", "B") == frozenset()
-
-    def test_both_recipe_sides_can_fail(self):
-        # A->D, D--B, A->E, E->B: both neighborhood sets fail; {E} works
-        g = cg("ABDE", [("A", "D"), ("A", "E"), ("E", "B")], [("B", "D")])
-        assert not separated(g, "A", "B", set())          # a-side
-        assert not separated(g, "A", "B", {"D", "E"})     # b-side
-        assert separator_table(g).get("A", "B") == {"E"}
+        for _ in range(150):
+            g = random_chain_graph(rnd, node_names(rnd.randint(3, 6)),
+                                   p_undirected=0.3, p_directed=0.3)
+            t = _triplex_keys(g)
+            for a, c in combinations(g.sorted_nodes, 2):
+                if g.is_adjacent(a, c):
+                    continue
+                rest = sorted(g.nodes - {a, c})
+                zs = [frozenset(z) for k in range(len(rest) + 1)
+                      for z in combinations(rest, k)]
+                separating = [z for z in zs if separated(g, {a}, {c}, z)]
+                assert separating, (a, c)
+                shared = g.adjacency[a] & g.adjacency[c]
+                for z in separating:
+                    for b in shared:
+                        assert (b in z) == ((b, pair(a, c)) not in t)
 
 
 class TestRules:
     def test_r1_blocks_both_far_ends(self):
         g = cg("ABC", [("A", "B"), ("C", "B")])
-        m = apply_rules_R(unmarked_skeleton(g), separator_table(g), rules=("R1",))
+        m = apply_rules_R(unmarked_skeleton(g), _triplex_keys(g), rules=("R1",))
         assert m.blocked == {("A", "B"), ("C", "B")}
 
     def test_r1_respects_separator_membership(self):
         g = cg("ABC", [("A", "B"), ("B", "C")])
-        m = apply_rules_R(unmarked_skeleton(g), separator_table(g))
+        m = apply_rules_R(unmarked_skeleton(g), _triplex_keys(g))
         assert not m.blocked
 
     def test_r2_propagates_from_a_block(self):
         g = cg("ABCD", [("A", "C"), ("B", "C"), ("C", "D")])
-        m = apply_rules_R(unmarked_skeleton(g), separator_table(g))
+        m = apply_rules_R(unmarked_skeleton(g), _triplex_keys(g))
         assert ("C", "D") in m.blocked and ("D", "C") not in m.blocked
 
     def test_fixpoint_is_order_independent(self):
@@ -80,7 +69,7 @@ class TestRules:
         for trial in range(100):
             g = random_chain_graph(rnd, node_names(rnd.randint(3, 6)),
                                    p_undirected=0.3, p_directed=0.3)
-            t = separator_table(g)
+            t = _triplex_keys(g)
             m0 = unmarked_skeleton(g)
             reference = apply_rules_R(m0, t)
             for k in range(10):
@@ -90,7 +79,7 @@ class TestRules:
     def test_unknown_rule_rejected(self):
         g = cg("AB", [], [("A", "B")])
         with pytest.raises(ValueError):
-            apply_rules_R(unmarked_skeleton(g), separator_table(g), rules=("R9",))
+            apply_rules_R(unmarked_skeleton(g), _triplex_keys(g), rules=("R9",))
 
 
 class TestLine5:
@@ -190,7 +179,7 @@ class TestEssentialGraph:
         g = cg("ABC", [("A", "B"), ("C", "B")])
         result = essential_graph(g)
         assert isinstance(result.marks, MarkedGraph)
-        assert isinstance(result.separators, SeparatorTable)
+        assert result.triplexes == _triplex_keys(g)
         assert result.marks.finalize() == result.graph
 
     def test_degenerate_graphs(self):

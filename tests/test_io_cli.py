@@ -192,13 +192,17 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: collinear regression columns")
 
     def test_non_finite_dataset_is_exit_two(self, graph_file, tmp_path, capsys):
-        data = tmp_path / "nan.csv"
-        data.write_text("A,B,C,D\n0.5,1.0,-0.25,2.0\n0.1,0.2,nan,0.4\n1,2,3,4\n")
-        argv = ["bound", graph_file, "--data", str(data), "--x", "C", "--y", "B"]
-        assert cli(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: line 3: non-finite value in column 3\n"
+        for row, message in [
+            ("0.1,0.2,nan,0.4", "non-finite value in column 3"),
+            ("0.1,abc,0.3,0.4", "non-numeric value 'abc' in column 2"),
+        ]:
+            data = tmp_path / "bad.csv"
+            data.write_text(f"A,B,C,D\n0.5,1.0,-0.25,2.0\n{row}\n1,2,3,4\n")
+            argv = ["bound", graph_file, "--data", str(data), "--x", "C", "--y", "B"]
+            assert cli(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: line 3: {message}\n"
 
     @pytest.mark.parametrize(
         "text, line",

@@ -21,7 +21,7 @@ from .support import cg
 
 def _pipeline(g):
     result = essential_graph(g)
-    return result, label_strong(result.marks, result.separators, check_invariants=True)
+    return result, label_strong(result.marks, result.triplexes, check_invariants=True)
 
 
 class TestLabelStrong:
@@ -53,14 +53,14 @@ class TestLabelStrong:
         # one propagation consequent is missing, so the marks are not settled
         unsettled = unmarked_skeleton(g).with_blocks([("A", "C"), ("B", "C")])
         with pytest.raises(InvalidStateError):
-            label_strong(unsettled, result.separators)
+            label_strong(unsettled, result.triplexes)
 
     def test_shortcut_labels_match_checked_labels(self):
         rnd = random.Random(23)
         for _ in range(120):
             g = random_chain_graph(rnd, node_names(rnd.randint(2, 6)))
             result = essential_graph(g)
-            m, t = result.marks, result.separators
+            m, t = result.marks, result.triplexes
             assert label_strong(m, t) == label_strong(m, t, check_invariants=True)
 
     def test_checked_mode_rejects_an_unconfirmed_shortcut_label(self, monkeypatch):
@@ -68,7 +68,7 @@ class TestLabelStrong:
         result = essential_graph(g)
         monkeypatch.setattr("ampcg.strong._s1", lambda m: {("A", "B")})
         with pytest.raises(InvariantViolationError, match="shortcut labels"):
-            label_strong(result.marks, result.separators, check_invariants=True)
+            label_strong(result.marks, result.triplexes, check_invariants=True)
 
     def test_matches_oracle_on_random_graphs(self):
         rnd = random.Random(29)
