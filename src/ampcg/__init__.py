@@ -31,7 +31,6 @@ from .essential import (
     EssentialGraphResult,
     MarkedGraph,
     apply_rules_R,
-    chordless_cycles,
     double_block_chordless_cycles,
     essential_graph,
     unmarked_skeleton,

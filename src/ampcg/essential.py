@@ -9,6 +9,48 @@ R1-R4 only ever add blocks, which makes their fixpoint order-independent.
 R1, R2 and R4 read the input graph's triplex set where the paper asks whether
 a common neighbor b of non-adjacent a and c lies in a set separating them:
 b lies in every such set exactly when a ~ b ~ c is not a triplex.
+
+R3, S3 (in `strong`) and double-blocking ask whether a chordless cycle of a
+given kind passes through an edge a ~ b, which for arbitrary marks is
+NP-complete (Bienstock 1991: a hole through a given vertex).  `_path_exists`
+asks instead for a walk a, v1, ..., vk, b (k >= 2) along the required steps,
+with v1 outside N[b], vk outside N[a] and every other vi outside N[a] | N[b].
+Each chordless cycle is such a walk, and a shortest walk is chordless at the
+states where the question is asked:
+
+* R3.  Let vi ~ vj (i < j) be the inner chord of a shortest walk that spans
+  the fewest nodes.  The cycle vi ~ ... ~ vj ~ vi is chordless with each path
+  edge blocked at its end nearer vi, so exact R3 blocks (vi, vj) and the walk
+  could skip the nodes between.  At any fixpoint of exact R3 the walk rule
+  thus fires nothing new; the rules are monotone, so every rule set with R3
+  has the same least fixpoint under either R3.
+* S3 reads marks that passed `strong._check_line6_fixpoint`, so the same
+  shortcut applies; it keeps the last step.
+* Double-blocking needs `m` to be the R1-R4 fixpoint of `essential_graph`.
+  The least-span chord vi ~ vj of a shortest plain walk is not plain, or the
+  walk could skip.  If j - i >= 3, a block at vi (or vj) gives (A) on
+  vi ~ vj ~ vj-1 (or vj ~ vi ~ vi+1) against a plain path edge.  If
+  j - i = 2, vi, vi+1, vj is a triangle that (B) excludes.
+
+(A) At an R1- and R2-closed state, a block (u, v) and an induced path
+    u ~ v ~ w leave v ~ w not plain: R2 blocks (v, w), or u ~ v ~ w is a
+    triplex and R1 blocked (w, v).
+(B) No triangle x, y, c at the R1-R4 fixpoint has a block (x, y) and x ~ c,
+    y ~ c plain.  Else take such a block placed first: the blocks its rule
+    read were placed before it, so they lie on no such triangle.
+    - R1, triplex at y over x, z: (A) on z ~ y ~ c puts c ~ z.  R4 then
+      blocks (c, y) over x, z, or c is a triplex over x, z and R1 blocked
+      (x, c).
+    - R2 from (w, x), w not adjacent to y: (A) on w ~ x ~ c puts c ~ w, and
+      w ~ c is not plain.  A block (w, c) gives (A) on w ~ c ~ y, and (c, w)
+      lets R3 block (c, x) over w.
+    - R3 over x, v1, ..., vk, y: (A) on vk ~ y ~ c puts c ~ vk, and vk ~ c is
+      not plain.  (c, vk) lets R3 block (c, y) over vk; (vk, c) lets R3 block
+      (x, c) over v1 if k = 1, and gives (A) on vk ~ c ~ x if k >= 2.
+    - R4 over p, q, with x no triplex over them: (A) on p ~ y ~ c and
+      q ~ y ~ c puts c ~ p, q, and p ~ c, q ~ c are not plain.  (c, p) would
+      let R3 block (c, y) over p, so (p, c) and (q, c) are blocked and R4
+      blocks (x, c) over p, q.
 """
 
 from __future__ import annotations
@@ -118,50 +160,49 @@ def _r2_instances(m: MarkedGraph, t: TriplexKeys):
                 yield ("R2", frozenset({(b, c)}))
 
 
-def _chordless_search(
+def _path_exists(
     adj: Mapping[NodeId, frozenset[NodeId]],
-    path: list[NodeId],
+    a: NodeId,
     b: NodeId,
     step: Callable[[NodeId, NodeId], bool],
-    accept: Callable[[list[NodeId]], bool],
+    last: Callable[[NodeId], bool],
 ) -> bool:
-    """Search chordless cycles through the edge a ~ b, walking from a = path[0].
-
-    The path grows by steps last -> w with `step(last, w)`, never onto b and
-    never onto a node adjacent to an earlier path node but `last`.  Once the
-    path's last node (other than a) is adjacent to b, `path + [b]` is a
-    chordless cycle: it goes to `accept` and is not extended, since any
-    extension would leave the chord last ~ b.  Returns True as soon as
-    `accept` does; visits candidates in sorted, depth-first order.
-    """
-    last = path[-1]
-    if len(path) >= 2 and b in adj[last]:
-        return accept(path)
-    for w in sorted(adj[last]):
-        if w == b or w in path or not step(last, w):
-            continue
-        if not adj[w].isdisjoint(path[:-1]):
-            continue
-        if _chordless_search(adj, path + [w], b, step, accept):
-            return True
+    """Is there a walk a, v1, ..., vk, b (a ~ b, k >= 2) along `step` with
+    `last(vk)`, v1 not in N[b], vk not in N[a] and v2 .. vk-1 outside
+    N[a] | N[b]?  The module docstring says when such a walk is chordless."""
+    goals = {w for w in adj[b] - adj[a] if w != a and last(w)}
+    if not goals:
+        return False
+    near = adj[a] | adj[b]
+    stack = [w for w in adj[a] - adj[b] if w != b and step(a, w)]
+    seen = set(stack)
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w in seen or not step(u, w):
+                continue
+            if w in goals:
+                return True
+            if w not in near:
+                seen.add(w)
+                stack.append(w)
     return False
 
 
 def _r3_instances(m: MarkedGraph, t: TriplexKeys):
     """R3: a ~ b closes a chordless cycle a ~ v1 ~ ... ~ vk ~ b (k >= 1)
-    whose every edge, vk ~ b included, is blocked at its end nearer a."""
+    whose every edge, vk ~ b included, is blocked at its end nearer a.
+    k = 1 is a common neighbor; k >= 2 is asked as a walk."""
     del t
     adj = m.adjacency
     blocked = m.blocked
-
-    def step(u: NodeId, w: NodeId) -> bool:
-        return (u, w) in blocked
-
     for u, v in sorted(m.skeleton):
         for a, b in ((u, v), (v, u)):
             if (a, b) in blocked:
                 continue
-            if _chordless_search(adj, [a], b, step, lambda p: (p[-1], b) in blocked):
+            if any((a, w) in blocked and (w, b) in blocked for w in adj[a] & adj[b]) or (
+                _path_exists(adj, a, b, m.is_blocked, lambda w: (w, b) in blocked)
+            ):
                 yield ("R3", frozenset({(a, b)}))
 
 
@@ -220,49 +261,22 @@ def apply_rules_R(
         current = replace(current, blocked=frozenset(blocked))
 
 
-def chordless_cycles(
-    m: MarkedGraph,
-    min_len: int = 4,
-    edge_ok: Callable[[NodeId, NodeId], bool] | None = None,
-) -> list[list[NodeId]]:
-    """All chordless cycles of at least `min_len` nodes, each listed once.
+def double_block_chordless_cycles(m: MarkedGraph) -> MarkedGraph:
+    """Block both ends of every edge on a chordless all-plain cycle of at
+    least four nodes.
 
-    `edge_ok` restricts which edges the cycle may use; chords are judged
-    against the full skeleton either way.  Cycles are canonicalized to start
-    at their least node with the smaller second node first.
+    `m` must be an R1-R4 fixpoint, as in `essential_graph`: only there is an
+    all-plain walk around an edge (`_path_exists`) as good as such a cycle.
+    Snapshot semantics: the edges are found on the input first and then
+    double-blocked at once.
     """
     adj = m.adjacency
-    ok = edge_ok or (lambda u, v: True)
-    cycles: list[list[NodeId]] = []
-    for s in m.sorted_nodes:
-
-        def step(u: NodeId, w: NodeId) -> bool:
-            return w > s and ok(u, w)
-
-        def accept(path: list[NodeId]) -> bool:
-            if ok(path[-1], s) and len(path) + 1 >= min_len and path[0] < path[-1]:
-                cycles.append([s] + path)
-            return False
-
-        for v1 in sorted(adj[s]):
-            if v1 > s and ok(s, v1):
-                _chordless_search(adj, [v1], s, step, accept)
-    return cycles
-
-
-def double_block_chordless_cycles(m: MarkedGraph) -> MarkedGraph:
-    """Block both ends of every edge on a long chordless all-plain cycle.
-
-    Snapshot semantics: the qualifying cycles (length at least four, chordless,
-    every edge plain at both ends) are found on the input first and all their
-    edges are then double-blocked at once.
-    """
-    cycles = chordless_cycles(m, min_len=4, edge_ok=m.plain_edge)
     additions = set()
-    for cycle in cycles:
-        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
-            additions.add((u, v))
-            additions.add((v, u))
+    for a, b in m.skeleton:
+        if m.plain_edge(a, b) and _path_exists(
+            adj, a, b, m.plain_edge, lambda w: m.plain_edge(w, b)
+        ):
+            additions |= {(a, b), (b, a)}
     return m.with_blocks(additions)
 
 

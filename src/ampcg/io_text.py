@@ -171,6 +171,8 @@ def read_dataset(path: str) -> Dataset:
             except ValueError:
                 col, v = next((j, v) for j, v in enumerate(row, 1) if not _is_number(v))
                 raise ParseError(line, f"non-numeric value {v!r} in column {col}") from None
+    if not rows:
+        raise ParseError(2, "no data rows under the header")
     values = np.asarray(rows, dtype=float)
     finite = np.isfinite(values)
     if not finite.all():

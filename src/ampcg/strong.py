@@ -14,14 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .equivalence import TriplexKeys, _triplex_keys
-from .errors import InvalidStateError, InvariantViolationError
-from .essential import (
-    MarkedGraph,
-    _chordless_search,
-    apply_rules_R,
-    chordless_cycles,
-    essential_graph,
-)
+from .errors import InvalidStateError, InvariantViolationError, SemidirectedCycleError
+from .essential import MarkedGraph, _path_exists, apply_rules_R, essential_graph
 from .graphs import ChainGraph, NodeId, pair
 
 
@@ -64,9 +58,9 @@ def _verify_candidate_state(h: MarkedGraph, eg_triplexes: TriplexKeys) -> None:
     """Invariants every re-blocked copy must satisfy before finalization.
 
     Checked: no induced triangle with one blocked edge and two totally plain
-    edges; chordless cycles carry single blocks in both rotational senses or
-    none; finalization yields a valid chain graph; finalization adds no
-    triplex the essential graph lacks.
+    edges; finalization yields a valid chain graph (so no chordless cycle
+    carries single blocks in one rotational sense only); finalization adds
+    no triplex the essential graph lacks.
     """
     for x, y in sorted(h.blocked):
         for c in sorted(h.adjacency[x] & h.adjacency[y]):
@@ -74,15 +68,10 @@ def _verify_candidate_state(h: MarkedGraph, eg_triplexes: TriplexKeys) -> None:
                 raise InvariantViolationError(
                     f"blocked edge {x}~{y} on an otherwise plain triangle with {c}"
                 )
-    for cycle in chordless_cycles(h, min_len=3):
-        edges = list(zip(cycle, cycle[1:] + cycle[:1]))
-        forward = sum(1 for u, v in edges if h.singly_blocked(u, v))
-        backward = sum(1 for u, v in edges if h.singly_blocked(v, u))
-        if (forward > 0) != (backward > 0):
-            raise InvariantViolationError(
-                f"chordless cycle {cycle} blocked in only one rotational sense"
-            )
-    oriented = h.finalize()  # raises on a semidirected cycle
+    try:
+        oriented = h.finalize()
+    except SemidirectedCycleError as exc:
+        raise InvariantViolationError(f"finalization yields a {exc}") from exc
     extra = _triplex_keys(oriented) - eg_triplexes
     if extra:
         raise InvariantViolationError(f"finalization created triplexes {sorted(extra)}")
@@ -180,18 +169,12 @@ def _s2(m: MarkedGraph) -> set[tuple[NodeId, NodeId]]:
 def _s3(m: MarkedGraph) -> set[tuple[NodeId, NodeId]]:
     """Chordless cycle a ~ p1 ~ ... ~ pk ~ b (k >= 2) plus the edge a ~ b,
     with every path edge blocked at its end nearer a, the last path edge and
-    the closing edge singly blocked at pk and a respectively."""
-    adj = m.adjacency
-
-    def step(u: NodeId, w: NodeId) -> bool:
-        return (u, w) in m.blocked
-
+    the closing edge singly blocked at pk and a respectively.  Asked as a
+    walk, which is exact on R3-closed marks (see `essential`)."""
     return {
         (a, b)
         for a, b in m.edges_blocked_at_one_end()
-        if _chordless_search(
-            adj, [a], b, step, lambda p: len(p) >= 3 and m.singly_blocked(p[-1], b)
-        )
+        if _path_exists(m.adjacency, a, b, m.is_blocked, lambda w: m.singly_blocked(w, b))
     }
 
 
@@ -245,8 +228,9 @@ def _propagate(
 def accelerator_labels(m: MarkedGraph) -> frozenset[tuple[NodeId, NodeId]]:
     """Strong arrows detected by S1-S3, which read only the end marks.
 
-    Sound but deliberately incomplete: some strong arrows are only found by
-    the full re-blocking check.  S4-S6 need labels established by that check,
-    so `label_strong` chains them from each of its hits.
+    `m` must be settled marks, as `label_strong` takes them.  Sound but
+    deliberately incomplete: some strong arrows are only found by the full
+    re-blocking check.  S4-S6 need labels established by that check, so
+    `label_strong` chains them from each of its hits.
     """
     return frozenset(_s1(m) | _s2(m) | _s3(m))

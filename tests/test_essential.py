@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from ampcg import (
     equivalent,
     essential_from_class,
     essential_graph,
+    label_strong,
     node_names,
     pair,
     random_chain_graph,
@@ -18,7 +20,7 @@ from ampcg import (
     unmarked_skeleton,
 )
 from ampcg.equivalence import _triplex_keys
-from ampcg.essential import MarkedGraph, _r3_instances, chordless_cycles
+from ampcg.essential import RULE_NAMES, _FINDERS, MarkedGraph, _r3_instances
 from ampcg.strong import _s3
 
 from .support import cg, chordless_cycle_orders, marked_graphs
@@ -102,49 +104,95 @@ class TestLine5:
         out = double_block_chordless_cycles(m)
         assert out.blocked == m.blocked
 
-    def test_chordless_cycle_enumeration_is_canonical(self):
-        m = self._plain_cycle(
-            ("A", "B"), ("B", "C"), ("C", "D"), ("A", "D"), ("D", "E"), ("C", "E")
-        )
-        cycles = chordless_cycles(m, min_len=3)
-        assert ["A", "B", "C", "D"] in cycles
-        assert ["C", "D", "E"] in cycles
-        assert len(cycles) == 2
+
+def _cycle_edges(order):
+    return zip(order, order[1:] + order[:1])
+
+
+def _exact_r3(m, orders):
+    # R3 blocks a at a ~ b closing a cycle a ~ ... ~ b blocked at every near end
+    return {
+        (o[0], o[-1])
+        for o in orders
+        if all((u, w) in m.blocked for u, w in zip(o, o[1:]))
+        and (o[0], o[-1]) not in m.blocked
+    }
+
+
+def _exact_s3(m, orders):
+    # S3: at least four nodes, the closing end and a ~ b singly blocked
+    return {
+        (o[0], o[-1])
+        for o in orders
+        if len(o) >= 4
+        and all((u, w) in m.blocked for u, w in zip(o[:-1], o[1:-1]))
+        and m.singly_blocked(o[-2], o[-1])
+        and m.singly_blocked(o[0], o[-1])
+    }
+
+
+def _exact_double_blocks(m, orders):
+    # both ends of every edge on a chordless all-plain cycle of four or more
+    return {
+        end
+        for o in orders
+        if len(o) >= 4 and all(m.plain_edge(u, v) for u, v in _cycle_edges(o))
+        for u, v in _cycle_edges(o)
+        for end in ((u, v), (v, u))
+    }
 
 
 @settings(max_examples=150, deadline=None)
 @given(marked_graphs(max_nodes=7))
 def test_chordless_searches_match_brute_force(m):
+    # on arbitrary marks the walk searches find every chordless cycle, and
+    # may also fire on a walk with an inner chord (the next test covers the
+    # states where they must agree)
     orders = chordless_cycle_orders(m)
+    assert _exact_r3(m, orders) <= {next(iter(adds)) for _, adds in _r3_instances(m, None)}
+    assert _exact_s3(m, orders) <= _s3(m)
+    added = double_block_chordless_cycles(m).blocked - m.blocked
+    assert _exact_double_blocks(m, orders) <= added
 
-    def blocked_walk(order):
-        return all((u, w) in m.blocked for u, w in zip(order, order[1:]))
 
-    # R3 blocks a at a ~ b closing a cycle a ~ ... ~ b blocked at every near end
-    r3 = {(o[0], o[-1]) for o in orders if blocked_walk(o) and (o[0], o[-1]) not in m.blocked}
-    assert {next(iter(adds)) for _, adds in _r3_instances(m, None)} == r3
-    # S3: at least four nodes, the closing end and a ~ b singly blocked
-    s3 = {
-        (o[0], o[-1])
-        for o in orders
-        if len(o) >= 4
-        and blocked_walk(o[:-1])
-        and m.singly_blocked(o[-2], o[-1])
-        and m.singly_blocked(o[0], o[-1])
-    }
-    assert _s3(m) == s3
-    for min_len in (3, 4):
-        for edge_ok in (None, m.plain_edge, m.is_blocked):
-            ok = edge_ok or (lambda u, v: True)
-            canonical = sorted(
-                list(o)
-                for o in orders
-                if len(o) >= min_len
-                and o[0] == min(o)
-                and o[1] < o[-1]
-                and all(ok(u, v) for u, v in zip(o, o[1:] + o[:1]))
-            )
-            assert chordless_cycles(m, min_len=min_len, edge_ok=edge_ok) == canonical
+def test_reachability_rules_match_exact_search_on_reachable_states(monkeypatch):
+    orders = {}
+
+    def exact_r3(m, t):
+        for a, b in sorted(_exact_r3(m, orders[m.skeleton])):
+            yield ("R3", frozenset({(a, b)}))
+
+    def both_fixpoints(m, t, rules):
+        with monkeypatch.context() as patch:
+            patch.setitem(_FINDERS, "R3", exact_r3)
+            exact = apply_rules_R(m, t, rules=rules)
+        reach = apply_rules_R(m, t, rules=rules)
+        assert reach.blocked == exact.blocked
+        return reach
+
+    rnd = random.Random(37)
+    double_blocked = copies = 0
+    for _ in range(400):
+        g = random_chain_graph(rnd, node_names(rnd.randint(4, 7)),
+                               p_undirected=0.4, p_directed=0.25)
+        t = _triplex_keys(g)
+        m = unmarked_skeleton(g)
+        orders[g.skeleton] = chordless_cycle_orders(m)
+        m = both_fixpoints(m, t, RULE_NAMES)
+        for x, y, c in combinations(m.sorted_nodes, 3):
+            sides = [(x, y), (y, c), (x, c)]
+            if all(m.is_adjacent(u, v) for u, v in sides):
+                assert sum(m.plain_edge(u, v) for u, v in sides) != 2
+        added = double_block_chordless_cycles(m).blocked - m.blocked
+        assert added == _exact_double_blocks(m, orders[g.skeleton])
+        double_blocked += bool(added)
+        m = both_fixpoints(m.with_blocks(added), t, ("R2", "R3", "R4"))
+        assert m.blocked == essential_graph(g).marks.blocked
+        assert _s3(m) == _exact_s3(m, orders[g.skeleton])
+        for x, y in m.edges_blocked_at_one_end():
+            both_fixpoints(m.with_blocks([(y, x)]), t, ("R2", "R3"))
+            copies += 1
+    assert double_blocked >= 90 and copies >= 500
 
 
 class TestEssentialGraph:
@@ -190,3 +238,23 @@ class TestEssentialGraph:
         # a lone arrow is not essential: its class contains both directions
         arrow = cg("ABC", [("A", "B")])
         assert essential_graph(arrow).graph == cg("ABC", [], [("A", "B")])
+
+
+def _grid(k):
+    name = "V{}_{}".format
+    rows = [(name(i, j), name(i, j + 1)) for i in range(k) for j in range(k - 1)]
+    cols = [(name(i, j), name(i + 1, j)) for i in range(k - 1) for j in range(k)]
+    return cg([name(i, j) for i in range(k) for j in range(k)], [], rows + cols)
+
+
+@pytest.mark.parametrize("k", [8, 10])
+def test_undirected_grid_is_fast_and_doubly_blocked(k):
+    # every grid edge lies on a chordless 4-cycle, so every edge ends doubly
+    # blocked; a grid has exponentially many chordless cycles
+    g = _grid(k)
+    start = time.perf_counter()
+    result = essential_graph(g)
+    assert time.perf_counter() - start < 1.0
+    assert all(result.marks.doubly_blocked(a, b) for a, b in g.skeleton)
+    lab = label_strong(result.marks, result.triplexes)
+    assert lab.strong_undirected == g.undirected and not lab.strong_directed

@@ -209,8 +209,9 @@ class TestCli:
         [
             ("A,B,C\n0.5,1.0,-0.25,2.0\n0.1,0.2,0.3,0.4\n", 2),  # wider than the header
             ("A,B,C,D\n0.5,1.0,-0.25,2.0\n0.1,0.2,0.3\n", 3),  # ragged
+            ("A,B,C,D\n", 2),  # no rows at all
         ],
-        ids=["wide", "ragged"],
+        ids=["wide", "ragged", "header-only"],
     )
     def test_row_width_mismatch_is_exit_two(self, graph_file, tmp_path, capsys, text, line):
         data = tmp_path / "ragged.csv"

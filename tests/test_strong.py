@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 
 from ampcg import (
     accelerator_labels,
+    apply_rules_R,
     enumerate_class,
     essential_graph,
     label_strong,
@@ -14,6 +16,7 @@ from ampcg import (
     unmarked_skeleton,
 )
 from ampcg.errors import InvalidStateError, InvariantViolationError
+from ampcg.essential import RULE_NAMES, MarkedGraph
 from ampcg.strong import _propagate
 
 from .support import cg
@@ -69,6 +72,35 @@ class TestLabelStrong:
         monkeypatch.setattr("ampcg.strong._s1", lambda m: {("A", "B")})
         with pytest.raises(InvariantViolationError, match="shortcut labels"):
             label_strong(result.marks, result.triplexes, check_invariants=True)
+
+    def test_checked_mode_reports_a_semidirected_cycle(self, monkeypatch):
+        g = cg("ABCD", [("A", "B"), ("C", "B")], [("C", "D")])
+        result = essential_graph(g)
+        # every re-blocking fixpoint becomes a triangle blocked in one
+        # rotational sense, which finalizes to a semidirected cycle
+        one_sense = MarkedGraph(
+            nodes=frozenset("ABC"),
+            skeleton=frozenset({("A", "B"), ("B", "C"), ("A", "C")}),
+            blocked=frozenset({("A", "B"), ("B", "C"), ("C", "A")}),
+        )
+
+        def reblock(m, t, rules=RULE_NAMES, rng=None):
+            return one_sense if rules == ("R2", "R3") else apply_rules_R(m, t, rules, rng)
+
+        monkeypatch.setattr("ampcg.strong.apply_rules_R", reblock)
+        with pytest.raises(InvariantViolationError, match="semidirected cycle"):
+            label_strong(result.marks, result.triplexes, check_invariants=True)
+
+    def test_labels_a_120_node_graph_in_seconds(self):
+        # enumerating every chordless cycle R3 might use takes minutes here
+        rnd = random.Random(120)
+        random_chain_graph(rnd, node_names(120), 0.01, 0.017)
+        g = random_chain_graph(rnd, node_names(120), 0.01, 0.017)
+        result = essential_graph(g)
+        start = time.perf_counter()
+        lab = label_strong(result.marks, result.triplexes)
+        assert time.perf_counter() - start < 5.0
+        assert lab == label_strong(result.marks, result.triplexes, check_invariants=True)
 
     def test_matches_oracle_on_random_graphs(self):
         rnd = random.Random(29)
