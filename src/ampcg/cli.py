@@ -217,8 +217,8 @@ def _cmd_adjust(ns) -> int:
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
         for a in sets:
-            names = " ".join(sorted(a.nodes)) if a.nodes else "(empty)"
-            sys.stdout.write(f"{{{names}}}\n" if a.nodes else "(empty)\n")
+            names = " ".join(sorted(a.nodes))
+            sys.stdout.write(f"{{{names}}}\n" if names else "(empty)\n")
     return 0
 
 

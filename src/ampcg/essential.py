@@ -10,6 +10,15 @@ R1, R2 and R4 read the input graph's triplex set where the paper asks whether
 a common neighbor b of non-adjacent a and c lies in a set separating them:
 b lies in every such set exactly when a ~ b ~ c is not a triplex.
 
+`apply_rules_R` draws the fixpoint by a worklist: once the rest of the marks
+is closed, it re-examines only the instances that a new block (u, v) can
+fire, and that misses none.  R1 reads no block, so its instances are seeds.
+R2 and R4 read the new block as an antecedent: R2's (a, b) is (u, v), and
+R4's (c, b) is (u, v) with (d, b) among the blocks already there.  R3 at
+(a, b) needs blocked steps a, v1, ..., vk, b; a new instance has (u, v) among
+them, so its steps run from a to u and from v to b, and a and b are found by
+one walk each over the blocked steps, backwards from u and forwards from v.
+
 R3, S3 (in `strong`) and double-blocking ask whether a chordless cycle of a
 given kind passes through an edge a ~ b, which for arbitrary marks is
 NP-complete (Bienstock 1991: a hole through a given vertex).  `_path_exists`
@@ -55,11 +64,9 @@ states where the question is asked:
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from .equivalence import TriplexKeys, _triplex_keys
 from .graphs import ChainGraph, NodeId, pair, validate_chain_graph
@@ -131,7 +138,11 @@ class MarkedGraph:
         return validate_chain_graph(self.nodes, directed, undirected)
 
     def with_blocks(self, additions: Iterable[tuple[NodeId, NodeId]]) -> "MarkedGraph":
-        return replace(self, blocked=self.blocked | frozenset(additions))
+        """A copy with `additions` blocked too, sharing this skeleton's
+        `adjacency` and `sorted_nodes`."""
+        out = MarkedGraph(self.nodes, self.skeleton, self.blocked | frozenset(additions))
+        out.__dict__.update(adjacency=self.adjacency, sorted_nodes=self.sorted_nodes)
+        return out
 
 
 def unmarked_skeleton(g: ChainGraph) -> MarkedGraph:
@@ -140,24 +151,7 @@ def unmarked_skeleton(g: ChainGraph) -> MarkedGraph:
 
 
 # ---------------------------------------------------------------------------
-# rules R1-R4; each finder yields (rule, additions) for firable instances
-# whose additions are not already present
-
-
-def _r1_instances(m: MarkedGraph, t: TriplexKeys):
-    for b, (a, c) in sorted(t):
-        additions = frozenset({(a, b), (c, b)}) - m.blocked
-        if additions:
-            yield ("R1", additions)
-
-
-def _r2_instances(m: MarkedGraph, t: TriplexKeys):
-    for a, b in sorted(m.blocked):
-        for c in sorted(m.adjacency[b] - {a}):
-            if m.is_adjacent(a, c) or (b, pair(a, c)) in t:
-                continue
-            if (b, c) not in m.blocked:
-                yield ("R2", frozenset({(b, c)}))
+# rules R1-R4, drawn by a worklist
 
 
 def _path_exists(
@@ -189,76 +183,116 @@ def _path_exists(
     return False
 
 
-def _r3_instances(m: MarkedGraph, t: TriplexKeys):
-    """R3: a ~ b closes a chordless cycle a ~ v1 ~ ... ~ vk ~ b (k >= 1)
-    whose every edge, vk ~ b included, is blocked at its end nearer a.
-    k = 1 is a common neighbor; k >= 2 is asked as a walk."""
-    del t
-    adj = m.adjacency
-    blocked = m.blocked
-    for u, v in sorted(m.skeleton):
-        for a, b in ((u, v), (v, u)):
-            if (a, b) in blocked:
-                continue
-            if any((a, w) in blocked and (w, b) in blocked for w in adj[a] & adj[b]) or (
-                _path_exists(adj, a, b, m.is_blocked, lambda w: (w, b) in blocked)
-            ):
-                yield ("R3", frozenset({(a, b)}))
+def _r3_fires(
+    adj: Mapping[NodeId, frozenset[NodeId]],
+    blocked: Container[tuple[NodeId, NodeId]],
+    a: NodeId,
+    b: NodeId,
+) -> bool:
+    """R3 at the end (a, b): a ~ b closes a chordless cycle
+    a ~ v1 ~ ... ~ vk ~ b (k >= 1) whose every edge, vk ~ b included, is
+    blocked at its end nearer a.  k = 1 is a common neighbor; k >= 2 is asked
+    as a walk."""
+    return any((a, w) in blocked and (w, b) in blocked for w in adj[a] & adj[b]) or (
+        _path_exists(adj, a, b, lambda u, w: (u, w) in blocked, lambda w: (w, b) in blocked)
+    )
 
 
-def _r4_instances(m: MarkedGraph, t: TriplexKeys):
-    for b in m.sorted_nodes:
-        for a in sorted(m.adjacency[b]):
-            if (a, b) in m.blocked:
-                continue
-            shared = sorted((m.adjacency[a] & m.adjacency[b]) - {a, b})
-            for c, d in combinations(shared, 2):
-                if m.is_adjacent(c, d):
-                    continue
-                if (c, b) in m.blocked and (d, b) in m.blocked and (a, (c, d)) not in t:
-                    yield ("R4", frozenset({(a, b)}))
-                    break
+def _r2_from(adj, t, blocked, pending):
+    """R2 with a pending block (u, v) as its antecedent: block (v, c) for
+    each c ~ v not adjacent to u, unless u ~ v ~ c is a triplex."""
+    return {
+        (v, c)
+        for u, v in pending
+        for c in adj[v] - adj[u]
+        if c != u and (v, pair(u, c)) not in t
+    }
 
 
-_FINDERS: dict[str, Callable] = {
-    "R1": _r1_instances,
-    "R2": _r2_instances,
-    "R3": _r3_instances,
-    "R4": _r4_instances,
-}
+def _r4_from(adj, t, blocked, pending):
+    """R4 with a pending block (u, v) as one of its antecedents (c, b): block
+    (a, v) for a common neighbor a of u and v if some blocked (d, v) has
+    a ~ d, d not adjacent to u and a no triplex over u and d."""
+    return {
+        (a, v)
+        for u, v in pending
+        for a in adj[u] & adj[v]
+        if (a, v) not in blocked
+        and any(
+            d != u and (d, v) in blocked and (a, pair(u, d)) not in t
+            for d in (adj[v] & adj[a]) - adj[u]
+        )
+    }
+
+
+def _blocked_reach(adj, blocked, starts, forward):
+    """Nodes reached from `starts` along blocked steps (x, w), or backwards
+    along them with `forward` false."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        x = stack.pop()
+        for w in adj[x]:
+            if w not in seen and ((x, w) if forward else (w, x)) in blocked:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _r3_from(adj, t, blocked, pending):
+    """R3 at every unblocked end (a, b) whose cycle can use a pending block
+    (u, v): its steps run from a along blocked steps to u, and on from v to
+    b, so a is found walking backwards from the pending tails and b walking
+    forwards from the pending heads."""
+    heads = _blocked_reach(adj, blocked, {v for _, v in pending}, forward=True)
+    return {
+        (a, b)
+        for a in _blocked_reach(adj, blocked, {u for u, _ in pending}, forward=False)
+        for b in adj[a] & heads
+        if (a, b) not in blocked and _r3_fires(adj, blocked, a, b)
+    }
+
+
+_TRIGGERS = {"R2": _r2_from, "R3": _r3_from, "R4": _r4_from}
 
 
 def apply_rules_R(
     m: MarkedGraph,
     t: TriplexKeys,
     rules: Sequence[str] = RULE_NAMES,
-    rng: random.Random | None = None,
+    new: Iterable[tuple[NodeId, NodeId]] | None = None,
 ) -> MarkedGraph:
     """Least fixpoint of the selected rules.
 
     The rules only add blocks and never invalidate each other's antecedents,
-    so the fixpoint does not depend on application order.  With `rng` given,
-    one firable instance is applied at a time in random order (used to test
-    exactly that confluence); otherwise whole sweeps are applied at once.
+    so the fixpoint does not depend on application order.  `new` names the
+    blocks of `m` whose consequences have not been drawn yet: the caller
+    promises that the rest of `m.blocked` is closed under `rules`.  `None`
+    means every block of `m`, plus the R1 seeds from `t`.  Each round draws
+    the consequences of the pending blocks against the current marks, adds
+    them at once and makes the ones not yet present the next pending set.
     """
-    unknown = set(rules) - set(_FINDERS)
+    unknown = set(rules) - set(RULE_NAMES)
     if unknown:
         raise ValueError(f"unknown rules {sorted(unknown)}")
+    adj = m.adjacency
     blocked = set(m.blocked)
-    current = m
-    while True:
-        instances = list(
-            chain.from_iterable(_FINDERS[r](current, t) for r in rules)
-        )
-        if not instances:
-            return current
-        if rng is None:
-            for _, additions in instances:
-                blocked |= additions
-        else:
-            _, additions = rng.choice(sorted(instances, key=lambda i: (i[0], sorted(i[1]))))
-            blocked |= additions
-        current = replace(current, blocked=frozenset(blocked))
+    if new is None:
+        if "R1" in rules:
+            blocked.update(end for b, (a, c) in t for end in ((a, b), (c, b)))
+        pending = set(blocked)
+    else:
+        pending = set(new)
+        if not pending <= blocked:
+            raise ValueError(f"new blocks {sorted(pending - blocked)} are not blocks of m")
+    triggers = [_TRIGGERS[r] for r in rules if r != "R1"]
+    while pending:
+        found = set()
+        for draw in triggers:
+            found |= draw(adj, t, blocked, pending)
+        pending = found - blocked
+        blocked |= pending
+    return m.with_blocks(blocked)
 
 
 def double_block_chordless_cycles(m: MarkedGraph) -> MarkedGraph:
@@ -293,13 +327,13 @@ def essential_graph(g: ChainGraph) -> EssentialGraphResult:
     """Construct the essential graph of the equivalence class of g.
 
     Pipeline: triplex set of g; unmarked skeleton; R1-R4 fixpoint;
-    double-blocking of long chordless plain cycles; R2-R4 fixpoint (R1 can no
-    longer fire there); finalization of the marks into a chain graph.  The
+    double-blocking of long chordless plain cycles; R2-R4 fixpoint drawn from
+    the double-blocking additions alone (R1 can no longer fire there, and the
+    rest is already closed); finalization of the marks into a chain graph.  The
     marks are returned as well so strong-edge labeling can resume from them.
     """
     t = _triplex_keys(g)
-    m = unmarked_skeleton(g)
-    m = apply_rules_R(m, t, rules=RULE_NAMES)
-    m = double_block_chordless_cycles(m)
-    m = apply_rules_R(m, t, rules=("R2", "R3", "R4"))
+    fixpoint = apply_rules_R(unmarked_skeleton(g), t, rules=RULE_NAMES)
+    m = double_block_chordless_cycles(fixpoint)
+    m = apply_rules_R(m, t, rules=("R2", "R3", "R4"), new=m.blocked - fixpoint.blocked)
     return EssentialGraphResult(graph=m.finalize(), marks=m, triplexes=t)

@@ -101,7 +101,7 @@ def label_strong(
     for x, y in m.edges_blocked_at_one_end():
         if (x, y) in strong_arrows and not check_invariants:
             continue
-        h = apply_rules_R(m.with_blocks([(y, x)]), t, rules=("R2", "R3"))
+        h = apply_rules_R(m.with_blocks([(y, x)]), t, rules=("R2", "R3"), new={(y, x)})
         if check_invariants:
             _verify_candidate_state(h, eg_triplexes)
         destroyed = any(

@@ -12,12 +12,13 @@ from ampcg import (
     ChainGraph,
     EquivalenceClass,
     node_names,
+    pair,
     random_chain_graph,
     separated,
     validate_chain_graph,
 )
 from ampcg.equivalence import _triplex_keys
-from ampcg.essential import MarkedGraph
+from ampcg.essential import RULE_NAMES, MarkedGraph, _r3_fires
 from ampcg.graphs import _undirected_components
 from ampcg.transform import _split_candidates, _split_result
 
@@ -104,6 +105,70 @@ def chordless_cycle_orders(m: MarkedGraph) -> list[tuple[str, ...]]:
                 if all(m.is_adjacent(u, v) for u, v in zip(order, order[1:] + order[:1])):
                     out.append(order)
     return out
+
+
+# The R1-R4 rules as full scans: each finder yields (rule, additions) for the
+# firable instances whose additions are not already present.
+
+
+def r1_instances(m: MarkedGraph, t):
+    for b, (a, c) in sorted(t):
+        additions = frozenset({(a, b), (c, b)}) - m.blocked
+        if additions:
+            yield ("R1", additions)
+
+
+def r2_instances(m: MarkedGraph, t):
+    for a, b in sorted(m.blocked):
+        for c in sorted(m.adjacency[b] - {a}):
+            if m.is_adjacent(a, c) or (b, pair(a, c)) in t:
+                continue
+            if (b, c) not in m.blocked:
+                yield ("R2", frozenset({(b, c)}))
+
+
+def r3_instances(m: MarkedGraph, t):
+    del t
+    for u, v in sorted(m.skeleton):
+        for a, b in ((u, v), (v, u)):
+            if (a, b) not in m.blocked and _r3_fires(m.adjacency, m.blocked, a, b):
+                yield ("R3", frozenset({(a, b)}))
+
+
+def r4_instances(m: MarkedGraph, t):
+    for b in m.sorted_nodes:
+        for a in sorted(m.adjacency[b]):
+            if (a, b) in m.blocked:
+                continue
+            shared = sorted((m.adjacency[a] & m.adjacency[b]) - {a, b})
+            for c, d in combinations(shared, 2):
+                if m.is_adjacent(c, d):
+                    continue
+                if (c, b) in m.blocked and (d, b) in m.blocked and (a, (c, d)) not in t:
+                    yield ("R4", frozenset({(a, b)}))
+                    break
+
+
+FINDERS = {"R1": r1_instances, "R2": r2_instances, "R3": r3_instances, "R4": r4_instances}
+
+
+def sweep_fixpoint(m: MarkedGraph, t, rules=RULE_NAMES, rng=None, finders=FINDERS) -> MarkedGraph:
+    """Least fixpoint of the selected rules by full rescans: an oracle for
+    `apply_rules_R`.
+
+    Without `rng`, every firable instance of a scan is applied at once; with
+    it, one firable instance at a time in random order, which tests that the
+    fixpoint does not depend on application order.
+    """
+    while True:
+        instances = [i for r in rules for i in finders[r](m, t)]
+        if not instances:
+            return m
+        if rng is None:
+            m = m.with_blocks(end for _, additions in instances for end in additions)
+        else:
+            _, additions = rng.choice(sorted(instances, key=lambda i: (i[0], sorted(i[1]))))
+            m = m.with_blocks(additions)
 
 
 def random_corpus(seed: int, count: int, sizes, **kwargs) -> list[ChainGraph]:

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ampcg import (
     apply_rules_R,
@@ -20,10 +21,17 @@ from ampcg import (
     unmarked_skeleton,
 )
 from ampcg.equivalence import _triplex_keys
-from ampcg.essential import RULE_NAMES, _FINDERS, MarkedGraph, _r3_instances
+from ampcg.essential import RULE_NAMES, MarkedGraph
 from ampcg.strong import _s3
 
-from .support import cg, chordless_cycle_orders, marked_graphs
+from .support import (
+    FINDERS,
+    cg,
+    chordless_cycle_orders,
+    marked_graphs,
+    r3_instances,
+    sweep_fixpoint,
+)
 
 
 class TestTriplexMembership:
@@ -75,13 +83,39 @@ class TestRules:
             m0 = unmarked_skeleton(g)
             reference = apply_rules_R(m0, t)
             for k in range(10):
-                shuffled = apply_rules_R(m0, t, rng=random.Random(trial * 100 + k))
+                shuffled = sweep_fixpoint(m0, t, rng=random.Random(trial * 100 + k))
                 assert shuffled.blocked == reference.blocked
 
     def test_unknown_rule_rejected(self):
         g = cg("AB", [], [("A", "B")])
         with pytest.raises(ValueError):
             apply_rules_R(unmarked_skeleton(g), _triplex_keys(g), rules=("R9",))
+
+    def test_new_blocks_must_be_blocks_of_m(self):
+        g = cg("AB", [], [("A", "B")])
+        with pytest.raises(ValueError, match="not blocks of m"):
+            apply_rules_R(unmarked_skeleton(g), _triplex_keys(g), new={("A", "B")})
+
+
+@settings(max_examples=150, deadline=None)
+@given(marked_graphs(max_nodes=7), st.data())
+def test_worklist_matches_the_sweep_oracle(m, data):
+    # arbitrary marks and an arbitrary triplex set over the induced paths;
+    # then a few extra blocks on the oracle's fixpoint, drawn from `new` alone
+    paths = [
+        (b, pair(a, c))
+        for b in m.sorted_nodes
+        for a, c in combinations(sorted(m.adjacency[b]), 2)
+        if not m.is_adjacent(a, c)
+    ]
+    t = frozenset(p for p in paths if data.draw(st.booleans(), label=f"triplex {p}"))
+    ends = sorted(end for a, b in m.skeleton for end in ((a, b), (b, a)))
+    extra = data.draw(st.sets(st.sampled_from(ends), max_size=3)) if ends else set()
+    for rules in (RULE_NAMES, ("R2", "R3", "R4"), ("R2", "R3")):
+        fixpoint = sweep_fixpoint(m, t, rules)
+        assert apply_rules_R(m, t, rules) == fixpoint
+        more = fixpoint.with_blocks(extra)
+        assert apply_rules_R(more, t, rules, new=extra) == sweep_fixpoint(more, t, rules)
 
 
 class TestLine5:
@@ -149,24 +183,24 @@ def test_chordless_searches_match_brute_force(m):
     # may also fire on a walk with an inner chord (the next test covers the
     # states where they must agree)
     orders = chordless_cycle_orders(m)
-    assert _exact_r3(m, orders) <= {next(iter(adds)) for _, adds in _r3_instances(m, None)}
+    assert _exact_r3(m, orders) <= {next(iter(adds)) for _, adds in r3_instances(m, None)}
     assert _exact_s3(m, orders) <= _s3(m)
     added = double_block_chordless_cycles(m).blocked - m.blocked
     assert _exact_double_blocks(m, orders) <= added
 
 
-def test_reachability_rules_match_exact_search_on_reachable_states(monkeypatch):
+def test_reachability_rules_match_exact_search_on_reachable_states():
     orders = {}
 
     def exact_r3(m, t):
         for a, b in sorted(_exact_r3(m, orders[m.skeleton])):
             yield ("R3", frozenset({(a, b)}))
 
-    def both_fixpoints(m, t, rules):
-        with monkeypatch.context() as patch:
-            patch.setitem(_FINDERS, "R3", exact_r3)
-            exact = apply_rules_R(m, t, rules=rules)
-        reach = apply_rules_R(m, t, rules=rules)
+    exact_finders = {**FINDERS, "R3": exact_r3}
+
+    def both_fixpoints(m, t, rules, new=None):
+        exact = sweep_fixpoint(m, t, rules, finders=exact_finders)
+        reach = apply_rules_R(m, t, rules, new=new)
         assert reach.blocked == exact.blocked
         return reach
 
@@ -186,11 +220,11 @@ def test_reachability_rules_match_exact_search_on_reachable_states(monkeypatch):
         added = double_block_chordless_cycles(m).blocked - m.blocked
         assert added == _exact_double_blocks(m, orders[g.skeleton])
         double_blocked += bool(added)
-        m = both_fixpoints(m.with_blocks(added), t, ("R2", "R3", "R4"))
+        m = both_fixpoints(m.with_blocks(added), t, ("R2", "R3", "R4"), new=added)
         assert m.blocked == essential_graph(g).marks.blocked
         assert _s3(m) == _exact_s3(m, orders[g.skeleton])
         for x, y in m.edges_blocked_at_one_end():
-            both_fixpoints(m.with_blocks([(y, x)]), t, ("R2", "R3"))
+            both_fixpoints(m.with_blocks([(y, x)]), t, ("R2", "R3"), new={(y, x)})
             copies += 1
     assert double_blocked >= 90 and copies >= 500
 

@@ -15,6 +15,7 @@ from ampcg import (
     strong_oracle,
     unmarked_skeleton,
 )
+from ampcg import essential
 from ampcg.errors import InvalidStateError, InvariantViolationError
 from ampcg.essential import RULE_NAMES, MarkedGraph
 from ampcg.strong import _propagate
@@ -84,8 +85,8 @@ class TestLabelStrong:
             blocked=frozenset({("A", "B"), ("B", "C"), ("C", "A")}),
         )
 
-        def reblock(m, t, rules=RULE_NAMES, rng=None):
-            return one_sense if rules == ("R2", "R3") else apply_rules_R(m, t, rules, rng)
+        def reblock(m, t, rules=RULE_NAMES, new=None):
+            return one_sense if rules == ("R2", "R3") else apply_rules_R(m, t, rules, new)
 
         monkeypatch.setattr("ampcg.strong.apply_rules_R", reblock)
         with pytest.raises(InvariantViolationError, match="semidirected cycle"):
@@ -101,6 +102,41 @@ class TestLabelStrong:
         lab = label_strong(result.marks, result.triplexes)
         assert time.perf_counter() - start < 5.0
         assert lab == label_strong(result.marks, result.triplexes, check_invariants=True)
+
+    def test_re_blocking_a_200_node_graph_walks_only_from_the_new_block(self, monkeypatch):
+        # full rescans of R3 per re-blocked copy made 39 639 walks here
+        g = random_chain_graph(random.Random(200), node_names(200), 0.006, 0.01)
+        result = essential_graph(g)
+        calls = 0
+        walk = essential._path_exists
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return walk(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr("ampcg.essential._path_exists", counted)
+            patch.setattr("ampcg.strong._path_exists", counted)
+            lab = label_strong(result.marks, result.triplexes)
+        assert calls <= 10_000
+        assert lab == label_strong(result.marks, result.triplexes, check_invariants=True)
+
+    def test_one_labeling_builds_the_adjacency_once(self, monkeypatch):
+        # every re-blocked copy and fixpoint shares the skeleton's adjacency
+        g = random_chain_graph(random.Random(30), node_names(30), 0.04, 0.07)
+        builds = 0
+        build = MarkedGraph.adjacency.func
+
+        def counted(m):
+            nonlocal builds
+            builds += 1
+            return build(m)
+
+        monkeypatch.setattr(MarkedGraph.adjacency, "func", counted)
+        strong_labeling(g)
+        assert builds == 1
+        assert len(essential_graph(g).marks.edges_blocked_at_one_end()) >= 10
 
     def test_matches_oracle_on_random_graphs(self):
         rnd = random.Random(29)
