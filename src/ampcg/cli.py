@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 validation or domain failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -319,7 +320,11 @@ def _cmd_oracle(ns) -> int:
     return 0 if all_ok else FAILURE_EXIT
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; every parse makes a
+    fresh namespace.  Handlers are bound at first build, so tests patch what
+    the `_cmd_*` functions call, not the `_cmd_*` functions themselves."""
     parser = _Parser(prog="ampcg", description=__doc__)
     parser.add_argument("--version", action="version", version=f"ampcg {__version__}")
     parser.add_argument(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from typing import Any
 
 import numpy as np
@@ -141,6 +142,11 @@ def write_dataset(ds: Dataset, path: str) -> None:
 
 
 def _is_number(text: str) -> bool:
+    """Whether `np.loadtxt` reads `text` as a float: Python's float syntax
+    after stripping whitespace, but ASCII only and without underscores."""
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        return False
     try:
         float(text)
     except ValueError:
@@ -148,32 +154,48 @@ def _is_number(text: str) -> bool:
     return True
 
 
+def _first_bad_row(path: str) -> ParseError | None:
+    """Re-read `path` row by row and name the first row numpy rejected."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        width = len(next(reader))
+        for line, row in enumerate(filter(None, reader), start=2):
+            if len(row) != width:
+                return ParseError(line, f"{len(row)} values under {width} column names")
+            for col, v in enumerate(row, 1):
+                if not _is_number(v):
+                    return ParseError(line, f"non-numeric value {v!r} in column {col}")
+    return None
+
+
 def read_dataset(path: str) -> Dataset:
     """Read a CSV written by `write_dataset`; every row must be as wide as
     the header and every value a finite number.
 
-    Blank lines are skipped; the line number in an error counts the header
-    and the non-blank rows only.
+    Numbers are read as `np.loadtxt` reads them: quoted numbers are
+    accepted, `#` starts no comment, and `1_000`-style literals are
+    rejected.  Blank lines are skipped; the line number in an error counts
+    the header and the non-blank rows only.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ParseError(1, "empty dataset") from None
-        rows: list[list[float]] = []
-        for row in filter(None, reader):
-            line = len(rows) + 2
-            if len(row) != len(header):
-                raise ParseError(line, f"{len(row)} values under {len(header)} column names")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                col, v = next((j, v) for j, v in enumerate(row, 1) if not _is_number(v))
-                raise ParseError(line, f"non-numeric value {v!r} in column {col}") from None
-    if not rows:
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(
+                    fh, delimiter=",", ndmin=2, dtype=float, comments=None, quotechar='"'
+                )
+        except ValueError:
+            values = None
+    if values is None or (len(values) and values.shape[1] != len(header)):
+        # `_is_number` matches numpy 2.4's reader; should another numpy reject
+        # a row the scan accepts, the fallback keeps the ParseError exit
+        raise _first_bad_row(path) or ParseError(2, "unreadable data rows")
+    if not len(values):
         raise ParseError(2, "no data rows under the header")
-    values = np.asarray(rows, dtype=float)
     finite = np.isfinite(values)
     if not finite.all():
         r, c = np.argwhere(~finite)[0]

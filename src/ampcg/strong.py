@@ -28,14 +28,19 @@ class StrongLabeling:
     strong_undirected: frozenset[tuple[NodeId, NodeId]]
 
 
-def _pretriplex_instances(m: MarkedGraph) -> list[tuple[NodeId, NodeId, NodeId]]:
-    """Ordered induced paths a ~ b ~ c that finalize to a triplex at b.
+def _pretriplexes_by_end(
+    m: MarkedGraph,
+) -> dict[tuple[NodeId, NodeId], list[tuple[NodeId, NodeId]]]:
+    """Ordered induced paths a ~ b ~ c that finalize to a triplex at b, as
+    (b, c) lists keyed by the end (b, a).
 
     The a-side edge is blocked at a only (a future arrow a -> b) and the
     c-side edge is blocked at its c end; both orders of each pattern are kept
-    because the flanking roles are not symmetric.
+    because the flanking roles are not symmetric.  A re-blocked copy destroys
+    the pretriplex only by blocking both (b, a) and (b, c), so only the
+    copies that newly block (b, a) need to look at it.
     """
-    out = []
+    out: dict[tuple[NodeId, NodeId], list[tuple[NodeId, NodeId]]] = {}
     for b in m.sorted_nodes:
         for a in sorted(m.adjacency[b]):
             if not m.singly_blocked(a, b):
@@ -44,7 +49,7 @@ def _pretriplex_instances(m: MarkedGraph) -> list[tuple[NodeId, NodeId, NodeId]]
                 if m.is_adjacent(a, c):
                     continue
                 if (c, b) in m.blocked:
-                    out.append((a, b, c))
+                    out.setdefault((b, a), []).append((b, c))
     return out
 
 
@@ -95,7 +100,7 @@ def label_strong(
     _check_line6_fixpoint(m, t)
     eg = m.finalize()
     eg_triplexes = _triplex_keys(eg) if check_invariants else frozenset()
-    pretriplexes = _pretriplex_instances(m)
+    pretriplexes = _pretriplexes_by_end(m)
     strong_arrows = set(accelerator_labels(m))
     confirmed: set[tuple[NodeId, NodeId]] = set()
     for x, y in m.edges_blocked_at_one_end():
@@ -105,8 +110,9 @@ def label_strong(
         if check_invariants:
             _verify_candidate_state(h, eg_triplexes)
         destroyed = any(
-            h.doubly_blocked(a, b) and h.doubly_blocked(b, c)
-            for a, b, c in pretriplexes
+            bc in h.blocked
+            for end in h.blocked - m.blocked
+            for bc in pretriplexes.get(end, ())
         )
         if destroyed:
             confirmed.add((x, y))

@@ -1,8 +1,11 @@
+import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ampcg import (
     parse_graph,
@@ -15,8 +18,9 @@ from ampcg import (
     to_json,
     write_dataset,
 )
-from ampcg.cli import cli
+from ampcg.cli import _build_parser, cli
 from ampcg.errors import DuplicateEdgeError, ParseError
+from ampcg.gaussian import Dataset
 
 from .support import cg, chain_graphs
 
@@ -83,7 +87,69 @@ class TestDatasets:
         write_dataset(ds, str(path))
         back = read_dataset(str(path))
         assert back.columns == ds.columns
-        assert np.allclose(back.rows, ds.rows)
+        assert np.array_equal(back.rows, ds.rows)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "A,B\r\n0.5,1\r\n-2,3e-1\r\n",
+            "A,B\n0.5,1\n-2,3e-1",
+            "A,B\n0.5,1\n\n\n-2,3e-1\n",
+            'A,B\n"0.5",1\n-2,"3e-1"\n',
+        ],
+        ids=["crlf", "no-final-newline", "blank-lines", "quoted"],
+    )
+    def test_accepted_layouts(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        ds = read_dataset(str(path))
+        assert ds.columns == ("A", "B")
+        assert np.array_equal(ds.rows, [[0.5, 1.0], [-2.0, 0.3]])
+
+    def test_read_peak_memory_stays_near_the_array(self, tmp_path):
+        rng = np.random.default_rng(5)
+        rows = rng.standard_normal((20_000, 10))
+        path = tmp_path / "big.csv"
+        write_dataset(Dataset(columns=tuple(f"V{i}" for i in range(10)), rows=rows), str(path))
+        tracemalloc.start()
+        try:
+            back = read_dataset(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.rows, rows)
+        # one Python float per value, as a row-by-row reader holds them, is ~6.8x
+        assert peak < 3 * rows.nbytes
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["1", "-2.5", "3e1", "nan", "inf", ",", ",", "\n", "\n", "\r\n", "\r",
+                 '"', '"1"', " ", "\t", "#", "x", "_", "\u0663", "."]
+            ),
+            max_size=16,
+        ).map("".join)
+    )
+    def test_every_rejection_names_its_line(self, tmp_path, body):
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(("A,B\n" + body).encode())
+        try:
+            ds = read_dataset(str(path))
+        except ParseError as exc:
+            assert exc.line >= 1
+            assert any(
+                kind in str(exc)
+                for kind in ("values under", "non-numeric", "non-finite", "no data rows")
+            )
+            return
+        with open(path, newline="") as fh:
+            rows = list(filter(None, csv.reader(fh)))[1:]
+        assert np.array_equal(ds.rows, [[float(v) for v in row] for row in rows])
 
 
 @pytest.fixture()
@@ -194,7 +260,11 @@ class TestCli:
     def test_non_finite_dataset_is_exit_two(self, graph_file, tmp_path, capsys):
         for row, message in [
             ("0.1,0.2,nan,0.4", "non-finite value in column 3"),
+            ("0.1,0.2,0.3,inf", "non-finite value in column 4"),
             ("0.1,abc,0.3,0.4", "non-numeric value 'abc' in column 2"),
+            ("0.1,# note,0.3,0.4", "non-numeric value '# note' in column 2"),
+            ("0.1,0.2,1_000,0.4", "non-numeric value '1_000' in column 3"),
+            ("\n\n0.1,abc,0.3,0.4", "non-numeric value 'abc' in column 2"),
         ]:
             data = tmp_path / "bad.csv"
             data.write_text(f"A,B,C,D\n0.5,1.0,-0.25,2.0\n{row}\n1,2,3,4\n")
@@ -231,6 +301,21 @@ class TestCli:
         argv = ["bound", graph_file, "--data", str(data), "--x", "C", "--y", "B"]
         assert cli(argv) == 2
         assert capsys.readouterr().err.startswith("error: dataset columns")
+
+    def test_parser_is_built_once_and_keeps_no_state(self, graph_file, tmp_path, capsys):
+        assert cli(["--format", "json", "eg", graph_file]) == 0
+        assert json.loads(capsys.readouterr().out)["nodes"] == ["A", "B", "C", "D"]
+        assert cli(["eg", graph_file]) == 0
+        assert capsys.readouterr().out.startswith("node A\n")
+        seeded, unseeded, seed0 = (tmp_path / f"{name}.csv" for name in ("s3", "s", "s0"))
+        for argv in (
+            ["--seed", "3", "sample", graph_file, "--n", "20", "--out", str(seeded)],
+            ["sample", graph_file, "--n", "20", "--out", str(unseeded)],
+            ["--seed", "0", "sample", graph_file, "--n", "20", "--out", str(seed0)],
+        ):
+            assert cli(argv) == 0
+        assert unseeded.read_bytes() == seed0.read_bytes() != seeded.read_bytes()
+        assert _build_parser.cache_info().misses <= 1
 
     def test_json_format(self, graph_file, capsys):
         assert cli(["--format", "json", "eg", graph_file]) == 0
