@@ -31,11 +31,9 @@ MODES = ("class", "maxoriented", "superset")
 
 @dataclass(frozen=True)
 class AdjustingSet:
-    """A candidate conditioning set for the effect of `target`."""
+    """A candidate conditioning set for the effect of a treatment."""
 
-    target: NodeId
     nodes: frozenset[NodeId]
-    provenance: Literal["true-graph", "class", "maxoriented", "superset"]
     source: frozenset[NodeId] | None = None  # orientation set behind a maxoriented entry
 
     def sort_key(self) -> tuple:
@@ -122,7 +120,7 @@ def enumerate_adjusting_sets(
         sets: dict[frozenset[NodeId], AdjustingSet] = {}
         for member in sorted(enumerate_class(eg, max_edges=max_edges), key=repr):
             z = adjusting_set(member, x)
-            sets.setdefault(z, AdjustingSet(target=x, nodes=z, provenance="class"))
+            sets.setdefault(z, AdjustingSet(nodes=z))
         return frozenset(sets.values())
     if mode == "maxoriented":
         partition = st_nst(labeling, x)
@@ -135,7 +133,7 @@ def enumerate_adjusting_sets(
             if not locally_valid(labeling, x, s):
                 return
             z = (base | s) - {x}
-            found.append(AdjustingSet(target=x, nodes=z, provenance="maxoriented", source=s))
+            found.append(AdjustingSet(nodes=z, source=s))
             for i in range(start, len(nst)):
                 grow(s | {nst[i]}, i + 1)
 
@@ -151,10 +149,6 @@ def enumerate_adjusting_sets(
         out = set()
         for size in range(len(base) + 1):
             for combo in combinations(base, size):
-                out.add(
-                    AdjustingSet(
-                        target=x, nodes=frozenset(combo), provenance="superset"
-                    )
-                )
+                out.add(AdjustingSet(nodes=frozenset(combo)))
         return frozenset(out)
     raise ValueError(f"unknown mode {mode!r}")

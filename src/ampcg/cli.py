@@ -33,7 +33,7 @@ from .io_text import (
     to_json,
     write_dataset,
 )
-from .strong import accelerator_labels, label_strong
+from .strong import accelerator_labels, label_strong, strong_labeling
 from .transform import (
     class_by_merge_split,
     maximally_oriented,
@@ -200,9 +200,7 @@ def _cmd_minmax(ns) -> int:
 
 
 def _cmd_adjust(ns) -> int:
-    g = _load_graph(ns.graph)
-    result = essential_graph(g)
-    labeling = label_strong(result.marks, result.triplexes)
+    labeling = strong_labeling(_load_graph(ns.graph))
     sets = sorted(
         enumerate_adjusting_sets(
             labeling, ns.x, ns.mode, max_edges=ns.max_edges
@@ -241,10 +239,8 @@ def _cmd_bound(ns) -> int:
             f"dataset columns {list(ds.columns)} must name each graph node "
             f"{list(g.sorted_nodes)} exactly once"
         )
-    result = essential_graph(g)
-    labeling = label_strong(result.marks, result.triplexes)
     report = bound_effect(
-        ds, labeling, ns.x, ns.y, ns.mode, max_edges=ns.max_edges
+        ds, strong_labeling(g), ns.x, ns.y, ns.mode, max_edges=ns.max_edges
     )
     if ns.format == "json":
         doc = {

@@ -129,27 +129,18 @@ def linear_gaussian_model(
     )
 
 
-def random_model(
-    graph: ChainGraph,
-    seed: int,
-    coef_range: tuple[float, float] = (0.3, 1.0),
-    noise_strength: float = 1.0,
-) -> LinearGaussianModel:
+def random_model(graph: ChainGraph, seed: int) -> LinearGaussianModel:
     """A reproducible random model on the given graph.
 
-    Edge coefficients get magnitudes in `coef_range` with random signs.  Each
+    Edge coefficients get magnitudes in [0.3, 1.0) with random signs.  Each
     component's noise precision puts random weights on the undirected edges
     and a diagonally dominant diagonal, which guarantees positive
-    definiteness; the resulting covariance block is scaled by
-    `noise_strength`.
+    definiteness.
     """
-    lo, hi = coef_range
-    if lo <= 0:
-        raise ModelError("coefficient magnitudes must exclude zero")
     rng = np.random.default_rng(seed)
     coefficients = {}
     for u, v in sorted(graph.directed):
-        magnitude = rng.uniform(lo, hi)
+        magnitude = rng.uniform(0.3, 1.0)
         sign = 1.0 if rng.random() < 0.5 else -1.0
         coefficients[(u, v)] = sign * magnitude
     noise = {}
@@ -164,7 +155,7 @@ def random_model(
                     omega[i, j] = omega[j, i] = weight
         for i in range(k):
             omega[i, i] = 1.0 + np.abs(omega[i]).sum()
-        noise[comp] = noise_strength * np.linalg.inv(omega)
+        noise[comp] = np.linalg.inv(omega)
     return linear_gaussian_model(graph, coefficients, noise)
 
 
@@ -312,11 +303,7 @@ def bound_effect(
     if mode == "true":
         if true_graph is None:
             raise ValueError("mode 'true' needs the generating graph")
-        sets = [
-            AdjustingSet(
-                target=x, nodes=adjusting_set(true_graph, x), provenance="true-graph"
-            )
-        ]
+        sets = [AdjustingSet(nodes=adjusting_set(true_graph, x))]
     elif mode in MODES:
         sets = sorted(
             enumerate_adjusting_sets(

@@ -6,7 +6,7 @@ import random
 from itertools import combinations, product
 from typing import Sequence
 
-from .graphs import ChainGraph, NodeId, _semidirected_cycle_witness, _undirected_components
+from .graphs import ChainGraph, NodeId, _component_order, _undirected_components
 
 #: per-pair states for exhaustive generation
 _NONE, _FWD, _REV, _UND = range(4)
@@ -34,7 +34,7 @@ def all_chain_graphs(nodes: Sequence[NodeId]) -> list[ChainGraph]:
                 undirected.append((a, b))
         dirset = frozenset(directed)
         undset = frozenset(undirected)
-        if _semidirected_cycle_witness(node_set, dirset, undset) is None:
+        if _component_order(node_set, dirset, undset) is not None:
             out.append(ChainGraph(nodes=node_set, directed=dirset, undirected=undset))
     return out
 

@@ -1,8 +1,8 @@
 """Chain graphs (mixed directed/undirected graphs without semidirected cycles).
 
 All graph types are immutable values: operations elsewhere in the package
-return new graphs instead of mutating, which keeps parallel enumeration safe
-and makes oracle comparisons plain equality checks.
+return new graphs instead of mutating, which makes oracle comparisons plain
+equality checks.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import random
 import re
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -160,52 +161,40 @@ def _undirected_components(
     return comps
 
 
-def _strongly_connected(succ: dict[NodeId, set[NodeId]]) -> dict[NodeId, int]:
-    """Iterative Tarjan SCC; returns a component id per node."""
-    index: dict[NodeId, int] = {}
-    low: dict[NodeId, int] = {}
-    on_stack: set[NodeId] = set()
-    stack: list[NodeId] = []
-    comp: dict[NodeId, int] = {}
-    counter = 0
-    n_comps = 0
-    for root in sorted(succ):
-        if root in index:
-            continue
-        work = [(root, iter(sorted(succ[root])))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(succ[w]))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = n_comps
-                    if w == node:
-                        break
-                n_comps += 1
-    return comp
+def _component_order(
+    nodes: Iterable[NodeId],
+    directed: Iterable[tuple[NodeId, NodeId]],
+    undirected: Iterable[tuple[NodeId, NodeId]],
+) -> list[frozenset[NodeId]] | None:
+    """Chain components in topological order, or None on a semidirected cycle.
+
+    A semidirected cycle either holds an arrow inside one undirected
+    component or passes through a cycle of the component graph, which Kahn's
+    algorithm then cannot exhaust.  Ties between ready components are broken
+    by their least node name.
+    """
+    comps = _undirected_components(nodes, undirected)
+    comp_index = {n: i for i, comp in enumerate(comps) for n in comp}
+    succ: dict[int, set[int]] = {i: set() for i in range(len(comps))}
+    indeg = {i: 0 for i in range(len(comps))}
+    for u, v in directed:
+        cu, cv = comp_index[u], comp_index[v]
+        if cu == cv:
+            return None
+        if cv not in succ[cu]:
+            succ[cu].add(cv)
+            indeg[cv] += 1
+    heap = [(min(comps[i]), i) for i in indeg if indeg[i] == 0]
+    heapq.heapify(heap)
+    order: list[frozenset[NodeId]] = []
+    while heap:
+        _, i = heapq.heappop(heap)
+        order.append(comps[i])
+        for j in sorted(succ[i]):
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(heap, (min(comps[j]), j))
+    return order if len(order) == len(comps) else None
 
 
 def _semidirected_cycle_witness(
@@ -213,10 +202,11 @@ def _semidirected_cycle_witness(
     directed: Iterable[tuple[NodeId, NodeId]],
     undirected: Iterable[tuple[NodeId, NodeId]],
 ) -> list[NodeId] | None:
-    """One semidirected cycle if the edges admit any, else None.
+    """One semidirected cycle, or None when the edges admit none.
 
-    A semidirected cycle exists exactly when some directed edge lies inside a
-    strongly connected component of the relation "one step along -> or --".
+    The first arrow u -> v, in sorted order, whose head reaches its tail by
+    -> and -- steps, closed by a shortest route from v back to u
+    (breadth-first, successors in sorted order).
     """
     succ: dict[NodeId, set[NodeId]] = {n: set() for n in nodes}
     for u, v in directed:
@@ -224,27 +214,20 @@ def _semidirected_cycle_witness(
     for a, b in undirected:
         succ[a].add(b)
         succ[b].add(a)
-    comp = _strongly_connected(succ)
     for u, v in sorted(directed):
-        if comp[u] != comp[v]:
-            continue
-        # close the cycle: shortest path v -> u within the component
-        allowed = {n for n in nodes if comp[n] == comp[u]}
         prev: dict[NodeId, NodeId] = {v: v}
-        queue = [v]
-        while queue:
-            cur = queue.pop(0)
-            if cur == u:
-                break
+        queue = deque([v])
+        while queue and u not in prev:
+            cur = queue.popleft()
             for w in sorted(succ[cur]):
-                if w in allowed and w not in prev:
+                if w not in prev:
                     prev[w] = cur
                     queue.append(w)
-        path = [u]
-        while path[-1] != v:
-            path.append(prev[path[-1]])
-        path.reverse()  # v ... u
-        return [u] + path
+        if u in prev:
+            path = [u]
+            while path[-1] != v:
+                path.append(prev[path[-1]])
+            return [u, *reversed(path)]
     return None
 
 
@@ -265,7 +248,7 @@ def validate_chain_graph(
     directed = list(directed)
     undirected = list(undirected)
     seen_pairs: set[tuple[NodeId, NodeId]] = set()
-    for u, v in list(directed) + list(undirected):
+    for u, v in directed + undirected:
         _check_nodes(node_set, (u, v))
         if u == v:
             raise SelfLoopError(f"self-loop at {u!r}")
@@ -275,9 +258,8 @@ def validate_chain_graph(
         seen_pairs.add(key)
     und = frozenset(pair(a, b) for a, b in undirected)
     dirset = frozenset(directed)
-    witness = _semidirected_cycle_witness(node_set, dirset, und)
-    if witness is not None:
-        raise SemidirectedCycleError(witness)
+    if _component_order(node_set, dirset, und) is None:
+        raise SemidirectedCycleError(_semidirected_cycle_witness(node_set, dirset, und))
     return ChainGraph(nodes=node_set, directed=dirset, undirected=und)
 
 
@@ -315,29 +297,9 @@ def chain_components(g: ChainGraph) -> ComponentPartition:
 
     Ties between ready components are broken by their least node name.
     """
-    comps = _undirected_components(g.nodes, g.undirected)
-    comp_index = {n: i for i, comp in enumerate(comps) for n in comp}
-    succ: dict[int, set[int]] = {i: set() for i in range(len(comps))}
-    indeg = {i: 0 for i in range(len(comps))}
-    for u, v in g.directed:
-        cu, cv = comp_index[u], comp_index[v]
-        if cv not in succ[cu]:
-            succ[cu].add(cv)
-            indeg[cv] += 1
-    heap = [(min(comps[i]), i) for i in indeg if indeg[i] == 0]
-    heapq.heapify(heap)
-    order: list[frozenset[NodeId]] = []
-    while heap:
-        _, i = heapq.heappop(heap)
-        order.append(comps[i])
-        for j in sorted(succ[i]):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(heap, (min(comps[j]), j))
-    if len(order) != len(comps):
-        # unreachable for validated graphs
-        raise SemidirectedCycleError(["<component cycle>"])
-    return ComponentPartition(components=tuple(order))
+    return ComponentPartition(
+        components=tuple(_component_order(g.nodes, g.directed, g.undirected))
+    )
 
 
 def is_complete(g: ChainGraph, nodes: Iterable[NodeId]) -> bool:
@@ -363,20 +325,27 @@ def _simplicial_in(adj: dict[NodeId, set[NodeId]], v: NodeId) -> bool:
     return all(b in adj[a] for a, b in combinations(nbrs, 2))
 
 
+def _eliminate(
+    g: ChainGraph, keep: frozenset[NodeId] = frozenset()
+) -> list[NodeId] | None:
+    """Remove simplicial nodes outside `keep`, least name first, until only
+    `keep` is left; the removal order, or None when no node qualifies."""
+    adj = {n: set(s) for n, s in g.adjacency.items()}
+    order: list[NodeId] = []
+    while len(adj) > len(keep):
+        v = next((n for n in sorted(adj.keys() - keep) if _simplicial_in(adj, n)), None)
+        if v is None:
+            return None
+        order.append(v)
+        for w in adj.pop(v):
+            adj[w].discard(v)
+    return order
+
+
 def is_chordal(g: ChainGraph) -> bool:
     """Chordality test by repeated simplicial-node elimination."""
     _require_undirected(g)
-    adj = {n: set(s) for n, s in g.adjacency.items()}
-    remaining = set(adj)
-    while remaining:
-        v = next((n for n in sorted(remaining) if _simplicial_in(adj, n)), None)
-        if v is None:
-            return False
-        for w in adj[v]:
-            adj[w].discard(v)
-        del adj[v]
-        remaining.discard(v)
-    return True
+    return _eliminate(g) is not None
 
 
 def perfect_elimination_ending_with(
@@ -398,24 +367,7 @@ def perfect_elimination_ending_with(
         raise NotChordalError("graph is not chordal")
     if not is_complete(g, tail):
         raise TailNotCompleteError(f"tail {sorted(tail)} is not complete")
-    tail_set = set(tail)
-    adj = {n: set(s) for n, s in g.adjacency.items()}
-    remaining = set(adj)
-    order: list[NodeId] = []
-    while len(remaining) > len(tail_set):
-        v = next(
-            (n for n in sorted(remaining - tail_set) if _simplicial_in(adj, n)),
-            None,
-        )
-        if v is None:  # cannot happen after the prechecks above
-            raise NotChordalError("no simplicial node outside the tail")
-        order.append(v)
-        for w in adj[v]:
-            adj[w].discard(v)
-        del adj[v]
-        remaining.discard(v)
-    order.extend(tail)
-    return tuple(order)
+    return (*_eliminate(g, frozenset(tail)), *tail)
 
 
 def orient_by_mcs(g: ChainGraph, rng: random.Random | None = None) -> ChainGraph:

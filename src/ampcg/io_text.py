@@ -105,7 +105,7 @@ def to_json(obj: ChainGraph | MarkedGraph | StrongLabeling) -> str:
 _STRONG_STYLE = 'style=bold, color="#b22222"'
 
 
-def to_dot(obj: ChainGraph | StrongLabeling, name: str = "g") -> str:
+def to_dot(obj: ChainGraph | StrongLabeling) -> str:
     """DOT document; undirected edges suppress their direction, strong edges
     are bold and colored."""
     if isinstance(obj, StrongLabeling):
@@ -116,7 +116,7 @@ def to_dot(obj: ChainGraph | StrongLabeling, name: str = "g") -> str:
         g = obj
         strong_dir = frozenset()
         strong_und = frozenset()
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph g {"]
     for n in g.sorted_nodes:
         lines.append(f"  {n};")
     for u, v in sorted(g.directed):
@@ -159,12 +159,16 @@ def _first_bad_row(path: str) -> ParseError | None:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         width = len(next(reader))
-        for line, row in enumerate(filter(None, reader), start=2):
-            if len(row) != width:
-                return ParseError(line, f"{len(row)} values under {width} column names")
-            for col, v in enumerate(row, 1):
-                if not _is_number(v):
-                    return ParseError(line, f"non-numeric value {v!r} in column {col}")
+        line = 1
+        try:
+            for line, row in enumerate(filter(None, reader), start=2):
+                if len(row) != width:
+                    return ParseError(line, f"{len(row)} values under {width} column names")
+                for col, v in enumerate(row, 1):
+                    if not _is_number(v):
+                        return ParseError(line, f"non-numeric value {v!r} in column {col}")
+        except csv.Error as exc:  # the row after `line` is malformed
+            return ParseError(line + 1, str(exc))
     return None
 
 
@@ -182,6 +186,8 @@ def read_dataset(path: str) -> Dataset:
             header = next(csv.reader(fh))
         except StopIteration:
             raise ParseError(1, "empty dataset") from None
+        except csv.Error as exc:
+            raise ParseError(1, str(exc)) from None
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")

@@ -108,18 +108,17 @@ def open_route_oracle(
     xs: Iterable[NodeId],
     ys: Iterable[NodeId],
     zs: Iterable[NodeId] = (),
-    max_len: int | None = None,
 ) -> bool:
-    """Exhaustive search for a Z-open route of at most `max_len` nodes.
+    """Exhaustive search for a Z-open route of at most 3|V|+1 nodes.
 
-    The default bound 3|V|+1 is complete: an open route revisiting a
+    The bound is complete: an open route revisiting a
     (node, entry-mark) state can be excised to a shorter open route, so the
     search also skips extensions that repeat a state already on the current
     route.  Every hit is re-checked against the literal definition.
     """
     xs, ys, zs = frozenset(xs), frozenset(ys), frozenset(zs)
     _check_query(g, xs, ys, zs)
-    bound = 3 * len(g.nodes) + 1 if max_len is None else max_len
+    bound = 3 * len(g.nodes) + 1
 
     def dfs(route: list[NodeId], states: frozenset, entry: str | None) -> list[NodeId] | None:
         if len(route) >= bound:

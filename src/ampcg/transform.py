@@ -15,7 +15,6 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .equivalence import EquivalenceClass, enumerate_class, equivalent
-from .essential import essential_graph
 from .errors import (
     InfeasibleMergeError,
     InfeasibleSplitError,
@@ -33,11 +32,7 @@ from .graphs import (
     pair,
     validate_chain_graph,
 )
-from .strong import label_strong
-
-
-def _components_of(g: ChainGraph) -> tuple[frozenset[NodeId], ...]:
-    return chain_components(g).components
+from .strong import strong_labeling
 
 
 def _semidirected_descendants(g: ChainGraph, xs: Iterable[NodeId]) -> frozenset[NodeId]:
@@ -66,7 +61,7 @@ def _semidirected_descendants(g: ChainGraph, xs: Iterable[NodeId]) -> frozenset[
 
 
 def _require_component(g: ChainGraph, comp: frozenset[NodeId]) -> None:
-    if comp not in set(_components_of(g)):
+    if comp not in set(chain_components(g).components):
         raise NotComponentsError(f"{sorted(comp)} is not a chain component")
 
 
@@ -168,7 +163,7 @@ def split(
 
 
 def _merge_candidates(g: ChainGraph) -> Iterator[tuple[frozenset, frozenset]]:
-    comps = _components_of(g)
+    comps = chain_components(g).components
     linked = {
         (cu, cl)
         for u, v in g.directed
@@ -184,7 +179,7 @@ def _merge_candidates(g: ChainGraph) -> Iterator[tuple[frozenset, frozenset]]:
 def _split_candidates(
     g: ChainGraph,
 ) -> Iterator[tuple[frozenset, frozenset]]:
-    for comp in _components_of(g):
+    for comp in chain_components(g).components:
         if len(comp) < 2:
             continue
         members = sorted(comp)
@@ -247,8 +242,7 @@ def maximally_oriented(g: ChainGraph) -> ChainGraph:
     The remaining undirected edges are oriented acyclically and triplex-free
     by maximum cardinality search, with lexicographic tie-breaking.
     """
-    result = essential_graph(g)
-    labeling = label_strong(result.marks, result.triplexes)
+    labeling = strong_labeling(g)
     eg = labeling.graph
     loose = validate_chain_graph(eg.nodes, (), eg.undirected - labeling.strong_undirected)
     return validate_chain_graph(

@@ -202,3 +202,37 @@ class TestBoundEffect:
             truth = true_effect(m, x, y)
             report = bound_effect(cov, lab, x, y, "class", truth=truth)
             assert report.lower - 1e-9 <= truth <= report.upper + 1e-9
+
+    def test_superset_envelope_holds_the_class_bounds_and_the_truth(self):
+        rnd = random.Random(61)
+        for trial in range(40):
+            g = random_chain_graph(rnd, node_names(rnd.randint(3, 6)),
+                                   p_undirected=0.3, p_directed=0.3)
+            m = random_model(g, seed=500 + trial)
+            cov = population_covariance(m)
+            lab = strong_labeling(g)
+            x, y = rnd.sample(g.sorted_nodes, 2)
+            truth = true_effect(m, x, y)
+            whole = bound_effect(cov, lab, x, y, "class")
+            envelope = bound_effect(cov, lab, x, y, "superset")
+            assert envelope.lower <= whole.lower <= truth + 1e-9
+            assert truth - 1e-9 <= whole.upper <= envelope.upper
+
+    def test_superset_covers_a_member_the_maxoriented_bound_misses(self):
+        # the generating graph is a class member but not maximally oriented
+        g = validate_chain_graph(
+            node_names(6),
+            (),
+            [("V0", "V1"), ("V0", "V2"), ("V0", "V5"), ("V2", "V3"),
+             ("V2", "V4"), ("V3", "V4"), ("V4", "V5")],
+        )
+        m = random_model(g, seed=0)
+        cov = population_covariance(m)
+        lab = strong_labeling(g)
+        truth = true_effect(m, "V0", "V1")
+        assert truth == 0.0
+        narrow = bound_effect(cov, lab, "V0", "V1", "maxoriented")
+        assert narrow.lower == narrow.upper == pytest.approx(-0.3126, abs=5e-5)
+        for mode in ("class", "superset"):
+            report = bound_effect(cov, lab, "V0", "V1", mode)
+            assert report.lower <= truth <= report.upper

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ampcg import (
     chain_components,
@@ -16,6 +17,7 @@ from ampcg import (
     triplexes,
     validate_chain_graph,
 )
+from ampcg.equivalence import _FWD, _REV, _UND, _semidirected_free
 from ampcg.errors import (
     DuplicateEdgeError,
     NotChordalError,
@@ -25,6 +27,7 @@ from ampcg.errors import (
     UnknownNodeError,
 )
 from ampcg.generate import node_names
+from ampcg.graphs import pair
 
 from .support import cg, chain_graphs
 
@@ -33,7 +36,8 @@ class TestValidation:
     def test_semidirected_cycle_rejected(self):
         with pytest.raises(SemidirectedCycleError) as exc:
             cg("ABC", [("A", "B"), ("C", "A")], [("B", "C")])
-        assert len(exc.value.cycle) >= 3
+        assert exc.value.cycle == ["A", "B", "C", "A"]
+        assert str(exc.value) == "semidirected cycle: A -> B -> C -> A"
 
     def test_collider_is_valid(self):
         g = cg("ABC", [("A", "B"), ("C", "B")])
@@ -41,8 +45,19 @@ class TestValidation:
 
     def test_mixed_cycle_with_two_arrows_rejected(self):
         # A->B--C--D plus D->A closes a semidirected cycle
-        with pytest.raises(SemidirectedCycleError):
+        with pytest.raises(SemidirectedCycleError) as exc:
             cg("ABCD", [("A", "B"), ("D", "A")], [("B", "C"), ("C", "D")])
+        assert exc.value.cycle == ["A", "B", "C", "D", "A"]
+
+    def test_witness_closes_by_the_shortest_route(self):
+        # B--C--D and B--D both lead on towards E -> A; the witness takes B--D
+        with pytest.raises(SemidirectedCycleError) as exc:
+            cg(
+                "ABCDE",
+                [("A", "B"), ("C", "D"), ("E", "A")],
+                [("B", "C"), ("D", "E"), ("B", "D")],
+            )
+        assert exc.value.cycle == ["A", "B", "D", "E", "A"]
 
     def test_self_loop(self):
         with pytest.raises(SelfLoopError):
@@ -163,8 +178,7 @@ class TestMcs:
             assert not d.undirected
             assert d.skeleton == u.skeleton
             assert not triplexes(d)
-            # acyclicity is enforced by validate via chain_components
-            chain_components(validate_chain_graph(d.nodes, d.directed))
+            validate_chain_graph(d.nodes, d.directed)  # raises on a directed cycle
 
     def test_seeded_variant_reaches_both_directions(self):
         g = cg("AB", [], [("A", "B")])
@@ -187,3 +201,36 @@ def test_descendants_leave_the_component(g):
     for x in g.nodes:
         for d in family(g, {x}, "de"):
             assert comp[d] is not comp[x]
+
+
+@st.composite
+def edge_sets(draw, max_nodes: int = 6):
+    """Arbitrary edge sets, cyclic or not: (nodes, pairs, per-pair states)."""
+    nodes = node_names(draw(st.integers(min_value=1, max_value=max_nodes)))
+    edges, states = [], []
+    for p in combinations(nodes, 2):
+        s = draw(st.sampled_from((None, _UND, _FWD, _REV)), label=f"state {p}")
+        if s is not None:
+            edges.append(p)
+            states.append(s)
+    return nodes, edges, tuple(states)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_sets())
+def test_validation_matches_the_independent_cycle_check(case):
+    nodes, edges, states = case
+    directed = [(a, b) if s == _FWD else (b, a) for (a, b), s in zip(edges, states) if s != _UND]
+    undirected = [e for e, s in zip(edges, states) if s == _UND]
+    try:
+        g = validate_chain_graph(nodes, directed, undirected)
+    except SemidirectedCycleError as exc:
+        assert not _semidirected_free(nodes, edges, states)
+        steps = list(zip(exc.cycle, exc.cycle[1:]))
+        assert exc.cycle[0] == exc.cycle[-1]
+        assert all((a, b) in directed or pair(a, b) in undirected for a, b in steps)
+        assert any((a, b) in directed for a, b in steps)
+        return
+    assert _semidirected_free(nodes, edges, states)
+    idx = chain_components(g).index_of
+    assert all(idx[u] < idx[v] for u, v in g.directed)

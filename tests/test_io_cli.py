@@ -280,8 +280,11 @@ class TestCli:
             ("A,B,C\n0.5,1.0,-0.25,2.0\n0.1,0.2,0.3,0.4\n", 2),  # wider than the header
             ("A,B,C,D\n0.5,1.0,-0.25,2.0\n0.1,0.2,0.3\n", 3),  # ragged
             ("A,B,C,D\n", 2),  # no rows at all
+            # fields past the csv module's size limit
+            ("A,B,C," + "x" * 200_000 + "\n1,2,3,4\n", 1),
+            ("A,B,C,D\n1,2," + "x" * 200_000 + ",4\n0.5,1.0,-0.25,2.0\n", 2),
         ],
-        ids=["wide", "ragged", "header-only"],
+        ids=["wide", "ragged", "header-only", "long-header", "long-value"],
     )
     def test_row_width_mismatch_is_exit_two(self, graph_file, tmp_path, capsys, text, line):
         data = tmp_path / "ragged.csv"
