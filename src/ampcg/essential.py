@@ -19,6 +19,18 @@ R4's (c, b) is (u, v) with (d, b) among the blocks already there.  R3 at
 them, so its steps run from a to u and from v to b, and a and b are found by
 one walk each over the blocked steps, backwards from u and forwards from v.
 
+The engine works on integer masks.  `MarkedGraph.index` numbers the nodes in
+sorted order and holds one adjacency mask per node, adj[i]; the blocks are
+two lists of masks, out[i] (the w with (i, w) blocked) and inn[w] (the i
+with (i, w) blocked), and the triplex set becomes tri[b][a], the mask of the
+c with a ~ b ~ c a triplex.  A pending block (u, v) then fires R2 at every c
+in adj[v] & ~adj[u] & ~bit(u) & ~tri[v][u], and R4 at every a in
+adj[u] & adj[v] & ~inn[v] for which some d lies in
+adj[v] & adj[a] & ~adj[u] & ~bit(u) & inn[v] & ~tri[a][u].  R3's two walks
+and `_path_exists` advance a whole frontier mask per step.  `blocked` stays
+the public frozenset; it and the masks are converted only where a public
+function takes or returns a `MarkedGraph`.
+
 R3, S3 (in `strong`) and double-blocking ask whether a chordless cycle of a
 given kind passes through an edge a ~ b, which for arbitrary marks is
 NP-complete (Bienstock 1991: a hole through a given vertex).  `_path_exists`
@@ -66,12 +78,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Container, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .equivalence import TriplexKeys, _triplex_keys
 from .graphs import ChainGraph, NodeId, pair, validate_chain_graph
 
 RULE_NAMES = ("R1", "R2", "R3", "R4")
+
+Masks = tuple[int, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class NodeIndex:
+    """Node positions in sorted order and one adjacency mask per node."""
+
+    nodes: tuple[NodeId, ...]
+    pos: dict[NodeId, int]
+    adj: Masks
 
 
 @dataclass(frozen=True)
@@ -97,6 +120,29 @@ class MarkedGraph:
             adj[a].add(b)
             adj[b].add(a)
         return {n: frozenset(s) for n, s in adj.items()}
+
+    @cached_property
+    def index(self) -> NodeIndex:
+        nodes = self.sorted_nodes
+        pos = {n: i for i, n in enumerate(nodes)}
+        adj = [0] * len(nodes)
+        for a, b in self.skeleton:
+            i, j = pos[a], pos[b]
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return NodeIndex(nodes, pos, tuple(adj))
+
+    @cached_property
+    def block_masks(self) -> tuple[Masks, Masks]:
+        """(out, inn): out[i] masks the w with (i, w) blocked, inn[w] the i."""
+        pos = self.index.pos
+        out = [0] * len(pos)
+        inn = [0] * len(pos)
+        for a, b in self.blocked:
+            i, w = pos[a], pos[b]
+            out[i] |= 1 << w
+            inn[w] |= 1 << i
+        return tuple(out), tuple(inn)
 
     def is_adjacent(self, u: NodeId, v: NodeId) -> bool:
         return pair(u, v) in self.skeleton
@@ -126,6 +172,10 @@ class MarkedGraph:
 
     def finalize(self) -> ChainGraph:
         """Orient singly blocked edges out of their blocked end; rest undirected."""
+        return self._finalized
+
+    @cached_property
+    def _finalized(self) -> ChainGraph:
         directed = []
         undirected = []
         for a, b in sorted(self.skeleton):
@@ -139,10 +189,21 @@ class MarkedGraph:
 
     def with_blocks(self, additions: Iterable[tuple[NodeId, NodeId]]) -> "MarkedGraph":
         """A copy with `additions` blocked too, sharing this skeleton's
-        `adjacency` and `sorted_nodes`."""
+        `sorted_nodes`, `index` and (once built) `adjacency`."""
         out = MarkedGraph(self.nodes, self.skeleton, self.blocked | frozenset(additions))
-        out.__dict__.update(adjacency=self.adjacency, sorted_nodes=self.sorted_nodes)
+        out.__dict__.update(sorted_nodes=self.sorted_nodes, index=self.index)
+        if "adjacency" in self.__dict__:
+            out.__dict__["adjacency"] = self.adjacency
         return out
+
+    def _with_masks(
+        self, added: Iterable[tuple[int, int]], out: list[int], inn: list[int]
+    ) -> "MarkedGraph":
+        """`with_blocks` for blocks given by position, with the copy's masks."""
+        names = self.index.nodes
+        h = self.with_blocks((names[i], names[w]) for i, w in added)
+        h.__dict__["block_masks"] = (tuple(out), tuple(inn))
+        return h
 
 
 def unmarked_skeleton(g: ChainGraph) -> MarkedGraph:
@@ -151,109 +212,135 @@ def unmarked_skeleton(g: ChainGraph) -> MarkedGraph:
 
 
 # ---------------------------------------------------------------------------
-# rules R1-R4, drawn by a worklist
+# rules R1-R4 on masks, drawn by a worklist
 
 
-def _path_exists(
-    adj: Mapping[NodeId, frozenset[NodeId]],
-    a: NodeId,
-    b: NodeId,
-    step: Callable[[NodeId, NodeId], bool],
-    last: Callable[[NodeId], bool],
-) -> bool:
-    """Is there a walk a, v1, ..., vk, b (a ~ b, k >= 2) along `step` with
-    `last(vk)`, v1 not in N[b], vk not in N[a] and v2 .. vk-1 outside
-    N[a] | N[b]?  The module docstring says when such a walk is chordless."""
-    goals = {w for w in adj[b] - adj[a] if w != a and last(w)}
-    if not goals:
-        return False
-    near = adj[a] | adj[b]
-    stack = [w for w in adj[a] - adj[b] if w != b and step(a, w)]
-    seen = set(stack)
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w in seen or not step(u, w):
-                continue
-            if w in goals:
-                return True
-            if w not in near:
-                seen.add(w)
-                stack.append(w)
-    return False
+def _triplex_masks(index: NodeIndex, t: TriplexKeys) -> list[dict[int, int]]:
+    """tri[b][a]: the mask of the c with a ~ b ~ c a triplex of `t`."""
+    pos = index.pos
+    tri: list[dict[int, int]] = [{} for _ in pos]
+    for b, (a, c) in t:
+        at = tri[pos[b]]
+        i, k = pos[a], pos[c]
+        at[i] = at.get(i, 0) | 1 << k
+        at[k] = at.get(k, 0) | 1 << i
+    return tri
 
 
-def _r3_fires(
-    adj: Mapping[NodeId, frozenset[NodeId]],
-    blocked: Container[tuple[NodeId, NodeId]],
-    a: NodeId,
-    b: NodeId,
-) -> bool:
-    """R3 at the end (a, b): a ~ b closes a chordless cycle
-    a ~ v1 ~ ... ~ vk ~ b (k >= 1) whose every edge, vk ~ b included, is
-    blocked at its end nearer a.  k = 1 is a common neighbor; k >= 2 is asked
-    as a walk."""
-    return any((a, w) in blocked and (w, b) in blocked for w in adj[a] & adj[b]) or (
-        _path_exists(adj, a, b, lambda u, w: (u, w) in blocked, lambda w: (w, b) in blocked)
-    )
-
-
-def _r2_from(adj, t, blocked, pending):
-    """R2 with a pending block (u, v) as its antecedent: block (v, c) for
-    each c ~ v not adjacent to u, unless u ~ v ~ c is a triplex."""
-    return {
-        (v, c)
-        for u, v in pending
-        for c in adj[v] - adj[u]
-        if c != u and (v, pair(u, c)) not in t
-    }
-
-
-def _r4_from(adj, t, blocked, pending):
-    """R4 with a pending block (u, v) as one of its antecedents (c, b): block
-    (a, v) for a common neighbor a of u and v if some blocked (d, v) has
-    a ~ d, d not adjacent to u and a no triplex over u and d."""
-    return {
-        (a, v)
-        for u, v in pending
-        for a in adj[u] & adj[v]
-        if (a, v) not in blocked
-        and any(
-            d != u and (d, v) in blocked and (a, pair(u, d)) not in t
-            for d in (adj[v] & adj[a]) - adj[u]
-        )
-    }
-
-
-def _blocked_reach(adj, blocked, starts, forward):
-    """Nodes reached from `starts` along blocked steps (x, w), or backwards
-    along them with `forward` false."""
-    seen = set(starts)
-    stack = list(seen)
-    while stack:
-        x = stack.pop()
-        for w in adj[x]:
-            if w not in seen and ((x, w) if forward else (w, x)) in blocked:
-                seen.add(w)
-                stack.append(w)
+def _reach(step: Sequence[int], seen: int) -> int:
+    """The nodes reached from the mask `seen` along the step masks."""
+    frontier = seen
+    while frontier:
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            reached |= step[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reached & ~seen
+        seen |= frontier
     return seen
 
 
-def _r3_from(adj, t, blocked, pending):
-    """R3 at every unblocked end (a, b) whose cycle can use a pending block
-    (u, v): its steps run from a along blocked steps to u, and on from v to
-    b, so a is found walking backwards from the pending tails and b walking
-    forwards from the pending heads."""
-    heads = _blocked_reach(adj, blocked, {v for _, v in pending}, forward=True)
-    return {
-        (a, b)
-        for a in _blocked_reach(adj, blocked, {u for u, _ in pending}, forward=False)
-        for b in adj[a] & heads
-        if (a, b) not in blocked and _r3_fires(adj, blocked, a, b)
-    }
+def _path_exists(adj: Sequence[int], step: Sequence[int], a: int, b: int, last: int) -> bool:
+    """Is there a walk a, v1, ..., vk, b (a ~ b, k >= 2) along the `step`
+    masks with vk in `last`, v1 not in N[b], vk not in N[a] and v2 .. vk-1
+    outside N[a] | N[b]?  The module docstring says when such a walk is
+    chordless."""
+    goals = adj[b] & ~adj[a] & ~(1 << a) & last
+    if not goals:
+        return False
+    near = adj[a] | adj[b]
+    seen = frontier = step[a] & ~adj[b] & ~(1 << b)
+    while frontier:
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            reached |= step[low.bit_length() - 1]
+            frontier ^= low
+        if reached & goals:
+            return True
+        frontier = reached & ~near & ~seen
+        seen |= frontier
+    return False
 
 
-_TRIGGERS = {"R2": _r2_from, "R3": _r3_from, "R4": _r4_from}
+def _close_blocks(
+    adj: Sequence[int],
+    tri: Sequence[dict[int, int]],
+    out: list[int],
+    inn: list[int],
+    pending: list[tuple[int, int]],
+    rules: Sequence[str],
+) -> list[tuple[int, int]]:
+    """Add to `out`/`inn` every block the `rules` (of R2-R4) draw from the
+    `pending` blocks and their consequences; return the added (end, other)
+    positions.  The other blocks must be closed already.
+
+    Each round draws what the pending blocks can fire against the current
+    marks, adds it at once and makes the blocks not yet present the next
+    pending list: R2 and R4 read a pending (u, v) as an antecedent, and R3
+    re-checks the unblocked ends (a, b) with a reaching a pending tail and b
+    reached from a pending head along blocked steps.
+    """
+    r2, r3, r4 = "R2" in rules, "R3" in rules, "R4" in rules
+    added: list[tuple[int, int]] = []
+    while pending:
+        found = []
+        tails = heads = 0
+        for u, v in pending:
+            nu = adj[u] | 1 << u
+            if r2:
+                x = adj[v] & ~nu & ~tri[v].get(u, 0) & ~out[v]
+                while x:
+                    low = x & -x
+                    found.append((v, low.bit_length() - 1))
+                    x ^= low
+            if r4:
+                ds = adj[v] & ~nu & inn[v]
+                x = adj[u] & adj[v] & ~inn[v] if ds else 0
+                while x:
+                    low = x & -x
+                    a = low.bit_length() - 1
+                    if ds & adj[a] & ~tri[a].get(u, 0):
+                        found.append((a, v))
+                    x ^= low
+            tails |= 1 << u
+            heads |= 1 << v
+        if r3:
+            heads = _reach(out, heads)
+            x = _reach(inn, tails)
+            while x:
+                low = x & -x
+                a = low.bit_length() - 1
+                x ^= low
+                y = adj[a] & heads & ~out[a]
+                while y:
+                    bit = y & -y
+                    b = bit.bit_length() - 1
+                    y ^= bit
+                    if adj[a] & adj[b] & out[a] & inn[b] or _path_exists(
+                        adj, out, a, b, inn[b]
+                    ):
+                        found.append((a, b))
+        pending = []
+        for i, w in found:
+            if not out[i] >> w & 1:
+                out[i] |= 1 << w
+                inn[w] |= 1 << i
+                pending.append((i, w))
+        added += pending
+    return added
+
+
+def _positions(masks: Sequence[int]) -> list[tuple[int, int]]:
+    """Every (i, w) with bit w set in masks[i]."""
+    found = []
+    for i, x in enumerate(masks):
+        while x:
+            low = x & -x
+            found.append((i, low.bit_length() - 1))
+            x ^= low
+    return found
 
 
 def apply_rules_R(
@@ -268,31 +355,32 @@ def apply_rules_R(
     so the fixpoint does not depend on application order.  `new` names the
     blocks of `m` whose consequences have not been drawn yet: the caller
     promises that the rest of `m.blocked` is closed under `rules`.  `None`
-    means every block of `m`, plus the R1 seeds from `t`.  Each round draws
-    the consequences of the pending blocks against the current marks, adds
-    them at once and makes the ones not yet present the next pending set.
+    means every block of `m`, plus the R1 seeds from `t`.
     """
     unknown = set(rules) - set(RULE_NAMES)
     if unknown:
         raise ValueError(f"unknown rules {sorted(unknown)}")
-    adj = m.adjacency
-    blocked = set(m.blocked)
+    index = m.index
+    pos = index.pos
+    out, inn = map(list, m.block_masks)
+    seeds = []
     if new is None:
         if "R1" in rules:
-            blocked.update(end for b, (a, c) in t for end in ((a, b), (c, b)))
-        pending = set(blocked)
+            for b, (a, c) in t:
+                w = pos[b]
+                for i in (pos[a], pos[c]):
+                    if not out[i] >> w & 1:
+                        out[i] |= 1 << w
+                        inn[w] |= 1 << i
+                        seeds.append((i, w))
+        pending = _positions(out)
     else:
-        pending = set(new)
-        if not pending <= blocked:
-            raise ValueError(f"new blocks {sorted(pending - blocked)} are not blocks of m")
-    triggers = [_TRIGGERS[r] for r in rules if r != "R1"]
-    while pending:
-        found = set()
-        for draw in triggers:
-            found |= draw(adj, t, blocked, pending)
-        pending = found - blocked
-        blocked |= pending
-    return m.with_blocks(blocked)
+        new = set(new)
+        if not new <= m.blocked:
+            raise ValueError(f"new blocks {sorted(new - m.blocked)} are not blocks of m")
+        pending = [(pos[u], pos[v]) for u, v in new]
+    added = _close_blocks(index.adj, _triplex_masks(index, t), out, inn, pending, rules)
+    return m._with_masks(seeds + added, out, inn)
 
 
 def double_block_chordless_cycles(m: MarkedGraph) -> MarkedGraph:
@@ -304,14 +392,17 @@ def double_block_chordless_cycles(m: MarkedGraph) -> MarkedGraph:
     Snapshot semantics: the edges are found on the input first and then
     double-blocked at once.
     """
-    adj = m.adjacency
-    additions = set()
-    for a, b in m.skeleton:
-        if m.plain_edge(a, b) and _path_exists(
-            adj, a, b, m.plain_edge, lambda w: m.plain_edge(w, b)
-        ):
-            additions |= {(a, b), (b, a)}
-    return m.with_blocks(additions)
+    adj = m.index.adj
+    out, inn = map(list, m.block_masks)
+    plain = [adj[i] & ~out[i] & ~inn[i] for i in range(len(adj))]
+    added = []
+    for a, b in _positions(plain):
+        if a < b and _path_exists(adj, plain, a, b, plain[b]):
+            added += [(a, b), (b, a)]
+    for i, w in added:
+        out[i] |= 1 << w
+        inn[w] |= 1 << i
+    return m._with_masks(added, out, inn)
 
 
 @dataclass(frozen=True, eq=False)

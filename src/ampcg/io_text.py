@@ -9,8 +9,8 @@ parse(serialize(g)) == g.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -98,8 +98,51 @@ def graph_to_json(
     return {"nodes": list(obj.sorted_nodes), "edges": edges}
 
 
+def _json_array(items: list[str], indent: str) -> str:
+    """A JSON array of encoded items, laid out as `json.dumps(indent=2)`
+    lays it out at `indent`."""
+    if not items:
+        return "[]"
+    pad = "\n" + indent + "  "
+    return "[" + pad + ("," + pad).join(items) + "\n" + indent + "]"
+
+
+_BOOL = ("false", "true")
+_FIELD = ",\n      "  # between the fields of an edge object
+
+
 def to_json(obj: ChainGraph | MarkedGraph | StrongLabeling) -> str:
-    return json.dumps(graph_to_json(obj), indent=2, sort_keys=True) + "\n"
+    """`json.dumps(graph_to_json(obj), indent=2, sort_keys=True)` plus a
+    newline, written directly: the indenting encoder of `json` is pure
+    Python."""
+    q = encode_basestring_ascii
+    if isinstance(obj, MarkedGraph):
+        blocked = obj.blocked
+        edges = [
+            f'{{\n      "blocked_u": {_BOOL[(a, b) in blocked]}{_FIELD}'
+            f'"blocked_v": {_BOOL[(b, a) in blocked]}{_FIELD}'
+            f'"u": {q(a)}{_FIELD}"v": {q(b)}\n    }}'
+            for a, b in sorted(obj.skeleton)
+        ]
+        nodes = obj.sorted_nodes
+    else:
+        g = obj.graph if isinstance(obj, StrongLabeling) else obj
+        edges = [
+            f'{{\n      "kind": {kind}{_FIELD}"u": {q(u)}{_FIELD}"v": {q(v)}\n    }}'
+            for pairs, kind in ((g.directed, '"directed"'), (g.undirected, '"undirected"'))
+            for u, v in sorted(pairs)
+        ]
+        nodes = g.sorted_nodes
+    names = [q(n) for n in nodes]
+    doc = f'{{\n  "edges": {_json_array(edges, "  ")},\n  "nodes": {_json_array(names, "  ")}'
+    if isinstance(obj, StrongLabeling):
+        for key, pairs in (
+            ("strong_directed", obj.strong_directed),
+            ("strong_undirected", obj.strong_undirected),
+        ):
+            items = [_json_array([q(u), q(v)], "    ") for u, v in sorted(pairs)]
+            doc += f',\n  "{key}": {_json_array(items, "  ")}'
+    return doc + "\n}\n"
 
 
 _STRONG_STYLE = 'style=bold, color="#b22222"'

@@ -6,17 +6,28 @@ it undirected (blocking the other end, then re-running the propagation rules)
 destroys a pretriplex that the essential graph carries.  Totally plain edges
 are non-strong undirected.  The S1-S6 rules are a sound but incomplete
 shortcut for strong arrows.
+
+Everything here reads the marks as `essential`'s masks (`MarkedGraph.index`
+and `block_masks`); the rules name the edges they label.  A re-blocked copy
+is a copy of the two mask lists, closed under R2 and R3 from its one new
+block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .equivalence import TriplexKeys, _triplex_keys
 from .errors import InvalidStateError, InvariantViolationError, SemidirectedCycleError
-from .essential import MarkedGraph, _path_exists, apply_rules_R, essential_graph
-from .graphs import ChainGraph, NodeId, pair
+from .essential import (
+    MarkedGraph,
+    _close_blocks,
+    _path_exists,
+    _positions,
+    _triplex_masks,
+    essential_graph,
+)
+from .graphs import ChainGraph, NodeId
 
 
 @dataclass(frozen=True)
@@ -28,11 +39,24 @@ class StrongLabeling:
     strong_undirected: frozenset[tuple[NodeId, NodeId]]
 
 
-def _pretriplexes_by_end(
-    m: MarkedGraph,
-) -> dict[tuple[NodeId, NodeId], list[tuple[NodeId, NodeId]]]:
-    """Ordered induced paths a ~ b ~ c that finalize to a triplex at b, as
-    (b, c) lists keyed by the end (b, a).
+def _one_end_blocked(m: MarkedGraph) -> list[tuple[int, int]]:
+    """Every (x, y), as positions, with the edge blocked at x only, in sorted
+    edge order."""
+    out, inn = m.block_masks
+    edges = []
+    for i, (o, n) in enumerate(zip(out, inn)):
+        x = ((o ^ n) >> (i + 1)) << (i + 1)
+        while x:
+            low = x & -x
+            w = low.bit_length() - 1
+            edges.append((i, w) if o & low else (w, i))
+            x ^= low
+    return edges
+
+
+def _pretriplexes_by_end(m: MarkedGraph) -> list[dict[int, int]]:
+    """Induced paths a ~ b ~ c that finalize to a triplex at b: pre[b][a] is
+    the mask of their c.
 
     The a-side edge is blocked at a only (a future arrow a -> b) and the
     c-side edge is blocked at its c end; both orders of each pattern are kept
@@ -40,23 +64,40 @@ def _pretriplexes_by_end(
     the pretriplex only by blocking both (b, a) and (b, c), so only the
     copies that newly block (b, a) need to look at it.
     """
-    out: dict[tuple[NodeId, NodeId], list[tuple[NodeId, NodeId]]] = {}
-    for b in m.sorted_nodes:
-        for a in sorted(m.adjacency[b]):
-            if not m.singly_blocked(a, b):
-                continue
-            for c in sorted(m.adjacency[b] - {a}):
-                if m.is_adjacent(a, c):
-                    continue
-                if (c, b) in m.blocked:
-                    out.setdefault((b, a), []).append((b, c))
-    return out
+    adj = m.index.adj
+    out, inn = m.block_masks
+    pre = []
+    for b, into in enumerate(inn):
+        ends = {}
+        x = into & ~out[b]
+        while x:
+            low = x & -x
+            a = low.bit_length() - 1
+            cs = into & ~adj[a] & ~low
+            if cs:
+                ends[a] = cs
+            x ^= low
+        pre.append(ends)
+    return pre
 
 
-def _check_line6_fixpoint(m: MarkedGraph, t: TriplexKeys) -> None:
-    settled = apply_rules_R(m, t, rules=("R2", "R3", "R4"))
-    if settled.blocked != m.blocked:
+def _check_line6_fixpoint(m: MarkedGraph, tri: list[dict[int, int]]) -> None:
+    out, inn = map(list, m.block_masks)
+    if _close_blocks(m.index.adj, tri, out, inn, _positions(out), ("R2", "R3", "R4")):
         raise InvalidStateError("marks are not a fixpoint of the propagation rules")
+
+
+def _reblocked(
+    m: MarkedGraph, tri: list[dict[int, int]], x: int, y: int
+) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """The copy of `m`'s masks that forces x ~ y undirected: (y, x) blocked,
+    then closed under R2 and R3.  Returns its `out` and `inn` and its new
+    blocks."""
+    out, inn = map(list, m.block_masks)
+    out[y] |= 1 << x
+    inn[x] |= 1 << y
+    new = [(y, x)] + _close_blocks(m.index.adj, tri, out, inn, [(y, x)], ("R2", "R3"))
+    return out, inn, new
 
 
 def _verify_candidate_state(h: MarkedGraph, eg_triplexes: TriplexKeys) -> None:
@@ -97,40 +138,36 @@ def label_strong(
     each re-blocked copy is asserted against the orientation invariants, and
     each shortcut label must be confirmed by its own re-blocking check.
     """
-    _check_line6_fixpoint(m, t)
+    names = m.index.nodes
+    tri = _triplex_masks(m.index, t)
+    _check_line6_fixpoint(m, tri)
     eg = m.finalize()
     eg_triplexes = _triplex_keys(eg) if check_invariants else frozenset()
-    pretriplexes = _pretriplexes_by_end(m)
+    pre = _pretriplexes_by_end(m)
+    out, inn = m.block_masks
     strong_arrows = set(accelerator_labels(m))
     confirmed: set[tuple[NodeId, NodeId]] = set()
-    for x, y in m.edges_blocked_at_one_end():
-        if (x, y) in strong_arrows and not check_invariants:
+    for x, y in _one_end_blocked(m):
+        edge = (names[x], names[y])
+        if edge in strong_arrows and not check_invariants:
             continue
-        h = apply_rules_R(m.with_blocks([(y, x)]), t, rules=("R2", "R3"), new={(y, x)})
+        copy_out, copy_inn, new = _reblocked(m, tri, x, y)
         if check_invariants:
-            _verify_candidate_state(h, eg_triplexes)
-        destroyed = any(
-            bc in h.blocked
-            for end in h.blocked - m.blocked
-            for bc in pretriplexes.get(end, ())
-        )
-        if destroyed:
-            confirmed.add((x, y))
-            if (x, y) not in strong_arrows:
-                strong_arrows.add((x, y))
+            _verify_candidate_state(m._with_masks(new, copy_out, copy_inn), eg_triplexes)
+        if any(pre[b].get(a, 0) & copy_out[b] for b, a in new):
+            confirmed.add(edge)
+            if edge not in strong_arrows:
+                strong_arrows.add(edge)
                 strong_arrows |= _propagate(m, strong_arrows)
     if check_invariants and strong_arrows - confirmed:
         raise InvariantViolationError(
             f"shortcut labels {sorted(strong_arrows - confirmed)} destroy no pretriplex"
         )
-    strong_pairs = {pair(a, b) for a, b in m.skeleton if m.doubly_blocked(a, b)}
-    strong_pairs |= {pair(u, v) for u, v in strong_arrows}
-    strong_directed = frozenset(
-        (u, v) for u, v in eg.directed if pair(u, v) in strong_pairs
-    )
-    strong_undirected = frozenset(e for e in eg.undirected if e in strong_pairs)
+    doubly = _positions([o & n for o, n in zip(out, inn)])
     return StrongLabeling(
-        graph=eg, strong_directed=strong_directed, strong_undirected=strong_undirected
+        graph=eg,
+        strong_directed=frozenset(strong_arrows),
+        strong_undirected=frozenset((names[i], names[w]) for i, w in doubly if i < w),
     )
 
 
@@ -141,35 +178,41 @@ def strong_labeling(g: ChainGraph) -> StrongLabeling:
 
 
 # ---------------------------------------------------------------------------
-# accelerator rules
+# accelerator rules: they read the masks and name their edges
 
 
 def _s1(m: MarkedGraph) -> set[tuple[NodeId, NodeId]]:
-    out = set()
-    for c in m.sorted_nodes:
-        nbrs = sorted(m.adjacency[c])
-        for d in nbrs:
-            if not m.singly_blocked(c, d):
-                continue
-            for a, b in combinations([n for n in nbrs if n != d], 2):
-                if m.is_adjacent(a, b) or m.is_adjacent(a, d) or m.is_adjacent(b, d):
-                    continue
-                if m.singly_blocked(a, c) and m.singly_blocked(b, c):
-                    out.add((c, d))
+    """(c, d) singly blocked at c, with non-adjacent a, b not adjacent to d
+    and both a ~ c and b ~ c singly blocked at a and b."""
+    adj, names = m.index.adj, m.index.nodes
+    out, inn = m.block_masks
+    found = set()
+    for c, (o, n) in enumerate(zip(out, inn)):
+        heads, tails = o & ~n, n & ~o
+        if not tails:
+            continue
+        while heads:
+            low = heads & -heads
+            d = low.bit_length() - 1
+            heads ^= low
+            flanks = x = tails & ~adj[d]
+            while x:
+                bit = x & -x
+                if flanks & ~adj[bit.bit_length() - 1] & ~bit:
+                    found.add((names[c], names[d]))
                     break
-    return out
+                x ^= bit
+    return found
 
 
 def _s2(m: MarkedGraph) -> set[tuple[NodeId, NodeId]]:
-    out = set()
-    for a, b in m.edges_blocked_at_one_end():
-        for c in sorted(m.adjacency[b] - {a}):
-            if m.is_adjacent(a, c):
-                continue
-            if m.doubly_blocked(b, c):
-                out.add((a, b))
-                break
-    return out
+    """(a, b) singly blocked at a, with b ~ c doubly blocked for some c not
+    adjacent to a."""
+    adj, names = m.index.adj, m.index.nodes
+    out, inn = m.block_masks
+    return {
+        (names[a], names[b]) for a, b in _one_end_blocked(m) if out[b] & inn[b] & ~adj[a]
+    }
 
 
 def _s3(m: MarkedGraph) -> set[tuple[NodeId, NodeId]]:
@@ -177,46 +220,61 @@ def _s3(m: MarkedGraph) -> set[tuple[NodeId, NodeId]]:
     with every path edge blocked at its end nearer a, the last path edge and
     the closing edge singly blocked at pk and a respectively.  Asked as a
     walk, which is exact on R3-closed marks (see `essential`)."""
+    adj, names = m.index.adj, m.index.nodes
+    out, inn = m.block_masks
     return {
-        (a, b)
-        for a, b in m.edges_blocked_at_one_end()
-        if _path_exists(m.adjacency, a, b, m.is_blocked, lambda w: m.singly_blocked(w, b))
+        (names[a], names[b])
+        for a, b in _one_end_blocked(m)
+        if _path_exists(adj, out, a, b, inn[b] & ~out[b])
     }
 
 
 def _s4(m: MarkedGraph, strong: set[tuple[NodeId, NodeId]]) -> set[tuple[NodeId, NodeId]]:
-    out = set()
-    for a, b in strong:
-        if not (pair(a, b) in m.skeleton and m.singly_blocked(a, b)):
-            continue
-        for c in sorted(m.adjacency[b] - {a}):
-            if m.is_adjacent(a, c):
-                continue
-            if m.singly_blocked(b, c):
-                out.add((b, c))
-    return out
+    """(b, c) singly blocked at b, for a strong a -> b with a not adjacent to c."""
+    adj, names, pos = m.index.adj, m.index.nodes, m.index.pos
+    out, inn = m.block_masks
+    found = set()
+    for u, v in strong:
+        a, b = pos[u], pos[v]
+        if (out[a] & ~inn[a]) >> b & 1:
+            x = out[b] & ~inn[b] & ~adj[a]
+            while x:
+                low = x & -x
+                found.add((v, names[low.bit_length() - 1]))
+                x ^= low
+    return found
 
 
 def _s5(m: MarkedGraph, strong: set[tuple[NodeId, NodeId]]) -> set[tuple[NodeId, NodeId]]:
-    out = set()
-    for c, b in strong:
-        if not (pair(c, b) in m.skeleton and m.singly_blocked(c, b)):
-            continue
-        for a in sorted(m.adjacency[b] & m.adjacency[c]):
-            if m.singly_blocked(a, b) and (a, c) in m.blocked:
-                out.add((a, b))
-    return out
+    """(a, b) singly blocked at a, for a strong c -> b with (a, c) blocked."""
+    names, pos = m.index.nodes, m.index.pos
+    out, inn = m.block_masks
+    found = set()
+    for u, v in strong:
+        c, b = pos[u], pos[v]
+        if (out[c] & ~inn[c]) >> b & 1:
+            x = inn[b] & ~out[b] & inn[c]
+            while x:
+                low = x & -x
+                found.add((names[low.bit_length() - 1], v))
+                x ^= low
+    return found
 
 
 def _s6(m: MarkedGraph, strong: set[tuple[NodeId, NodeId]]) -> set[tuple[NodeId, NodeId]]:
-    out = set()
-    for a, c in strong:
-        if not (pair(a, c) in m.skeleton and m.singly_blocked(a, c)):
-            continue
-        for b in sorted(m.adjacency[a] & m.adjacency[c]):
-            if m.singly_blocked(a, b) and (c, b) in m.blocked:
-                out.add((a, b))
-    return out
+    """(a, b) singly blocked at a, for a strong a -> c with (c, b) blocked."""
+    names, pos = m.index.nodes, m.index.pos
+    out, inn = m.block_masks
+    found = set()
+    for u, v in strong:
+        a, c = pos[u], pos[v]
+        if (out[a] & ~inn[a]) >> c & 1:
+            x = out[a] & ~inn[a] & out[c]
+            while x:
+                low = x & -x
+                found.add((u, names[low.bit_length() - 1]))
+                x ^= low
+    return found
 
 
 def _propagate(

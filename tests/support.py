@@ -18,7 +18,7 @@ from ampcg import (
     validate_chain_graph,
 )
 from ampcg.equivalence import _triplex_keys
-from ampcg.essential import RULE_NAMES, MarkedGraph, _r3_fires
+from ampcg.essential import RULE_NAMES, MarkedGraph
 from ampcg.graphs import _undirected_components
 from ampcg.transform import _split_candidates, _split_result
 
@@ -107,6 +107,41 @@ def chordless_cycle_orders(m: MarkedGraph) -> list[tuple[str, ...]]:
     return out
 
 
+def set_path_exists(adj, a, b, step, last) -> bool:
+    """Is there a walk a, v1, ..., vk, b (a ~ b, k >= 2) with `step(u, w)`
+    on every step, `last(vk)`, v1 not in N[b], vk not in N[a] and
+    v2 .. vk-1 outside N[a] | N[b]?  The set-based form of the engine's mask
+    walk, kept so the sweep oracle shares no code with `apply_rules_R`."""
+    goals = {w for w in adj[b] - adj[a] if w != a and last(w)}
+    if not goals:
+        return False
+    near = adj[a] | adj[b]
+    stack = [w for w in adj[a] - adj[b] if w != b and step(a, w)]
+    seen = set(stack)
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w in seen or not step(u, w):
+                continue
+            if w in goals:
+                return True
+            if w not in near:
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
+def r3_fires(m: MarkedGraph, a, b) -> bool:
+    """R3 at the end (a, b): a ~ b closes a chordless cycle
+    a ~ v1 ~ ... ~ vk ~ b (k >= 1) whose every edge, vk ~ b included, is
+    blocked at its end nearer a.  k = 1 is a common neighbor; k >= 2 is asked
+    as a walk."""
+    adj, blocked = m.adjacency, m.blocked
+    return any((a, w) in blocked and (w, b) in blocked for w in adj[a] & adj[b]) or (
+        set_path_exists(adj, a, b, lambda u, w: (u, w) in blocked, lambda w: (w, b) in blocked)
+    )
+
+
 # The R1-R4 rules as full scans: each finder yields (rule, additions) for the
 # firable instances whose additions are not already present.
 
@@ -131,7 +166,7 @@ def r3_instances(m: MarkedGraph, t):
     del t
     for u, v in sorted(m.skeleton):
         for a, b in ((u, v), (v, u)):
-            if (a, b) not in m.blocked and _r3_fires(m.adjacency, m.blocked, a, b):
+            if (a, b) not in m.blocked and r3_fires(m, a, b):
                 yield ("R3", frozenset({(a, b)}))
 
 
@@ -169,6 +204,14 @@ def sweep_fixpoint(m: MarkedGraph, t, rules=RULE_NAMES, rng=None, finders=FINDER
         else:
             _, additions = rng.choice(sorted(instances, key=lambda i: (i[0], sorted(i[1]))))
             m = m.with_blocks(additions)
+
+
+def undirected_grid(k: int) -> ChainGraph:
+    """The k x k grid of nodes Vi_j with undirected edges between neighbors."""
+    name = "V{}_{}".format
+    rows = [(name(i, j), name(i, j + 1)) for i in range(k) for j in range(k - 1)]
+    cols = [(name(i, j), name(i + 1, j)) for i in range(k - 1) for j in range(k)]
+    return cg([name(i, j) for i in range(k) for j in range(k)], [], rows + cols)
 
 
 def random_corpus(seed: int, count: int, sizes, **kwargs) -> list[ChainGraph]:

@@ -21,7 +21,7 @@ from ampcg import (
     unmarked_skeleton,
 )
 from ampcg.equivalence import _triplex_keys
-from ampcg.essential import RULE_NAMES, MarkedGraph
+from ampcg.essential import RULE_NAMES, MarkedGraph, _path_exists
 from ampcg.strong import _s3
 
 from .support import (
@@ -30,7 +30,9 @@ from .support import (
     chordless_cycle_orders,
     marked_graphs,
     r3_instances,
+    set_path_exists,
     sweep_fixpoint,
+    undirected_grid,
 )
 
 
@@ -189,6 +191,26 @@ def test_chordless_searches_match_brute_force(m):
     assert _exact_double_blocks(m, orders) <= added
 
 
+@settings(max_examples=150, deadline=None)
+@given(marked_graphs(max_nodes=7))
+def test_mask_walk_matches_the_set_walk(m):
+    # the blocked-step walk of R3 and S3 and the plain walk of double-blocking
+    adj, pos = m.index.adj, m.index.pos
+    out, inn = m.block_masks
+    plain = [adj[i] & ~out[i] & ~inn[i] for i in range(len(adj))]
+    for u, v in m.skeleton:
+        for a, b in ((u, v), (v, u)):
+            i, k = pos[a], pos[b]
+            along_blocks = set_path_exists(
+                m.adjacency, a, b, m.is_blocked, lambda w: m.is_blocked(w, b)
+            )
+            assert _path_exists(adj, out, i, k, inn[k]) == along_blocks
+            along_plain = set_path_exists(
+                m.adjacency, a, b, m.plain_edge, lambda w: m.plain_edge(w, b)
+            )
+            assert _path_exists(adj, plain, i, k, plain[k]) == along_plain
+
+
 def test_reachability_rules_match_exact_search_on_reachable_states():
     orders = {}
 
@@ -274,18 +296,11 @@ class TestEssentialGraph:
         assert essential_graph(arrow).graph == cg("ABC", [], [("A", "B")])
 
 
-def _grid(k):
-    name = "V{}_{}".format
-    rows = [(name(i, j), name(i, j + 1)) for i in range(k) for j in range(k - 1)]
-    cols = [(name(i, j), name(i + 1, j)) for i in range(k - 1) for j in range(k)]
-    return cg([name(i, j) for i in range(k) for j in range(k)], [], rows + cols)
-
-
 @pytest.mark.parametrize("k", [8, 10])
 def test_undirected_grid_is_fast_and_doubly_blocked(k):
     # every grid edge lies on a chordless 4-cycle, so every edge ends doubly
     # blocked; a grid has exponentially many chordless cycles
-    g = _grid(k)
+    g = undirected_grid(k)
     start = time.perf_counter()
     result = essential_graph(g)
     assert time.perf_counter() - start < 1.0

@@ -8,6 +8,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ampcg import (
+    ChainGraph,
+    MarkedGraph,
+    StrongLabeling,
+    essential_graph,
     parse_graph,
     random_model,
     read_dataset,
@@ -21,8 +25,9 @@ from ampcg import (
 from ampcg.cli import _build_parser, cli
 from ampcg.errors import DuplicateEdgeError, ParseError
 from ampcg.gaussian import Dataset
+from ampcg.io_text import graph_to_json
 
-from .support import cg, chain_graphs
+from .support import cg, chain_graphs, marked_graphs
 
 
 class TestParse:
@@ -68,8 +73,6 @@ class TestExports:
         assert out.startswith("digraph") and out.rstrip().endswith("}")
 
     def test_json_carries_marks_and_labels(self):
-        from ampcg import essential_graph
-
         g = cg("ABC", [("A", "B"), ("C", "B")])
         doc = json.loads(to_json(essential_graph(g).marks))
         edge = next(e for e in doc["edges"] if e["u"] == "A")
@@ -77,6 +80,43 @@ class TestExports:
         assert set(edge) == {"u", "v", "blocked_u", "blocked_v"}
         lab_doc = json.loads(to_json(strong_labeling(g)))
         assert lab_doc["strong_directed"] == []
+
+
+
+def _json_module_text(obj) -> str:
+    return json.dumps(graph_to_json(obj), indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(chain_graphs(max_nodes=6))
+    def test_graph_documents_match_the_json_module(self, g):
+        for obj in (g, essential_graph(g).marks, strong_labeling(g)):
+            assert to_json(obj) == _json_module_text(obj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(marked_graphs(max_nodes=5))
+    def test_arbitrary_marks_match_the_json_module(self, m):
+        assert to_json(m) == _json_module_text(m)
+
+    def test_degenerate_and_escaped_documents_match_the_json_module(self):
+        empty, lone, edge = cg([]), cg("A"), cg("AB", [], [("A", "B")])
+        odd = ("a\"b", "\u00e9", "t\\n")
+        docs = [empty, lone, edge]
+        docs += [essential_graph(g).marks for g in docs] + [strong_labeling(g) for g in docs]
+        docs += [
+            ChainGraph(frozenset(odd), frozenset({odd[:2]}), frozenset({odd[1:]})),
+            MarkedGraph(frozenset(odd), frozenset({odd[:2]}), frozenset({odd[1::-1]})),
+            StrongLabeling(
+                ChainGraph(frozenset(odd), frozenset({odd[:2]}), frozenset()),
+                frozenset({odd[:2]}),
+                frozenset(),
+            ),
+        ]
+        assert not strong_labeling(edge).strong_directed
+        assert not strong_labeling(edge).strong_undirected
+        for obj in docs:
+            assert to_json(obj) == _json_module_text(obj)
 
 
 class TestDatasets:

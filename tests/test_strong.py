@@ -1,11 +1,12 @@
+import hashlib
 import random
+import sys
 import time
 
 import pytest
 
 from ampcg import (
     accelerator_labels,
-    apply_rules_R,
     enumerate_class,
     essential_graph,
     label_strong,
@@ -13,14 +14,15 @@ from ampcg import (
     random_chain_graph,
     strong_labeling,
     strong_oracle,
+    to_json,
     unmarked_skeleton,
 )
-from ampcg import essential
+from ampcg import essential, graphs
 from ampcg.errors import InvalidStateError, InvariantViolationError
-from ampcg.essential import RULE_NAMES, MarkedGraph
+from ampcg.essential import MarkedGraph, _close_blocks
 from ampcg.strong import _propagate
 
-from .support import cg
+from .support import cg, undirected_grid
 
 
 def _pipeline(g):
@@ -75,20 +77,21 @@ class TestLabelStrong:
             label_strong(result.marks, result.triplexes, check_invariants=True)
 
     def test_checked_mode_reports_a_semidirected_cycle(self, monkeypatch):
-        g = cg("ABCD", [("A", "B"), ("C", "B")], [("C", "D")])
+        g = cg("ABCD", [("D", "A")], [("A", "B"), ("A", "C"), ("B", "C")])
         result = essential_graph(g)
-        # every re-blocking fixpoint becomes a triangle blocked in one
-        # rotational sense, which finalizes to a semidirected cycle
-        one_sense = MarkedGraph(
-            nodes=frozenset("ABC"),
-            skeleton=frozenset({("A", "B"), ("B", "C"), ("A", "C")}),
-            blocked=frozenset({("A", "B"), ("B", "C"), ("C", "A")}),
-        )
+        # every re-blocked copy also blocks (B, C): the copy that forces B -- A
+        # then finalizes to B -> C -> A -- B, a semidirected cycle
+        b, c = (result.marks.index.pos[n] for n in "BC")
 
-        def reblock(m, t, rules=RULE_NAMES, new=None):
-            return one_sense if rules == ("R2", "R3") else apply_rules_R(m, t, rules, new)
+        def reblock(adj, tri, out, inn, pending, rules):
+            added = _close_blocks(adj, tri, out, inn, pending, rules)
+            if rules == ("R2", "R3") and not out[b] >> c & 1:
+                out[b] |= 1 << c
+                inn[c] |= 1 << b
+                added.append((b, c))
+            return added
 
-        monkeypatch.setattr("ampcg.strong.apply_rules_R", reblock)
+        monkeypatch.setattr("ampcg.strong._close_blocks", reblock)
         with pytest.raises(InvariantViolationError, match="semidirected cycle"):
             label_strong(result.marks, result.triplexes, check_invariants=True)
 
@@ -123,20 +126,44 @@ class TestLabelStrong:
         assert lab == label_strong(result.marks, result.triplexes, check_invariants=True)
 
     def test_one_labeling_builds_the_adjacency_once(self, monkeypatch):
-        # every re-blocked copy and fixpoint shares the skeleton's adjacency
+        # every fixpoint shares the skeleton's index of adjacency masks, and
+        # the re-blocked copies read it without becoming marked graphs
         g = random_chain_graph(random.Random(30), node_names(30), 0.04, 0.07)
         builds = 0
-        build = MarkedGraph.adjacency.func
+        build = MarkedGraph.index.func
 
         def counted(m):
             nonlocal builds
             builds += 1
             return build(m)
 
-        monkeypatch.setattr(MarkedGraph.adjacency, "func", counted)
+        monkeypatch.setattr(MarkedGraph.index, "func", counted)
         strong_labeling(g)
         assert builds == 1
         assert len(essential_graph(g).marks.edges_blocked_at_one_end()) >= 10
+
+    def test_one_labeling_validates_its_marks_once(self, monkeypatch):
+        # essential_graph finalizes the marks, and label_strong reads that graph
+        g = random_chain_graph(random.Random(30), node_names(30), 0.04, 0.07)
+        calls = 0
+        validate = graphs.validate_chain_graph
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return validate(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ampcg") and vars(module).get("validate_chain_graph") is validate:
+                monkeypatch.setattr(module, "validate_chain_graph", counted)
+        strong_labeling(g)
+        assert calls == 1
+        # a copy with more blocks finalizes on its own
+        m = essential_graph(g).marks
+        x, y = m.edges_blocked_at_one_end()[0]
+        h = m.with_blocks([(y, x)])
+        assert m.finalize() is m.finalize()
+        assert h.finalize().has_undirected(x, y) and m.finalize().has_directed(x, y)
 
     def test_matches_oracle_on_random_graphs(self):
         rnd = random.Random(29)
@@ -200,3 +227,50 @@ def test_strong_labeling_convenience_matches_pipeline():
     g = cg("ABCD", [("A", "C"), ("B", "C"), ("C", "D")])
     result, lab = _pipeline(g)
     assert strong_labeling(g) == lab
+
+
+# sha256 of to_json(essential_graph(g).marks) and to_json(strong_labeling(g)),
+# for three draws of random_chain_graph(random.Random(n), node_names(n), p_u,
+# p_d) per n, then the 10 x 10 undirected grid
+SCALE_DIGESTS = {
+    80: [
+        ("585a36ae6b02c7eb84151161f685e74480a6194231ef92dfa093e4e2d1c1634d",
+         "7516b38d58f0f41012f57f4d9353a36131294c3b5ec9937b3e17b9daa6beeca8"),
+        ("059663ea7845bc63243f54737401ab5317a91ec9f8849d69814b1fd6deac5dcd",
+         "07dc37bc588fbd46382e2960ce1ec17e177064bbec7a7b2b7a9f57bdb73385c1"),
+        ("fcaf62d7e17820673c804fc863295ced88d0fe4ba1ec89cc40c43f40cb8774e5",
+         "176a49440c706c84a88a14bc22728f5808aba2cf1c831f5fc80c4612ebe8fa5a"),
+    ],
+    120: [
+        ("491d25f7cfb60c3409ef836672ce73c39e19db8d9701542893d6ef153ea988f1",
+         "9c7662cc310533969e85098a78332aa90455f0b6c48fa3e4523b4524f1979d53"),
+        ("7e277086201cf9a082e2477af28375bbaf15b895fefb85fc4414b687c1720bd0",
+         "1669992509df5271d818235e23d50011696bfb0acb1c3b71dbbcc629384e48e6"),
+        ("61d9f5d1048aaee33156072a66d53624ecf1065b04888fe88405073fa869b816",
+         "648a9cb13841a040b3186d28f9fdd257f788fd3c257e9253279fb1df8b359514"),
+    ],
+    200: [
+        ("b2c55063330be070cff0278d1189250dc6f16d9bc1691fa2a892dc34095cf332",
+         "dfc0a90cad54387a6e88cc31c35b6215595940835b2c1b571a0be0c39e7ed1ac"),
+        ("bf4d858b94bae7c2ffa524fe07c78fba55e4cf5372de1166569b10cd888fbf94",
+         "c6fd7b89dd765e9183de34fc4c739dc0ae1db108fbb71531bebb3fc784eff064"),
+        ("17104adf8828ee4c489e62c839412aef78240131c5c409c156e6f20f055c5428",
+         "10ff034f11dddac3489116e728c6804e78462d67783b4950a37ed4fac8eeaf7c"),
+    ],
+}
+GRID_DIGESTS = ("d7dea8e007fe830a63bf2dfefec65cc7e4470e66574bfa6934fa7b08baff3ba6",
+                "ef0f565128bbcefb41a2d40e9d5659f7f5b3a0c5464b4195b52595431a54bf40")
+
+
+def _digests(g):
+    marks = to_json(essential_graph(g).marks).encode()
+    labeling = to_json(strong_labeling(g)).encode()
+    return hashlib.sha256(marks).hexdigest(), hashlib.sha256(labeling).hexdigest()
+
+
+def test_outputs_at_scale_keep_their_digests():
+    for n, p_u, p_d in ((80, 0.015, 0.025), (120, 0.01, 0.017), (200, 0.006, 0.01)):
+        rnd = random.Random(n)
+        for i, expected in enumerate(SCALE_DIGESTS[n]):
+            assert _digests(random_chain_graph(rnd, node_names(n), p_u, p_d)) == expected, (n, i)
+    assert _digests(undirected_grid(10)) == GRID_DIGESTS
