@@ -227,16 +227,21 @@ def _triplex_masks(index: NodeIndex, t: TriplexKeys) -> list[dict[int, int]]:
     return tri
 
 
+def _step(step: Sequence[int], frontier: int) -> int:
+    """The union of the step masks of the nodes in `frontier`."""
+    reached = 0
+    while frontier:
+        low = frontier & -frontier
+        reached |= step[low.bit_length() - 1]
+        frontier ^= low
+    return reached
+
+
 def _reach(step: Sequence[int], seen: int) -> int:
     """The nodes reached from the mask `seen` along the step masks."""
     frontier = seen
     while frontier:
-        reached = 0
-        while frontier:
-            low = frontier & -frontier
-            reached |= step[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reached & ~seen
+        frontier = _step(step, frontier) & ~seen
         seen |= frontier
     return seen
 
@@ -252,11 +257,7 @@ def _path_exists(adj: Sequence[int], step: Sequence[int], a: int, b: int, last: 
     near = adj[a] | adj[b]
     seen = frontier = step[a] & ~adj[b] & ~(1 << b)
     while frontier:
-        reached = 0
-        while frontier:
-            low = frontier & -frontier
-            reached |= step[low.bit_length() - 1]
-            frontier ^= low
+        reached = _step(step, frontier)
         if reached & goals:
             return True
         frontier = reached & ~near & ~seen
