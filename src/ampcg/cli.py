@@ -26,6 +26,7 @@ from .essential import essential_graph
 from .gaussian import bound_effect, random_model, sample
 from .graphs import ChainGraph, chain_components
 from .io_text import (
+    graph_to_json,
     parse_graph,
     read_dataset,
     serialize_graph,
@@ -67,6 +68,18 @@ def _print_graph(g: ChainGraph, fmt: str) -> None:
         sys.stdout.write(to_dot(g))
     else:
         sys.stdout.write(serialize_graph(g))
+
+
+def _print_members(members: list[ChainGraph], fmt: str, key: str, noun: str, **doc) -> None:
+    """JSON: `doc` with the members under `key`; text: a count of `noun`,
+    then one member per line."""
+    if fmt == "json":
+        doc[key] = [graph_to_json(m) for m in members]
+        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    else:
+        sys.stdout.write(f"{len(members)} {noun}\n")
+        for m in members:
+            sys.stdout.write(serialize_graph(m).replace("\n", "; ").rstrip("; ") + "\n")
 
 
 def _split_nodes(raw: str | None) -> frozenset[str]:
@@ -126,15 +139,7 @@ def _cmd_class(ns) -> int:
     else:
         cls = enumerate_class(g, max_edges=ns.max_edges)
     members = sorted(cls.members, key=repr)
-    if ns.format == "json":
-        from .io_text import graph_to_json
-
-        doc = {"size": len(members), "members": [graph_to_json(m) for m in members]}
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(f"{len(members)} members\n")
-        for m in members:
-            sys.stdout.write(serialize_graph(m).replace("\n", "; ").rstrip("; ") + "\n")
+    _print_members(members, ns.format, "members", "members", size=len(members))
     return 0
 
 
@@ -182,17 +187,9 @@ def _cmd_minmax(ns) -> int:
     g = _load_graph(ns.graph)
     if ns.mode == "min":
         members = sorted(minimally_oriented(g, max_edges=ns.max_edges), key=repr)
-        if ns.format == "json":
-            from .io_text import graph_to_json
-
-            doc = {"minimally_oriented": [graph_to_json(m) for m in members]}
-            sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        else:
-            sys.stdout.write(f"{len(members)} minimally oriented members\n")
-            for m in members:
-                sys.stdout.write(
-                    serialize_graph(m).replace("\n", "; ").rstrip("; ") + "\n"
-                )
+        _print_members(
+            members, ns.format, "minimally_oriented", "minimally oriented members"
+        )
     else:
         witness = maximally_oriented(g)
         _print_graph(witness, ns.format)

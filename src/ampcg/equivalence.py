@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from .errors import EmptyClassError, NodeSetMismatchError, TooLargeError
-from .graphs import ChainGraph, NodeId, pair, validate_chain_graph
+from .graphs import ChainGraph, NodeId, pair
 
 #: edge states inside the enumerator: undirected / a->b / b->a for a canonical pair (a, b)
 _UND, _FWD, _REV = 0, 1, 2
@@ -267,7 +267,7 @@ def essential_from_class(cls: EquivalenceClass) -> ChainGraph:
             directed.append((b, a))
         else:
             undirected.append((a, b))
-    return validate_chain_graph(some.nodes, directed, undirected)
+    return ChainGraph(some.nodes, frozenset(directed), frozenset(undirected))
 
 
 class StrongEdgeSummary(NamedTuple):

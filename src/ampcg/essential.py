@@ -81,7 +81,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .equivalence import TriplexKeys, _triplex_keys
-from .graphs import ChainGraph, NodeId, pair, validate_chain_graph
+from .graphs import ChainGraph, NodeId, pair
 
 RULE_NAMES = ("R1", "R2", "R3", "R4")
 
@@ -144,9 +144,6 @@ class MarkedGraph:
             inn[w] |= 1 << i
         return tuple(out), tuple(inn)
 
-    def is_adjacent(self, u: NodeId, v: NodeId) -> bool:
-        return pair(u, v) in self.skeleton
-
     def is_blocked(self, end: NodeId, other: NodeId) -> bool:
         return (end, other) in self.blocked
 
@@ -154,21 +151,8 @@ class MarkedGraph:
         """Blocked at `end` and plain at `other` (finalizes to end -> other)."""
         return (end, other) in self.blocked and (other, end) not in self.blocked
 
-    def doubly_blocked(self, u: NodeId, v: NodeId) -> bool:
-        return (u, v) in self.blocked and (v, u) in self.blocked
-
     def plain_edge(self, u: NodeId, v: NodeId) -> bool:
         return (u, v) not in self.blocked and (v, u) not in self.blocked
-
-    def edges_blocked_at_one_end(self) -> list[tuple[NodeId, NodeId]]:
-        """All (x, y) with the edge blocked at x only, in deterministic order."""
-        out = []
-        for a, b in sorted(self.skeleton):
-            if self.singly_blocked(a, b):
-                out.append((a, b))
-            elif self.singly_blocked(b, a):
-                out.append((b, a))
-        return out
 
     def finalize(self) -> ChainGraph:
         """Orient singly blocked edges out of their blocked end; rest undirected."""
@@ -176,16 +160,11 @@ class MarkedGraph:
 
     @cached_property
     def _finalized(self) -> ChainGraph:
-        directed = []
-        undirected = []
-        for a, b in sorted(self.skeleton):
-            if self.singly_blocked(a, b):
-                directed.append((a, b))
-            elif self.singly_blocked(b, a):
-                directed.append((b, a))
-            else:
-                undirected.append((a, b))
-        return validate_chain_graph(self.nodes, directed, undirected)
+        names = self.index.nodes
+        directed = frozenset((names[x], names[y]) for x, y in _one_end_blocked(self))
+        oriented = {pair(u, v) for u, v in directed}
+        undirected = frozenset(pair(a, b) for a, b in self.skeleton) - oriented
+        return ChainGraph(self.nodes, directed, undirected)
 
     def with_blocks(self, additions: Iterable[tuple[NodeId, NodeId]]) -> "MarkedGraph":
         """A copy with `additions` blocked too, sharing this skeleton's
@@ -331,6 +310,21 @@ def _close_blocks(
                 pending.append((i, w))
         added += pending
     return added
+
+
+def _one_end_blocked(m: MarkedGraph) -> list[tuple[int, int]]:
+    """Every (x, y), as positions, with the edge blocked at x only, in sorted
+    edge order."""
+    out, inn = m.block_masks
+    edges = []
+    for i, (o, n) in enumerate(zip(out, inn)):
+        x = ((o ^ n) >> (i + 1)) << (i + 1)
+        while x:
+            low = x & -x
+            w = low.bit_length() - 1
+            edges.append((i, w) if o & low else (w, i))
+            x ^= low
+    return edges
 
 
 def _positions(masks: Sequence[int]) -> list[tuple[int, int]]:

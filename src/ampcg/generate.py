@@ -6,7 +6,8 @@ import random
 from itertools import combinations, product
 from typing import Sequence
 
-from .graphs import ChainGraph, NodeId, _component_order, _undirected_components
+from .errors import SemidirectedCycleError
+from .graphs import ChainGraph, NodeId, _undirected_components
 
 #: per-pair states for exhaustive generation
 _NONE, _FWD, _REV, _UND = range(4)
@@ -32,10 +33,10 @@ def all_chain_graphs(nodes: Sequence[NodeId]) -> list[ChainGraph]:
                 directed.append((b, a))
             elif s == _UND:
                 undirected.append((a, b))
-        dirset = frozenset(directed)
-        undset = frozenset(undirected)
-        if _component_order(node_set, dirset, undset) is not None:
-            out.append(ChainGraph(nodes=node_set, directed=dirset, undirected=undset))
+        try:
+            out.append(ChainGraph(node_set, frozenset(directed), frozenset(undirected)))
+        except SemidirectedCycleError:
+            pass
     return out
 
 

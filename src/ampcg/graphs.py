@@ -45,14 +45,29 @@ def pair(u: NodeId, v: NodeId) -> tuple[NodeId, NodeId]:
 class ChainGraph:
     """A set of nodes with directed (tail, head) and undirected edges.
 
-    Undirected edges are stored with endpoints in canonical sorted order.
-    Instances should be built through :func:`validate_chain_graph`, which
-    rejects self-loops, duplicate pair-edges and semidirected cycles.
+    Every instance has no semidirected cycle: the constructor computes the
+    chain components in topological order once, keeps them for
+    :func:`chain_components`, and raises SemidirectedCycleError when there is
+    no such order.  Undirected edges are stored with endpoints in canonical
+    sorted order.  Edges from outside the package should go through
+    :func:`validate_chain_graph`, which also rejects bad names, unknown nodes,
+    self-loops and duplicate pair-edges.
     """
 
     nodes: frozenset[NodeId]
     directed: frozenset[tuple[NodeId, NodeId]]
     undirected: frozenset[tuple[NodeId, NodeId]]
+
+    def __post_init__(self) -> None:
+        if self._partition is None:
+            raise SemidirectedCycleError(
+                _semidirected_cycle_witness(self.nodes, self.directed, self.undirected)
+            )
+
+    @cached_property
+    def _partition(self) -> ComponentPartition | None:
+        order = _component_order(self.nodes, self.directed, self.undirected)
+        return None if order is None else ComponentPartition(tuple(order))
 
     @cached_property
     def sorted_nodes(self) -> tuple[NodeId, ...]:
@@ -256,11 +271,9 @@ def validate_chain_graph(
         if key in seen_pairs:
             raise DuplicateEdgeError(f"more than one edge between {key[0]!r} and {key[1]!r}")
         seen_pairs.add(key)
-    und = frozenset(pair(a, b) for a, b in undirected)
-    dirset = frozenset(directed)
-    if _component_order(node_set, dirset, und) is None:
-        raise SemidirectedCycleError(_semidirected_cycle_witness(node_set, dirset, und))
-    return ChainGraph(nodes=node_set, directed=dirset, undirected=und)
+    return ChainGraph(
+        node_set, frozenset(directed), frozenset(pair(a, b) for a, b in undirected)
+    )
 
 
 def family(g: ChainGraph, xs: Iterable[NodeId], relation: Relation) -> frozenset[NodeId]:
@@ -293,13 +306,12 @@ def family(g: ChainGraph, xs: Iterable[NodeId], relation: Relation) -> frozenset
 
 
 def chain_components(g: ChainGraph) -> ComponentPartition:
-    """Chain components in a deterministic topological order.
+    """Chain components in a deterministic topological order, as computed
+    when g was built.
 
     Ties between ready components are broken by their least node name.
     """
-    return ComponentPartition(
-        components=tuple(_component_order(g.nodes, g.directed, g.undirected))
-    )
+    return g._partition
 
 
 def is_complete(g: ChainGraph, nodes: Iterable[NodeId]) -> bool:

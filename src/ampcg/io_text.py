@@ -18,12 +18,16 @@ import numpy as np
 from .errors import DuplicateEdgeError, ParseError
 from .essential import MarkedGraph
 from .gaussian import Dataset
-from .graphs import ChainGraph, NodeId, is_valid_name, pair, validate_chain_graph
+from .graphs import ChainGraph, NodeId, is_valid_name, pair
 from .strong import StrongLabeling
 
 
 def parse_graph(text: str) -> ChainGraph:
-    """Parse a graph document into a validated chain graph."""
+    """Parse a graph document into a validated chain graph.
+
+    The per-line checks name the offending line; the `ChainGraph`
+    constructor then rejects a semidirected cycle.
+    """
     nodes: set[NodeId] = set()
     directed: list[tuple[NodeId, NodeId]] = []
     undirected: list[tuple[NodeId, NodeId]] = []
@@ -55,10 +59,10 @@ def parse_graph(text: str) -> ChainGraph:
             if op == "->":
                 directed.append((a, b))
             else:
-                undirected.append((a, b))
+                undirected.append(key)
         else:
             raise ParseError(lineno, f"unknown statement {tokens[0]!r}")
-    return validate_chain_graph(nodes, directed, undirected)
+    return ChainGraph(frozenset(nodes), frozenset(directed), frozenset(undirected))
 
 
 def serialize_graph(g: ChainGraph) -> str:

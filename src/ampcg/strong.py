@@ -22,6 +22,7 @@ from .errors import InvalidStateError, InvariantViolationError, SemidirectedCycl
 from .essential import (
     MarkedGraph,
     _close_blocks,
+    _one_end_blocked,
     _path_exists,
     _positions,
     _triplex_masks,
@@ -37,21 +38,6 @@ class StrongLabeling:
     graph: ChainGraph
     strong_directed: frozenset[tuple[NodeId, NodeId]]
     strong_undirected: frozenset[tuple[NodeId, NodeId]]
-
-
-def _one_end_blocked(m: MarkedGraph) -> list[tuple[int, int]]:
-    """Every (x, y), as positions, with the edge blocked at x only, in sorted
-    edge order."""
-    out, inn = m.block_masks
-    edges = []
-    for i, (o, n) in enumerate(zip(out, inn)):
-        x = ((o ^ n) >> (i + 1)) << (i + 1)
-        while x:
-            low = x & -x
-            w = low.bit_length() - 1
-            edges.append((i, w) if o & low else (w, i))
-            x ^= low
-    return edges
 
 
 def _pretriplexes_by_end(m: MarkedGraph) -> list[dict[int, int]]:

@@ -30,7 +30,6 @@ from .graphs import (
     is_complete,
     orient_by_mcs,
     pair,
-    validate_chain_graph,
 )
 from .strong import strong_labeling
 
@@ -61,7 +60,7 @@ def _semidirected_descendants(g: ChainGraph, xs: Iterable[NodeId]) -> frozenset[
 
 
 def _require_component(g: ChainGraph, comp: frozenset[NodeId]) -> None:
-    if comp not in set(chain_components(g).components):
+    if comp not in chain_components(g).components:
         raise NotComponentsError(f"{sorted(comp)} is not a chain component")
 
 
@@ -107,10 +106,8 @@ def merge(
             f"merging {sorted(upper)} into {sorted(lower)} is not feasible"
         )
     moved = {(u, v) for u, v in g.directed if u in upper and v in lower}
-    return validate_chain_graph(
-        g.nodes,
-        g.directed - moved,
-        set(g.undirected) | {pair(u, v) for u, v in moved},
+    return ChainGraph(
+        g.nodes, g.directed - moved, g.undirected | {pair(u, v) for u, v in moved}
     )
 
 
@@ -130,9 +127,9 @@ def _split_result(
     if not crossing:
         return None
     try:
-        candidate = validate_chain_graph(
+        candidate = ChainGraph(
             g.nodes,
-            set(g.directed) | crossing,
+            g.directed | crossing,
             g.undirected - {pair(a, b) for a, b in crossing},
         )
     except SemidirectedCycleError:
@@ -163,15 +160,8 @@ def split(
 
 
 def _merge_candidates(g: ChainGraph) -> Iterator[tuple[frozenset, frozenset]]:
-    comps = chain_components(g).components
-    linked = {
-        (cu, cl)
-        for u, v in g.directed
-        for cu in comps
-        if u in cu
-        for cl in comps
-        if v in cl
-    }
+    component_of = chain_components(g).component_of
+    linked = {(component_of[u], component_of[v]) for u, v in g.directed}
     for cu, cl in sorted(linked, key=lambda p: (sorted(p[0]), sorted(p[1]))):
         yield cu, cl
 
@@ -244,11 +234,9 @@ def maximally_oriented(g: ChainGraph) -> ChainGraph:
     """
     labeling = strong_labeling(g)
     eg = labeling.graph
-    loose = validate_chain_graph(eg.nodes, (), eg.undirected - labeling.strong_undirected)
-    return validate_chain_graph(
-        eg.nodes,
-        eg.directed | orient_by_mcs(loose).directed,
-        labeling.strong_undirected,
+    loose = ChainGraph(eg.nodes, frozenset(), eg.undirected - labeling.strong_undirected)
+    return ChainGraph(
+        eg.nodes, eg.directed | orient_by_mcs(loose).directed, labeling.strong_undirected
     )
 
 

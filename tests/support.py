@@ -88,6 +88,25 @@ def greedy_maximally_oriented(g: ChainGraph, reverse_order: bool = False) -> Cha
             return current
 
 
+def is_adjacent(m: MarkedGraph, u, v) -> bool:
+    return pair(u, v) in m.skeleton
+
+
+def doubly_blocked(m: MarkedGraph, u, v) -> bool:
+    return (u, v) in m.blocked and (v, u) in m.blocked
+
+
+def edges_blocked_at_one_end(m: MarkedGraph) -> list[tuple[str, str]]:
+    """All (x, y) with the edge blocked at x only, in sorted edge order."""
+    out = []
+    for a, b in sorted(m.skeleton):
+        if m.singly_blocked(a, b):
+            out.append((a, b))
+        elif m.singly_blocked(b, a):
+            out.append((b, a))
+    return out
+
+
 def chordless_cycle_orders(m: MarkedGraph) -> list[tuple[str, ...]]:
     """Every node order (v0, ..., vk), k >= 2, that walks a chordless cycle
     v0 ~ v1 ~ ... ~ vk ~ v0, once per rotation and direction.
@@ -99,10 +118,10 @@ def chordless_cycle_orders(m: MarkedGraph) -> list[tuple[str, ...]]:
     out = []
     for k in range(3, len(m.nodes) + 1):
         for subset in combinations(m.sorted_nodes, k):
-            if sum(m.is_adjacent(u, v) for u, v in combinations(subset, 2)) != k:
+            if sum(is_adjacent(m, u, v) for u, v in combinations(subset, 2)) != k:
                 continue
             for order in permutations(subset):
-                if all(m.is_adjacent(u, v) for u, v in zip(order, order[1:] + order[:1])):
+                if all(is_adjacent(m, u, v) for u, v in zip(order, order[1:] + order[:1])):
                     out.append(order)
     return out
 
@@ -156,7 +175,7 @@ def r1_instances(m: MarkedGraph, t):
 def r2_instances(m: MarkedGraph, t):
     for a, b in sorted(m.blocked):
         for c in sorted(m.adjacency[b] - {a}):
-            if m.is_adjacent(a, c) or (b, pair(a, c)) in t:
+            if is_adjacent(m, a, c) or (b, pair(a, c)) in t:
                 continue
             if (b, c) not in m.blocked:
                 yield ("R2", frozenset({(b, c)}))
@@ -177,7 +196,7 @@ def r4_instances(m: MarkedGraph, t):
                 continue
             shared = sorted((m.adjacency[a] & m.adjacency[b]) - {a, b})
             for c, d in combinations(shared, 2):
-                if m.is_adjacent(c, d):
+                if is_adjacent(m, c, d):
                     continue
                 if (c, b) in m.blocked and (d, b) in m.blocked and (a, (c, d)) not in t:
                     yield ("R4", frozenset({(a, b)}))

@@ -28,6 +28,9 @@ from .support import (
     FINDERS,
     cg,
     chordless_cycle_orders,
+    doubly_blocked,
+    edges_blocked_at_one_end,
+    is_adjacent,
     marked_graphs,
     r3_instances,
     set_path_exists,
@@ -108,7 +111,7 @@ def test_worklist_matches_the_sweep_oracle(m, data):
         (b, pair(a, c))
         for b in m.sorted_nodes
         for a, c in combinations(sorted(m.adjacency[b]), 2)
-        if not m.is_adjacent(a, c)
+        if not is_adjacent(m, a, c)
     ]
     t = frozenset(p for p in paths if data.draw(st.booleans(), label=f"triplex {p}"))
     ends = sorted(end for a, b in m.skeleton for end in ((a, b), (b, a)))
@@ -128,7 +131,7 @@ class TestLine5:
     def test_four_cycle_double_blocked(self):
         m = self._plain_cycle(("A", "B"), ("B", "C"), ("C", "D"), ("A", "D"))
         out = double_block_chordless_cycles(m)
-        assert all(out.doubly_blocked(a, b) for a, b in m.skeleton)
+        assert all(doubly_blocked(out, a, b) for a, b in m.skeleton)
 
     def test_triangle_untouched(self):
         m = self._plain_cycle(("A", "B"), ("B", "C"), ("A", "C"))
@@ -237,7 +240,7 @@ def test_reachability_rules_match_exact_search_on_reachable_states():
         m = both_fixpoints(m, t, RULE_NAMES)
         for x, y, c in combinations(m.sorted_nodes, 3):
             sides = [(x, y), (y, c), (x, c)]
-            if all(m.is_adjacent(u, v) for u, v in sides):
+            if all(is_adjacent(m, u, v) for u, v in sides):
                 assert sum(m.plain_edge(u, v) for u, v in sides) != 2
         added = double_block_chordless_cycles(m).blocked - m.blocked
         assert added == _exact_double_blocks(m, orders[g.skeleton])
@@ -245,7 +248,7 @@ def test_reachability_rules_match_exact_search_on_reachable_states():
         m = both_fixpoints(m.with_blocks(added), t, ("R2", "R3", "R4"), new=added)
         assert m.blocked == essential_graph(g).marks.blocked
         assert _s3(m) == _exact_s3(m, orders[g.skeleton])
-        for x, y in m.edges_blocked_at_one_end():
+        for x, y in edges_blocked_at_one_end(m):
             both_fixpoints(m.with_blocks([(y, x)]), t, ("R2", "R3"), new={(y, x)})
             copies += 1
     assert double_blocked >= 90 and copies >= 500
@@ -304,6 +307,6 @@ def test_undirected_grid_is_fast_and_doubly_blocked(k):
     start = time.perf_counter()
     result = essential_graph(g)
     assert time.perf_counter() - start < 1.0
-    assert all(result.marks.doubly_blocked(a, b) for a, b in g.skeleton)
+    assert all(doubly_blocked(result.marks, a, b) for a, b in g.skeleton)
     lab = label_strong(result.marks, result.triplexes)
     assert lab.strong_undirected == g.undirected and not lab.strong_directed

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ampcg import (
+    ChainGraph,
     chain_components,
     family,
     is_chordal,
     is_complete,
     is_simplicial,
     orient_by_mcs,
+    parse_graph,
     perfect_elimination_ending_with,
     random_chordal_graph,
     triplexes,
@@ -38,6 +40,14 @@ class TestValidation:
             cg("ABC", [("A", "B"), ("C", "A")], [("B", "C")])
         assert exc.value.cycle == ["A", "B", "C", "A"]
         assert str(exc.value) == "semidirected cycle: A -> B -> C -> A"
+
+    def test_constructor_rejects_a_semidirected_cycle(self):
+        directed = frozenset({("A", "B"), ("B", "C"), ("C", "A")})
+        with pytest.raises(SemidirectedCycleError) as built:
+            ChainGraph(frozenset("ABC"), directed, frozenset())
+        with pytest.raises(SemidirectedCycleError) as validated:
+            validate_chain_graph("ABC", directed)
+        assert str(built.value) == str(validated.value) == "semidirected cycle: A -> B -> C -> A"
 
     def test_collider_is_valid(self):
         g = cg("ABC", [("A", "B"), ("C", "B")])
@@ -219,15 +229,30 @@ def edge_sets(draw, max_nodes: int = 6):
 @settings(max_examples=300, deadline=None)
 @given(edge_sets())
 def test_validation_matches_the_independent_cycle_check(case):
+    # validation, parsing and the bare constructor accept the same edge sets
+    # and name the same witness
     nodes, edges, states = case
     directed = [(a, b) if s == _FWD else (b, a) for (a, b), s in zip(edges, states) if s != _UND]
     undirected = [e for e, s in zip(edges, states) if s == _UND]
-    try:
-        g = validate_chain_graph(nodes, directed, undirected)
-    except SemidirectedCycleError as exc:
+    document = "".join(f"node {n}\n" for n in nodes)
+    document += "".join(f"edge {u} -> {v}\n" for u, v in directed)
+    document += "".join(f"edge {a} -- {b}\n" for a, b in undirected)
+    outcomes = []
+    for build in (
+        lambda: validate_chain_graph(nodes, directed, undirected),
+        lambda: parse_graph(document),
+        lambda: ChainGraph(frozenset(nodes), frozenset(directed), frozenset(undirected)),
+    ):
+        try:
+            outcomes.append(build())
+        except SemidirectedCycleError as exc:
+            outcomes.append(exc.cycle)
+    g = outcomes[0]
+    assert outcomes[1] == g and outcomes[2] == g
+    if isinstance(g, list):
         assert not _semidirected_free(nodes, edges, states)
-        steps = list(zip(exc.cycle, exc.cycle[1:]))
-        assert exc.cycle[0] == exc.cycle[-1]
+        steps = list(zip(g, g[1:]))
+        assert g[0] == g[-1]
         assert all((a, b) in directed or pair(a, b) in undirected for a, b in steps)
         assert any((a, b) in directed for a, b in steps)
         return

@@ -22,6 +22,7 @@ from ampcg import (
     to_json,
     write_dataset,
 )
+from ampcg import graphs, io_text
 from ampcg.cli import _build_parser, cli
 from ampcg.errors import DuplicateEdgeError, ParseError
 from ampcg.gaussian import Dataset
@@ -42,6 +43,20 @@ class TestParse:
     def test_comments_and_blank_lines(self):
         g = parse_graph("# header\n\nnode A  # trailing\n")
         assert g.nodes == {"A"}
+
+    def test_each_name_token_is_checked_once(self, monkeypatch):
+        calls = 0
+        check = graphs.is_valid_name
+
+        def counted(name):
+            nonlocal calls
+            calls += 1
+            return check(name)
+
+        monkeypatch.setattr(graphs, "is_valid_name", counted)
+        monkeypatch.setattr(io_text, "is_valid_name", counted)
+        g = parse_graph("node A\nnode E\nedge A -> B\nedge C -> B\nedge C -- D\n")
+        assert len(g.nodes) == 5 and calls == 8
 
     def test_duplicate_edge(self):
         with pytest.raises(DuplicateEdgeError):
@@ -267,6 +282,42 @@ class TestCli:
         assert out.startswith("2 minimally oriented members")
         assert cli(["minmax", graph_file, "--mode", "max"]) == 0
         assert "edge" in capsys.readouterr().out
+
+    def test_member_lists(self, tmp_path, capsys):
+        path = tmp_path / "flag.txt"
+        path.write_text("edge A -> B\nedge B -- C\n")
+        flag = "node A; node B; node C; edge A -> B; edge B -- C"
+        collider = "node A; node B; node C; edge A -> B; edge C -> B"
+        mirror = "node A; node B; node C; edge A -- B; edge C -> B"
+
+        def member(*edges):
+            return {
+                "edges": [{"kind": k, "u": u, "v": v} for k, u, v in edges],
+                "nodes": ["A", "B", "C"],
+            }
+
+        members = [
+            member(("directed", "A", "B"), ("undirected", "B", "C")),
+            member(("directed", "A", "B"), ("directed", "C", "B")),
+            member(("directed", "C", "B"), ("undirected", "A", "B")),
+        ]
+        cases = [
+            (
+                ["class", str(path)],
+                f"3 members\n{flag}\n{collider}\n{mirror}\n",
+                {"members": members, "size": 3},
+            ),
+            (
+                ["minmax", str(path), "--mode", "min"],
+                f"2 minimally oriented members\n{flag}\n{mirror}\n",
+                {"minimally_oriented": [members[0], members[2]]},
+            ),
+        ]
+        for argv, text, doc in cases:
+            assert cli(argv) == 0
+            assert capsys.readouterr().out == text
+            assert cli(["--format", "json", *argv]) == 0
+            assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_adjust(self, graph_file, capsys):
         assert cli(["adjust", graph_file, "--x", "C", "--mode", "superset"]) == 0

@@ -1,6 +1,5 @@
 import hashlib
 import random
-import sys
 import time
 
 import pytest
@@ -22,7 +21,7 @@ from ampcg.errors import InvalidStateError, InvariantViolationError
 from ampcg.essential import MarkedGraph, _close_blocks
 from ampcg.strong import _propagate
 
-from .support import cg, undirected_grid
+from .support import cg, edges_blocked_at_one_end, undirected_grid
 
 
 def _pipeline(g):
@@ -140,27 +139,26 @@ class TestLabelStrong:
         monkeypatch.setattr(MarkedGraph.index, "func", counted)
         strong_labeling(g)
         assert builds == 1
-        assert len(essential_graph(g).marks.edges_blocked_at_one_end()) >= 10
+        assert len(edges_blocked_at_one_end(essential_graph(g).marks)) >= 10
 
     def test_one_labeling_validates_its_marks_once(self, monkeypatch):
-        # essential_graph finalizes the marks, and label_strong reads that graph
+        # essential_graph finalizes the marks, and label_strong reads that
+        # graph: one acyclicity check, made by the ChainGraph constructor
         g = random_chain_graph(random.Random(30), node_names(30), 0.04, 0.07)
         calls = 0
-        validate = graphs.validate_chain_graph
+        order = graphs._component_order
 
         def counted(*args):
             nonlocal calls
             calls += 1
-            return validate(*args)
+            return order(*args)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("ampcg") and vars(module).get("validate_chain_graph") is validate:
-                monkeypatch.setattr(module, "validate_chain_graph", counted)
+        monkeypatch.setattr(graphs, "_component_order", counted)
         strong_labeling(g)
         assert calls == 1
         # a copy with more blocks finalizes on its own
         m = essential_graph(g).marks
-        x, y = m.edges_blocked_at_one_end()[0]
+        x, y = edges_blocked_at_one_end(m)[0]
         h = m.with_blocks([(y, x)])
         assert m.finalize() is m.finalize()
         assert h.finalize().has_undirected(x, y) and m.finalize().has_directed(x, y)

@@ -18,6 +18,7 @@ from ampcg import (
     split,
     strong_oracle,
 )
+from ampcg import graphs
 from ampcg.errors import InfeasibleMergeError, InfeasibleSplitError, NotComponentsError
 from ampcg.transform import _split_candidates, _split_result, has_feasible_split
 
@@ -25,6 +26,25 @@ from .support import cg, greedy_maximally_oriented
 
 
 class TestFeasibleMerge:
+    def test_merges_read_the_order_computed_at_construction(self, monkeypatch):
+        calls = 0
+        order = graphs._component_order
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return order(*args)
+
+        monkeypatch.setattr(graphs, "_component_order", counted)
+        g = random_chain_graph(random.Random(30), node_names(30), 0.04, 0.07)
+        assert calls == 1
+        merges = feasible_merges(g)
+        for _ in range(3):
+            assert feasible_merges(g) == merges
+            assert chain_components(g) is chain_components(g)
+        assert len(chain_components(g).components) > 10
+        assert calls == 1
+
     def test_collider_merge_is_feasible(self):
         g = cg("ABC", [("A", "B"), ("C", "B")])
         assert feasible_merge_check(g, {"A"}, {"B"})
