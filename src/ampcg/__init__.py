@@ -20,7 +20,6 @@ from .causal import (
 from .equivalence import (
     EquivalenceClass,
     StrongEdgeSummary,
-    Triplex,
     enumerate_class,
     equivalent,
     essential_from_class,

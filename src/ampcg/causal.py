@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Literal
 
-from .equivalence import _triplex_flanks, enumerate_class
+from .equivalence import _flanks, _triplex_flanks, enumerate_class
 from .errors import (
     MixedStrongNeighborsError,
     NotNonStrongNeighborError,
@@ -27,6 +27,8 @@ from .strong import StrongLabeling
 
 Mode = Literal["class", "maxoriented", "superset"]
 MODES = ("class", "maxoriented", "superset")
+#: most nodes in the `superset` base, whose every subset becomes a set
+SUPERSET_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -85,16 +87,7 @@ def locally_valid(labeling: StrongLabeling, x: NodeId, s: Iterable[NodeId]) -> b
         raise NotNonStrongNeighborError(
             f"{sorted(s - partition.nst)} are not non-strong neighbors of {x!r}"
         )
-    into = eg.parent_map[x] | s
-    und = partition.st
-    allowed = _triplex_flanks(eg, x)
-    for a, b in combinations(sorted(into | und), 2):
-        if eg.is_adjacent(a, b):
-            continue
-        if a in into or b in into:
-            if pair(a, b) not in allowed:
-                return False
-    return True
+    return _flanks(eg, eg.parent_map[x] | s, partition.st) <= _triplex_flanks(eg, x)
 
 
 def enumerate_adjusting_sets(
@@ -102,7 +95,6 @@ def enumerate_adjusting_sets(
     x: NodeId,
     mode: Mode,
     max_edges: int = 16,
-    superset_cap: int = 20,
 ) -> frozenset[AdjustingSet]:
     """Candidate adjusting sets for x under the chosen strategy.
 
@@ -142,9 +134,9 @@ def enumerate_adjusting_sets(
     if mode == "superset":
         ad = family(eg, {x}, "ad")
         base = sorted((ad | family(eg, ad, "ad")) - {x})
-        if len(base) > superset_cap:
+        if len(base) > SUPERSET_CAP:
             raise TooLargeError(
-                f"superset base of {len(base)} nodes exceeds the cap of {superset_cap}"
+                f"superset base of {len(base)} nodes exceeds the cap of {SUPERSET_CAP}"
             )
         out = set()
         for size in range(len(base) + 1):

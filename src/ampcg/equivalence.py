@@ -1,10 +1,11 @@
 """Triplexes, Markov equivalence, and brute-force class enumeration.
 
-Two chain graphs are Markov equivalent exactly when they share adjacencies
-and triplexes, so the brute-force oracle enumerates orientation assignments
-of a skeleton and keeps the valid chain graphs with the right triplex set.
-The enumeration stays independent of the constructive algorithms it is used
-to verify.
+This module holds the one triplex test: `_is_triplex` on the two edge marks
+at a middle node, `_flanks` on the nodes around it.  Two chain graphs are
+Markov equivalent exactly when they share adjacencies and triplexes, so the
+brute-force oracle enumerates orientation assignments of a skeleton and
+keeps the valid chain graphs with the right triplex set.  The enumeration
+stays independent of the constructive algorithms it is used to verify.
 """
 
 from __future__ import annotations
@@ -18,57 +19,53 @@ from .graphs import ChainGraph, NodeId, pair
 
 #: edge states inside the enumerator: undirected / a->b / b->a for a canonical pair (a, b)
 _UND, _FWD, _REV = 0, 1, 2
-#: roles of an edge end at a candidate triplex middle
-_R_UND, _R_IN, _R_OUT = 0, 1, 2
+
+#: the mark of an edge at one of its ends: an arrowhead into it, a tail, or neither
+HEAD = "head"
+TAIL = "tail"
+UND = "und"
 
 
-@dataclass(frozen=True)
-class Triplex:
-    """An induced pattern with arrow-or-undirected edges into `middle`.
+def _is_triplex(mark: str, other: str) -> bool:
+    """Do two edge marks at a middle node make a triplex there?
 
-    The flanks are non-adjacent and at least one flank edge points into the
-    middle node.
+    At least one arrowhead into the middle and no tail out of it; the far
+    ends must also be non-adjacent for a triplex of the graph.
     """
+    return TAIL not in (mark, other) and HEAD in (mark, other)
 
-    middle: NodeId
-    flanks: frozenset[NodeId]
 
-    def sort_key(self) -> tuple[NodeId, tuple[NodeId, ...]]:
-        return (self.middle, tuple(sorted(self.flanks)))
+def _flanks(
+    g: ChainGraph, heads: frozenset[NodeId], others: frozenset[NodeId]
+) -> set[tuple[NodeId, NodeId]]:
+    """Non-adjacent pairs {a, c} with a in `heads` and c in `heads | others`.
+
+    With the nodes pointing into a middle node as `heads` and its undirected
+    neighbors as `others`, these are the flanks of the triplexes at it.
+    """
+    near = heads | others
+    return {pair(a, c) for a in heads for c in near - g.adjacency[a] if c != a}
 
 
 def _triplex_flanks(g: ChainGraph, b: NodeId) -> set[tuple[NodeId, NodeId]]:
     """Flank pairs of the triplexes whose middle node is b."""
-    out = set()
-    into_or_und = sorted(g.parent_map[b] | g.neighbor_map[b])
-    for a, c in combinations(into_or_und, 2):
-        if g.is_adjacent(a, c):
-            continue
-        if a in g.parent_map[b] or c in g.parent_map[b]:
-            out.add(pair(a, c))
-    return out
+    return _flanks(g, g.parent_map[b], g.neighbor_map[b])
 
 
 #: triplexes as (middle, sorted flank pair) keys
 TriplexKeys = frozenset[tuple[NodeId, tuple[NodeId, NodeId]]]
 
 
-def _triplex_keys(g: ChainGraph) -> TriplexKeys:
+def triplexes(g: ChainGraph) -> TriplexKeys:
+    """All triplexes of the graph, as (middle, sorted flank pair) keys."""
     return frozenset((b, fl) for b in g.nodes for fl in _triplex_flanks(g, b))
-
-
-def triplexes(g: ChainGraph) -> frozenset[Triplex]:
-    """All triplexes of the graph."""
-    return frozenset(
-        Triplex(middle=b, flanks=frozenset(fl)) for b, fl in _triplex_keys(g)
-    )
 
 
 def equivalent(g: ChainGraph, h: ChainGraph) -> bool:
     """Same adjacencies and same triplexes."""
     if g.nodes != h.nodes:
         raise NodeSetMismatchError(f"node sets differ: {sorted(g.nodes)} vs {sorted(h.nodes)}")
-    return g.skeleton == h.skeleton and _triplex_keys(g) == _triplex_keys(h)
+    return g.skeleton == h.skeleton and triplexes(g) == triplexes(h)
 
 
 @dataclass(frozen=True)
@@ -160,17 +157,12 @@ def _class_states(g: ChainGraph) -> tuple[list[tuple[NodeId, NodeId]], list[tupl
     nodes = g.sorted_nodes
     edges = _ordered_edges(g)
     index = {e: i for i, e in enumerate(edges)}
-    target = _triplex_keys(g)
-
-    # role of edge (a, b) at one of its endpoints, per state
-    def roles(edge: tuple[NodeId, NodeId], at: NodeId) -> tuple[int, int, int]:
-        if at == edge[1]:
-            return (_R_UND, _R_IN, _R_OUT)
-        return (_R_UND, _R_OUT, _R_IN)
+    target = triplexes(g)
 
     # candidate triples (two skeleton edges at a middle with non-adjacent far
-    # endpoints), attached to the later edge in assignment order
-    checks: list[list[tuple[int, tuple, tuple, bool]]] = [[] for _ in edges]
+    # endpoints), attached to the later edge in assignment order with the
+    # (earlier state, later state) pairs that match the target triplex set
+    checks: list[list[tuple[int, frozenset[tuple[int, int]]]]] = [[] for _ in edges]
     for b in nodes:
         incident = sorted(e for e in edges if b in e)
         for e1, e2 in combinations(incident, 2):
@@ -183,7 +175,16 @@ def _class_states(g: ChainGraph) -> tuple[list[tuple[NodeId, NodeId]], list[tupl
             if i > j:
                 i, j = j, i
                 e1, e2 = e2, e1
-            checks[j].append((i, roles(e1, b), roles(e2, b), expected))
+            # the mark at b of each edge, per state
+            m1 = (UND, HEAD, TAIL) if e1[1] == b else (UND, TAIL, HEAD)
+            m2 = (UND, HEAD, TAIL) if e2[1] == b else (UND, TAIL, HEAD)
+            allowed = frozenset(
+                (si, sj)
+                for si in (_UND, _FWD, _REV)
+                for sj in (_UND, _FWD, _REV)
+                if _is_triplex(m1[si], m2[sj]) == expected
+            )
+            checks[j].append((i, allowed))
 
     states: list[int] = [0] * len(edges)
     out: list[tuple[int, ...]] = []
@@ -196,19 +197,10 @@ def _class_states(g: ChainGraph) -> tuple[list[tuple[NodeId, NodeId]], list[tupl
             return
         for s in (_UND, _FWD, _REV):
             states[k] = s
-            ok = True
-            for i, r1, r2, expected in checks[k]:
-                a_role = r1[states[i]]
-                b_role = r2[s]
-                is_triplex = (
-                    a_role != _R_OUT
-                    and b_role != _R_OUT
-                    and (a_role == _R_IN or b_role == _R_IN)
-                )
-                if is_triplex != expected:
-                    ok = False
+            for i, allowed in checks[k]:
+                if (states[i], s) not in allowed:
                     break
-            if ok:
+            else:
                 rec(k + 1)
 
     rec(0)

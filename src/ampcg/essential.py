@@ -80,7 +80,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .equivalence import TriplexKeys, _triplex_keys
+from .equivalence import TriplexKeys, triplexes
 from .graphs import ChainGraph, NodeId, pair
 
 RULE_NAMES = ("R1", "R2", "R3", "R4")
@@ -146,10 +146,6 @@ class MarkedGraph:
 
     def is_blocked(self, end: NodeId, other: NodeId) -> bool:
         return (end, other) in self.blocked
-
-    def singly_blocked(self, end: NodeId, other: NodeId) -> bool:
-        """Blocked at `end` and plain at `other` (finalizes to end -> other)."""
-        return (end, other) in self.blocked and (other, end) not in self.blocked
 
     def plain_edge(self, u: NodeId, v: NodeId) -> bool:
         return (u, v) not in self.blocked and (v, u) not in self.blocked
@@ -418,7 +414,7 @@ def essential_graph(g: ChainGraph) -> EssentialGraphResult:
     rest is already closed); finalization of the marks into a chain graph.  The
     marks are returned as well so strong-edge labeling can resume from them.
     """
-    t = _triplex_keys(g)
+    t = triplexes(g)
     fixpoint = apply_rules_R(unmarked_skeleton(g), t, rules=RULE_NAMES)
     m = double_block_chordless_cycles(fixpoint)
     m = apply_rules_R(m, t, rules=("R2", "R3", "R4"), new=m.blocked - fixpoint.blocked)

@@ -11,11 +11,11 @@ observational covariances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .causal import MODES, AdjustingSet, adjusting_set, enumerate_adjusting_sets
+from .causal import AdjustingSet, Mode, enumerate_adjusting_sets
 from .errors import (
     ModelError,
     SingularRegressionError,
@@ -286,33 +286,21 @@ def bound_effect(
     labeling: StrongLabeling,
     x: NodeId,
     y: NodeId,
-    mode: Literal["class", "maxoriented", "superset", "true"],
-    true_graph: ChainGraph | None = None,
+    mode: Mode,
     truth: float | None = None,
     max_edges: int = 16,
-    superset_cap: int = 20,
 ) -> EffectBoundReport:
     """Evaluate the adjusted effect over every candidate adjusting set.
 
-    Modes class/maxoriented/superset enumerate sets from the essential graph;
-    mode "true" uses the single adjusting set of a known generating graph.
-    Sets containing y contribute 0 by the adjusted-effect convention.
+    The modes class/maxoriented/superset enumerate sets from the essential
+    graph.  Sets containing y contribute 0 by the adjusted-effect convention.
     """
     if x == y:
         raise ValueError("treatment and outcome must differ")
-    if mode == "true":
-        if true_graph is None:
-            raise ValueError("mode 'true' needs the generating graph")
-        sets = [AdjustingSet(nodes=adjusting_set(true_graph, x))]
-    elif mode in MODES:
-        sets = sorted(
-            enumerate_adjusting_sets(
-                labeling, x, mode, max_edges=max_edges, superset_cap=superset_cap
-            ),
-            key=AdjustingSet.sort_key,
-        )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    sets = sorted(
+        enumerate_adjusting_sets(labeling, x, mode, max_edges=max_edges),
+        key=AdjustingSet.sort_key,
+    )
     cov = _as_covariance(source)
     entries = tuple((aset, adjusted_effect(cov, x, y, aset.nodes)) for aset in sets)
     values = [value for _, value in entries]

@@ -13,7 +13,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Literal, Sequence
 
 from .errors import (
@@ -45,13 +45,15 @@ def pair(u: NodeId, v: NodeId) -> tuple[NodeId, NodeId]:
 class ChainGraph:
     """A set of nodes with directed (tail, head) and undirected edges.
 
-    Every instance has no semidirected cycle: the constructor computes the
-    chain components in topological order once, keeps them for
-    :func:`chain_components`, and raises SemidirectedCycleError when there is
-    no such order.  Undirected edges are stored with endpoints in canonical
-    sorted order.  Edges from outside the package should go through
-    :func:`validate_chain_graph`, which also rejects bad names, unknown nodes,
-    self-loops and duplicate pair-edges.
+    Every instance is well formed and has no semidirected cycle.  The
+    constructor rejects an edge end outside `nodes` (UnknownNodeError), a
+    self-loop (SelfLoopError) and an undirected edge not stored in canonical
+    `pair()` order (ValueError).  It then computes the chain components in
+    topological order once, keeps them for :func:`chain_components`, and
+    raises SemidirectedCycleError when there is no such order.  Edges from
+    outside the package should go through :func:`validate_chain_graph`, which
+    also rejects bad names and duplicate pair-edges and canonicalizes the
+    undirected pairs.
     """
 
     nodes: frozenset[NodeId]
@@ -59,6 +61,15 @@ class ChainGraph:
     undirected: frozenset[tuple[NodeId, NodeId]]
 
     def __post_init__(self) -> None:
+        nodes = self.nodes
+        for u, v in chain(self.directed, self.undirected):
+            if u not in nodes or v not in nodes:
+                raise UnknownNodeError(f"unknown node {u if u not in nodes else v!r}")
+            if u == v:
+                raise SelfLoopError(f"self-loop at {u!r}")
+        for a, b in self.undirected:
+            if a > b:
+                raise ValueError(f"undirected edge ({a!r}, {b!r}) is not in pair() order")
         if self._partition is None:
             raise SemidirectedCycleError(
                 _semidirected_cycle_witness(self.nodes, self.directed, self.undirected)
@@ -253,7 +264,8 @@ def validate_chain_graph(
 ) -> ChainGraph:
     """Build a chain graph, rejecting malformed or cyclic edge sets.
 
-    Raises UnknownNodeError, SelfLoopError, DuplicateEdgeError or
+    Raises UnknownNodeError on a bad name, DuplicateEdgeError, or what the
+    ChainGraph constructor raises: UnknownNodeError, SelfLoopError or
     SemidirectedCycleError (with one witness cycle attached).
     """
     node_set = frozenset(nodes)
@@ -264,9 +276,6 @@ def validate_chain_graph(
     undirected = list(undirected)
     seen_pairs: set[tuple[NodeId, NodeId]] = set()
     for u, v in directed + undirected:
-        _check_nodes(node_set, (u, v))
-        if u == v:
-            raise SelfLoopError(f"self-loop at {u!r}")
         key = pair(u, v)
         if key in seen_pairs:
             raise DuplicateEdgeError(f"more than one edge between {key[0]!r} and {key[1]!r}")

@@ -1,10 +1,10 @@
 """Route-based separation for chain graphs, plus a literal route oracle.
 
 A node inside a route is a *triplex occurrence* when the two edges around it
-carry at least one arrowhead into the node and no arrowhead out of it.  A
-route is Z-open when every triplex occurrence lies in Z and every other
-interior occurrence lies outside Z; endpoints impose no constraint.  Routes
-may repeat nodes, so the production test works on the finite quotient of
+carry at least one arrowhead into the node and no arrowhead out of it
+(`equivalence._is_triplex`).  A route is Z-open when every triplex
+occurrence lies in Z and every other interior occurrence lies outside Z;
+endpoints impose no constraint.  Routes may repeat nodes, so the production test works on the finite quotient of
 (node, entry-mark) states instead of enumerating routes.
 """
 
@@ -13,12 +13,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
+from .equivalence import HEAD, TAIL, UND, _is_triplex
 from .errors import InvalidQueryError
 from .graphs import ChainGraph, NodeId
-
-HEAD = "head"
-TAIL = "tail"
-UND = "und"
 
 
 def _mark_at(g: ChainGraph, node: NodeId, other: NodeId) -> str:
@@ -28,10 +25,6 @@ def _mark_at(g: ChainGraph, node: NodeId, other: NodeId) -> str:
     if g.has_directed(node, other):
         return TAIL
     return UND
-
-
-def _is_triplex(entry: str, exit_: str) -> bool:
-    return TAIL not in (entry, exit_) and HEAD in (entry, exit_)
 
 
 def _check_query(

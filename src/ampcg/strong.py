@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .equivalence import TriplexKeys, _triplex_keys
+from .equivalence import TriplexKeys, triplexes
 from .errors import InvalidStateError, InvariantViolationError, SemidirectedCycleError
 from .essential import (
     MarkedGraph,
@@ -104,7 +104,7 @@ def _verify_candidate_state(h: MarkedGraph, eg_triplexes: TriplexKeys) -> None:
         oriented = h.finalize()
     except SemidirectedCycleError as exc:
         raise InvariantViolationError(f"finalization yields a {exc}") from exc
-    extra = _triplex_keys(oriented) - eg_triplexes
+    extra = triplexes(oriented) - eg_triplexes
     if extra:
         raise InvariantViolationError(f"finalization created triplexes {sorted(extra)}")
 
@@ -128,7 +128,7 @@ def label_strong(
     tri = _triplex_masks(m.index, t)
     _check_line6_fixpoint(m, tri)
     eg = m.finalize()
-    eg_triplexes = _triplex_keys(eg) if check_invariants else frozenset()
+    eg_triplexes = triplexes(eg) if check_invariants else frozenset()
     pre = _pretriplexes_by_end(m)
     out, inn = m.block_masks
     strong_arrows = set(accelerator_labels(m))

@@ -105,6 +105,11 @@ def merge(
         raise InfeasibleMergeError(
             f"merging {sorted(upper)} into {sorted(lower)} is not feasible"
         )
+    return _merged(g, upper, lower)
+
+
+def _merged(g: ChainGraph, upper: frozenset[NodeId], lower: frozenset[NodeId]) -> ChainGraph:
+    """`merge` without its feasibility check, for merges already checked."""
     moved = {(u, v) for u, v in g.directed if u in upper and v in lower}
     return ChainGraph(
         g.nodes, g.directed - moved, g.undirected | {pair(u, v) for u, v in moved}
@@ -195,10 +200,7 @@ def class_by_merge_split(g: ChainGraph, max_edges: int = 16) -> EquivalenceClass
     frontier = [g]
     while frontier:
         cur = frontier.pop()
-        neighbors = []
-        for cu, cl in _merge_candidates(cur):
-            if feasible_merge_check(cur, cu, cl):
-                neighbors.append(merge(cur, cu, cl))
+        neighbors = [_merged(cur, cu, cl) for cu, cl in feasible_merges(cur)]
         for comp, upper in _split_candidates(cur):
             result = _split_result(cur, comp, upper)
             if result is not None:

@@ -15,9 +15,9 @@ from ampcg import (
     pair,
     random_chain_graph,
     separated,
+    triplexes,
     validate_chain_graph,
 )
-from ampcg.equivalence import _triplex_keys
 from ampcg.essential import RULE_NAMES, MarkedGraph
 from ampcg.graphs import _undirected_components
 from ampcg.transform import _split_candidates, _split_result
@@ -41,7 +41,7 @@ def derive_classes(graphs) -> dict[ChainGraph, EquivalenceClass]:
     for members in by_skeleton.values():
         by_triplexes = defaultdict(set)
         for m in members:
-            by_triplexes[_triplex_keys(m)].add(m)
+            by_triplexes[triplexes(m)].add(m)
         for mset in by_triplexes.values():
             cls = EquivalenceClass(members=frozenset(mset))
             for m in mset:
@@ -96,13 +96,18 @@ def doubly_blocked(m: MarkedGraph, u, v) -> bool:
     return (u, v) in m.blocked and (v, u) in m.blocked
 
 
+def singly_blocked(m: MarkedGraph, end, other) -> bool:
+    """Blocked at `end` and plain at `other` (finalizes to end -> other)."""
+    return (end, other) in m.blocked and (other, end) not in m.blocked
+
+
 def edges_blocked_at_one_end(m: MarkedGraph) -> list[tuple[str, str]]:
     """All (x, y) with the edge blocked at x only, in sorted edge order."""
     out = []
     for a, b in sorted(m.skeleton):
-        if m.singly_blocked(a, b):
+        if singly_blocked(m, a, b):
             out.append((a, b))
-        elif m.singly_blocked(b, a):
+        elif singly_blocked(m, b, a):
             out.append((b, a))
     return out
 

@@ -11,6 +11,7 @@ from ampcg import (
     st_nst,
     strong_labeling,
 )
+from ampcg.causal import SUPERSET_CAP
 from ampcg.errors import NotNonStrongNeighborError, TooLargeError, UnknownNodeError
 from ampcg.transform import maximally_oriented_members
 
@@ -100,9 +101,10 @@ class TestEnumerateAdjustingSets:
         assert len(sets) == 8
 
     def test_superset_cap(self):
-        lab = strong_labeling(cg("ABCD", [("A", "B"), ("C", "B")], [("C", "D")]))
+        leaves = [f"L{i}" for i in range(SUPERSET_CAP + 1)]
+        lab = strong_labeling(cg(["X", *leaves], (), [("X", leaf) for leaf in leaves]))
         with pytest.raises(TooLargeError):
-            enumerate_adjusting_sets(lab, "C", "superset", superset_cap=2)
+            enumerate_adjusting_sets(lab, "X", "superset")
 
     def test_class_sets_fit_inside_the_superset_base(self):
         from ampcg.graphs import family

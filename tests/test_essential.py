@@ -18,9 +18,9 @@ from ampcg import (
     pair,
     random_chain_graph,
     separated,
+    triplexes,
     unmarked_skeleton,
 )
-from ampcg.equivalence import _triplex_keys
 from ampcg.essential import RULE_NAMES, MarkedGraph, _path_exists
 from ampcg.strong import _s3
 
@@ -34,6 +34,7 @@ from .support import (
     marked_graphs,
     r3_instances,
     set_path_exists,
+    singly_blocked,
     sweep_fixpoint,
     undirected_grid,
 )
@@ -48,7 +49,7 @@ class TestTriplexMembership:
         for _ in range(150):
             g = random_chain_graph(rnd, node_names(rnd.randint(3, 6)),
                                    p_undirected=0.3, p_directed=0.3)
-            t = _triplex_keys(g)
+            t = triplexes(g)
             for a, c in combinations(g.sorted_nodes, 2):
                 if g.is_adjacent(a, c):
                     continue
@@ -66,17 +67,17 @@ class TestTriplexMembership:
 class TestRules:
     def test_r1_blocks_both_far_ends(self):
         g = cg("ABC", [("A", "B"), ("C", "B")])
-        m = apply_rules_R(unmarked_skeleton(g), _triplex_keys(g), rules=("R1",))
+        m = apply_rules_R(unmarked_skeleton(g), triplexes(g), rules=("R1",))
         assert m.blocked == {("A", "B"), ("C", "B")}
 
     def test_r1_respects_separator_membership(self):
         g = cg("ABC", [("A", "B"), ("B", "C")])
-        m = apply_rules_R(unmarked_skeleton(g), _triplex_keys(g))
+        m = apply_rules_R(unmarked_skeleton(g), triplexes(g))
         assert not m.blocked
 
     def test_r2_propagates_from_a_block(self):
         g = cg("ABCD", [("A", "C"), ("B", "C"), ("C", "D")])
-        m = apply_rules_R(unmarked_skeleton(g), _triplex_keys(g))
+        m = apply_rules_R(unmarked_skeleton(g), triplexes(g))
         assert ("C", "D") in m.blocked and ("D", "C") not in m.blocked
 
     def test_fixpoint_is_order_independent(self):
@@ -84,7 +85,7 @@ class TestRules:
         for trial in range(100):
             g = random_chain_graph(rnd, node_names(rnd.randint(3, 6)),
                                    p_undirected=0.3, p_directed=0.3)
-            t = _triplex_keys(g)
+            t = triplexes(g)
             m0 = unmarked_skeleton(g)
             reference = apply_rules_R(m0, t)
             for k in range(10):
@@ -94,12 +95,12 @@ class TestRules:
     def test_unknown_rule_rejected(self):
         g = cg("AB", [], [("A", "B")])
         with pytest.raises(ValueError):
-            apply_rules_R(unmarked_skeleton(g), _triplex_keys(g), rules=("R9",))
+            apply_rules_R(unmarked_skeleton(g), triplexes(g), rules=("R9",))
 
     def test_new_blocks_must_be_blocks_of_m(self):
         g = cg("AB", [], [("A", "B")])
         with pytest.raises(ValueError, match="not blocks of m"):
-            apply_rules_R(unmarked_skeleton(g), _triplex_keys(g), new={("A", "B")})
+            apply_rules_R(unmarked_skeleton(g), triplexes(g), new={("A", "B")})
 
 
 @settings(max_examples=150, deadline=None)
@@ -165,8 +166,8 @@ def _exact_s3(m, orders):
         for o in orders
         if len(o) >= 4
         and all((u, w) in m.blocked for u, w in zip(o[:-1], o[1:-1]))
-        and m.singly_blocked(o[-2], o[-1])
-        and m.singly_blocked(o[0], o[-1])
+        and singly_blocked(m, o[-2], o[-1])
+        and singly_blocked(m, o[0], o[-1])
     }
 
 
@@ -234,7 +235,7 @@ def test_reachability_rules_match_exact_search_on_reachable_states():
     for _ in range(400):
         g = random_chain_graph(rnd, node_names(rnd.randint(4, 7)),
                                p_undirected=0.4, p_directed=0.25)
-        t = _triplex_keys(g)
+        t = triplexes(g)
         m = unmarked_skeleton(g)
         orders[g.skeleton] = chordless_cycle_orders(m)
         m = both_fixpoints(m, t, RULE_NAMES)
@@ -286,7 +287,7 @@ class TestEssentialGraph:
         g = cg("ABC", [("A", "B"), ("C", "B")])
         result = essential_graph(g)
         assert isinstance(result.marks, MarkedGraph)
-        assert result.triplexes == _triplex_keys(g)
+        assert result.triplexes == triplexes(g)
         assert result.marks.finalize() == result.graph
 
     def test_degenerate_graphs(self):

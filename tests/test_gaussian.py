@@ -178,16 +178,6 @@ class TestBoundEffect:
         report = bound_effect(cov, lab, "B", "C", "class")
         assert [sorted(aset.nodes) for aset, _ in report.entries] == [["A", "C"]]
 
-    def test_true_mode_matches_truth(self):
-        g = cg("ABC", [("A", "B"), ("B", "C")])
-        m = random_model(g, seed=21)
-        cov = population_covariance(m)
-        lab = strong_labeling(g)
-        truth = true_effect(m, "A", "C")
-        report = bound_effect(cov, lab, "A", "C", "true", true_graph=g, truth=truth)
-        assert len(report.entries) == 1
-        assert report.entries[0][1] == pytest.approx(truth, abs=1e-9)
-
     def test_class_mode_covers_the_generating_member(self):
         rnd = random.Random(51)
         for trial in range(60):

@@ -49,6 +49,18 @@ class TestValidation:
             validate_chain_graph("ABC", directed)
         assert str(built.value) == str(validated.value) == "semidirected cycle: A -> B -> C -> A"
 
+    def test_constructor_rejects_an_unknown_endpoint(self):
+        with pytest.raises(UnknownNodeError, match="unknown node 'B'"):
+            ChainGraph(frozenset("A"), frozenset({("A", "B")}), frozenset())
+
+    def test_constructor_rejects_a_self_loop(self):
+        with pytest.raises(SelfLoopError, match="self-loop at 'A'"):
+            ChainGraph(frozenset("AB"), frozenset(), frozenset({("A", "A")}))
+
+    def test_constructor_rejects_an_undirected_pair_out_of_order(self):
+        with pytest.raises(ValueError, match="pair"):
+            ChainGraph(frozenset("AB"), frozenset(), frozenset({("B", "A")}))
+
     def test_collider_is_valid(self):
         g = cg("ABC", [("A", "B"), ("C", "B")])
         assert g.directed == {("A", "B"), ("C", "B")}

@@ -1,6 +1,7 @@
 import csv
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ampcg import (
     MarkedGraph,
     StrongLabeling,
     essential_graph,
+    pair,
     parse_graph,
     random_model,
     read_dataset,
@@ -120,7 +122,7 @@ class TestJsonWriter:
         docs = [empty, lone, edge]
         docs += [essential_graph(g).marks for g in docs] + [strong_labeling(g) for g in docs]
         docs += [
-            ChainGraph(frozenset(odd), frozenset({odd[:2]}), frozenset({odd[1:]})),
+            ChainGraph(frozenset(odd), frozenset({odd[:2]}), frozenset({pair(*odd[1:])})),
             MarkedGraph(frozenset(odd), frozenset({odd[:2]}), frozenset({odd[1::-1]})),
             StrongLabeling(
                 ChainGraph(frozenset(odd), frozenset({odd[:2]}), frozenset()),
@@ -217,7 +219,7 @@ def graph_file(tmp_path):
 class TestCli:
     def test_validate_round_trip(self, graph_file, capsys):
         assert cli(["validate", graph_file]) == 0
-        assert parse_graph(capsys.readouterr().out) == parse_graph(open(graph_file).read())
+        assert parse_graph(capsys.readouterr().out) == parse_graph(Path(graph_file).read_text())
 
     def test_usage_error_is_exit_one(self, capsys):
         assert cli(["no-such-command"]) == 1

@@ -16,6 +16,11 @@ class TestSeparated:
         assert separated(g, "A", "C")
         assert not separated(g, "A", "C", "B")
 
+    def test_chain_and_fork_open_until_the_middle_is_given(self):
+        for g in (cg("ABC", [("A", "B"), ("B", "C")]), cg("ABC", [("B", "A"), ("B", "C")])):
+            assert not separated(g, "A", "C")
+            assert separated(g, "A", "C", "B")
+
     def test_flag_pattern(self):
         g = cg("ABC", [("A", "B")], [("B", "C")])
         assert separated(g, "A", "C")

@@ -18,9 +18,14 @@ from ampcg import (
     split,
     strong_oracle,
 )
-from ampcg import graphs
+from ampcg import graphs, transform
 from ampcg.errors import InfeasibleMergeError, InfeasibleSplitError, NotComponentsError
-from ampcg.transform import _split_candidates, _split_result, has_feasible_split
+from ampcg.transform import (
+    _merge_candidates,
+    _split_candidates,
+    _split_result,
+    has_feasible_split,
+)
 
 from .support import cg, greedy_maximally_oriented
 
@@ -181,3 +186,16 @@ class TestClassByMergeSplit:
             g = random_chain_graph(rnd, node_names(rnd.randint(2, 5)),
                                    p_undirected=0.3, p_directed=0.3)
             assert class_by_merge_split(g).members == enumerate_class(g).members
+
+    def test_one_feasibility_check_per_merge_candidate(self, monkeypatch):
+        checks = 0
+        check = transform.feasible_merge_check
+
+        def counted(*args):
+            nonlocal checks
+            checks += 1
+            return check(*args)
+
+        monkeypatch.setattr(transform, "feasible_merge_check", counted)
+        cls = class_by_merge_split(cg("ABCD", [("A", "B"), ("C", "B")], [("C", "D")]))
+        assert checks == sum(len(list(_merge_candidates(m))) for m in cls)
