@@ -87,7 +87,11 @@ def locally_valid(labeling: StrongLabeling, x: NodeId, s: Iterable[NodeId]) -> b
         raise NotNonStrongNeighborError(
             f"{sorted(s - partition.nst)} are not non-strong neighbors of {x!r}"
         )
-    return _flanks(eg, eg.parent_map[x] | s, partition.st) <= _triplex_flanks(eg, x)
+    index = eg.index
+    pos = index.pos
+    heads = index.pa[pos[x]] | sum(1 << pos[n] for n in s)
+    others = sum(1 << pos[n] for n in partition.st)
+    return _flanks(index, heads, others) <= _triplex_flanks(eg, pos[x])
 
 
 def enumerate_adjusting_sets(

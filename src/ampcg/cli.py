@@ -56,6 +56,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _non_negative(text: str) -> int:
+    """An argparse type: a base-10 integer that is at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _load_graph(path: str) -> ChainGraph:
     with open(path) as fh:
         return parse_graph(fh.read())
@@ -324,9 +335,9 @@ def _build_parser() -> _Parser:
         "--format", choices=("text", "json", "dot"), default="text",
         help="output format (default: text)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument("--seed", type=_non_negative, default=0, help="random seed")
     parser.add_argument(
-        "--max-edges", type=int, default=16, help="cap for class enumerations"
+        "--max-edges", type=_non_negative, default=16, help="cap for class enumerations"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,11 +1,12 @@
 """Triplexes, Markov equivalence, and brute-force class enumeration.
 
 This module holds the one triplex test: `_is_triplex` on the two edge marks
-at a middle node, `_flanks` on the nodes around it.  Two chain graphs are
-Markov equivalent exactly when they share adjacencies and triplexes, so the
-brute-force oracle enumerates orientation assignments of a skeleton and
-keeps the valid chain graphs with the right triplex set.  The enumeration
-stays independent of the constructive algorithms it is used to verify.
+at a middle node, `_flanks` on the masks of the nodes around it (read from
+`ChainGraph.index`).  Two chain graphs are Markov equivalent exactly when
+they share adjacencies and triplexes, so the brute-force oracle enumerates
+orientation assignments of a skeleton and keeps the valid chain graphs with
+the right triplex set.  The enumeration stays independent of the
+constructive algorithms it is used to verify.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from .errors import EmptyClassError, NodeSetMismatchError, TooLargeError
-from .graphs import ChainGraph, NodeId, pair
+from .graphs import ChainGraph, NodeId, NodeIndex, pair
 
 #: edge states inside the enumerator: undirected / a->b / b->a for a canonical pair (a, b)
 _UND, _FWD, _REV = 0, 1, 2
@@ -35,21 +36,35 @@ def _is_triplex(mark: str, other: str) -> bool:
     return TAIL not in (mark, other) and HEAD in (mark, other)
 
 
-def _flanks(
-    g: ChainGraph, heads: frozenset[NodeId], others: frozenset[NodeId]
-) -> set[tuple[NodeId, NodeId]]:
-    """Non-adjacent pairs {a, c} with a in `heads` and c in `heads | others`.
+def _flanks(index: NodeIndex, heads: int, others: int) -> set[tuple[int, int]]:
+    """Non-adjacent pairs {a, c}, as sorted positions, with a in the mask
+    `heads` and c in `heads | others`.
 
     With the nodes pointing into a middle node as `heads` and its undirected
     neighbors as `others`, these are the flanks of the triplexes at it.
     """
+    adj = index.adj
     near = heads | others
-    return {pair(a, c) for a in heads for c in near - g.adjacency[a] if c != a}
+    found = set()
+    x = heads
+    while x:
+        low = x & -x
+        a = low.bit_length() - 1
+        x ^= low
+        y = near & ~adj[a] & ~low
+        while y:
+            bit = y & -y
+            c = bit.bit_length() - 1
+            found.add((a, c) if a < c else (c, a))
+            y ^= bit
+    return found
 
 
-def _triplex_flanks(g: ChainGraph, b: NodeId) -> set[tuple[NodeId, NodeId]]:
-    """Flank pairs of the triplexes whose middle node is b."""
-    return _flanks(g, g.parent_map[b], g.neighbor_map[b])
+def _triplex_flanks(g: ChainGraph, b: int) -> set[tuple[int, int]]:
+    """Flank pairs, as sorted positions, of the triplexes whose middle node
+    is at position b."""
+    index = g.index
+    return _flanks(index, index.pa[b], index.ne[b])
 
 
 #: triplexes as (middle, sorted flank pair) keys
@@ -58,7 +73,14 @@ TriplexKeys = frozenset[tuple[NodeId, tuple[NodeId, NodeId]]]
 
 def triplexes(g: ChainGraph) -> TriplexKeys:
     """All triplexes of the graph, as (middle, sorted flank pair) keys."""
-    return frozenset((b, fl) for b in g.nodes for fl in _triplex_flanks(g, b))
+    index = g.index
+    names = index.nodes
+    return frozenset(
+        (names[b], (names[a], names[c]))
+        for b, heads in enumerate(index.pa)
+        if heads
+        for a, c in _flanks(index, heads, index.ne[b])
+    )
 
 
 def equivalent(g: ChainGraph, h: ChainGraph) -> bool:

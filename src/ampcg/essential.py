@@ -20,10 +20,11 @@ them, so its steps run from a to u and from v to b, and a and b are found by
 one walk each over the blocked steps, backwards from u and forwards from v.
 
 The engine works on integer masks.  `MarkedGraph.index` numbers the nodes in
-sorted order and holds one adjacency mask per node, adj[i]; the blocks are
-two lists of masks, out[i] (the w with (i, w) blocked) and inn[w] (the i
-with (i, w) blocked), and the triplex set becomes tri[b][a], the mask of the
-c with a ~ b ~ c a triplex.  A pending block (u, v) then fires R2 at every c
+sorted order and holds one adjacency mask per node, adj[i]; `unmarked_skeleton`
+takes both from the graph's own `ChainGraph.index`.  The blocks are two lists
+of masks, out[i] (the w with (i, w) blocked) and inn[w] (the i with (i, w)
+blocked), and the triplex set becomes tri[b][a], the mask of the c with
+a ~ b ~ c a triplex.  A pending block (u, v) then fires R2 at every c
 in adj[v] & ~adj[u] & ~bit(u) & ~tri[v][u], and R4 at every a in
 adj[u] & adj[v] & ~inn[v] for which some d lies in
 adj[v] & adj[a] & ~adj[u] & ~bit(u) & inn[v] & ~tri[a][u].  R3's two walks
@@ -81,20 +82,9 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .equivalence import TriplexKeys, triplexes
-from .graphs import ChainGraph, NodeId, pair
+from .graphs import ChainGraph, GraphIndex, Masks, NodeId, NodeIndex
 
 RULE_NAMES = ("R1", "R2", "R3", "R4")
-
-Masks = tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class NodeIndex:
-    """Node positions in sorted order and one adjacency mask per node."""
-
-    nodes: tuple[NodeId, ...]
-    pos: dict[NodeId, int]
-    adj: Masks
 
 
 @dataclass(frozen=True)
@@ -109,9 +99,9 @@ class MarkedGraph:
     skeleton: frozenset[tuple[NodeId, NodeId]]
     blocked: frozenset[tuple[NodeId, NodeId]]
 
-    @cached_property
+    @property
     def sorted_nodes(self) -> tuple[NodeId, ...]:
-        return tuple(sorted(self.nodes))
+        return self.index.nodes
 
     @cached_property
     def adjacency(self) -> dict[NodeId, frozenset[NodeId]]:
@@ -123,7 +113,7 @@ class MarkedGraph:
 
     @cached_property
     def index(self) -> NodeIndex:
-        nodes = self.sorted_nodes
+        nodes = tuple(sorted(self.nodes))
         pos = {n: i for i, n in enumerate(nodes)}
         adj = [0] * len(nodes)
         for a, b in self.skeleton:
@@ -156,17 +146,46 @@ class MarkedGraph:
 
     @cached_property
     def _finalized(self) -> ChainGraph:
-        names = self.index.nodes
-        directed = frozenset((names[x], names[y]) for x, y in _one_end_blocked(self))
-        oriented = {pair(u, v) for u, v in directed}
-        undirected = frozenset(pair(a, b) for a, b in self.skeleton) - oriented
-        return ChainGraph(self.nodes, directed, undirected)
+        """One pass over the edges in position order: an edge blocked at one
+        end becomes an arrow out of it, any other edge an undirected pair.
+        The same pass builds the graph's index; the constructor still runs
+        every check on it."""
+        index = self.index
+        names, adj = index.nodes, index.adj
+        out, inn = self.block_masks
+        pa = [0] * len(names)
+        ne = [0] * len(names)
+        directed = []
+        undirected = []
+        for i, u in enumerate(names):
+            o, n = out[i], inn[i]
+            x = adj[i] >> (i + 1) << (i + 1)
+            while x:
+                low = x & -x
+                w = low.bit_length() - 1
+                x ^= low
+                if not (o ^ n) & low:
+                    ne[i] |= low
+                    ne[w] |= 1 << i
+                    undirected.append((u, names[w]))
+                elif o & low:
+                    pa[w] |= 1 << i
+                    directed.append((u, names[w]))
+                else:
+                    pa[i] |= low
+                    directed.append((names[w], u))
+        return ChainGraph._indexed(
+            self.nodes,
+            frozenset(directed),
+            frozenset(undirected),
+            GraphIndex(names, index.pos, adj, tuple(pa), tuple(ne)),
+        )
 
     def with_blocks(self, additions: Iterable[tuple[NodeId, NodeId]]) -> "MarkedGraph":
         """A copy with `additions` blocked too, sharing this skeleton's
-        `sorted_nodes`, `index` and (once built) `adjacency`."""
+        `index` and (once built) `adjacency`."""
         out = MarkedGraph(self.nodes, self.skeleton, self.blocked | frozenset(additions))
-        out.__dict__.update(sorted_nodes=self.sorted_nodes, index=self.index)
+        out.__dict__["index"] = self.index
         if "adjacency" in self.__dict__:
             out.__dict__["adjacency"] = self.adjacency
         return out
@@ -182,8 +201,12 @@ class MarkedGraph:
 
 
 def unmarked_skeleton(g: ChainGraph) -> MarkedGraph:
-    """The skeleton of g with no blocks."""
-    return MarkedGraph(nodes=g.nodes, skeleton=g.skeleton, blocked=frozenset())
+    """The skeleton of g with no blocks, indexed by g's positions and
+    adjacency masks."""
+    m = MarkedGraph(nodes=g.nodes, skeleton=g.skeleton, blocked=frozenset())
+    index = g.index
+    m.__dict__["index"] = NodeIndex(index.nodes, index.pos, index.adj)
+    return m
 
 
 # ---------------------------------------------------------------------------

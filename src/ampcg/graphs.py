@@ -41,6 +41,54 @@ def pair(u: NodeId, v: NodeId) -> tuple[NodeId, NodeId]:
     return (u, v) if u <= v else (v, u)
 
 
+Masks = tuple[int, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class NodeIndex:
+    """Node positions in sorted order and one adjacency mask per node: bit j
+    of adj[i] is set when nodes[i] ~ nodes[j]."""
+
+    nodes: tuple[NodeId, ...]
+    pos: dict[NodeId, int]
+    adj: Masks
+
+
+@dataclass(frozen=True, eq=False)
+class GraphIndex(NodeIndex):
+    """A chain graph's `NodeIndex`, plus the parents `pa[i]` (the j with
+    nodes[j] -> nodes[i]) and the undirected neighbors `ne[i]` of each node."""
+
+    pa: Masks
+    ne: Masks
+
+
+def _graph_index(
+    nodes: Iterable[NodeId],
+    directed: Iterable[tuple[NodeId, NodeId]],
+    undirected: Iterable[tuple[NodeId, NodeId]],
+) -> GraphIndex:
+    """The index of an edge set whose ends all lie in `nodes`, in one pass
+    over the edges."""
+    names = tuple(sorted(nodes))
+    pos = {n: i for i, n in enumerate(names)}
+    adj = [0] * len(names)
+    pa = [0] * len(names)
+    ne = [0] * len(names)
+    for u, v in directed:
+        i, j = pos[u], pos[v]
+        pa[j] |= 1 << i
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    for a, b in undirected:
+        i, j = pos[a], pos[b]
+        ne[i] |= 1 << j
+        ne[j] |= 1 << i
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return GraphIndex(names, pos, tuple(adj), tuple(pa), tuple(ne))
+
+
 @dataclass(frozen=True)
 class ChainGraph:
     """A set of nodes with directed (tail, head) and undirected edges.
@@ -49,11 +97,11 @@ class ChainGraph:
     constructor rejects an edge end outside `nodes` (UnknownNodeError), a
     self-loop (SelfLoopError) and an undirected edge not stored in canonical
     `pair()` order (ValueError).  It then computes the chain components in
-    topological order once, keeps them for :func:`chain_components`, and
-    raises SemidirectedCycleError when there is no such order.  Edges from
-    outside the package should go through :func:`validate_chain_graph`, which
-    also rejects bad names and duplicate pair-edges and canonicalizes the
-    undirected pairs.
+    topological order once, on the graph's `index`, keeps them for
+    :func:`chain_components`, and raises SemidirectedCycleError when there
+    is no such order.  Edges from outside the package should go through
+    :func:`validate_chain_graph`, which also rejects bad names and duplicate
+    pair-edges and canonicalizes the undirected pairs.
     """
 
     nodes: frozenset[NodeId]
@@ -70,24 +118,51 @@ class ChainGraph:
         for a, b in self.undirected:
             if a > b:
                 raise ValueError(f"undirected edge ({a!r}, {b!r}) is not in pair() order")
-        if self._partition is None:
+        if self._order is None:
             raise SemidirectedCycleError(
                 _semidirected_cycle_witness(self.nodes, self.directed, self.undirected)
             )
 
-    @cached_property
-    def _partition(self) -> ComponentPartition | None:
-        order = _component_order(self.nodes, self.directed, self.undirected)
-        return None if order is None else ComponentPartition(tuple(order))
+    @classmethod
+    def _indexed(
+        cls,
+        nodes: frozenset[NodeId],
+        directed: frozenset[tuple[NodeId, NodeId]],
+        undirected: frozenset[tuple[NodeId, NodeId]],
+        index: GraphIndex,
+    ) -> ChainGraph:
+        """Construct with `index` as the graph's index, for a builder that
+        made it in the same pass as the edges; every check still runs."""
+        g = cls.__new__(cls)
+        g.__dict__.update(nodes=nodes, directed=directed, undirected=undirected, index=index)
+        g.__post_init__()
+        return g
 
     @cached_property
+    def index(self) -> GraphIndex:
+        """Sorted positions with adjacency, parent and neighbor masks, built
+        once per graph."""
+        return _graph_index(self.nodes, self.directed, self.undirected)
+
+    @cached_property
+    def _order(self) -> list[Sequence[int]] | None:
+        return _component_order(self.index)
+
+    @cached_property
+    def _partition(self) -> ComponentPartition:
+        names = self.index.nodes
+        return ComponentPartition(
+            tuple(frozenset([names[i] for i in comp]) for comp in self._order)
+        )
+
+    @property
     def sorted_nodes(self) -> tuple[NodeId, ...]:
-        return tuple(sorted(self.nodes))
+        return self.index.nodes
 
     @cached_property
     def skeleton(self) -> frozenset[tuple[NodeId, NodeId]]:
         """All edges as canonical unordered pairs."""
-        return frozenset(pair(u, v) for u, v in self.directed) | self.undirected
+        return frozenset([(u, v) if u < v else (v, u) for u, v in self.directed]) | self.undirected
 
     @cached_property
     def adjacency(self) -> dict[NodeId, frozenset[NodeId]]:
@@ -187,40 +262,67 @@ def _undirected_components(
     return comps
 
 
-def _component_order(
-    nodes: Iterable[NodeId],
-    directed: Iterable[tuple[NodeId, NodeId]],
-    undirected: Iterable[tuple[NodeId, NodeId]],
-) -> list[frozenset[NodeId]] | None:
-    """Chain components in topological order, or None on a semidirected cycle.
+def _component_order(index: GraphIndex) -> list[Sequence[int]] | None:
+    """Chain components, as node positions, in topological order; None on a
+    semidirected cycle.
 
     A semidirected cycle either holds an arrow inside one undirected
     component or passes through a cycle of the component graph, which Kahn's
-    algorithm then cannot exhaust.  Ties between ready components are broken
-    by their least node name.
+    algorithm then cannot exhaust.  Components are found from the nodes in
+    sorted order, so a component's number is also its rank by least node,
+    and ties between ready components go to the lower number.
     """
-    comps = _undirected_components(nodes, undirected)
-    comp_index = {n: i for i, comp in enumerate(comps) for n in comp}
-    succ: dict[int, set[int]] = {i: set() for i in range(len(comps))}
-    indeg = {i: 0 for i in range(len(comps))}
-    for u, v in directed:
-        cu, cv = comp_index[u], comp_index[v]
-        if cu == cv:
+    pa, ne = index.pa, index.ne
+    comp_of = [-1] * len(ne)
+    members: list[Sequence[int]] = []
+    intos: list[int] = []  # the parents of each component's members
+    for start, nbrs in enumerate(ne):
+        if comp_of[start] >= 0:
+            continue
+        c = len(members)
+        comp_of[start] = c
+        if not nbrs:
+            members.append((start,))
+            intos.append(pa[start])
+            continue
+        stack = [start]
+        seen = 1 << start
+        into = 0
+        for v in stack:
+            into |= pa[v]
+            x = ne[v] & ~seen
+            seen |= x
+            while x:
+                low = x & -x
+                w = low.bit_length() - 1
+                comp_of[w] = c
+                stack.append(w)
+                x ^= low
+        if into & seen:
             return None
-        if cv not in succ[cu]:
-            succ[cu].add(cv)
-            indeg[cv] += 1
-    heap = [(min(comps[i]), i) for i in indeg if indeg[i] == 0]
-    heapq.heapify(heap)
-    order: list[frozenset[NodeId]] = []
+        members.append(stack)
+        intos.append(into)
+    succ: list[list[int]] = [[] for _ in members]
+    indeg = [0] * len(members)
+    for c, into in enumerate(intos):
+        tails = set()
+        while into:
+            low = into & -into
+            tails.add(comp_of[low.bit_length() - 1])
+            into ^= low
+        indeg[c] = len(tails)
+        for p in tails:
+            succ[p].append(c)
+    heap = [c for c, d in enumerate(indeg) if not d]
+    order = []
     while heap:
-        _, i = heapq.heappop(heap)
-        order.append(comps[i])
-        for j in sorted(succ[i]):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(heap, (min(comps[j]), j))
-    return order if len(order) == len(comps) else None
+        c = heapq.heappop(heap)
+        order.append(members[c])
+        for d in succ[c]:
+            indeg[d] -= 1
+            if not indeg[d]:
+                heapq.heappush(heap, d)
+    return order if len(order) == len(members) else None
 
 
 def _semidirected_cycle_witness(

@@ -26,30 +26,33 @@ def parse_graph(text: str) -> ChainGraph:
     """Parse a graph document into a validated chain graph.
 
     The per-line checks name the offending line; the `ChainGraph`
-    constructor then rejects a semidirected cycle.
+    constructor then rejects a semidirected cycle.  Each distinct name is
+    checked once: a name already in `nodes` passed.
     """
     nodes: set[NodeId] = set()
     directed: list[tuple[NodeId, NodeId]] = []
     undirected: list[tuple[NodeId, NodeId]] = []
     seen_pairs: set[tuple[NodeId, NodeId]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
-        if tokens[0] == "node":
-            if len(tokens) != 2 or not is_valid_name(tokens[1]):
-                raise ParseError(lineno, f"expected 'node NAME', got {line!r}")
-            nodes.add(tokens[1])
-        elif tokens[0] == "edge":
+        kind = tokens[0]
+        if kind == "edge":
             if len(tokens) != 4 or tokens[2] not in ("->", "--"):
-                raise ParseError(lineno, f"expected 'edge A -> B' or 'edge A -- B', got {line!r}")
-            a, op, b = tokens[1], tokens[2], tokens[3]
-            if not (is_valid_name(a) and is_valid_name(b)):
-                raise ParseError(lineno, f"invalid node name in {line!r}")
+                raise ParseError(
+                    lineno, f"expected 'edge A -> B' or 'edge A -- B', got {raw.strip()!r}"
+                )
+            _, a, op, b = tokens
+            if (a not in nodes and not is_valid_name(a)) or (
+                b not in nodes and not is_valid_name(b)
+            ):
+                raise ParseError(lineno, f"invalid node name in {raw.strip()!r}")
             if a == b:
                 raise ParseError(lineno, f"self-loop at {a!r}")
-            key = pair(a, b)
+            key = (a, b) if a <= b else (b, a)
             if key in seen_pairs:
                 raise DuplicateEdgeError(
                     f"line {lineno}: more than one edge between {key[0]!r} and {key[1]!r}"
@@ -60,8 +63,12 @@ def parse_graph(text: str) -> ChainGraph:
                 directed.append((a, b))
             else:
                 undirected.append(key)
+        elif kind == "node":
+            if len(tokens) != 2 or (tokens[1] not in nodes and not is_valid_name(tokens[1])):
+                raise ParseError(lineno, f"expected 'node NAME', got {raw.strip()!r}")
+            nodes.add(tokens[1])
         else:
-            raise ParseError(lineno, f"unknown statement {tokens[0]!r}")
+            raise ParseError(lineno, f"unknown statement {kind!r}")
     return ChainGraph(frozenset(nodes), frozenset(directed), frozenset(undirected))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import defaultdict
 from itertools import combinations, permutations
@@ -18,6 +19,7 @@ from ampcg import (
     triplexes,
     validate_chain_graph,
 )
+from ampcg.causal import st_nst
 from ampcg.essential import RULE_NAMES, MarkedGraph
 from ampcg.graphs import _undirected_components
 from ampcg.transform import _split_candidates, _split_result
@@ -47,6 +49,60 @@ def derive_classes(graphs) -> dict[ChainGraph, EquivalenceClass]:
             for m in mset:
                 lookup[m] = cls
     return lookup
+
+
+def set_flanks(g: ChainGraph, heads, others) -> set[tuple[str, str]]:
+    """Non-adjacent pairs {a, c} with a in `heads` and c in `heads | others`,
+    by set arithmetic on names: an oracle for the mask search
+    `equivalence._flanks`."""
+    near = heads | others
+    return {pair(a, c) for a in heads for c in near - g.adjacency[a] if c != a}
+
+
+def set_triplexes(g: ChainGraph):
+    """Every (middle, sorted flank pair) key, by set arithmetic: an oracle for
+    `triplexes`."""
+    return frozenset(
+        (b, fl) for b in g.nodes for fl in set_flanks(g, g.parent_map[b], g.neighbor_map[b])
+    )
+
+
+def set_locally_valid(labeling, x, s) -> bool:
+    """`locally_valid` by set arithmetic: orienting s -> x adds no flank pair
+    at x that the essential graph lacks."""
+    eg = labeling.graph
+    heads = eg.parent_map[x] | frozenset(s)
+    return set_flanks(eg, heads, st_nst(labeling, x).st) <= set_flanks(
+        eg, eg.parent_map[x], eg.neighbor_map[x]
+    )
+
+
+def set_component_order(nodes, directed, undirected):
+    """Chain components in topological order, or None on a semidirected
+    cycle, by Kahn's algorithm over frozensets with a (least node, index)
+    heap: an oracle for `graphs._component_order`."""
+    comps = _undirected_components(nodes, undirected)
+    comp_index = {n: i for i, comp in enumerate(comps) for n in comp}
+    succ = {i: set() for i in range(len(comps))}
+    indeg = {i: 0 for i in range(len(comps))}
+    for u, v in directed:
+        cu, cv = comp_index[u], comp_index[v]
+        if cu == cv:
+            return None
+        if cv not in succ[cu]:
+            succ[cu].add(cv)
+            indeg[cv] += 1
+    heap = [(min(comps[i]), i) for i in indeg if indeg[i] == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        _, i = heapq.heappop(heap)
+        order.append(comps[i])
+        for j in sorted(succ[i]):
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(heap, (min(comps[j]), j))
+    return order if len(order) == len(comps) else None
 
 
 def all_singleton_queries(g: ChainGraph):
@@ -282,3 +338,4 @@ def marked_graphs(draw, max_nodes: int = 7) -> MarkedGraph:
         if draw(st.booleans(), label=f"block {end}")
     )
     return MarkedGraph(nodes=frozenset(nodes), skeleton=skeleton, blocked=blocked)
+

@@ -1,6 +1,8 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from ampcg import (
     adjusting_set,
@@ -15,7 +17,7 @@ from ampcg.causal import SUPERSET_CAP
 from ampcg.errors import NotNonStrongNeighborError, TooLargeError, UnknownNodeError
 from ampcg.transform import maximally_oriented_members
 
-from .support import cg
+from .support import cg, chain_graphs, set_locally_valid
 
 
 class TestAdjustingSet:
@@ -151,3 +153,14 @@ class TestEnumerateAdjustingSets:
                 got = {a.nodes for a in enumerate_adjusting_sets(lab, x, "maxoriented")}
                 want = {adjusting_set(m, x) for m in maxes}
                 assert got == want, (eg, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_graphs(max_nodes=6))
+def test_locally_valid_matches_the_set_oracle(g):
+    lab = strong_labeling(g)
+    for x in lab.graph.sorted_nodes:
+        nst = sorted(st_nst(lab, x).nst)
+        for size in range(len(nst) + 1):
+            for s in combinations(nst, size):
+                assert locally_valid(lab, x, s) == set_locally_valid(lab, x, s), (x, s)

@@ -14,10 +14,15 @@ from ampcg import (
 )
 from ampcg.errors import EmptyClassError, NodeSetMismatchError, TooLargeError
 
-from .support import cg, chain_graphs, same_separations
+from .support import cg, chain_graphs, same_separations, set_triplexes
 
 
 class TestTriplexes:
+    @settings(max_examples=200, deadline=None)
+    @given(chain_graphs(max_nodes=7))
+    def test_keys_match_the_set_oracle(self, g):
+        assert triplexes(g) == set_triplexes(g)
+
     def test_collider(self):
         assert triplexes(cg("ABC", [("A", "B"), ("C", "B")])) == {("B", ("A", "C"))}
 

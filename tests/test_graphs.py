@@ -29,9 +29,9 @@ from ampcg.errors import (
     UnknownNodeError,
 )
 from ampcg.generate import node_names
-from ampcg.graphs import pair
+from ampcg.graphs import _component_order, _graph_index, pair
 
-from .support import cg, chain_graphs
+from .support import cg, chain_graphs, set_component_order
 
 
 class TestValidation:
@@ -271,3 +271,31 @@ def test_validation_matches_the_independent_cycle_check(case):
     assert _semidirected_free(nodes, edges, states)
     idx = chain_components(g).index_of
     assert all(idx[u] < idx[v] for u, v in g.directed)
+
+
+class TestComponentOrderOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(chain_graphs(max_nodes=7))
+    def test_components_match_the_set_oracle(self, g):
+        expected = set_component_order(g.nodes, g.directed, g.undirected)
+        assert list(chain_components(g).components) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_sets())
+    def test_any_edge_set_orders_as_the_set_oracle(self, case):
+        nodes, edges, states = case
+        directed = frozenset(
+            (a, b) if s == _FWD else (b, a) for (a, b), s in zip(edges, states) if s != _UND
+        )
+        undirected = frozenset(e for e, s in zip(edges, states) if s == _UND)
+        order = _component_order(_graph_index(nodes, directed, undirected))
+        expected = set_component_order(nodes, directed, undirected)
+        if expected is None:
+            assert order is None
+            with pytest.raises(SemidirectedCycleError):
+                ChainGraph(frozenset(nodes), directed, undirected)
+        else:
+            names = sorted(nodes)
+            assert [frozenset(names[i] for i in comp) for comp in order] == expected
+            g = ChainGraph(frozenset(nodes), directed, undirected)
+            assert list(chain_components(g).components) == expected

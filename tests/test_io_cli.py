@@ -46,7 +46,7 @@ class TestParse:
         g = parse_graph("# header\n\nnode A  # trailing\n")
         assert g.nodes == {"A"}
 
-    def test_each_name_token_is_checked_once(self, monkeypatch):
+    def test_each_distinct_name_is_checked_once(self, monkeypatch):
         calls = 0
         check = graphs.is_valid_name
 
@@ -58,7 +58,7 @@ class TestParse:
         monkeypatch.setattr(graphs, "is_valid_name", counted)
         monkeypatch.setattr(io_text, "is_valid_name", counted)
         g = parse_graph("node A\nnode E\nedge A -> B\nedge C -> B\nedge C -- D\n")
-        assert len(g.nodes) == 5 and calls == 8
+        assert len(g.nodes) == 5 and calls == 5
 
     def test_duplicate_edge(self):
         with pytest.raises(DuplicateEdgeError):
@@ -224,6 +224,18 @@ class TestCli:
     def test_usage_error_is_exit_one(self, capsys):
         assert cli(["no-such-command"]) == 1
         assert cli([]) == 1
+
+    @pytest.mark.parametrize("flag", ["--max-edges", "--seed"])
+    def test_negative_global_integer_is_a_usage_error(self, graph_file, tmp_path, capsys, flag):
+        out = tmp_path / "x.csv"
+        for command in (["class"], ["sample", "--n", "5", "--out", str(out)]):
+            assert cli([flag, "-1", command[0], graph_file, *command[1:]]) == 1
+            assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: ")
+        assert not out.exists()
+
+    def test_zero_edge_cap_is_allowed(self, graph_file, capsys):
+        assert cli(["--max-edges", "0", "class", graph_file]) == 3
+        assert "cap of 0" in capsys.readouterr().err
 
     def test_validation_failure_is_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

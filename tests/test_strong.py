@@ -125,18 +125,26 @@ class TestLabelStrong:
         assert lab == label_strong(result.marks, result.triplexes, check_invariants=True)
 
     def test_one_labeling_builds_the_adjacency_once(self, monkeypatch):
-        # every fixpoint shares the skeleton's index of adjacency masks, and
-        # the re-blocked copies read it without becoming marked graphs
-        g = random_chain_graph(random.Random(30), node_names(30), 0.04, 0.07)
+        # the graph's constructor builds its index; every fixpoint shares its
+        # positions and adjacency masks, the re-blocked copies read them
+        # without becoming marked graphs, and finalizing builds the essential
+        # graph's index in the same pass as its edges
         builds = 0
-        build = MarkedGraph.index.func
+        build, build_marked = graphs._graph_index, MarkedGraph.index.func
 
-        def counted(m):
+        def counted(*args):
             nonlocal builds
             builds += 1
-            return build(m)
+            return build(*args)
 
-        monkeypatch.setattr(MarkedGraph.index, "func", counted)
+        def counted_marked(m):
+            nonlocal builds
+            builds += 1
+            return build_marked(m)
+
+        monkeypatch.setattr(graphs, "_graph_index", counted)
+        monkeypatch.setattr(MarkedGraph.index, "func", counted_marked)
+        g = random_chain_graph(random.Random(30), node_names(30), 0.04, 0.07)
         strong_labeling(g)
         assert builds == 1
         assert len(edges_blocked_at_one_end(essential_graph(g).marks)) >= 10
@@ -229,7 +237,7 @@ def test_strong_labeling_convenience_matches_pipeline():
 
 # sha256 of to_json(essential_graph(g).marks) and to_json(strong_labeling(g)),
 # for three draws of random_chain_graph(random.Random(n), node_names(n), p_u,
-# p_d) per n, then the 10 x 10 undirected grid
+# p_d) per n (one at 1000 nodes, 1803 edges), then the 10 x 10 undirected grid
 SCALE_DIGESTS = {
     80: [
         ("585a36ae6b02c7eb84151161f685e74480a6194231ef92dfa093e4e2d1c1634d",
@@ -255,6 +263,10 @@ SCALE_DIGESTS = {
         ("17104adf8828ee4c489e62c839412aef78240131c5c409c156e6f20f055c5428",
          "10ff034f11dddac3489116e728c6804e78462d67783b4950a37ed4fac8eeaf7c"),
     ],
+    1000: [
+        ("e3a973a847fea55a4c69cb5a0aa95219ed9dfbcd41e232b958d3c98426c3554c",
+         "443b24ee01b3dfa80e0a3f60b9a4e44d96ea5c0e2ceb7e8e548efc2ebbb45e1b"),
+    ],
 }
 GRID_DIGESTS = ("d7dea8e007fe830a63bf2dfefec65cc7e4470e66574bfa6934fa7b08baff3ba6",
                 "ef0f565128bbcefb41a2d40e9d5659f7f5b3a0c5464b4195b52595431a54bf40")
@@ -267,7 +279,8 @@ def _digests(g):
 
 
 def test_outputs_at_scale_keep_their_digests():
-    for n, p_u, p_d in ((80, 0.015, 0.025), (120, 0.01, 0.017), (200, 0.006, 0.01)):
+    scales = ((80, 0.015, 0.025), (120, 0.01, 0.017), (200, 0.006, 0.01), (1000, 0.003, 0.005))
+    for n, p_u, p_d in scales:
         rnd = random.Random(n)
         for i, expected in enumerate(SCALE_DIGESTS[n]):
             assert _digests(random_chain_graph(rnd, node_names(n), p_u, p_d)) == expected, (n, i)
