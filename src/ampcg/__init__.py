@@ -69,7 +69,7 @@ from .io_text import (
     to_json,
     write_dataset,
 )
-from .separation import open_route_oracle, route_is_open, separated
+from .separation import route_is_open, separated
 from .strong import StrongLabeling, accelerator_labels, label_strong, strong_labeling
 from .transform import (
     class_by_merge_split,

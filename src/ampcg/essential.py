@@ -183,12 +183,21 @@ class MarkedGraph:
 
     def with_blocks(self, additions: Iterable[tuple[NodeId, NodeId]]) -> "MarkedGraph":
         """A copy with `additions` blocked too, sharing this skeleton's
-        `index` and (once built) `adjacency`."""
+        `index` and (once built) `adjacency` and triplex masks."""
         out = MarkedGraph(self.nodes, self.skeleton, self.blocked | frozenset(additions))
         out.__dict__["index"] = self.index
-        if "adjacency" in self.__dict__:
-            out.__dict__["adjacency"] = self.adjacency
+        for name in ("adjacency", "_tri"):
+            if name in self.__dict__:
+                out.__dict__[name] = self.__dict__[name]
         return out
+
+    def _triplex_masks(self, t: TriplexKeys) -> list[dict[int, int]]:
+        """`_triplex_masks(self.index, t)`, built once along a chain of
+        copies that all ask with the same `t` object."""
+        cached = self.__dict__.get("_tri")
+        if cached is None or cached[0] is not t:
+            cached = self.__dict__["_tri"] = (t, _triplex_masks(self.index, t))
+        return cached[1]
 
     def _with_masks(
         self, added: Iterable[tuple[int, int]], out: list[int], inn: list[int]
@@ -393,7 +402,7 @@ def apply_rules_R(
         if not new <= m.blocked:
             raise ValueError(f"new blocks {sorted(new - m.blocked)} are not blocks of m")
         pending = [(pos[u], pos[v]) for u, v in new]
-    added = _close_blocks(index.adj, _triplex_masks(index, t), out, inn, pending, rules)
+    added = _close_blocks(index.adj, m._triplex_masks(t), out, inn, pending, rules)
     return m._with_masks(seeds + added, out, inn)
 
 

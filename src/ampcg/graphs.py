@@ -465,10 +465,68 @@ def _eliminate(
     return order
 
 
+def _mcs_ranks(nbrs: Sequence[int], rng: random.Random | None = None) -> list[int]:
+    """The visit rank of each position under maximum cardinality search over
+    the neighbor masks `nbrs`; NotChordalError unless the visit order
+    reverses a perfect elimination ordering.
+
+    One bucket mask per weight holds the unvisited nodes of that weight.  A
+    tie goes to the lowest position, or with `rng` to `rng.choice` of the
+    tied positions in ascending order.  The check is Tarjan and Yannakakis's
+    (SIAM J. Comput. 13, 1984): the neighbors visited before a node, but the
+    one visited last, must all be neighbors of that one.
+    """
+    n = len(nbrs)
+    weight = [0] * n
+    last = [-1] * n  # the neighbor visited last, once one is
+    rank = [0] * n
+    buckets = [(1 << n) - 1]
+    top = visited = 0
+    for step in range(n):
+        while not buckets[top]:
+            top -= 1
+        tied = buckets[top]
+        bit = tied & -tied
+        if rng is not None:
+            choices = []
+            while tied:
+                low = tied & -tied
+                choices.append(low.bit_length() - 1)
+                tied ^= low
+            bit = 1 << rng.choice(choices)
+        buckets[top] ^= bit
+        v = bit.bit_length() - 1
+        rank[v] = step
+        p = last[v]
+        if p >= 0 and nbrs[v] & visited & ~nbrs[p] & ~(1 << p):
+            raise NotChordalError("graph is not chordal")
+        visited |= bit
+        x = nbrs[v] & ~visited
+        while x:
+            low = x & -x
+            w = low.bit_length() - 1
+            x ^= low
+            last[w] = v
+            k = weight[w]
+            buckets[k] ^= low
+            weight[w] = k = k + 1
+            if k == len(buckets):
+                buckets.append(low)
+            else:
+                buckets[k] |= low
+            if k > top:
+                top = k
+    return rank
+
+
 def is_chordal(g: ChainGraph) -> bool:
-    """Chordality test by repeated simplicial-node elimination."""
+    """Chordality test by maximum cardinality search on the neighbor masks."""
     _require_undirected(g)
-    return _eliminate(g) is not None
+    try:
+        _mcs_ranks(g.index.ne)
+    except NotChordalError:
+        return False
+    return True
 
 
 def perfect_elimination_ending_with(
@@ -502,23 +560,9 @@ def orient_by_mcs(g: ChainGraph, rng: random.Random | None = None) -> ChainGraph
     single edge can receive either direction across seeds).
     """
     _require_undirected(g)
-    if not is_chordal(g):
-        raise NotChordalError("graph is not chordal")
-    weight = {n: 0 for n in g.nodes}
-    unmarked = set(g.nodes)
-    position: dict[NodeId, int] = {}
-    step = 0
-    while unmarked:
-        best = max(weight[n] for n in unmarked)
-        candidates = sorted(n for n in unmarked if weight[n] == best)
-        chosen = candidates[0] if rng is None else rng.choice(candidates)
-        position[chosen] = step
-        step += 1
-        unmarked.discard(chosen)
-        for w in g.adjacency[chosen]:
-            if w in unmarked:
-                weight[w] += 1
+    index = g.index
+    rank, pos = _mcs_ranks(index.ne, rng), index.pos
     directed = frozenset(
-        (a, b) if position[a] < position[b] else (b, a) for a, b in g.undirected
+        (a, b) if rank[pos[a]] < rank[pos[b]] else (b, a) for a, b in g.undirected
     )
     return ChainGraph(nodes=g.nodes, directed=directed, undirected=frozenset())

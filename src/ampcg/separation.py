@@ -1,4 +1,4 @@
-"""Route-based separation for chain graphs, plus a literal route oracle.
+"""Route-based separation for chain graphs, plus a literal route check.
 
 A node inside a route is a *triplex occurrence* when the two edges around it
 carry at least one arrowhead into the node and no arrowhead out of it
@@ -94,48 +94,3 @@ def route_is_open(g: ChainGraph, route: Sequence[NodeId], zs: Iterable[NodeId]) 
         if _is_triplex(entry, exit_) != (route[i] in zs):
             return False
     return True
-
-
-def open_route_oracle(
-    g: ChainGraph,
-    xs: Iterable[NodeId],
-    ys: Iterable[NodeId],
-    zs: Iterable[NodeId] = (),
-) -> bool:
-    """Exhaustive search for a Z-open route of at most 3|V|+1 nodes.
-
-    The bound is complete: an open route revisiting a
-    (node, entry-mark) state can be excised to a shorter open route, so the
-    search also skips extensions that repeat a state already on the current
-    route.  Every hit is re-checked against the literal definition.
-    """
-    xs, ys, zs = frozenset(xs), frozenset(ys), frozenset(zs)
-    _check_query(g, xs, ys, zs)
-    bound = 3 * len(g.nodes) + 1
-
-    def dfs(route: list[NodeId], states: frozenset, entry: str | None) -> list[NodeId] | None:
-        if len(route) >= bound:
-            return None
-        last = route[-1]
-        for w in sorted(g.adjacency[last]):
-            if entry is not None:  # `last` becomes interior: its occurrence must pass
-                exit_ = _mark_at(g, last, w)
-                if _is_triplex(entry, exit_) != (last in zs):
-                    continue
-            if w in ys:
-                return route + [w]
-            state = (w, _mark_at(g, w, last))
-            if state in states:
-                continue
-            hit = dfs(route + [w], states | {state}, state[1])
-            if hit is not None:
-                return hit
-        return None
-
-    for start in sorted(xs):
-        route = dfs([start], frozenset(), None)
-        if route is not None:
-            if not route_is_open(g, route, zs):  # cross-check, never expected
-                raise AssertionError(f"search returned a closed route {route}")
-            return True
-    return False

@@ -25,7 +25,6 @@ from .essential import (
     _one_end_blocked,
     _path_exists,
     _positions,
-    _triplex_masks,
     essential_graph,
 )
 from .graphs import ChainGraph, NodeId
@@ -125,7 +124,7 @@ def label_strong(
     each shortcut label must be confirmed by its own re-blocking check.
     """
     names = m.index.nodes
-    tri = _triplex_masks(m.index, t)
+    tri = m._triplex_masks(t)
     _check_line6_fixpoint(m, tri)
     eg = m.finalize()
     eg_triplexes = triplexes(eg) if check_invariants else frozenset()

@@ -24,11 +24,12 @@ from .errors import (
 )
 from .graphs import (
     ChainGraph,
+    GraphIndex,
     NodeId,
+    _mcs_ranks,
     chain_components,
     family,
     is_complete,
-    orient_by_mcs,
     pair,
 )
 from .strong import strong_labeling
@@ -232,13 +233,37 @@ def maximally_oriented(g: ChainGraph) -> ChainGraph:
     Constructive: every maximally oriented member carries the essential
     graph's arrows and keeps exactly its strong undirected edges undirected.
     The remaining undirected edges are oriented acyclically and triplex-free
-    by maximum cardinality search, with lexicographic tie-breaking.
+    by maximum cardinality search, with lexicographic tie-breaking: on the
+    essential graph's neighbor masks less the strong pairs, each such edge
+    points away from the end visited first.
     """
     labeling = strong_labeling(g)
     eg = labeling.graph
-    loose = ChainGraph(eg.nodes, frozenset(), eg.undirected - labeling.strong_undirected)
-    return ChainGraph(
-        eg.nodes, eg.directed | orient_by_mcs(loose).directed, labeling.strong_undirected
+    index = eg.index
+    names, pos = index.nodes, index.pos
+    strong = [0] * len(names)
+    for a, b in labeling.strong_undirected:
+        i, j = pos[a], pos[b]
+        strong[i] |= 1 << j
+        strong[j] |= 1 << i
+    loose = [ne & ~s for ne, s in zip(index.ne, strong)]
+    rank = _mcs_ranks(loose)
+    pa = list(index.pa)
+    directed = set(eg.directed)
+    for i, x in enumerate(loose):
+        x = x >> (i + 1) << (i + 1)
+        while x:
+            low = x & -x
+            j = low.bit_length() - 1
+            x ^= low
+            u, w = (i, j) if rank[i] < rank[j] else (j, i)
+            pa[w] |= 1 << u
+            directed.add((names[u], names[w]))
+    return ChainGraph._indexed(
+        eg.nodes,
+        frozenset(directed),
+        labeling.strong_undirected,
+        GraphIndex(names, pos, index.adj, tuple(pa), tuple(strong)),
     )
 
 

@@ -20,8 +20,11 @@ from ampcg import (
     validate_chain_graph,
 )
 from ampcg.causal import st_nst
+from ampcg.equivalence import _is_triplex
+from ampcg.errors import NotChordalError
 from ampcg.essential import RULE_NAMES, MarkedGraph
-from ampcg.graphs import _undirected_components
+from ampcg.graphs import _eliminate, _undirected_components
+from ampcg.separation import _check_query, _mark_at, route_is_open
 from ampcg.transform import _split_candidates, _split_result
 
 
@@ -103,6 +106,70 @@ def set_component_order(nodes, directed, undirected):
             if indeg[j] == 0:
                 heapq.heappush(heap, (min(comps[j]), j))
     return order if len(order) == len(comps) else None
+
+
+def set_orient_by_mcs(g: ChainGraph, rng: random.Random | None = None) -> ChainGraph:
+    """`orient_by_mcs` by simplicial elimination over name sets, then a
+    `max` and a `sorted` over the unvisited nodes per visit: an oracle for
+    the bucket-mask search `graphs._mcs_ranks`."""
+    if _eliminate(g) is None:
+        raise NotChordalError("graph is not chordal")
+    weight = {n: 0 for n in g.nodes}
+    unmarked = set(g.nodes)
+    position: dict[str, int] = {}
+    while unmarked:
+        best = max(weight[n] for n in unmarked)
+        candidates = sorted(n for n in unmarked if weight[n] == best)
+        chosen = candidates[0] if rng is None else rng.choice(candidates)
+        position[chosen] = len(position)
+        unmarked.discard(chosen)
+        for w in g.adjacency[chosen] & unmarked:
+            weight[w] += 1
+    directed = frozenset(
+        (a, b) if position[a] < position[b] else (b, a) for a, b in g.undirected
+    )
+    return ChainGraph(nodes=g.nodes, directed=directed, undirected=frozenset())
+
+
+def open_route_oracle(g: ChainGraph, xs, ys, zs=()) -> bool:
+    """Exhaustive search for a Z-open route of at most 3|V|+1 nodes: an
+    oracle for `separated`, exponential in |V|.
+
+    The bound is complete: an open route revisiting a
+    (node, entry-mark) state can be excised to a shorter open route, so the
+    search also skips extensions that repeat a state already on the current
+    route.  Every hit is re-checked against the literal definition.
+    """
+    xs, ys, zs = frozenset(xs), frozenset(ys), frozenset(zs)
+    _check_query(g, xs, ys, zs)
+    bound = 3 * len(g.nodes) + 1
+
+    def dfs(route: list[str], states: frozenset, entry: str | None) -> list[str] | None:
+        if len(route) >= bound:
+            return None
+        last = route[-1]
+        for w in sorted(g.adjacency[last]):
+            if entry is not None:  # `last` becomes interior: its occurrence must pass
+                exit_ = _mark_at(g, last, w)
+                if _is_triplex(entry, exit_) != (last in zs):
+                    continue
+            if w in ys:
+                return route + [w]
+            state = (w, _mark_at(g, w, last))
+            if state in states:
+                continue
+            hit = dfs(route + [w], states | {state}, state[1])
+            if hit is not None:
+                return hit
+        return None
+
+    for start in sorted(xs):
+        route = dfs([start], frozenset(), None)
+        if route is not None:
+            if not route_is_open(g, route, zs):  # cross-check, never expected
+                raise AssertionError(f"search returned a closed route {route}")
+            return True
+    return False
 
 
 def all_singleton_queries(g: ChainGraph):

@@ -15,6 +15,7 @@ from ampcg import (
     orient_by_mcs,
     parse_graph,
     perfect_elimination_ending_with,
+    random_chain_graph,
     random_chordal_graph,
     triplexes,
     validate_chain_graph,
@@ -29,9 +30,9 @@ from ampcg.errors import (
     UnknownNodeError,
 )
 from ampcg.generate import node_names
-from ampcg.graphs import _component_order, _graph_index, pair
+from ampcg.graphs import _component_order, _eliminate, _graph_index, pair
 
-from .support import cg, chain_graphs, set_component_order
+from .support import cg, chain_graphs, set_component_order, set_orient_by_mcs
 
 
 class TestValidation:
@@ -206,6 +207,32 @@ class TestMcs:
         g = cg("AB", [], [("A", "B")])
         seen = {orient_by_mcs(g, rng=random.Random(s)).directed for s in range(20)}
         assert seen == {frozenset({("A", "B")}), frozenset({("B", "A")})}
+
+    def test_masks_match_the_set_based_search(self):
+        def outcome(orient, g, rng):
+            try:
+                return orient(g, rng=rng).directed
+            except NotChordalError:
+                return None
+
+        rnd = random.Random(16)
+        not_chordal = 0
+        for trial in range(400):
+            nodes = node_names(rnd.randint(1, 10))
+            if trial % 2:
+                u = random_chordal_graph(rnd, nodes)
+            else:
+                u = random_chain_graph(rnd, nodes, rnd.uniform(0.2, 0.7), 0.0)
+            chordal = _eliminate(u) is not None
+            not_chordal += not chordal
+            assert is_chordal(u) == chordal, u
+            assert outcome(orient_by_mcs, u, None) == outcome(set_orient_by_mcs, u, None), u
+            rng, oracle_rng = random.Random(trial), random.Random(trial)
+            expected = outcome(set_orient_by_mcs, u, oracle_rng)
+            assert outcome(orient_by_mcs, u, rng) == expected, (u, trial)
+            if chordal:  # the same draws, in the same order
+                assert rng.getstate() == oracle_rng.getstate()
+        assert not_chordal >= 50
 
 
 @settings(max_examples=80, deadline=None)

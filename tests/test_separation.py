@@ -3,11 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from ampcg import open_route_oracle, random_chain_graph, route_is_open, separated
+from ampcg import random_chain_graph, route_is_open, separated
 from ampcg.errors import InvalidQueryError
 from ampcg.generate import node_names
 
-from .support import all_singleton_queries, cg, chain_graphs
+from .support import all_singleton_queries, cg, chain_graphs, open_route_oracle
 
 
 class TestSeparated:

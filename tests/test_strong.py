@@ -9,14 +9,17 @@ from ampcg import (
     enumerate_class,
     essential_graph,
     label_strong,
+    maximally_oriented,
     node_names,
     random_chain_graph,
+    serialize_graph,
     strong_labeling,
     strong_oracle,
     to_json,
     unmarked_skeleton,
 )
 from ampcg import essential, graphs
+from ampcg.cli import cli
 from ampcg.errors import InvalidStateError, InvariantViolationError
 from ampcg.essential import MarkedGraph, _close_blocks
 from ampcg.strong import _propagate
@@ -149,6 +152,26 @@ class TestLabelStrong:
         assert builds == 1
         assert len(edges_blocked_at_one_end(essential_graph(g).marks)) >= 10
 
+    def test_one_labeling_builds_the_triplex_masks_once(self, monkeypatch, tmp_path):
+        # both fixpoints of essential_graph and the labeling read one build,
+        # through the library and through `ampcg strong`
+        builds = 0
+        build = essential._triplex_masks
+
+        def counted(*args):
+            nonlocal builds
+            builds += 1
+            return build(*args)
+
+        monkeypatch.setattr(essential, "_triplex_masks", counted)
+        g = random_chain_graph(random.Random(30), node_names(30), 0.04, 0.07)
+        strong_labeling(g)
+        assert builds == 1
+        path = tmp_path / "g.txt"
+        path.write_text(serialize_graph(g))
+        assert cli(["strong", str(path)]) == 0
+        assert builds == 2
+
     def test_one_labeling_validates_its_marks_once(self, monkeypatch):
         # essential_graph finalizes the marks, and label_strong reads that
         # graph: one acyclicity check, made by the ChainGraph constructor
@@ -278,10 +301,40 @@ def _digests(g):
     return hashlib.sha256(marks).hexdigest(), hashlib.sha256(labeling).hexdigest()
 
 
+SCALES = ((80, 0.015, 0.025), (120, 0.01, 0.017), (200, 0.006, 0.01), (1000, 0.003, 0.005))
+
+
 def test_outputs_at_scale_keep_their_digests():
-    scales = ((80, 0.015, 0.025), (120, 0.01, 0.017), (200, 0.006, 0.01), (1000, 0.003, 0.005))
-    for n, p_u, p_d in scales:
+    for n, p_u, p_d in SCALES:
         rnd = random.Random(n)
         for i, expected in enumerate(SCALE_DIGESTS[n]):
             assert _digests(random_chain_graph(rnd, node_names(n), p_u, p_d)) == expected, (n, i)
     assert _digests(undirected_grid(10)) == GRID_DIGESTS
+
+
+# sha256 of serialize_graph(maximally_oriented(g)) for the 80-200-node draws
+# of SCALES, then the 10 x 10 undirected grid
+MAXIMALLY_ORIENTED_DIGESTS = {
+    80: ["f4023ec0eb122455812dae631d7abdd005432def3e64452a7326182896154863",
+         "3a68af65acb0e5b40a257fb078f8141017e8bef77cb665b7b33e73cc5bf10b84",
+         "42e7bd4a4caf98af0a623f8185480cf7eb300eb348787422bd3f5bdb9976709e"],
+    120: ["eeb9282ce95633e80b812c53e789b9fa53b6271c5b8c8b0b606e6255def6fd73",
+          "cca9fb046e414e36c86f07f139a0f283d9a890cbbfea4af19ddbe1158f573e09",
+          "7618db479ac5e76010495f7c4b18fae4521e17dc0e61e32f00f76f54b7e46188"],
+    200: ["a0bccfbfb98a84a014dd40dbc930d61727cf014a0cc97f8ac9aa3622bff882d9",
+          "328650255d6a03fa9f5752ff1b2144a0207a99e7077aa4f60cd512d3c243bb4d",
+          "680ecf5e967025159f7a4998d8c9c3976dc0ba40e280a9dc638e854a67c201e5"],
+}
+MAXIMALLY_ORIENTED_GRID_DIGEST = "274d12829a5ae83e055f5b7120950da79fccde54e7488860b77fa70d59dbd188"
+
+
+def _member_digest(g):
+    return hashlib.sha256(serialize_graph(maximally_oriented(g)).encode()).hexdigest()
+
+
+def test_maximally_oriented_at_scale_keeps_its_digests():
+    for n, p_u, p_d in SCALES:
+        rnd = random.Random(n)
+        for i, expected in enumerate(MAXIMALLY_ORIENTED_DIGESTS.get(n, ())):
+            assert _member_digest(random_chain_graph(rnd, node_names(n), p_u, p_d)) == expected, (n, i)
+    assert _member_digest(undirected_grid(10)) == MAXIMALLY_ORIENTED_GRID_DIGEST

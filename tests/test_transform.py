@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ampcg import (
+    ChainGraph,
     chain_components,
     class_by_merge_split,
     enumerate_class,
@@ -15,10 +16,12 @@ from ampcg import (
     minimally_oriented,
     node_names,
     random_chain_graph,
+    serialize_graph,
     split,
     strong_oracle,
 )
 from ampcg import graphs, transform
+from ampcg.cli import cli
 from ampcg.errors import InfeasibleMergeError, InfeasibleSplitError, NotComponentsError
 from ampcg.transform import (
     _merge_candidates,
@@ -139,6 +142,25 @@ class TestMinMaxOriented:
             assert maximally_oriented(g) in members
             assert {w1.undirected, w2.undirected} | {m.undirected for m in members} \
                 == {w1.undirected}
+
+    def test_one_command_builds_three_chain_graphs(self, monkeypatch, tmp_path, capsys):
+        # the parsed graph, the essential graph and the member: the loose
+        # edges are oriented on masks, with no graph of their own
+        g = random_chain_graph(random.Random(12), node_names(12), 0.5, 0.1)
+        path = tmp_path / "g.txt"
+        path.write_text(serialize_graph(g))
+        builds = 0
+        check = ChainGraph.__post_init__
+
+        def counted(self):
+            nonlocal builds
+            builds += 1
+            check(self)
+
+        monkeypatch.setattr(ChainGraph, "__post_init__", counted)
+        assert cli(["minmax", "--mode", "max", str(path)]) == 0
+        assert builds == 3
+        assert capsys.readouterr().out == serialize_graph(maximally_oriented(g))
 
     def test_no_feasible_split_on_large_components(self):
         rnd = random.Random(83)
