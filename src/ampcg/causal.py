@@ -7,6 +7,10 @@ graph is known, the candidate adjusting sets can be enumerated from the whole
 class, from the maximally oriented members alone (via locally valid
 orientation sets, no enumeration needed), or bounded by a crude superset of
 adjacency closures.
+
+The functions here read only a labeling's `.graph` and `.strong_undirected`,
+so `essential_graph(g)` serves as well as `strong_labeling(g)` and spares the
+strong-arrow search.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .errors import (
     TooLargeError,
     UnknownNodeError,
 )
+from .essential import EssentialGraphResult
 from .graphs import ChainGraph, NodeId, family, pair
 from .strong import StrongLabeling
 
@@ -62,7 +67,7 @@ def adjusting_set(g: ChainGraph, x: NodeId) -> frozenset[NodeId]:
     return (ne | family(g, ne | {x}, "pa")) - {x}
 
 
-def st_nst(labeling: StrongLabeling, x: NodeId) -> StNstPartition:
+def st_nst(labeling: StrongLabeling | EssentialGraphResult, x: NodeId) -> StNstPartition:
     """Partition the undirected neighbors of x into strong and non-strong."""
     eg = labeling.graph
     if x not in eg.nodes:
@@ -77,7 +82,9 @@ def st_nst(labeling: StrongLabeling, x: NodeId) -> StNstPartition:
     return StNstPartition(st=st, nst=nst)
 
 
-def locally_valid(labeling: StrongLabeling, x: NodeId, s: Iterable[NodeId]) -> bool:
+def locally_valid(
+    labeling: StrongLabeling | EssentialGraphResult, x: NodeId, s: Iterable[NodeId]
+) -> bool:
     """Does orienting s -> x (and x -> the other non-strong neighbors) avoid
     creating any triplex at x the essential graph lacks?"""
     eg = labeling.graph
@@ -95,7 +102,7 @@ def locally_valid(labeling: StrongLabeling, x: NodeId, s: Iterable[NodeId]) -> b
 
 
 def enumerate_adjusting_sets(
-    labeling: StrongLabeling,
+    labeling: StrongLabeling | EssentialGraphResult,
     x: NodeId,
     mode: Mode,
     max_edges: int = 16,

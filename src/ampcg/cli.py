@@ -34,7 +34,7 @@ from .io_text import (
     to_json,
     write_dataset,
 )
-from .strong import accelerator_labels, label_strong, strong_labeling
+from .strong import accelerator_labels, label_strong
 from .transform import (
     class_by_merge_split,
     maximally_oriented,
@@ -208,11 +208,9 @@ def _cmd_minmax(ns) -> int:
 
 
 def _cmd_adjust(ns) -> int:
-    labeling = strong_labeling(_load_graph(ns.graph))
+    result = essential_graph(_load_graph(ns.graph))
     sets = sorted(
-        enumerate_adjusting_sets(
-            labeling, ns.x, ns.mode, max_edges=ns.max_edges
-        ),
+        enumerate_adjusting_sets(result, ns.x, ns.mode, max_edges=ns.max_edges),
         key=lambda a: a.sort_key(),
     )
     if ns.format == "json":
@@ -248,7 +246,7 @@ def _cmd_bound(ns) -> int:
             f"{list(g.sorted_nodes)} exactly once"
         )
     report = bound_effect(
-        ds, strong_labeling(g), ns.x, ns.y, ns.mode, max_edges=ns.max_edges
+        ds, essential_graph(g), ns.x, ns.y, ns.mode, max_edges=ns.max_edges
     )
     if ns.format == "json":
         doc = {
@@ -312,7 +310,7 @@ def _cmd_oracle(ns) -> int:
         ("maximally oriented witness is a brute-force member", maximally_oriented(g) in maxes)
     )
     adj_ok = all(
-        {a.nodes for a in enumerate_adjusting_sets(labeling, x, "maxoriented")}
+        {a.nodes for a in enumerate_adjusting_sets(result, x, "maxoriented")}
         == {adjusting_set(m, x) for m in maxes}
         for x in result.graph.sorted_nodes
     )

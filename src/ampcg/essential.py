@@ -428,6 +428,14 @@ def double_block_chordless_cycles(m: MarkedGraph) -> MarkedGraph:
     return m._with_masks(added, out, inn)
 
 
+def _doubly_blocked(m: MarkedGraph) -> frozenset[tuple[NodeId, NodeId]]:
+    """The edges of `m` blocked at both ends, as `pair()`-ordered names."""
+    names = m.index.nodes
+    out, inn = m.block_masks
+    doubly = _positions([o & n for o, n in zip(out, inn)])
+    return frozenset((names[i], names[w]) for i, w in doubly if i < w)
+
+
 @dataclass(frozen=True, eq=False)
 class EssentialGraphResult:
     """The essential graph plus the pre-finalization state that produced it."""
@@ -435,6 +443,12 @@ class EssentialGraphResult:
     graph: ChainGraph
     marks: MarkedGraph
     triplexes: TriplexKeys
+
+    @cached_property
+    def strong_undirected(self) -> frozenset[tuple[NodeId, NodeId]]:
+        """The strong undirected edges: the doubly blocked edges of the marks.
+        Finding the strong arrows takes `strong.label_strong`."""
+        return _doubly_blocked(self.marks)
 
 
 def essential_graph(g: ChainGraph) -> EssentialGraphResult:

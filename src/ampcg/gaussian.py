@@ -22,6 +22,7 @@ from .errors import (
     SingularSystemError,
     UnknownNodeError,
 )
+from .essential import EssentialGraphResult
 from .graphs import ChainGraph, NodeId, chain_components
 from .strong import StrongLabeling
 
@@ -283,7 +284,7 @@ def adjusted_effect(
 
 def bound_effect(
     source: Covariance | Dataset,
-    labeling: StrongLabeling,
+    labeling: StrongLabeling | EssentialGraphResult,
     x: NodeId,
     y: NodeId,
     mode: Mode,

@@ -22,6 +22,7 @@ from .errors import InvalidStateError, InvariantViolationError, SemidirectedCycl
 from .essential import (
     MarkedGraph,
     _close_blocks,
+    _doubly_blocked,
     _one_end_blocked,
     _path_exists,
     _positions,
@@ -129,7 +130,6 @@ def label_strong(
     eg = m.finalize()
     eg_triplexes = triplexes(eg) if check_invariants else frozenset()
     pre = _pretriplexes_by_end(m)
-    out, inn = m.block_masks
     strong_arrows = set(accelerator_labels(m))
     confirmed: set[tuple[NodeId, NodeId]] = set()
     for x, y in _one_end_blocked(m):
@@ -148,11 +148,10 @@ def label_strong(
         raise InvariantViolationError(
             f"shortcut labels {sorted(strong_arrows - confirmed)} destroy no pretriplex"
         )
-    doubly = _positions([o & n for o, n in zip(out, inn)])
     return StrongLabeling(
         graph=eg,
         strong_directed=frozenset(strong_arrows),
-        strong_undirected=frozenset((names[i], names[w]) for i, w in doubly if i < w),
+        strong_undirected=_doubly_blocked(m),
     )
 
 

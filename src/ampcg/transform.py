@@ -5,8 +5,8 @@ splitting re-orients the undirected edges across a bipartition of one
 component.  Both operations preserve Markov equivalence when feasible, and
 iterating them reaches the whole equivalence class, which this module
 exploits to enumerate classes and to find the minimally oriented members.
-A maximally oriented member is built directly from the strong labels of the
-essential graph; the split search here only serves as its oracle.
+A maximally oriented member is built directly from the essential graph and
+its strong undirected edges; the split search here only serves as its oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import (
     SemidirectedCycleError,
     TooLargeError,
 )
+from .essential import essential_graph
 from .graphs import (
     ChainGraph,
     GraphIndex,
@@ -32,7 +33,6 @@ from .graphs import (
     is_complete,
     pair,
 )
-from .strong import strong_labeling
 
 
 def _semidirected_descendants(g: ChainGraph, xs: Iterable[NodeId]) -> frozenset[NodeId]:
@@ -231,21 +231,18 @@ def maximally_oriented(g: ChainGraph) -> ChainGraph:
     """One equivalent chain graph admitting no feasible split.
 
     Constructive: every maximally oriented member carries the essential
-    graph's arrows and keeps exactly its strong undirected edges undirected.
+    graph's arrows and keeps exactly its strong undirected edges, the doubly
+    blocked edges of its marks, undirected; no strong arrow is searched for.
     The remaining undirected edges are oriented acyclically and triplex-free
     by maximum cardinality search, with lexicographic tie-breaking: on the
     essential graph's neighbor masks less the strong pairs, each such edge
     points away from the end visited first.
     """
-    labeling = strong_labeling(g)
-    eg = labeling.graph
+    result = essential_graph(g)
+    eg = result.graph
     index = eg.index
-    names, pos = index.nodes, index.pos
-    strong = [0] * len(names)
-    for a, b in labeling.strong_undirected:
-        i, j = pos[a], pos[b]
-        strong[i] |= 1 << j
-        strong[j] |= 1 << i
+    names = index.nodes
+    strong = [o & n for o, n in zip(*result.marks.block_masks)]
     loose = [ne & ~s for ne, s in zip(index.ne, strong)]
     rank = _mcs_ranks(loose)
     pa = list(index.pa)
@@ -262,8 +259,8 @@ def maximally_oriented(g: ChainGraph) -> ChainGraph:
     return ChainGraph._indexed(
         eg.nodes,
         frozenset(directed),
-        labeling.strong_undirected,
-        GraphIndex(names, pos, index.adj, tuple(pa), tuple(strong)),
+        result.strong_undirected,
+        GraphIndex(names, index.pos, index.adj, tuple(pa), tuple(strong)),
     )
 
 

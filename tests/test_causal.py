@@ -6,18 +6,22 @@ from hypothesis import given, settings
 
 from ampcg import (
     adjusting_set,
+    bound_effect,
     enumerate_adjusting_sets,
+    essential_graph,
     locally_valid,
     node_names,
+    population_covariance,
     random_chain_graph,
+    random_model,
     st_nst,
     strong_labeling,
 )
-from ampcg.causal import SUPERSET_CAP
+from ampcg.causal import MODES, SUPERSET_CAP
 from ampcg.errors import NotNonStrongNeighborError, TooLargeError, UnknownNodeError
 from ampcg.transform import maximally_oriented_members
 
-from .support import cg, chain_graphs, set_locally_valid
+from .support import cg, chain_graphs, set_locally_valid, undirected_grid
 
 
 class TestAdjustingSet:
@@ -164,3 +168,36 @@ def test_locally_valid_matches_the_set_oracle(g):
         for size in range(len(nst) + 1):
             for s in combinations(nst, size):
                 assert locally_valid(lab, x, s) == set_locally_valid(lab, x, s), (x, s)
+
+
+class TestEssentialGraphArgument:
+    """The causal layer reads only `.graph` and `.strong_undirected`, so the
+    essential graph stands in for the full labeling."""
+
+    def test_strong_undirected_edges_match_the_labeling(self):
+        rnd = random.Random(103)
+        graphs = [undirected_grid(10)]
+        for _ in range(240):
+            n = rnd.randint(2, 24)
+            p = rnd.choice((0.1, 0.2, 0.35))
+            graphs.append(random_chain_graph(rnd, node_names(n), p, p))
+        assert sum(bool(strong_labeling(g).strong_undirected) for g in graphs) >= 40
+        for g in graphs:
+            assert essential_graph(g).strong_undirected == strong_labeling(g).strong_undirected, g
+
+    def test_adjusting_sets_and_bounds_match_the_labeling(self):
+        rnd = random.Random(107)
+        for trial in range(40):
+            g = random_chain_graph(rnd, node_names(rnd.randint(2, 6)),
+                                   p_undirected=0.35, p_directed=0.25)
+            result, lab = essential_graph(g), strong_labeling(g)
+            cov = population_covariance(random_model(g, seed=700 + trial))
+            for x in g.sorted_nodes:
+                for mode in MODES:
+                    assert enumerate_adjusting_sets(result, x, mode) == \
+                        enumerate_adjusting_sets(lab, x, mode), (g, x, mode)
+                    if len(g.nodes) > 1:
+                        y = rnd.choice(sorted(g.nodes - {x}))
+                        a = bound_effect(cov, result, x, y, mode)
+                        b = bound_effect(cov, lab, x, y, mode)
+                        assert (a.lower, a.upper, a.entries) == (b.lower, b.upper, b.entries)

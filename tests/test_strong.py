@@ -312,8 +312,8 @@ def test_outputs_at_scale_keep_their_digests():
     assert _digests(undirected_grid(10)) == GRID_DIGESTS
 
 
-# sha256 of serialize_graph(maximally_oriented(g)) for the 80-200-node draws
-# of SCALES, then the 10 x 10 undirected grid
+# sha256 of serialize_graph(maximally_oriented(g)) for the draws of SCALES,
+# then the 10 x 10 undirected grid
 MAXIMALLY_ORIENTED_DIGESTS = {
     80: ["f4023ec0eb122455812dae631d7abdd005432def3e64452a7326182896154863",
          "3a68af65acb0e5b40a257fb078f8141017e8bef77cb665b7b33e73cc5bf10b84",
@@ -324,6 +324,7 @@ MAXIMALLY_ORIENTED_DIGESTS = {
     200: ["a0bccfbfb98a84a014dd40dbc930d61727cf014a0cc97f8ac9aa3622bff882d9",
           "328650255d6a03fa9f5752ff1b2144a0207a99e7077aa4f60cd512d3c243bb4d",
           "680ecf5e967025159f7a4998d8c9c3976dc0ba40e280a9dc638e854a67c201e5"],
+    1000: ["5c0050bd7294d5b8949779d0af3d981f18e915c6e93ca74ad3e482a3fcd7b220"],
 }
 MAXIMALLY_ORIENTED_GRID_DIGEST = "274d12829a5ae83e055f5b7120950da79fccde54e7488860b77fa70d59dbd188"
 

@@ -20,7 +20,7 @@ from ampcg import (
     split,
     strong_oracle,
 )
-from ampcg import graphs, transform
+from ampcg import graphs, strong, transform
 from ampcg.cli import cli
 from ampcg.errors import InfeasibleMergeError, InfeasibleSplitError, NotComponentsError
 from ampcg.transform import (
@@ -161,6 +161,37 @@ class TestMinMaxOriented:
         assert cli(["minmax", "--mode", "max", str(path)]) == 0
         assert builds == 3
         assert capsys.readouterr().out == serialize_graph(maximally_oriented(g))
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["minmax", "--mode", "max"], 0),
+            (["adjust", "--x", "V0"], 0),
+            (["bound", "--x", "V0", "--y", "V5"], 0),
+            (["strong"], 1),
+        ],
+    )
+    def test_only_printed_arrows_are_searched_for(self, monkeypatch, tmp_path, argv, calls):
+        # the member and the adjusting sets read the essential graph's
+        # doubly blocked edges; only `ampcg strong` prints strong arrows
+        g = random_chain_graph(random.Random(12), node_names(12), 0.5, 0.1)
+        path = tmp_path / "g.txt"
+        path.write_text(serialize_graph(g))
+        data = tmp_path / "data.csv"
+        assert cli(["sample", str(path), "--n", "200", "--out", str(data)]) == 0
+        labelings = 0
+        label = strong.label_strong
+
+        def counted(*args, **kwargs):
+            nonlocal labelings
+            labelings += 1
+            return label(*args, **kwargs)
+
+        monkeypatch.setattr(strong, "label_strong", counted)
+        monkeypatch.setattr("ampcg.cli.label_strong", counted)
+        extra = ["--data", str(data)] if argv[0] == "bound" else []
+        assert cli([argv[0], str(path), *argv[1:], *extra]) == 0
+        assert labelings == calls
 
     def test_no_feasible_split_on_large_components(self):
         rnd = random.Random(83)
