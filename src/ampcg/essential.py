@@ -19,18 +19,18 @@ R4's (c, b) is (u, v) with (d, b) among the blocks already there.  R3 at
 them, so its steps run from a to u and from v to b, and a and b are found by
 one walk each over the blocked steps, backwards from u and forwards from v.
 
-The engine works on integer masks.  `MarkedGraph.index` numbers the nodes in
-sorted order and holds one adjacency mask per node, adj[i]; `unmarked_skeleton`
-takes both from the graph's own `ChainGraph.index`.  The blocks are two lists
-of masks, out[i] (the w with (i, w) blocked) and inn[w] (the i with (i, w)
-blocked), and the triplex set becomes tri[b][a], the mask of the c with
+The engine works on integer masks, and they are `MarkedGraph`'s state.  Its
+`index` is the graph's own `ChainGraph.index`, shared by every copy: the nodes
+in sorted order and one adjacency mask per node, adj[i].  The blocks are two
+tuples of masks, out[i] (the w with (i, w) blocked) and inn[w] (the i with
+(i, w) blocked), and the triplex set becomes tri[b][a], the mask of the c with
 a ~ b ~ c a triplex.  A pending block (u, v) then fires R2 at every c
 in adj[v] & ~adj[u] & ~bit(u) & ~tri[v][u], and R4 at every a in
 adj[u] & adj[v] & ~inn[v] for which some d lies in
 adj[v] & adj[a] & ~adj[u] & ~bit(u) & inn[v] & ~tri[a][u].  R3's two walks
-and `_path_exists` advance a whole frontier mask per step.  `blocked` stays
-the public frozenset; it and the masks are converted only where a public
-function takes or returns a `MarkedGraph`.
+and `_path_exists` advance a whole frontier mask per step.  The name sets
+`nodes`, `skeleton` and `blocked` are views derived from the masks, and
+`with_blocks` is the one way to add blocks by name.
 
 R3, S3 (in `strong`) and double-blocking ask whether a chordless cycle of a
 given kind passes through an edge a ~ b, which for arbitrary marks is
@@ -77,7 +77,7 @@ states where the question is asked:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -89,56 +89,36 @@ RULE_NAMES = ("R1", "R2", "R3", "R4")
 
 @dataclass(frozen=True)
 class MarkedGraph:
-    """A skeleton with per-edge-end block marks.
+    """A skeleton with per-edge-end block marks, held as masks.
 
-    `blocked` holds (end, other) pairs: the edge {end, other} carries a block
-    at `end`.
+    `index` numbers the nodes in sorted order and gives each its adjacency
+    mask.  out[i] masks the w with the edge i ~ w blocked at i, and inn[w]
+    the same blocks seen from w.  Copies share `index` (two marked graphs
+    are equal when they share it and their masks agree) and the triplex
+    masks, which `_tri` holds as [t, masks] once built.
     """
 
-    nodes: frozenset[NodeId]
-    skeleton: frozenset[tuple[NodeId, NodeId]]
-    blocked: frozenset[tuple[NodeId, NodeId]]
-
-    @property
-    def sorted_nodes(self) -> tuple[NodeId, ...]:
-        return self.index.nodes
+    index: NodeIndex
+    out: Masks
+    inn: Masks
+    _tri: list = field(default_factory=list, compare=False, repr=False)
 
     @cached_property
-    def adjacency(self) -> dict[NodeId, frozenset[NodeId]]:
-        adj: dict[NodeId, set[NodeId]] = {n: set() for n in self.nodes}
-        for a, b in self.skeleton:
-            adj[a].add(b)
-            adj[b].add(a)
-        return {n: frozenset(s) for n, s in adj.items()}
+    def nodes(self) -> frozenset[NodeId]:
+        return frozenset(self.index.nodes)
 
     @cached_property
-    def index(self) -> NodeIndex:
-        nodes = tuple(sorted(self.nodes))
-        pos = {n: i for i, n in enumerate(nodes)}
-        adj = [0] * len(nodes)
-        for a, b in self.skeleton:
-            i, j = pos[a], pos[b]
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        return NodeIndex(nodes, pos, tuple(adj))
+    def skeleton(self) -> frozenset[tuple[NodeId, NodeId]]:
+        """All edges as `pair()`-ordered names."""
+        names = self.index.nodes
+        return frozenset((names[i], names[w]) for i, w in _positions(self.index.adj) if i < w)
 
     @cached_property
-    def block_masks(self) -> tuple[Masks, Masks]:
-        """(out, inn): out[i] masks the w with (i, w) blocked, inn[w] the i."""
-        pos = self.index.pos
-        out = [0] * len(pos)
-        inn = [0] * len(pos)
-        for a, b in self.blocked:
-            i, w = pos[a], pos[b]
-            out[i] |= 1 << w
-            inn[w] |= 1 << i
-        return tuple(out), tuple(inn)
-
-    def is_blocked(self, end: NodeId, other: NodeId) -> bool:
-        return (end, other) in self.blocked
-
-    def plain_edge(self, u: NodeId, v: NodeId) -> bool:
-        return (u, v) not in self.blocked and (v, u) not in self.blocked
+    def blocked(self) -> frozenset[tuple[NodeId, NodeId]]:
+        """The (end, other) pairs whose edge {end, other} carries a block at
+        `end`."""
+        names = self.index.nodes
+        return frozenset((names[i], names[w]) for i, w in _positions(self.out))
 
     def finalize(self) -> ChainGraph:
         """Orient singly blocked edges out of their blocked end; rest undirected."""
@@ -152,7 +132,7 @@ class MarkedGraph:
         every check on it."""
         index = self.index
         names, adj = index.nodes, index.adj
-        out, inn = self.block_masks
+        out, inn = self.out, self.inn
         pa = [0] * len(names)
         ne = [0] * len(names)
         directed = []
@@ -181,41 +161,29 @@ class MarkedGraph:
             GraphIndex(names, index.pos, adj, tuple(pa), tuple(ne)),
         )
 
-    def with_blocks(self, additions: Iterable[tuple[NodeId, NodeId]]) -> "MarkedGraph":
-        """A copy with `additions` blocked too, sharing this skeleton's
-        `index` and (once built) `adjacency` and triplex masks."""
-        out = MarkedGraph(self.nodes, self.skeleton, self.blocked | frozenset(additions))
-        out.__dict__["index"] = self.index
-        for name in ("adjacency", "_tri"):
-            if name in self.__dict__:
-                out.__dict__[name] = self.__dict__[name]
-        return out
+    def with_blocks(self, additions: Iterable[tuple[NodeId, NodeId]]) -> MarkedGraph:
+        """A copy with the (end, other) pairs in `additions` blocked too."""
+        pos = self.index.pos
+        out, inn = list(self.out), list(self.inn)
+        for a, b in additions:
+            i, w = pos[a], pos[b]
+            out[i] |= 1 << w
+            inn[w] |= 1 << i
+        return replace(self, out=tuple(out), inn=tuple(inn))
 
     def _triplex_masks(self, t: TriplexKeys) -> list[dict[int, int]]:
         """`_triplex_masks(self.index, t)`, built once along a chain of
         copies that all ask with the same `t` object."""
-        cached = self.__dict__.get("_tri")
-        if cached is None or cached[0] is not t:
-            cached = self.__dict__["_tri"] = (t, _triplex_masks(self.index, t))
-        return cached[1]
-
-    def _with_masks(
-        self, added: Iterable[tuple[int, int]], out: list[int], inn: list[int]
-    ) -> "MarkedGraph":
-        """`with_blocks` for blocks given by position, with the copy's masks."""
-        names = self.index.nodes
-        h = self.with_blocks((names[i], names[w]) for i, w in added)
-        h.__dict__["block_masks"] = (tuple(out), tuple(inn))
-        return h
+        cache = self._tri
+        if not cache or cache[0] is not t:
+            cache[:] = (t, _triplex_masks(self.index, t))
+        return cache[1]
 
 
 def unmarked_skeleton(g: ChainGraph) -> MarkedGraph:
-    """The skeleton of g with no blocks, indexed by g's positions and
-    adjacency masks."""
-    m = MarkedGraph(nodes=g.nodes, skeleton=g.skeleton, blocked=frozenset())
-    index = g.index
-    m.__dict__["index"] = NodeIndex(index.nodes, index.pos, index.adj)
-    return m
+    """The skeleton of g with no blocks, on g's own index."""
+    none = (0,) * len(g.nodes)
+    return MarkedGraph(g.index, none, none)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +311,7 @@ def _close_blocks(
 def _one_end_blocked(m: MarkedGraph) -> list[tuple[int, int]]:
     """Every (x, y), as positions, with the edge blocked at x only, in sorted
     edge order."""
-    out, inn = m.block_masks
+    out, inn = m.out, m.inn
     edges = []
     for i, (o, n) in enumerate(zip(out, inn)):
         x = ((o ^ n) >> (i + 1)) << (i + 1)
@@ -383,27 +351,31 @@ def apply_rules_R(
     unknown = set(rules) - set(RULE_NAMES)
     if unknown:
         raise ValueError(f"unknown rules {sorted(unknown)}")
-    index = m.index
-    pos = index.pos
-    out, inn = map(list, m.block_masks)
-    seeds = []
+    if new is not None:
+        new = set(new)
+        if not new <= m.blocked:
+            raise ValueError(f"new blocks {sorted(new - m.blocked)} are not blocks of m")
+        pos = m.index.pos
+        new = [(pos[u], pos[v]) for u, v in new]
+    return _closed(m, t, rules, new)
+
+
+def _closed(
+    m: MarkedGraph, t: TriplexKeys, rules: Sequence[str], new: list[tuple[int, int]] | None
+) -> MarkedGraph:
+    """`apply_rules_R` with the `new` blocks given as (end, other) positions."""
+    pos = m.index.pos
+    out, inn = list(m.out), list(m.inn)
     if new is None:
         if "R1" in rules:
             for b, (a, c) in t:
                 w = pos[b]
                 for i in (pos[a], pos[c]):
-                    if not out[i] >> w & 1:
-                        out[i] |= 1 << w
-                        inn[w] |= 1 << i
-                        seeds.append((i, w))
-        pending = _positions(out)
-    else:
-        new = set(new)
-        if not new <= m.blocked:
-            raise ValueError(f"new blocks {sorted(new - m.blocked)} are not blocks of m")
-        pending = [(pos[u], pos[v]) for u, v in new]
-    added = _close_blocks(index.adj, m._triplex_masks(t), out, inn, pending, rules)
-    return m._with_masks(seeds + added, out, inn)
+                    out[i] |= 1 << w
+                    inn[w] |= 1 << i
+        new = _positions(out)
+    _close_blocks(m.index.adj, m._triplex_masks(t), out, inn, new, rules)
+    return replace(m, out=tuple(out), inn=tuple(inn))
 
 
 def double_block_chordless_cycles(m: MarkedGraph) -> MarkedGraph:
@@ -416,23 +388,21 @@ def double_block_chordless_cycles(m: MarkedGraph) -> MarkedGraph:
     double-blocked at once.
     """
     adj = m.index.adj
-    out, inn = map(list, m.block_masks)
-    plain = [adj[i] & ~out[i] & ~inn[i] for i in range(len(adj))]
-    added = []
+    out, inn = list(m.out), list(m.inn)
+    plain = [a & ~o & ~n for a, o, n in zip(adj, out, inn)]
     for a, b in _positions(plain):
         if a < b and _path_exists(adj, plain, a, b, plain[b]):
-            added += [(a, b), (b, a)]
-    for i, w in added:
-        out[i] |= 1 << w
-        inn[w] |= 1 << i
-    return m._with_masks(added, out, inn)
+            out[a] |= 1 << b
+            inn[a] |= 1 << b
+            out[b] |= 1 << a
+            inn[b] |= 1 << a
+    return replace(m, out=tuple(out), inn=tuple(inn))
 
 
 def _doubly_blocked(m: MarkedGraph) -> frozenset[tuple[NodeId, NodeId]]:
     """The edges of `m` blocked at both ends, as `pair()`-ordered names."""
     names = m.index.nodes
-    out, inn = m.block_masks
-    doubly = _positions([o & n for o, n in zip(out, inn)])
+    doubly = _positions([o & n for o, n in zip(m.out, m.inn)])
     return frozenset((names[i], names[w]) for i, w in doubly if i < w)
 
 
@@ -463,5 +433,6 @@ def essential_graph(g: ChainGraph) -> EssentialGraphResult:
     t = triplexes(g)
     fixpoint = apply_rules_R(unmarked_skeleton(g), t, rules=RULE_NAMES)
     m = double_block_chordless_cycles(fixpoint)
-    m = apply_rules_R(m, t, rules=("R2", "R3", "R4"), new=m.blocked - fixpoint.blocked)
+    added = _positions([o ^ f for o, f in zip(m.out, fixpoint.out)])
+    m = _closed(m, t, ("R2", "R3", "R4"), added)
     return EssentialGraphResult(graph=m.finalize(), marks=m, triplexes=t)

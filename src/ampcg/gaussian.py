@@ -71,7 +71,7 @@ class Dataset:
         return Covariance(columns=self.columns, matrix=matrix)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EffectBoundReport:
     """Per-adjusting-set effect values with their envelope."""
 

@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DuplicateEdgeError, ParseError
-from .essential import MarkedGraph
+from .essential import MarkedGraph, _positions
 from .gaussian import Dataset
 from .graphs import ChainGraph, NodeId, is_valid_name, pair
 from .strong import StrongLabeling
@@ -92,15 +92,11 @@ def graph_to_json(
         doc["strong_undirected"] = [list(e) for e in sorted(obj.strong_undirected)]
         return doc
     if isinstance(obj, MarkedGraph):
+        blocked = obj.blocked
         return {
-            "nodes": list(obj.sorted_nodes),
+            "nodes": sorted(obj.nodes),
             "edges": [
-                {
-                    "u": a,
-                    "v": b,
-                    "blocked_u": obj.is_blocked(a, b),
-                    "blocked_v": obj.is_blocked(b, a),
-                }
+                {"u": a, "v": b, "blocked_u": (a, b) in blocked, "blocked_v": (b, a) in blocked}
                 for a, b in sorted(obj.skeleton)
             ],
         }
@@ -128,14 +124,14 @@ def to_json(obj: ChainGraph | MarkedGraph | StrongLabeling) -> str:
     Python."""
     q = encode_basestring_ascii
     if isinstance(obj, MarkedGraph):
-        blocked = obj.blocked
+        nodes, out = obj.index.nodes, obj.out
         edges = [
-            f'{{\n      "blocked_u": {_BOOL[(a, b) in blocked]}{_FIELD}'
-            f'"blocked_v": {_BOOL[(b, a) in blocked]}{_FIELD}'
-            f'"u": {q(a)}{_FIELD}"v": {q(b)}\n    }}'
-            for a, b in sorted(obj.skeleton)
+            f'{{\n      "blocked_u": {_BOOL[out[i] >> w & 1]}{_FIELD}'
+            f'"blocked_v": {_BOOL[out[w] >> i & 1]}{_FIELD}'
+            f'"u": {q(nodes[i])}{_FIELD}"v": {q(nodes[w])}\n    }}'
+            for i, w in _positions(obj.index.adj)
+            if i < w
         ]
-        nodes = obj.sorted_nodes
     else:
         g = obj.graph if isinstance(obj, StrongLabeling) else obj
         edges = [

@@ -7,10 +7,10 @@ destroys a pretriplex that the essential graph carries.  Totally plain edges
 are non-strong undirected.  The S1-S6 rules are a sound but incomplete
 shortcut for strong arrows.
 
-Everything here reads the marks as `essential`'s masks (`MarkedGraph.index`
-and `block_masks`); the rules name the edges they label.  A re-blocked copy
-is a copy of the two mask lists, closed under R2 and R3 from its one new
-block.
+Everything here reads the marks as `MarkedGraph` holds them: its `index` and
+the mask tuples `out` and `inn`; the rules name the edges they label.  A
+re-blocked copy is a list copy of the two mask tuples, closed under R2 and
+R3 from its one new block.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _pretriplexes_by_end(m: MarkedGraph) -> list[dict[int, int]]:
     copies that newly block (b, a) need to look at it.
     """
     adj = m.index.adj
-    out, inn = m.block_masks
+    out, inn = m.out, m.inn
     pre = []
     for b, into in enumerate(inn):
         ends = {}
@@ -68,7 +68,7 @@ def _pretriplexes_by_end(m: MarkedGraph) -> list[dict[int, int]]:
 
 
 def _check_line6_fixpoint(m: MarkedGraph, tri: list[dict[int, int]]) -> None:
-    out, inn = map(list, m.block_masks)
+    out, inn = list(m.out), list(m.inn)
     if _close_blocks(m.index.adj, tri, out, inn, _positions(out), ("R2", "R3", "R4")):
         raise InvalidStateError("marks are not a fixpoint of the propagation rules")
 
@@ -79,7 +79,7 @@ def _reblocked(
     """The copy of `m`'s masks that forces x ~ y undirected: (y, x) blocked,
     then closed under R2 and R3.  Returns its `out` and `inn` and its new
     blocks."""
-    out, inn = map(list, m.block_masks)
+    out, inn = list(m.out), list(m.inn)
     out[y] |= 1 << x
     inn[x] |= 1 << y
     new = [(y, x)] + _close_blocks(m.index.adj, tri, out, inn, [(y, x)], ("R2", "R3"))
@@ -94,12 +94,15 @@ def _verify_candidate_state(h: MarkedGraph, eg_triplexes: TriplexKeys) -> None:
     carries single blocks in one rotational sense only); finalization adds
     no triplex the essential graph lacks.
     """
-    for x, y in sorted(h.blocked):
-        for c in sorted(h.adjacency[x] & h.adjacency[y]):
-            if h.plain_edge(y, c) and h.plain_edge(x, c):
-                raise InvariantViolationError(
-                    f"blocked edge {x}~{y} on an otherwise plain triangle with {c}"
-                )
+    names = h.index.nodes
+    plain = [a & ~o & ~n for a, o, n in zip(h.index.adj, h.out, h.inn)]
+    for x, y in _positions(h.out):
+        common = plain[x] & plain[y]
+        if common:
+            c = names[(common & -common).bit_length() - 1]
+            raise InvariantViolationError(
+                f"blocked edge {names[x]}~{names[y]} on an otherwise plain triangle with {c}"
+            )
     try:
         oriented = h.finalize()
     except SemidirectedCycleError as exc:
@@ -138,7 +141,8 @@ def label_strong(
             continue
         copy_out, copy_inn, new = _reblocked(m, tri, x, y)
         if check_invariants:
-            _verify_candidate_state(m._with_masks(new, copy_out, copy_inn), eg_triplexes)
+            h = MarkedGraph(m.index, tuple(copy_out), tuple(copy_inn))
+            _verify_candidate_state(h, eg_triplexes)
         if any(pre[b].get(a, 0) & copy_out[b] for b, a in new):
             confirmed.add(edge)
             if edge not in strong_arrows:
@@ -169,7 +173,7 @@ def _s1(m: MarkedGraph) -> set[tuple[NodeId, NodeId]]:
     """(c, d) singly blocked at c, with non-adjacent a, b not adjacent to d
     and both a ~ c and b ~ c singly blocked at a and b."""
     adj, names = m.index.adj, m.index.nodes
-    out, inn = m.block_masks
+    out, inn = m.out, m.inn
     found = set()
     for c, (o, n) in enumerate(zip(out, inn)):
         heads, tails = o & ~n, n & ~o
@@ -193,7 +197,7 @@ def _s2(m: MarkedGraph) -> set[tuple[NodeId, NodeId]]:
     """(a, b) singly blocked at a, with b ~ c doubly blocked for some c not
     adjacent to a."""
     adj, names = m.index.adj, m.index.nodes
-    out, inn = m.block_masks
+    out, inn = m.out, m.inn
     return {
         (names[a], names[b]) for a, b in _one_end_blocked(m) if out[b] & inn[b] & ~adj[a]
     }
@@ -205,7 +209,7 @@ def _s3(m: MarkedGraph) -> set[tuple[NodeId, NodeId]]:
     the closing edge singly blocked at pk and a respectively.  Asked as a
     walk, which is exact on R3-closed marks (see `essential`)."""
     adj, names = m.index.adj, m.index.nodes
-    out, inn = m.block_masks
+    out, inn = m.out, m.inn
     return {
         (names[a], names[b])
         for a, b in _one_end_blocked(m)
@@ -216,7 +220,7 @@ def _s3(m: MarkedGraph) -> set[tuple[NodeId, NodeId]]:
 def _s4(m: MarkedGraph, strong: set[tuple[NodeId, NodeId]]) -> set[tuple[NodeId, NodeId]]:
     """(b, c) singly blocked at b, for a strong a -> b with a not adjacent to c."""
     adj, names, pos = m.index.adj, m.index.nodes, m.index.pos
-    out, inn = m.block_masks
+    out, inn = m.out, m.inn
     found = set()
     for u, v in strong:
         a, b = pos[u], pos[v]
@@ -232,7 +236,7 @@ def _s4(m: MarkedGraph, strong: set[tuple[NodeId, NodeId]]) -> set[tuple[NodeId,
 def _s5(m: MarkedGraph, strong: set[tuple[NodeId, NodeId]]) -> set[tuple[NodeId, NodeId]]:
     """(a, b) singly blocked at a, for a strong c -> b with (a, c) blocked."""
     names, pos = m.index.nodes, m.index.pos
-    out, inn = m.block_masks
+    out, inn = m.out, m.inn
     found = set()
     for u, v in strong:
         c, b = pos[u], pos[v]
@@ -248,7 +252,7 @@ def _s5(m: MarkedGraph, strong: set[tuple[NodeId, NodeId]]) -> set[tuple[NodeId,
 def _s6(m: MarkedGraph, strong: set[tuple[NodeId, NodeId]]) -> set[tuple[NodeId, NodeId]]:
     """(a, b) singly blocked at a, for a strong a -> c with (c, b) blocked."""
     names, pos = m.index.nodes, m.index.pos
-    out, inn = m.block_masks
+    out, inn = m.out, m.inn
     found = set()
     for u, v in strong:
         a, c = pos[u], pos[v]

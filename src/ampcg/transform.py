@@ -242,7 +242,7 @@ def maximally_oriented(g: ChainGraph) -> ChainGraph:
     eg = result.graph
     index = eg.index
     names = index.nodes
-    strong = [o & n for o, n in zip(*result.marks.block_masks)]
+    strong = [o & n for o, n in zip(result.marks.out, result.marks.inn)]
     loose = [ne & ~s for ne, s in zip(index.ne, strong)]
     rank = _mcs_ranks(loose)
     pa = list(index.pa)

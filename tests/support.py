@@ -22,7 +22,7 @@ from ampcg import (
 from ampcg.causal import st_nst
 from ampcg.equivalence import _is_triplex
 from ampcg.errors import NotChordalError
-from ampcg.essential import RULE_NAMES, MarkedGraph
+from ampcg.essential import RULE_NAMES, MarkedGraph, unmarked_skeleton
 from ampcg.graphs import _eliminate, _undirected_components
 from ampcg.separation import _check_query, _mark_at, route_is_open
 from ampcg.transform import _split_candidates, _split_result
@@ -211,8 +211,26 @@ def greedy_maximally_oriented(g: ChainGraph, reverse_order: bool = False) -> Cha
             return current
 
 
+# Name helpers over a marked graph's derived views: the engine reads only
+# the masks, so these keep the oracles on names.
+
+
+def adjacency(m: MarkedGraph) -> dict[str, frozenset[str]]:
+    """Each node's neighbors, by name."""
+    adj: dict[str, set[str]] = {n: set() for n in m.nodes}
+    for a, b in m.skeleton:
+        adj[a].add(b)
+        adj[b].add(a)
+    return {n: frozenset(s) for n, s in adj.items()}
+
+
 def is_adjacent(m: MarkedGraph, u, v) -> bool:
     return pair(u, v) in m.skeleton
+
+
+def plain_edge(m: MarkedGraph, u, v) -> bool:
+    """Blocked at neither end."""
+    return (u, v) not in m.blocked and (v, u) not in m.blocked
 
 
 def doubly_blocked(m: MarkedGraph, u, v) -> bool:
@@ -245,7 +263,7 @@ def chordless_cycle_orders(m: MarkedGraph) -> list[tuple[str, ...]]:
     """
     out = []
     for k in range(3, len(m.nodes) + 1):
-        for subset in combinations(m.sorted_nodes, k):
+        for subset in combinations(sorted(m.nodes), k):
             if sum(is_adjacent(m, u, v) for u, v in combinations(subset, 2)) != k:
                 continue
             for order in permutations(subset):
@@ -283,7 +301,7 @@ def r3_fires(m: MarkedGraph, a, b) -> bool:
     a ~ v1 ~ ... ~ vk ~ b (k >= 1) whose every edge, vk ~ b included, is
     blocked at its end nearer a.  k = 1 is a common neighbor; k >= 2 is asked
     as a walk."""
-    adj, blocked = m.adjacency, m.blocked
+    adj, blocked = adjacency(m), m.blocked
     return any((a, w) in blocked and (w, b) in blocked for w in adj[a] & adj[b]) or (
         set_path_exists(adj, a, b, lambda u, w: (u, w) in blocked, lambda w: (w, b) in blocked)
     )
@@ -301,8 +319,9 @@ def r1_instances(m: MarkedGraph, t):
 
 
 def r2_instances(m: MarkedGraph, t):
+    adj = adjacency(m)
     for a, b in sorted(m.blocked):
-        for c in sorted(m.adjacency[b] - {a}):
+        for c in sorted(adj[b] - {a}):
             if is_adjacent(m, a, c) or (b, pair(a, c)) in t:
                 continue
             if (b, c) not in m.blocked:
@@ -318,11 +337,12 @@ def r3_instances(m: MarkedGraph, t):
 
 
 def r4_instances(m: MarkedGraph, t):
-    for b in m.sorted_nodes:
-        for a in sorted(m.adjacency[b]):
+    adj = adjacency(m)
+    for b in sorted(m.nodes):
+        for a in sorted(adj[b]):
             if (a, b) in m.blocked:
                 continue
-            shared = sorted((m.adjacency[a] & m.adjacency[b]) - {a, b})
+            shared = sorted((adj[a] & adj[b]) - {a, b})
             for c, d in combinations(shared, 2):
                 if is_adjacent(m, c, d):
                     continue
@@ -392,8 +412,9 @@ def chain_graphs(draw, max_nodes: int = 5) -> ChainGraph:
 
 
 @st.composite
-def marked_graphs(draw, max_nodes: int = 7) -> MarkedGraph:
-    """Skeletons with arbitrary end blocks, reachable by the rules or not."""
+def marked_graph_parts(draw, max_nodes: int = 7):
+    """(nodes, skeleton, blocked) name sets: a skeleton with arbitrary end
+    blocks, reachable by the rules or not."""
     nodes = node_names(draw(st.integers(min_value=1, max_value=max_nodes)))
     skeleton = frozenset(
         p for p in combinations(nodes, 2) if draw(st.booleans(), label=f"edge {p}")
@@ -404,5 +425,15 @@ def marked_graphs(draw, max_nodes: int = 7) -> MarkedGraph:
         for end in ((a, b), (b, a))
         if draw(st.booleans(), label=f"block {end}")
     )
-    return MarkedGraph(nodes=frozenset(nodes), skeleton=skeleton, blocked=blocked)
+    return frozenset(nodes), skeleton, blocked
 
+
+def marked_graph(nodes, skeleton, blocked) -> MarkedGraph:
+    """The marked graph with these name sets, built by name."""
+    g = ChainGraph(frozenset(nodes), frozenset(), frozenset(skeleton))
+    return unmarked_skeleton(g).with_blocks(blocked)
+
+
+def marked_graphs(max_nodes: int = 7):
+    """Marked graphs drawn as `marked_graph_parts`."""
+    return marked_graph_parts(max_nodes).map(lambda parts: marked_graph(*parts))

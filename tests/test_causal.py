@@ -198,6 +198,5 @@ class TestEssentialGraphArgument:
                         enumerate_adjusting_sets(lab, x, mode), (g, x, mode)
                     if len(g.nodes) > 1:
                         y = rnd.choice(sorted(g.nodes - {x}))
-                        a = bound_effect(cov, result, x, y, mode)
-                        b = bound_effect(cov, lab, x, y, mode)
-                        assert (a.lower, a.upper, a.entries) == (b.lower, b.upper, b.entries)
+                        assert bound_effect(cov, result, x, y, mode) == \
+                            bound_effect(cov, lab, x, y, mode), (g, x, y, mode)

@@ -26,12 +26,16 @@ from ampcg.strong import _s3
 
 from .support import (
     FINDERS,
+    adjacency,
     cg,
     chordless_cycle_orders,
     doubly_blocked,
     edges_blocked_at_one_end,
     is_adjacent,
+    marked_graph,
+    marked_graph_parts,
     marked_graphs,
+    plain_edge,
     r3_instances,
     set_path_exists,
     singly_blocked,
@@ -108,10 +112,11 @@ class TestRules:
 def test_worklist_matches_the_sweep_oracle(m, data):
     # arbitrary marks and an arbitrary triplex set over the induced paths;
     # then a few extra blocks on the oracle's fixpoint, drawn from `new` alone
+    adj = adjacency(m)
     paths = [
         (b, pair(a, c))
-        for b in m.sorted_nodes
-        for a, c in combinations(sorted(m.adjacency[b]), 2)
+        for b in sorted(m.nodes)
+        for a, c in combinations(sorted(adj[b]), 2)
         if not is_adjacent(m, a, c)
     ]
     t = frozenset(p for p in paths if data.draw(st.booleans(), label=f"triplex {p}"))
@@ -122,6 +127,23 @@ def test_worklist_matches_the_sweep_oracle(m, data):
         assert apply_rules_R(m, t, rules) == fixpoint
         more = fixpoint.with_blocks(extra)
         assert apply_rules_R(more, t, rules, new=extra) == sweep_fixpoint(more, t, rules)
+
+
+@settings(max_examples=100, deadline=None)
+@given(marked_graph_parts(max_nodes=7), st.data())
+def test_name_views_and_copy_isolation(parts, data):
+    # the name sets are views of the masks; a copy with more blocks leaves
+    # its source as it was and shares its index
+    nodes, skeleton, blocked = parts
+    m = marked_graph(*parts)
+    out, inn = m.out, m.inn
+    ends = sorted(end for a, b in skeleton for end in ((a, b), (b, a)))
+    extra = data.draw(st.sets(st.sampled_from(ends), max_size=3)) if ends else set()
+    h = m.with_blocks(extra)
+    assert (m.nodes, m.skeleton, m.blocked) == (nodes, skeleton, blocked)
+    assert (m.out, m.inn) == (out, inn)
+    assert (h.nodes, h.skeleton, h.blocked) == (nodes, skeleton, blocked | extra)
+    assert h.index is m.index
 
 
 class TestLine5:
@@ -176,7 +198,7 @@ def _exact_double_blocks(m, orders):
     return {
         end
         for o in orders
-        if len(o) >= 4 and all(m.plain_edge(u, v) for u, v in _cycle_edges(o))
+        if len(o) >= 4 and all(plain_edge(m, u, v) for u, v in _cycle_edges(o))
         for u, v in _cycle_edges(o)
         for end in ((u, v), (v, u))
     }
@@ -199,19 +221,22 @@ def test_chordless_searches_match_brute_force(m):
 @given(marked_graphs(max_nodes=7))
 def test_mask_walk_matches_the_set_walk(m):
     # the blocked-step walk of R3 and S3 and the plain walk of double-blocking
-    adj, pos = m.index.adj, m.index.pos
-    out, inn = m.block_masks
+    adj, pos, out, inn = m.index.adj, m.index.pos, m.out, m.inn
     plain = [adj[i] & ~out[i] & ~inn[i] for i in range(len(adj))]
+    nbrs = adjacency(m)
+
+    def is_blocked(end, other):
+        return (end, other) in m.blocked
+
+    def is_plain(u, w):
+        return plain_edge(m, u, w)
+
     for u, v in m.skeleton:
         for a, b in ((u, v), (v, u)):
             i, k = pos[a], pos[b]
-            along_blocks = set_path_exists(
-                m.adjacency, a, b, m.is_blocked, lambda w: m.is_blocked(w, b)
-            )
+            along_blocks = set_path_exists(nbrs, a, b, is_blocked, lambda w: is_blocked(w, b))
             assert _path_exists(adj, out, i, k, inn[k]) == along_blocks
-            along_plain = set_path_exists(
-                m.adjacency, a, b, m.plain_edge, lambda w: m.plain_edge(w, b)
-            )
+            along_plain = set_path_exists(nbrs, a, b, is_plain, lambda w: is_plain(w, b))
             assert _path_exists(adj, plain, i, k, plain[k]) == along_plain
 
 
@@ -239,10 +264,10 @@ def test_reachability_rules_match_exact_search_on_reachable_states():
         m = unmarked_skeleton(g)
         orders[g.skeleton] = chordless_cycle_orders(m)
         m = both_fixpoints(m, t, RULE_NAMES)
-        for x, y, c in combinations(m.sorted_nodes, 3):
+        for x, y, c in combinations(sorted(m.nodes), 3):
             sides = [(x, y), (y, c), (x, c)]
             if all(is_adjacent(m, u, v) for u, v in sides):
-                assert sum(m.plain_edge(u, v) for u, v in sides) != 2
+                assert sum(plain_edge(m, u, v) for u, v in sides) != 2
         added = double_block_chordless_cycles(m).blocked - m.blocked
         assert added == _exact_double_blocks(m, orders[g.skeleton])
         double_blocked += bool(added)

@@ -178,6 +178,14 @@ class TestBoundEffect:
         report = bound_effect(cov, lab, "B", "C", "class")
         assert [sorted(aset.nodes) for aset, _ in report.entries] == [["A", "C"]]
 
+    def test_equal_calls_give_equal_reports(self):
+        g = cg("ABCD", [("A", "C"), ("B", "C"), ("C", "D")])
+        cov = population_covariance(random_model(g, seed=4))
+        lab = strong_labeling(g)
+        assert bound_effect(cov, lab, "C", "D", "class", truth=0.5) == bound_effect(
+            cov, lab, "C", "D", "class", truth=0.5
+        )
+
     def test_class_mode_covers_the_generating_member(self):
         rnd = random.Random(51)
         for trial in range(60):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ampcg import (
     ChainGraph,
-    MarkedGraph,
     StrongLabeling,
     essential_graph,
     pair,
@@ -22,6 +21,7 @@ from ampcg import (
     strong_labeling,
     to_dot,
     to_json,
+    unmarked_skeleton,
     write_dataset,
 )
 from ampcg import graphs, io_text
@@ -123,7 +123,9 @@ class TestJsonWriter:
         docs += [essential_graph(g).marks for g in docs] + [strong_labeling(g) for g in docs]
         docs += [
             ChainGraph(frozenset(odd), frozenset({odd[:2]}), frozenset({pair(*odd[1:])})),
-            MarkedGraph(frozenset(odd), frozenset({odd[:2]}), frozenset({odd[1::-1]})),
+            unmarked_skeleton(
+                ChainGraph(frozenset(odd), frozenset(), frozenset({pair(*odd[:2])}))
+            ).with_blocks({odd[1::-1]}),
             StrongLabeling(
                 ChainGraph(frozenset(odd), frozenset({odd[:2]}), frozenset()),
                 frozenset({odd[:2]}),

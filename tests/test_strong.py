@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import time
 
 import pytest
@@ -21,7 +22,7 @@ from ampcg import (
 from ampcg import essential, graphs
 from ampcg.cli import cli
 from ampcg.errors import InvalidStateError, InvariantViolationError
-from ampcg.essential import MarkedGraph, _close_blocks
+from ampcg.essential import _close_blocks
 from ampcg.strong import _propagate
 
 from .support import cg, edges_blocked_at_one_end, undirected_grid
@@ -78,23 +79,48 @@ class TestLabelStrong:
         with pytest.raises(InvariantViolationError, match="shortcut labels"):
             label_strong(result.marks, result.triplexes, check_invariants=True)
 
+    @staticmethod
+    def _reblock_also(monkeypatch, marks, end, other):
+        # every re-blocked copy also blocks (end, other)
+        i, w = marks.index.pos[end], marks.index.pos[other]
+
+        def reblock(adj, tri, out, inn, pending, rules):
+            added = _close_blocks(adj, tri, out, inn, pending, rules)
+            if rules == ("R2", "R3") and not out[i] >> w & 1:
+                out[i] |= 1 << w
+                inn[w] |= 1 << i
+                added.append((i, w))
+            return added
+
+        monkeypatch.setattr("ampcg.strong._close_blocks", reblock)
+
     def test_checked_mode_reports_a_semidirected_cycle(self, monkeypatch):
         g = cg("ABCD", [("D", "A")], [("A", "B"), ("A", "C"), ("B", "C")])
         result = essential_graph(g)
         # every re-blocked copy also blocks (B, C): the copy that forces B -- A
         # then finalizes to B -> C -> A -- B, a semidirected cycle
-        b, c = (result.marks.index.pos[n] for n in "BC")
-
-        def reblock(adj, tri, out, inn, pending, rules):
-            added = _close_blocks(adj, tri, out, inn, pending, rules)
-            if rules == ("R2", "R3") and not out[b] >> c & 1:
-                out[b] |= 1 << c
-                inn[c] |= 1 << b
-                added.append((b, c))
-            return added
-
-        monkeypatch.setattr("ampcg.strong._close_blocks", reblock)
+        self._reblock_also(monkeypatch, result.marks, "B", "C")
         with pytest.raises(InvariantViolationError, match="semidirected cycle"):
+            label_strong(result.marks, result.triplexes, check_invariants=True)
+
+    def test_checked_mode_reports_a_block_on_a_plain_triangle(self, monkeypatch):
+        # the collider gives singly blocked edges to re-block; E--F--G--E
+        # stays plain until each copy blocks (E, F)
+        g = cg("ABCEFG", [("A", "C"), ("B", "C")], [("E", "F"), ("E", "G"), ("F", "G")])
+        result = essential_graph(g)
+        self._reblock_also(monkeypatch, result.marks, "E", "F")
+        message = "blocked edge E~F on an otherwise plain triangle with G"
+        with pytest.raises(InvariantViolationError, match=f"^{message}$"):
+            label_strong(result.marks, result.triplexes, check_invariants=True)
+
+    def test_checked_mode_reports_a_new_triplex(self, monkeypatch):
+        # each copy blocks (E, F) of the plain path E--F--G, which finalizes
+        # to E -> F -- G, a triplex the essential graph lacks
+        g = cg("ABCEFG", [("A", "C"), ("B", "C")], [("E", "F"), ("F", "G")])
+        result = essential_graph(g)
+        self._reblock_also(monkeypatch, result.marks, "E", "F")
+        message = "finalization created triplexes [('F', ('E', 'G'))]"
+        with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
             label_strong(result.marks, result.triplexes, check_invariants=True)
 
     def test_labels_a_120_node_graph_in_seconds(self):
@@ -128,29 +154,25 @@ class TestLabelStrong:
         assert lab == label_strong(result.marks, result.triplexes, check_invariants=True)
 
     def test_one_labeling_builds_the_adjacency_once(self, monkeypatch):
-        # the graph's constructor builds its index; every fixpoint shares its
-        # positions and adjacency masks, the re-blocked copies read them
-        # without becoming marked graphs, and finalizing builds the essential
-        # graph's index in the same pass as its edges
+        # the graph's constructor builds its index; every fixpoint shares it,
+        # the re-blocked copies read it without becoming marked graphs, and
+        # finalizing builds the essential graph's index in the same pass as
+        # its edges
         builds = 0
-        build, build_marked = graphs._graph_index, MarkedGraph.index.func
+        build = graphs._graph_index
 
         def counted(*args):
             nonlocal builds
             builds += 1
             return build(*args)
 
-        def counted_marked(m):
-            nonlocal builds
-            builds += 1
-            return build_marked(m)
-
         monkeypatch.setattr(graphs, "_graph_index", counted)
-        monkeypatch.setattr(MarkedGraph.index, "func", counted_marked)
         g = random_chain_graph(random.Random(30), node_names(30), 0.04, 0.07)
         strong_labeling(g)
         assert builds == 1
-        assert len(edges_blocked_at_one_end(essential_graph(g).marks)) >= 10
+        marks = essential_graph(g).marks
+        assert marks.index is g.index
+        assert len(edges_blocked_at_one_end(marks)) >= 10
 
     def test_one_labeling_builds_the_triplex_masks_once(self, monkeypatch, tmp_path):
         # both fixpoints of essential_graph and the labeling read one build,
