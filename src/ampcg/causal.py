@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Literal
 
-from .equivalence import _flanks, _triplex_flanks, enumerate_class
+from .equivalence import _flank_masks, enumerate_class
 from .errors import (
     MixedStrongNeighborsError,
     NotNonStrongNeighborError,
@@ -96,9 +96,13 @@ def locally_valid(
         )
     index = eg.index
     pos = index.pos
-    heads = index.pa[pos[x]] | sum(1 << pos[n] for n in s)
+    b = pos[x]
+    heads = index.pa[b] | sum(1 << pos[n] for n in s)
     others = sum(1 << pos[n] for n in partition.st)
-    return _flanks(index, heads, others) <= _triplex_flanks(eg, pos[x])
+    present = _flank_masks(index.adj, index.pa[b], index.ne[b])
+    return all(
+        not cs & ~present.get(a, 0) for a, cs in _flank_masks(index.adj, heads, others).items()
+    )
 
 
 def enumerate_adjusting_sets(

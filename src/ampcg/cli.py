@@ -329,25 +329,27 @@ def _build_parser() -> _Parser:
     the `_cmd_*` functions call, not the `_cmd_*` functions themselves."""
     parser = _Parser(prog="ampcg", description=__doc__)
     parser.add_argument("--version", action="version", version=f"ampcg {__version__}")
-    parser.add_argument(
-        "--format", choices=("text", "json", "dot"), default="text",
-        help="output format (default: text)",
-    )
+    formats = {"choices": ("text", "json", "dot"), "help": "output format (default: text)"}
+    parser.add_argument("--format", default="text", **formats)
+    # after the subcommand too; SUPPRESS keeps an absent one from resetting
+    # the value given before it
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", default=argparse.SUPPRESS, **formats)
     parser.add_argument("--seed", type=_non_negative, default=0, help="random seed")
     parser.add_argument(
         "--max-edges", type=_non_negative, default=16, help="cap for class enumerations"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="parse and validate a graph document")
+    p = sub.add_parser("validate", help="parse and validate a graph document", parents=[fmt])
     p.add_argument("graph")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("components", help="chain components in topological order")
+    p = sub.add_parser("components", help="chain components in topological order", parents=[fmt])
     p.add_argument("graph")
     p.set_defaults(func=_cmd_components)
 
-    p = sub.add_parser("sep", help="test a separation query")
+    p = sub.add_parser("sep", help="test a separation query", parents=[fmt])
     p.add_argument("graph")
     p.add_argument("--x", required=True, help="comma-separated nodes")
     p.add_argument("--y", required=True, help="comma-separated nodes")
@@ -359,16 +361,16 @@ def _build_parser() -> _Parser:
     p.add_argument("graph2")
     p.set_defaults(func=_cmd_equiv)
 
-    p = sub.add_parser("class", help="enumerate the equivalence class")
+    p = sub.add_parser("class", help="enumerate the equivalence class", parents=[fmt])
     p.add_argument("graph")
     p.add_argument("--via", choices=("brute", "merge-split"), default="brute")
     p.set_defaults(func=_cmd_class)
 
-    p = sub.add_parser("eg", help="construct the essential graph")
+    p = sub.add_parser("eg", help="construct the essential graph", parents=[fmt])
     p.add_argument("graph")
     p.set_defaults(func=_cmd_eg)
 
-    p = sub.add_parser("strong", help="label strong edges in the essential graph")
+    p = sub.add_parser("strong", help="label strong edges in the essential graph", parents=[fmt])
     p.add_argument("graph")
     p.add_argument(
         "--rules-only", action="store_true",
@@ -376,12 +378,12 @@ def _build_parser() -> _Parser:
     )
     p.set_defaults(func=_cmd_strong)
 
-    p = sub.add_parser("minmax", help="minimally or maximally oriented members")
+    p = sub.add_parser("minmax", help="minimally or maximally oriented members", parents=[fmt])
     p.add_argument("graph")
     p.add_argument("--mode", choices=("min", "max"), required=True)
     p.set_defaults(func=_cmd_minmax)
 
-    p = sub.add_parser("adjust", help="enumerate adjusting sets for a node")
+    p = sub.add_parser("adjust", help="enumerate adjusting sets for a node", parents=[fmt])
     p.add_argument("graph")
     p.add_argument("--x", required=True)
     p.add_argument("--mode", choices=MODES, default="maxoriented")
@@ -393,7 +395,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("bound", help="bound a causal effect from data")
+    p = sub.add_parser("bound", help="bound a causal effect from data", parents=[fmt])
     p.add_argument("graph")
     p.add_argument("--data", required=True)
     p.add_argument("--x", required=True)

@@ -1,12 +1,14 @@
 """Triplexes, Markov equivalence, and brute-force class enumeration.
 
 This module holds the one triplex test: `_is_triplex` on the two edge marks
-at a middle node, `_flanks` on the masks of the nodes around it (read from
-`ChainGraph.index`).  Two chain graphs are Markov equivalent exactly when
-they share adjacencies and triplexes, so the brute-force oracle enumerates
-orientation assignments of a skeleton and keeps the valid chain graphs with
-the right triplex set.  The enumeration stays independent of the
-constructive algorithms it is used to verify.
+at a middle node, `_flank_masks` on the masks of the nodes around it (read
+from `ChainGraph.index`).  `_triplex_masks` applies it at every middle node;
+`triplexes` and the essential graph's rules both read its masks.  Two chain
+graphs are Markov equivalent exactly when they share adjacencies and
+triplexes, so the brute-force oracle enumerates orientation assignments of a
+skeleton and keeps the valid chain graphs with the right triplex set.  The
+enumeration stays independent of the constructive algorithms it is used to
+verify.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from .errors import EmptyClassError, NodeSetMismatchError, TooLargeError
-from .graphs import ChainGraph, NodeId, NodeIndex, pair
+from .graphs import ChainGraph, Masks, NodeId, NodeIndex, pair
 
 #: edge states inside the enumerator: undirected / a->b / b->a for a canonical pair (a, b)
 _UND, _FWD, _REV = 0, 1, 2
@@ -36,51 +38,55 @@ def _is_triplex(mark: str, other: str) -> bool:
     return TAIL not in (mark, other) and HEAD in (mark, other)
 
 
-def _flanks(index: NodeIndex, heads: int, others: int) -> set[tuple[int, int]]:
-    """Non-adjacent pairs {a, c}, as sorted positions, with a in the mask
-    `heads` and c in `heads | others`.
+def _flank_masks(adj: Masks, heads: int, others: int) -> dict[int, int]:
+    """For each a in the mask `heads | others`, the mask of the non-adjacent
+    c that pair with it into a flank {a, c}, where a pair needs one end in
+    `heads`; only the a with some c are keys.
 
     With the nodes pointing into a middle node as `heads` and its undirected
     neighbors as `others`, these are the flanks of the triplexes at it.
     """
-    adj = index.adj
     near = heads | others
-    found = set()
-    x = heads
+    found = {}
+    x = near
     while x:
         low = x & -x
         a = low.bit_length() - 1
         x ^= low
-        y = near & ~adj[a] & ~low
-        while y:
-            bit = y & -y
-            c = bit.bit_length() - 1
-            found.add((a, c) if a < c else (c, a))
-            y ^= bit
+        cs = (near if heads & low else heads) & ~adj[a] & ~low
+        if cs:
+            found[a] = cs
     return found
 
 
-def _triplex_flanks(g: ChainGraph, b: int) -> set[tuple[int, int]]:
-    """Flank pairs, as sorted positions, of the triplexes whose middle node
-    is at position b."""
-    index = g.index
-    return _flanks(index, index.pa[b], index.ne[b])
+def _triplex_masks(index: NodeIndex) -> list[dict[int, int]]:
+    """tri[b][a]: the mask of the c with a ~ b ~ c a triplex of the graph,
+    for every a that flanks one at b."""
+    adj, ne = index.adj, index.ne
+    return [_flank_masks(adj, heads, ne[b]) if heads else {} for b, heads in enumerate(index.pa)]
 
 
 #: triplexes as (middle, sorted flank pair) keys
 TriplexKeys = frozenset[tuple[NodeId, tuple[NodeId, NodeId]]]
 
 
+def _triplex_keys(index: NodeIndex, tri: list[dict[int, int]]) -> TriplexKeys:
+    """The triplex masks `tri` as (middle, sorted flank pair) keys."""
+    names = index.nodes
+    keys = []
+    for b, at in enumerate(tri):
+        for a, cs in at.items():
+            x = cs >> (a + 1) << (a + 1)
+            while x:
+                low = x & -x
+                keys.append((names[b], (names[a], names[low.bit_length() - 1])))
+                x ^= low
+    return frozenset(keys)
+
+
 def triplexes(g: ChainGraph) -> TriplexKeys:
     """All triplexes of the graph, as (middle, sorted flank pair) keys."""
-    index = g.index
-    names = index.nodes
-    return frozenset(
-        (names[b], (names[a], names[c]))
-        for b, heads in enumerate(index.pa)
-        if heads
-        for a, c in _flanks(index, heads, index.ne[b])
-    )
+    return _triplex_keys(g.index, _triplex_masks(g.index))
 
 
 def equivalent(g: ChainGraph, h: ChainGraph) -> bool:

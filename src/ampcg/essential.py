@@ -10,14 +10,27 @@ R1, R2 and R4 read the input graph's triplex set where the paper asks whether
 a common neighbor b of non-adjacent a and c lies in a set separating them:
 b lies in every such set exactly when a ~ b ~ c is not a triplex.
 
-`apply_rules_R` draws the fixpoint by a worklist: once the rest of the marks
-is closed, it re-examines only the instances that a new block (u, v) can
-fire, and that misses none.  R1 reads no block, so its instances are seeds.
-R2 and R4 read the new block as an antecedent: R2's (a, b) is (u, v), and
-R4's (c, b) is (u, v) with (d, b) among the blocks already there.  R3 at
-(a, b) needs blocked steps a, v1, ..., vk, b; a new instance has (u, v) among
-them, so its steps run from a to u and from v to b, and a and b are found by
-one walk each over the blocked steps, backwards from u and forwards from v.
+The fixpoint is drawn by a worklist: once the rest of the marks is closed,
+it re-examines only the instances that the new blocks can fire, and that
+misses none.  R1 reads no block, so its instances are seeds.  R2 and R4 read
+a new block (u, v) as an antecedent: R2's (a, b) is (u, v), and R4's (c, b)
+is (u, v) with (d, b) among the blocks already there.  Their rounds run until
+one adds nothing; then R3 is drawn once, over every block added since its
+last pass, and what it finds seeds the next rounds.  R3 at (a, b) needs
+blocked steps a, v1, ..., vk, b.  The last pass found every instance whose
+steps were all blocked then, so a new instance has among its steps a block
+(u, v) added since.  Its steps then run from a to u and from v to b, so a
+and b are found by one walk each over the blocked steps, backwards from the
+added tails and forwards from the added heads; each candidate pair is then
+checked on its own, so mixing the ends of different blocks only widens the
+candidates.  The rules are monotone, so drawing an R3 instance some rounds
+after the block that enabled it changes no block of the least fixpoint.
+
+`essential_graph` runs on positions from the graph's index to the final
+marks: `equivalence._triplex_masks` reads the triplex masks off the index,
+their keys are the R1 seeds, and one pair of mask lists carries the
+fixpoint, the double-blocking and the second fixpoint.  `apply_rules_R` and
+`double_block_chordless_cycles` call the same internals on copies.
 
 The engine works on integer masks, and they are `MarkedGraph`'s state.  Its
 `index` is the graph's own `ChainGraph.index`, shared by every copy: the nodes
@@ -81,7 +94,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .equivalence import TriplexKeys, triplexes
+from .equivalence import TriplexKeys, _triplex_keys, _triplex_masks
 from .graphs import ChainGraph, GraphIndex, Masks, NodeId, NodeIndex
 
 RULE_NAMES = ("R1", "R2", "R3", "R4")
@@ -111,7 +124,7 @@ class MarkedGraph:
     def skeleton(self) -> frozenset[tuple[NodeId, NodeId]]:
         """All edges as `pair()`-ordered names."""
         names = self.index.nodes
-        return frozenset((names[i], names[w]) for i, w in _positions(self.index.adj) if i < w)
+        return frozenset((names[i], names[w]) for i, w in _edges(self.index.adj))
 
     @cached_property
     def blocked(self) -> frozenset[tuple[NodeId, NodeId]]:
@@ -172,11 +185,11 @@ class MarkedGraph:
         return replace(self, out=tuple(out), inn=tuple(inn))
 
     def _triplex_masks(self, t: TriplexKeys) -> list[dict[int, int]]:
-        """`_triplex_masks(self.index, t)`, built once along a chain of
-        copies that all ask with the same `t` object."""
+        """`_key_masks(self.index, t)`, built once along a chain of copies
+        that all ask with the same `t` object."""
         cache = self._tri
         if not cache or cache[0] is not t:
-            cache[:] = (t, _triplex_masks(self.index, t))
+            cache[:] = (t, _key_masks(self.index, t))
         return cache[1]
 
 
@@ -190,8 +203,9 @@ def unmarked_skeleton(g: ChainGraph) -> MarkedGraph:
 # rules R1-R4 on masks, drawn by a worklist
 
 
-def _triplex_masks(index: NodeIndex, t: TriplexKeys) -> list[dict[int, int]]:
-    """tri[b][a]: the mask of the c with a ~ b ~ c a triplex of `t`."""
+def _key_masks(index: NodeIndex, t: TriplexKeys) -> list[dict[int, int]]:
+    """tri[b][a]: the mask of the c with a ~ b ~ c a triplex of `t`, as
+    `equivalence._triplex_masks` reads it off a graph's index."""
     pos = index.pos
     tri: list[dict[int, int]] = [{} for _ in pos]
     for b, (a, c) in t:
@@ -200,6 +214,21 @@ def _triplex_masks(index: NodeIndex, t: TriplexKeys) -> list[dict[int, int]]:
         at[i] = at.get(i, 0) | 1 << k
         at[k] = at.get(k, 0) | 1 << i
     return tri
+
+
+def _seed_r1(
+    tri: Sequence[dict[int, int]], out: list[int], inn: list[int]
+) -> list[tuple[int, int]]:
+    """Add to `out`/`inn` R1's block (a, b) for every a that flanks a
+    triplex at b; return the (end, other) positions not blocked before."""
+    seeds = []
+    for b, at in enumerate(tri):
+        for a in at:
+            if not out[a] >> b & 1:
+                out[a] |= 1 << b
+                inn[b] |= 1 << a
+                seeds.append((a, b))
+    return seeds
 
 
 def _step(step: Sequence[int], frontier: int) -> int:
@@ -252,17 +281,18 @@ def _close_blocks(
     `pending` blocks and their consequences; return the added (end, other)
     positions.  The other blocks must be closed already.
 
-    Each round draws what the pending blocks can fire against the current
-    marks, adds it at once and makes the blocks not yet present the next
-    pending list: R2 and R4 read a pending (u, v) as an antecedent, and R3
-    re-checks the unblocked ends (a, b) with a reaching a pending tail and b
-    reached from a pending head along blocked steps.
+    Each round draws what R2 and R4 fire from the pending blocks against the
+    current marks, adds it at once and makes the blocks not yet present the
+    next pending list.  When a round adds nothing, R3 re-checks the unblocked
+    ends (a, b) with a reaching a tail and b reached from a head, along
+    blocked steps, of any block pending since its last pass; its new blocks
+    are the next pending list.
     """
     r2, r3, r4 = "R2" in rules, "R3" in rules, "R4" in rules
     added: list[tuple[int, int]] = []
+    tails = heads = 0
     while pending:
         found = []
-        tails = heads = 0
         for u, v in pending:
             nu = adj[u] | 1 << u
             if r2:
@@ -282,30 +312,46 @@ def _close_blocks(
                     x ^= low
             tails |= 1 << u
             heads |= 1 << v
-        if r3:
-            heads = _reach(out, heads)
-            x = _reach(inn, tails)
-            while x:
-                low = x & -x
-                a = low.bit_length() - 1
-                x ^= low
-                y = adj[a] & heads & ~out[a]
-                while y:
-                    bit = y & -y
-                    b = bit.bit_length() - 1
-                    y ^= bit
-                    if adj[a] & adj[b] & out[a] & inn[b] or _path_exists(
-                        adj, out, a, b, inn[b]
-                    ):
-                        found.append((a, b))
-        pending = []
-        for i, w in found:
-            if not out[i] >> w & 1:
-                out[i] |= 1 << w
-                inn[w] |= 1 << i
-                pending.append((i, w))
+        pending = _block(out, inn, found)
+        if not pending and r3:
+            pending = _block(out, inn, _r3_finds(adj, out, inn, tails, heads))
+            tails = heads = 0
         added += pending
     return added
+
+
+def _block(out: list[int], inn: list[int], found: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Block the (end, other) positions in `found`; return those that were
+    not blocked before."""
+    new = []
+    for i, w in found:
+        if not out[i] >> w & 1:
+            out[i] |= 1 << w
+            inn[w] |= 1 << i
+            new.append((i, w))
+    return new
+
+
+def _r3_finds(
+    adj: Sequence[int], out: Sequence[int], inn: Sequence[int], tails: int, heads: int
+) -> list[tuple[int, int]]:
+    """The unblocked ends (a, b) R3 fires at, with a reaching a node of
+    `tails` and b reached from a node of `heads` along blocked steps."""
+    found = []
+    heads = _reach(out, heads)
+    x = _reach(inn, tails)
+    while x:
+        low = x & -x
+        a = low.bit_length() - 1
+        x ^= low
+        y = adj[a] & heads & ~out[a]
+        while y:
+            bit = y & -y
+            b = bit.bit_length() - 1
+            y ^= bit
+            if adj[a] & adj[b] & out[a] & inn[b] or _path_exists(adj, out, a, b, inn[b]):
+                found.append((a, b))
+    return found
 
 
 def _one_end_blocked(m: MarkedGraph) -> list[tuple[int, int]]:
@@ -334,6 +380,19 @@ def _positions(masks: Sequence[int]) -> list[tuple[int, int]]:
     return found
 
 
+def _edges(masks: Sequence[int]) -> list[tuple[int, int]]:
+    """Every (i, w) with i < w and bit w set in masks[i]: each edge of
+    symmetric masks once, in sorted order."""
+    found = []
+    for i, x in enumerate(masks):
+        x = x >> (i + 1) << (i + 1)
+        while x:
+            low = x & -x
+            found.append((i, low.bit_length() - 1))
+            x ^= low
+    return found
+
+
 def apply_rules_R(
     m: MarkedGraph,
     t: TriplexKeys,
@@ -351,31 +410,36 @@ def apply_rules_R(
     unknown = set(rules) - set(RULE_NAMES)
     if unknown:
         raise ValueError(f"unknown rules {sorted(unknown)}")
-    if new is not None:
+    out, inn = list(m.out), list(m.inn)
+    tri = m._triplex_masks(t)
+    if new is None:
+        if "R1" in rules:
+            _seed_r1(tri, out, inn)
+        pending = _positions(out)
+    else:
         new = set(new)
         if not new <= m.blocked:
             raise ValueError(f"new blocks {sorted(new - m.blocked)} are not blocks of m")
         pos = m.index.pos
-        new = [(pos[u], pos[v]) for u, v in new]
-    return _closed(m, t, rules, new)
-
-
-def _closed(
-    m: MarkedGraph, t: TriplexKeys, rules: Sequence[str], new: list[tuple[int, int]] | None
-) -> MarkedGraph:
-    """`apply_rules_R` with the `new` blocks given as (end, other) positions."""
-    pos = m.index.pos
-    out, inn = list(m.out), list(m.inn)
-    if new is None:
-        if "R1" in rules:
-            for b, (a, c) in t:
-                w = pos[b]
-                for i in (pos[a], pos[c]):
-                    out[i] |= 1 << w
-                    inn[w] |= 1 << i
-        new = _positions(out)
-    _close_blocks(m.index.adj, m._triplex_masks(t), out, inn, new, rules)
+        pending = [(pos[u], pos[v]) for u, v in new]
+    _close_blocks(m.index.adj, tri, out, inn, pending, rules)
     return replace(m, out=tuple(out), inn=tuple(inn))
+
+
+def _double_block(adj: Sequence[int], out: list[int], inn: list[int]) -> list[tuple[int, int]]:
+    """Block both ends, in `out`/`inn`, of every plain edge a ~ b with an
+    all-plain walk around it; return the added (end, other) positions.
+    The walks read the plain edges as they were on entry."""
+    plain = [a & ~o & ~n for a, o, n in zip(adj, out, inn)]
+    added = []
+    for a, b in _edges(plain):
+        if _path_exists(adj, plain, a, b, plain[b]):
+            out[a] |= 1 << b
+            inn[a] |= 1 << b
+            out[b] |= 1 << a
+            inn[b] |= 1 << a
+            added += ((a, b), (b, a))
+    return added
 
 
 def double_block_chordless_cycles(m: MarkedGraph) -> MarkedGraph:
@@ -387,32 +451,37 @@ def double_block_chordless_cycles(m: MarkedGraph) -> MarkedGraph:
     Snapshot semantics: the edges are found on the input first and then
     double-blocked at once.
     """
-    adj = m.index.adj
     out, inn = list(m.out), list(m.inn)
-    plain = [a & ~o & ~n for a, o, n in zip(adj, out, inn)]
-    for a, b in _positions(plain):
-        if a < b and _path_exists(adj, plain, a, b, plain[b]):
-            out[a] |= 1 << b
-            inn[a] |= 1 << b
-            out[b] |= 1 << a
-            inn[b] |= 1 << a
+    _double_block(m.index.adj, out, inn)
     return replace(m, out=tuple(out), inn=tuple(inn))
 
 
 def _doubly_blocked(m: MarkedGraph) -> frozenset[tuple[NodeId, NodeId]]:
     """The edges of `m` blocked at both ends, as `pair()`-ordered names."""
     names = m.index.nodes
-    doubly = _positions([o & n for o, n in zip(m.out, m.inn)])
-    return frozenset((names[i], names[w]) for i, w in doubly if i < w)
+    doubly = _edges([o & n for o, n in zip(m.out, m.inn)])
+    return frozenset((names[i], names[w]) for i, w in doubly)
 
 
 @dataclass(frozen=True, eq=False)
 class EssentialGraphResult:
-    """The essential graph plus the pre-finalization state that produced it."""
+    """The essential graph plus the pre-finalization state that produced it.
+
+    `_tri` holds the triplex masks the marks were drawn from.
+    """
 
     graph: ChainGraph
     marks: MarkedGraph
-    triplexes: TriplexKeys
+    _tri: list[dict[int, int]] = field(repr=False)
+
+    @cached_property
+    def triplexes(self) -> TriplexKeys:
+        """The triplex set of the class, read off the triplex masks.  The
+        marks' cache then holds the masks under this set, so
+        `label_strong(self.marks, self.triplexes)` builds none."""
+        t = _triplex_keys(self.marks.index, self._tri)
+        self.marks._tri[:] = (t, self._tri)
+        return t
 
     @cached_property
     def strong_undirected(self) -> frozenset[tuple[NodeId, NodeId]]:
@@ -424,15 +493,18 @@ class EssentialGraphResult:
 def essential_graph(g: ChainGraph) -> EssentialGraphResult:
     """Construct the essential graph of the equivalence class of g.
 
-    Pipeline: triplex set of g; unmarked skeleton; R1-R4 fixpoint;
-    double-blocking of long chordless plain cycles; R2-R4 fixpoint drawn from
-    the double-blocking additions alone (R1 can no longer fire there, and the
-    rest is already closed); finalization of the marks into a chain graph.  The
-    marks are returned as well so strong-edge labeling can resume from them.
+    Pipeline: triplex masks of g; their R1 seeds on the unmarked skeleton;
+    R1-R4 fixpoint; double-blocking of long chordless plain cycles; R2-R4
+    fixpoint drawn from the double-blocking additions alone (R1 can no longer
+    fire there, and the rest is already closed); finalization of the marks
+    into a chain graph.  The marks are returned as well so strong-edge
+    labeling can resume from them.
     """
-    t = triplexes(g)
-    fixpoint = apply_rules_R(unmarked_skeleton(g), t, rules=RULE_NAMES)
-    m = double_block_chordless_cycles(fixpoint)
-    added = _positions([o ^ f for o, f in zip(m.out, fixpoint.out)])
-    m = _closed(m, t, ("R2", "R3", "R4"), added)
-    return EssentialGraphResult(graph=m.finalize(), marks=m, triplexes=t)
+    index = g.index
+    adj = index.adj
+    tri = _triplex_masks(index)
+    out, inn = [0] * len(adj), [0] * len(adj)
+    _close_blocks(adj, tri, out, inn, _seed_r1(tri, out, inn), RULE_NAMES)
+    _close_blocks(adj, tri, out, inn, _double_block(adj, out, inn), ("R2", "R3", "R4"))
+    m = MarkedGraph(index, tuple(out), tuple(inn))
+    return EssentialGraphResult(m.finalize(), m, tri)

@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DuplicateEdgeError, ParseError
-from .essential import MarkedGraph, _positions
+from .essential import MarkedGraph, _edges
 from .gaussian import Dataset
 from .graphs import ChainGraph, NodeId, is_valid_name, pair
 from .strong import StrongLabeling
@@ -129,8 +129,7 @@ def to_json(obj: ChainGraph | MarkedGraph | StrongLabeling) -> str:
             f'{{\n      "blocked_u": {_BOOL[out[i] >> w & 1]}{_FIELD}'
             f'"blocked_v": {_BOOL[out[w] >> i & 1]}{_FIELD}'
             f'"u": {q(nodes[i])}{_FIELD}"v": {q(nodes[w])}\n    }}'
-            for i, w in _positions(obj.index.adj)
-            if i < w
+            for i, w in _edges(obj.index.adj)
         ]
     else:
         g = obj.graph if isinstance(obj, StrongLabeling) else obj

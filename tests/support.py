@@ -57,7 +57,7 @@ def derive_classes(graphs) -> dict[ChainGraph, EquivalenceClass]:
 def set_flanks(g: ChainGraph, heads, others) -> set[tuple[str, str]]:
     """Non-adjacent pairs {a, c} with a in `heads` and c in `heads | others`,
     by set arithmetic on names: an oracle for the mask search
-    `equivalence._flanks`."""
+    `equivalence._flank_masks`."""
     near = heads | others
     return {pair(a, c) for a in heads for c in near - g.adjacency[a] if c != a}
 

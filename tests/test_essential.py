@@ -21,13 +21,15 @@ from ampcg import (
     triplexes,
     unmarked_skeleton,
 )
-from ampcg.essential import RULE_NAMES, MarkedGraph, _path_exists
+from ampcg.equivalence import _triplex_masks
+from ampcg.essential import RULE_NAMES, MarkedGraph, _key_masks, _path_exists, _seed_r1
 from ampcg.strong import _s3
 
 from .support import (
     FINDERS,
     adjacency,
     cg,
+    chain_graphs,
     chordless_cycle_orders,
     doubly_blocked,
     edges_blocked_at_one_end,
@@ -38,6 +40,7 @@ from .support import (
     plain_edge,
     r3_instances,
     set_path_exists,
+    set_triplexes,
     singly_blocked,
     sweep_fixpoint,
     undirected_grid,
@@ -127,6 +130,40 @@ def test_worklist_matches_the_sweep_oracle(m, data):
         assert apply_rules_R(m, t, rules) == fixpoint
         more = fixpoint.with_blocks(extra)
         assert apply_rules_R(more, t, rules, new=extra) == sweep_fixpoint(more, t, rules)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_graphs(max_nodes=7))
+def test_index_read_masks_and_seeds_match_the_name_set(g):
+    # the triplex masks read off the index equal those built from the set
+    # oracle's keys, and their keys are R1's seeds, as apply_rules_R draws them
+    t = set_triplexes(g)
+    tri = _triplex_masks(g.index)
+    assert tri == _key_masks(g.index, t)
+    out, inn = [0] * len(tri), [0] * len(tri)
+    seeds = _seed_r1(tri, out, inn)
+    m = unmarked_skeleton(g)
+    assert MarkedGraph(g.index, tuple(out), tuple(inn)) == apply_rules_R(m, t, rules=("R1",))
+    names = g.index.nodes
+    assert {(names[a], names[b]) for a, b in seeds} == {
+        (end, b) for b, flank in t for end in flank
+    }
+    assert len(seeds) == len(set(seeds))
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_graphs(max_nodes=7))
+def test_one_pass_equals_the_public_composition(g):
+    # fixpoint, double-blocking, then the R2-R4 fixpoint of the additions
+    t = triplexes(g)
+    fixpoint = apply_rules_R(unmarked_skeleton(g), t)
+    doubled = double_block_chordless_cycles(fixpoint)
+    additions = doubled.blocked - fixpoint.blocked
+    m = apply_rules_R(doubled, t, ("R2", "R3", "R4"), new=additions)
+    result = essential_graph(g)
+    assert result.marks == m
+    assert result.triplexes == t
+    assert result.graph == m.finalize()
 
 
 @settings(max_examples=100, deadline=None)

@@ -235,6 +235,25 @@ class TestCli:
             assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command", [["eg"], ["strong"], ["minmax", "--mode", "max"], ["minmax", "--mode", "min"]]
+    )
+    def test_format_before_or_after_the_subcommand(self, graph_file, capsys, command):
+        # the subcommand's --format overrides the top-level one, and leaves it
+        # alone when absent
+        for fmt in ("text", "json", "dot"):
+            assert cli(["--format", fmt, command[0], graph_file, *command[1:]]) == 0
+            before = capsys.readouterr().out
+            assert cli([command[0], "--format", fmt, graph_file, *command[1:]]) == 0
+            assert capsys.readouterr().out == before
+            assert cli([command[0], graph_file, *command[1:], "--format", fmt]) == 0
+            assert capsys.readouterr().out == before
+            assert cli(["--format", "text", command[0], graph_file, "--format", fmt,
+                        *command[1:]]) == 0
+            assert capsys.readouterr().out == before
+        assert cli(["--format", "json", command[0], graph_file, *command[1:]]) == 0
+        assert capsys.readouterr().out.startswith("{")
+
     def test_zero_edge_cap_is_allowed(self, graph_file, capsys):
         assert cli(["--max-edges", "0", "class", graph_file]) == 3
         assert "cap of 0" in capsys.readouterr().err

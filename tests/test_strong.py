@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import re
 import time
@@ -8,18 +9,21 @@ import pytest
 from ampcg import (
     accelerator_labels,
     enumerate_class,
+    equivalent,
     essential_graph,
     label_strong,
     maximally_oriented,
     node_names,
+    pair,
     random_chain_graph,
     serialize_graph,
     strong_labeling,
     strong_oracle,
     to_json,
     unmarked_skeleton,
+    validate_chain_graph,
 )
-from ampcg import essential, graphs
+from ampcg import equivalence, essential, graphs
 from ampcg.cli import cli
 from ampcg.errors import InvalidStateError, InvariantViolationError
 from ampcg.essential import _close_blocks
@@ -175,24 +179,29 @@ class TestLabelStrong:
         assert len(edges_blocked_at_one_end(marks)) >= 10
 
     def test_one_labeling_builds_the_triplex_masks_once(self, monkeypatch, tmp_path):
-        # both fixpoints of essential_graph and the labeling read one build,
-        # through the library and through `ampcg strong`
-        builds = 0
-        build = essential._triplex_masks
+        # essential_graph reads the masks off the graph's index once; both of
+        # its fixpoints and the labeling share that build, through the library
+        # and through `ampcg strong`, and none is rebuilt from the name set
+        builds = {"index": 0, "keys": 0}
 
-        def counted(*args):
-            nonlocal builds
-            builds += 1
-            return build(*args)
+        def counting(kind, build):
+            def counted(*args):
+                builds[kind] += 1
+                return build(*args)
 
-        monkeypatch.setattr(essential, "_triplex_masks", counted)
+            return counted
+
+        monkeypatch.setattr(
+            essential, "_triplex_masks", counting("index", equivalence._triplex_masks)
+        )
+        monkeypatch.setattr(essential, "_key_masks", counting("keys", essential._key_masks))
         g = random_chain_graph(random.Random(30), node_names(30), 0.04, 0.07)
         strong_labeling(g)
-        assert builds == 1
+        assert builds == {"index": 1, "keys": 0}
         path = tmp_path / "g.txt"
         path.write_text(serialize_graph(g))
         assert cli(["strong", str(path)]) == 0
-        assert builds == 2
+        assert builds == {"index": 2, "keys": 0}
 
     def test_one_labeling_validates_its_marks_once(self, monkeypatch):
         # essential_graph finalizes the marks, and label_strong reads that
@@ -278,6 +287,49 @@ def test_strong_labeling_convenience_matches_pipeline():
     g = cg("ABCD", [("A", "C"), ("B", "C"), ("C", "D")])
     result, lab = _pipeline(g)
     assert strong_labeling(g) == lab
+
+
+def _renamed_marks_json(text, rename):
+    """The marks document `text` with every node renamed, re-sorted as
+    `to_json` sorts it."""
+    doc = json.loads(text)
+    edges = []
+    for e in doc["edges"]:
+        u, v, bu, bv = rename[e["u"]], rename[e["v"]], e["blocked_u"], e["blocked_v"]
+        if u > v:
+            u, v, bu, bv = v, u, bv, bu
+        edges.append({"u": u, "v": v, "blocked_u": bu, "blocked_v": bv})
+    edges.sort(key=lambda e: (e["u"], e["v"]))
+    renamed = {"nodes": sorted(rename[n] for n in doc["nodes"]), "edges": edges}
+    return json.dumps(renamed, indent=2, sort_keys=True) + "\n"
+
+
+def test_renaming_the_nodes_renames_every_output():
+    # a random permutation of the names moves every node to another bit
+    # position, so this exercises the position-order code (i < w tests,
+    # `>> (i + 1) << (i + 1)`, MCS tie-breaks) that no oracle checks above
+    # 16 edges
+    rnd = random.Random(41)
+    draws = [(8, 0.15, 0.2)] * 300 + [(30, 0.04, 0.07)] * 60 + [(200, 0.006, 0.01)] * 3
+    draws.append((500, 0.0024, 0.004))
+    for n, p_u, p_d in draws:
+        g = random_chain_graph(rnd, node_names(n), p_u, p_d)
+        names = list(g.sorted_nodes)
+        rename = dict(zip(names, rnd.sample(names, len(names))))
+        h = validate_chain_graph(
+            g.nodes,
+            [(rename[u], rename[v]) for u, v in g.directed],
+            [(rename[a], rename[b]) for a, b in g.undirected],
+        )
+        result_g, result_h = essential_graph(g), essential_graph(h)
+        assert to_json(result_h.marks) == _renamed_marks_json(to_json(result_g.marks), rename)
+        lab_g = label_strong(result_g.marks, result_g.triplexes)
+        lab_h = label_strong(result_h.marks, result_h.triplexes)
+        assert lab_h.strong_directed == {(rename[u], rename[v]) for u, v in lab_g.strong_directed}
+        assert lab_h.strong_undirected == {
+            pair(rename[a], rename[b]) for a, b in lab_g.strong_undirected
+        }
+        assert equivalent(maximally_oriented(h), h)
 
 
 # sha256 of to_json(essential_graph(g).marks) and to_json(strong_labeling(g)),
