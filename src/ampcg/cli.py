@@ -56,15 +56,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _non_negative(text: str) -> int:
-    """An argparse type: a base-10 integer that is at least 0."""
+def _at_least(text: str, least: int, kind: str) -> int:
+    """A base-10 integer that is at least `least`, or argparse's type error."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
     return value
+
+
+def _non_negative(text: str) -> int:
+    """An argparse type: a base-10 integer that is at least 0."""
+    return _at_least(text, 0, "non-negative")
+
+
+def _positive(text: str) -> int:
+    """An argparse type: a base-10 integer that is at least 1."""
+    return _at_least(text, 1, "positive")
 
 
 def _load_graph(path: str) -> ChainGraph:
@@ -391,7 +401,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sample", help="sample a random model on the graph")
     p.add_argument("graph")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 

@@ -95,7 +95,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .equivalence import TriplexKeys, _triplex_keys, _triplex_masks
-from .graphs import ChainGraph, GraphIndex, Masks, NodeId, NodeIndex
+from .graphs import ChainGraph, GraphIndex, Masks, NodeId, NodeIndex, _edges
 
 RULE_NAMES = ("R1", "R2", "R3", "R4")
 
@@ -150,23 +150,18 @@ class MarkedGraph:
         ne = [0] * len(names)
         directed = []
         undirected = []
-        for i, u in enumerate(names):
-            o, n = out[i], inn[i]
-            x = adj[i] >> (i + 1) << (i + 1)
-            while x:
-                low = x & -x
-                w = low.bit_length() - 1
-                x ^= low
-                if not (o ^ n) & low:
-                    ne[i] |= low
-                    ne[w] |= 1 << i
-                    undirected.append((u, names[w]))
-                elif o & low:
-                    pa[w] |= 1 << i
-                    directed.append((u, names[w]))
-                else:
-                    pa[i] |= low
-                    directed.append((names[w], u))
+        for i, w in _edges(adj):
+            low = 1 << w
+            if not (out[i] ^ inn[i]) & low:
+                ne[i] |= low
+                ne[w] |= 1 << i
+                undirected.append((names[i], names[w]))
+            elif out[i] & low:
+                pa[w] |= 1 << i
+                directed.append((names[i], names[w]))
+            else:
+                pa[i] |= low
+                directed.append((names[w], names[i]))
         return ChainGraph._indexed(
             self.nodes,
             frozenset(directed),
@@ -373,19 +368,6 @@ def _positions(masks: Sequence[int]) -> list[tuple[int, int]]:
     """Every (i, w) with bit w set in masks[i]."""
     found = []
     for i, x in enumerate(masks):
-        while x:
-            low = x & -x
-            found.append((i, low.bit_length() - 1))
-            x ^= low
-    return found
-
-
-def _edges(masks: Sequence[int]) -> list[tuple[int, int]]:
-    """Every (i, w) with i < w and bit w set in masks[i]: each edge of
-    symmetric masks once, in sorted order."""
-    found = []
-    for i, x in enumerate(masks):
-        x = x >> (i + 1) << (i + 1)
         while x:
             low = x & -x
             found.append((i, low.bit_length() - 1))

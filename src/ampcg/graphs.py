@@ -44,6 +44,19 @@ def pair(u: NodeId, v: NodeId) -> tuple[NodeId, NodeId]:
 Masks = tuple[int, ...]
 
 
+def _edges(masks: Sequence[int]) -> list[tuple[int, int]]:
+    """Every (i, w) with i < w and bit w set in masks[i]: each edge of
+    symmetric masks once, in sorted order."""
+    found = []
+    for i, x in enumerate(masks):
+        x = x >> (i + 1) << (i + 1)
+        while x:
+            low = x & -x
+            found.append((i, low.bit_length() - 1))
+            x ^= low
+    return found
+
+
 @dataclass(frozen=True, eq=False)
 class NodeIndex:
     """Node positions in sorted order and one adjacency mask per node: bit j
@@ -443,29 +456,9 @@ def _require_undirected(g: ChainGraph) -> None:
         raise ValueError("operation requires a purely undirected graph")
 
 
-def _simplicial_in(adj: dict[NodeId, set[NodeId]], v: NodeId) -> bool:
-    nbrs = sorted(adj[v])
-    return all(b in adj[a] for a, b in combinations(nbrs, 2))
-
-
-def _eliminate(
-    g: ChainGraph, keep: frozenset[NodeId] = frozenset()
-) -> list[NodeId] | None:
-    """Remove simplicial nodes outside `keep`, least name first, until only
-    `keep` is left; the removal order, or None when no node qualifies."""
-    adj = {n: set(s) for n, s in g.adjacency.items()}
-    order: list[NodeId] = []
-    while len(adj) > len(keep):
-        v = next((n for n in sorted(adj.keys() - keep) if _simplicial_in(adj, n)), None)
-        if v is None:
-            return None
-        order.append(v)
-        for w in adj.pop(v):
-            adj[w].discard(v)
-    return order
-
-
-def _mcs_ranks(nbrs: Sequence[int], rng: random.Random | None = None) -> list[int]:
+def _mcs_ranks(
+    nbrs: Sequence[int], rng: random.Random | None = None, first: Sequence[int] = ()
+) -> list[int]:
     """The visit rank of each position under maximum cardinality search over
     the neighbor masks `nbrs`; NotChordalError unless the visit order
     reverses a perfect elimination ordering.
@@ -475,6 +468,13 @@ def _mcs_ranks(nbrs: Sequence[int], rng: random.Random | None = None) -> list[in
     tied positions in ascending order.  The check is Tarjan and Yannakakis's
     (SIAM J. Comput. 13, 1984): the neighbors visited before a node, but the
     one visited last, must all be neighbors of that one.
+
+    The clique `first` is visited first, in order.  This is still a maximum
+    cardinality search: at step j < len(first), first[j] has all j visited
+    nodes as neighbors, and no node has more.  So on a chordal graph the
+    reversed visit order is a perfect elimination ordering ending with
+    reversed(first) (Blair and Peyton 1993: any clique can close one).  A
+    prefix that is no clique is no such prefix; the check may then misfire.
     """
     n = len(nbrs)
     weight = [0] * n
@@ -483,19 +483,22 @@ def _mcs_ranks(nbrs: Sequence[int], rng: random.Random | None = None) -> list[in
     buckets = [(1 << n) - 1]
     top = visited = 0
     for step in range(n):
-        while not buckets[top]:
-            top -= 1
-        tied = buckets[top]
-        bit = tied & -tied
-        if rng is not None:
-            choices = []
-            while tied:
-                low = tied & -tied
-                choices.append(low.bit_length() - 1)
-                tied ^= low
-            bit = 1 << rng.choice(choices)
-        buckets[top] ^= bit
+        if step < len(first):
+            bit = 1 << first[step]
+        else:
+            while not buckets[top]:
+                top -= 1
+            tied = buckets[top]
+            bit = tied & -tied
+            if rng is not None:
+                choices = []
+                while tied:
+                    low = tied & -tied
+                    choices.append(low.bit_length() - 1)
+                    tied ^= low
+                bit = 1 << rng.choice(choices)
         v = bit.bit_length() - 1
+        buckets[weight[v]] ^= bit
         rank[v] = step
         p = last[v]
         if p >= 0 and nbrs[v] & visited & ~nbrs[p] & ~(1 << p):
@@ -534,21 +537,45 @@ def perfect_elimination_ending_with(
 ) -> tuple[NodeId, ...]:
     """A perfect elimination ordering whose final elements are exactly `tail`.
 
-    Works by repeatedly eliminating a simplicial node outside the tail; for a
-    chordal graph with a complete tail such a node always exists because a
-    non-complete chordal graph has two non-adjacent simplicial nodes, at most
-    one of which can sit inside the complete tail.
+    The reverse of a maximum cardinality search that visits the complete
+    `tail` first, last element first (see `_mcs_ranks`).  NotChordalError
+    comes before TailNotCompleteError when both apply.
     """
     _require_undirected(g)
     tail = tuple(tail)
     _check_nodes(g.nodes, tail)
     if len(set(tail)) != len(tail):
         raise TailNotCompleteError("tail contains repeated nodes")
-    if not is_chordal(g):
-        raise NotChordalError("graph is not chordal")
+    index = g.index
     if not is_complete(g, tail):
+        _mcs_ranks(index.ne)  # raises first on a graph that is not chordal
         raise TailNotCompleteError(f"tail {sorted(tail)} is not complete")
-    return (*_eliminate(g, frozenset(tail)), *tail)
+    rank = _mcs_ranks(index.ne, first=[index.pos[v] for v in reversed(tail)])
+    return tuple(name for _, name in sorted(zip(rank, index.nodes), reverse=True))
+
+
+def _oriented(g: ChainGraph, loose: Sequence[int], rank: Sequence[int]) -> ChainGraph:
+    """g with every undirected edge in the masks `loose` oriented away from
+    its lower-ranked end and every other edge kept.  One pass over the loose
+    edges builds the graph and its index; the constructor still runs every
+    check on them."""
+    index = g.index
+    names = index.nodes
+    pa = list(index.pa)
+    directed = set(g.directed)
+    moved = []
+    for i, j in _edges(loose):
+        u, w = (i, j) if rank[i] < rank[j] else (j, i)
+        pa[w] |= 1 << u
+        directed.add((names[u], names[w]))
+        moved.append((names[i], names[j]))
+    ne = tuple(n & ~x for n, x in zip(index.ne, loose))
+    return ChainGraph._indexed(
+        g.nodes,
+        frozenset(directed),
+        g.undirected.difference(moved),
+        GraphIndex(names, index.pos, index.adj, tuple(pa), ne),
+    )
 
 
 def orient_by_mcs(g: ChainGraph, rng: random.Random | None = None) -> ChainGraph:
@@ -560,9 +587,5 @@ def orient_by_mcs(g: ChainGraph, rng: random.Random | None = None) -> ChainGraph
     single edge can receive either direction across seeds).
     """
     _require_undirected(g)
-    index = g.index
-    rank, pos = _mcs_ranks(index.ne, rng), index.pos
-    directed = frozenset(
-        (a, b) if rank[pos[a]] < rank[pos[b]] else (b, a) for a, b in g.undirected
-    )
-    return ChainGraph(nodes=g.nodes, directed=directed, undirected=frozenset())
+    ne = g.index.ne
+    return _oriented(g, ne, _mcs_ranks(ne, rng))

@@ -16,9 +16,9 @@ from typing import Any
 import numpy as np
 
 from .errors import DuplicateEdgeError, ParseError
-from .essential import MarkedGraph, _edges
+from .essential import MarkedGraph
 from .gaussian import Dataset
-from .graphs import ChainGraph, NodeId, is_valid_name, pair
+from .graphs import ChainGraph, NodeId, _edges, is_valid_name, pair
 from .strong import StrongLabeling
 
 

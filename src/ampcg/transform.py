@@ -6,7 +6,10 @@ component.  Both operations preserve Markov equivalence when feasible, and
 iterating them reaches the whole equivalence class, which this module
 exploits to enumerate classes and to find the minimally oriented members.
 A maximally oriented member is built directly from the essential graph and
-its strong undirected edges; the split search here only serves as its oracle.
+its strong undirected edges, by the member builder `graphs._oriented` that
+`orient_by_mcs` shares: it orients the other undirected edges by visit rank
+under maximum cardinality search.  The split search here only serves as its
+oracle.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from .errors import (
 from .essential import essential_graph
 from .graphs import (
     ChainGraph,
-    GraphIndex,
     NodeId,
     _mcs_ranks,
+    _oriented,
     chain_components,
     family,
     is_complete,
@@ -233,35 +236,15 @@ def maximally_oriented(g: ChainGraph) -> ChainGraph:
     Constructive: every maximally oriented member carries the essential
     graph's arrows and keeps exactly its strong undirected edges, the doubly
     blocked edges of its marks, undirected; no strong arrow is searched for.
-    The remaining undirected edges are oriented acyclically and triplex-free
-    by maximum cardinality search, with lexicographic tie-breaking: on the
-    essential graph's neighbor masks less the strong pairs, each such edge
-    points away from the end visited first.
+    The remaining undirected edges, the loose masks, are oriented acyclically
+    and triplex-free by `graphs._oriented`: each points away from the end
+    that maximum cardinality search over the loose masks, with lexicographic
+    tie-breaking, visits first.
     """
     result = essential_graph(g)
-    eg = result.graph
-    index = eg.index
-    names = index.nodes
-    strong = [o & n for o, n in zip(result.marks.out, result.marks.inn)]
-    loose = [ne & ~s for ne, s in zip(index.ne, strong)]
-    rank = _mcs_ranks(loose)
-    pa = list(index.pa)
-    directed = set(eg.directed)
-    for i, x in enumerate(loose):
-        x = x >> (i + 1) << (i + 1)
-        while x:
-            low = x & -x
-            j = low.bit_length() - 1
-            x ^= low
-            u, w = (i, j) if rank[i] < rank[j] else (j, i)
-            pa[w] |= 1 << u
-            directed.add((names[u], names[w]))
-    return ChainGraph._indexed(
-        eg.nodes,
-        frozenset(directed),
-        result.strong_undirected,
-        GraphIndex(names, index.pos, index.adj, tuple(pa), tuple(strong)),
-    )
+    marks = result.marks
+    loose = [ne & ~(o & n) for ne, o, n in zip(result.graph.index.ne, marks.out, marks.inn)]
+    return _oriented(result.graph, loose, _mcs_ranks(loose))
 
 
 def maximally_oriented_members(

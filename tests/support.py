@@ -23,7 +23,7 @@ from ampcg.causal import st_nst
 from ampcg.equivalence import _is_triplex
 from ampcg.errors import NotChordalError
 from ampcg.essential import RULE_NAMES, MarkedGraph, unmarked_skeleton
-from ampcg.graphs import _eliminate, _undirected_components
+from ampcg.graphs import _undirected_components
 from ampcg.separation import _check_query, _mark_at, route_is_open
 from ampcg.transform import _split_candidates, _split_result
 
@@ -106,6 +106,27 @@ def set_component_order(nodes, directed, undirected):
             if indeg[j] == 0:
                 heapq.heappush(heap, (min(comps[j]), j))
     return order if len(order) == len(comps) else None
+
+
+def _simplicial_in(adj: dict[str, set[str]], v: str) -> bool:
+    nbrs = sorted(adj[v])
+    return all(b in adj[a] for a, b in combinations(nbrs, 2))
+
+
+def _eliminate(g: ChainGraph) -> list[str] | None:
+    """Remove simplicial nodes, least name first, until none is left; the
+    removal order, or None when no node qualifies: a set-based oracle for
+    the chordality check of `graphs._mcs_ranks`."""
+    adj = {n: set(s) for n, s in g.adjacency.items()}
+    order: list[str] = []
+    while adj:
+        v = next((n for n in sorted(adj) if _simplicial_in(adj, n)), None)
+        if v is None:
+            return None
+        order.append(v)
+        for w in adj.pop(v):
+            adj[w].discard(v)
+    return order
 
 
 def set_orient_by_mcs(g: ChainGraph, rng: random.Random | None = None) -> ChainGraph:

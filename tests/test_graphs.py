@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from ampcg import (
     ChainGraph,
     chain_components,
+    essential_graph,
     family,
     is_chordal,
     is_complete,
     is_simplicial,
+    maximally_oriented,
     orient_by_mcs,
     parse_graph,
     perfect_elimination_ending_with,
@@ -30,9 +32,9 @@ from ampcg.errors import (
     UnknownNodeError,
 )
 from ampcg.generate import node_names
-from ampcg.graphs import _component_order, _eliminate, _graph_index, pair
+from ampcg.graphs import _component_order, _graph_index, pair
 
-from .support import cg, chain_graphs, set_component_order, set_orient_by_mcs
+from .support import _eliminate, cg, chain_graphs, set_component_order, set_orient_by_mcs
 
 
 class TestValidation:
@@ -172,6 +174,24 @@ class TestChordal:
         with pytest.raises(NotChordalError):
             orient_by_mcs(g)
 
+    def test_not_chordal_comes_before_an_incomplete_tail(self):
+        g = cg("ABCD", [], [("A", "B"), ("B", "C"), ("C", "D"), ("A", "D")])
+        with pytest.raises(NotChordalError):
+            perfect_elimination_ending_with(g, ["A", "C"])
+
+    def test_clique_first_order_ends_in_the_tail(self):
+        rnd = random.Random(30)
+        for trial in range(400):
+            u = random_chordal_graph(rnd, node_names(rnd.randint(3, 30)))
+            tail = _random_clique(rnd, u)
+            _assert_elimination_ending_with(u, perfect_elimination_ending_with(u, tail), tail)
+
+    def test_clique_first_order_on_a_dense_draw(self):
+        u = random_chordal_graph(random.Random(200), node_names(200))
+        assert len(u.undirected) == 19430
+        tail = _random_clique(random.Random(1), u)
+        _assert_elimination_ending_with(u, perfect_elimination_ending_with(u, tail), tail)
+
     def test_elimination_prefix_is_simplicial(self):
         rnd = random.Random(31)
         for trial in range(60):
@@ -185,6 +205,35 @@ class TestChordal:
                 nbrs = sorted(u.adjacency[v] & remaining)
                 assert all(u.has_undirected(a, b) for a, b in combinations(nbrs, 2))
                 remaining.discard(v)
+
+
+def _random_clique(rnd: random.Random, g: ChainGraph) -> list[str]:
+    """A random clique of g in random order, grown from a random node."""
+    names, ne = g.sorted_nodes, g.index.ne
+    clique = [rnd.randrange(len(names))]
+    common = ne[clique[0]]
+    while common and rnd.random() < 0.7:
+        w = rnd.choice([i for i in range(len(names)) if common >> i & 1])
+        clique.append(w)
+        common &= ne[w]
+    rnd.shuffle(clique)
+    return [names[i] for i in clique]
+
+
+def _assert_elimination_ending_with(g: ChainGraph, order, tail) -> None:
+    """`order` ends in `tail`, and the neighbors that each node has later in
+    it form a clique, checked on g's neighbor masks."""
+    assert order[len(order) - len(tail):] == tuple(tail)
+    assert sorted(order) == list(g.sorted_nodes)
+    pos, ne = g.index.pos, g.index.ne
+    later = 0
+    for v in reversed(order):
+        nbrs = x = ne[pos[v]] & later
+        while x:
+            low = x & -x
+            assert not nbrs & ~low & ~ne[low.bit_length() - 1], (g, v)
+            x ^= low
+        later |= 1 << pos[v]
 
 
 class TestMcs:
@@ -326,3 +375,16 @@ class TestComponentOrderOracle:
             assert [frozenset(names[i] for i in comp) for comp in order] == expected
             g = ChainGraph(frozenset(nodes), directed, undirected)
             assert list(chain_components(g).components) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_graphs(max_nodes=7), st.integers(0, 2**32), st.integers(1, 10))
+def test_hand_built_indexes_match_their_edges(g, seed, size):
+    # the builders that hand their index to `ChainGraph._indexed` agree with
+    # the index computed from the finished edge sets
+    u = random_chordal_graph(random.Random(seed), node_names(size))
+    for h in (essential_graph(g).graph, maximally_oriented(g), orient_by_mcs(u)):
+        assert "index" in h.__dict__
+        built, fresh = h.index, _graph_index(h.nodes, h.directed, h.undirected)
+        for field in ("nodes", "pos", "adj", "pa", "ne"):
+            assert getattr(built, field) == getattr(fresh, field), (h, field)

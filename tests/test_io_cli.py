@@ -235,6 +235,14 @@ class TestCli:
             assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_a_sample_count_below_one_is_a_usage_error(self, graph_file, tmp_path, capsys, count):
+        out = tmp_path / "x.csv"
+        assert cli(["sample", graph_file, "--n", count, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: argument --n: expected a positive integer, got {count}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command", [["eg"], ["strong"], ["minmax", "--mode", "max"], ["minmax", "--mode", "min"]]
     )
