@@ -68,7 +68,8 @@ class InvalidStateError(GraphError):
 
 
 class InvariantViolationError(GraphError):
-    """An internal consistency invariant of the labeling machinery broke."""
+    """An internal consistency invariant broke: in the labeling machinery, or
+    a graph index that disagrees with the graph's edges."""
 
 
 class MixedStrongNeighborsError(GraphError):

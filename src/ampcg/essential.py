@@ -32,6 +32,20 @@ their keys are the R1 seeds, and one pair of mask lists carries the
 fixpoint, the double-blocking and the second fixpoint.  `apply_rules_R` and
 `double_block_chordless_cycles` call the same internals on copies.
 
+`essential_graph` also holds one member of the class, g, and every block
+it places holds in every member (that is what R1-R4 and double-blocking
+guarantee), g included: g has no arrowhead at a blocked end.  So a blocked
+step (u, v) is u -> v or u -- v in g, and blocked steps a, v1, ..., vk, b
+are a semidirected path of g; with b -> a in g they would close a
+semidirected cycle, which a chain graph has none of.  R3 therefore never
+fires at an end (a, b) with b -> a in g, and `essential_graph`'s R3 passes
+look only at the b in `ends[a] = adj[a] & ~pa[a]`, read off g's index.
+Marks that need not be sound for g keep the unrestricted R3 (`ends`
+defaults to `adj`): `apply_rules_R`, `double_block_chordless_cycles` and
+the re-blocked copies of `strong`.  The result keeps the marks and the
+triplex masks; its `graph` is the marks finalized when first read, so
+`ampcg --format json eg`, which prints the marks, builds no chain graph.
+
 The engine works on integer masks, and they are `MarkedGraph`'s state.  Its
 `index` is the graph's own `ChainGraph.index`, shared by every copy: the nodes
 in sorted order and one adjacency mask per node, adj[i].  The blocks are two
@@ -59,8 +73,11 @@ states where the question is asked:
   could skip the nodes between.  At any fixpoint of exact R3 the walk rule
   thus fires nothing new; the rules are monotone, so every rule set with R3
   has the same least fixpoint under either R3.
-* S3 reads marks that passed `strong._check_line6_fixpoint`, so the same
-  shortcut applies; it keeps the last step.
+* S3 reads R2-R4-closed marks, so the same shortcut applies; it keeps the
+  last step.  `label_strong` re-closes other marks to check this
+  (`strong._check_line6_fixpoint`), but not the marks `essential_graph`
+  returns, as `strong_labeling` and `ampcg strong` pass them: they are
+  closed by construction, since the R3 ends skipped there fire nothing.
 * Double-blocking needs `m` to be the R1-R4 fixpoint of `essential_graph`.
   The least-span chord vi ~ vj of a shortest plain walk is not plain, or the
   walk could skip.  If j - i >= 3, a block at vi (or vj) gives (A) on
@@ -108,13 +125,16 @@ class MarkedGraph:
     mask.  out[i] masks the w with the edge i ~ w blocked at i, and inn[w]
     the same blocks seen from w.  Copies share `index` (two marked graphs
     are equal when they share it and their masks agree) and the triplex
-    masks, which `_tri` holds as [t, masks] once built.
+    masks, which `_tri` holds as [t, masks] once built.  `_closed_under` is
+    the triplex masks `essential_graph` closed these blocks under; it is
+    None on every other marked graph, copies included.
     """
 
     index: NodeIndex
     out: Masks
     inn: Masks
     _tri: list = field(default_factory=list, compare=False, repr=False)
+    _closed_under: list | None = field(default=None, init=False, compare=False, repr=False)
 
     @cached_property
     def nodes(self) -> frozenset[NodeId]:
@@ -271,6 +291,7 @@ def _close_blocks(
     inn: list[int],
     pending: list[tuple[int, int]],
     rules: Sequence[str],
+    ends: Sequence[int] | None = None,
 ) -> list[tuple[int, int]]:
     """Add to `out`/`inn` every block the `rules` (of R2-R4) draw from the
     `pending` blocks and their consequences; return the added (end, other)
@@ -279,9 +300,9 @@ def _close_blocks(
     Each round draws what R2 and R4 fire from the pending blocks against the
     current marks, adds it at once and makes the blocks not yet present the
     next pending list.  When a round adds nothing, R3 re-checks the unblocked
-    ends (a, b) with a reaching a tail and b reached from a head, along
-    blocked steps, of any block pending since its last pass; its new blocks
-    are the next pending list.
+    ends (a, b), b in `ends[a]` (default `adj[a]`), with a reaching a tail
+    and b reached from a head, along blocked steps, of any block pending
+    since its last pass; its new blocks are the next pending list.
     """
     r2, r3, r4 = "R2" in rules, "R3" in rules, "R4" in rules
     added: list[tuple[int, int]] = []
@@ -309,7 +330,8 @@ def _close_blocks(
             heads |= 1 << v
         pending = _block(out, inn, found)
         if not pending and r3:
-            pending = _block(out, inn, _r3_finds(adj, out, inn, tails, heads))
+            found = _r3_finds(adj, out, inn, tails, heads, adj if ends is None else ends)
+            pending = _block(out, inn, found)
             tails = heads = 0
         added += pending
     return added
@@ -328,10 +350,16 @@ def _block(out: list[int], inn: list[int], found: list[tuple[int, int]]) -> list
 
 
 def _r3_finds(
-    adj: Sequence[int], out: Sequence[int], inn: Sequence[int], tails: int, heads: int
+    adj: Sequence[int],
+    out: Sequence[int],
+    inn: Sequence[int],
+    tails: int,
+    heads: int,
+    ends: Sequence[int],
 ) -> list[tuple[int, int]]:
-    """The unblocked ends (a, b) R3 fires at, with a reaching a node of
-    `tails` and b reached from a node of `heads` along blocked steps."""
+    """The unblocked ends (a, b), b in `ends[a]`, R3 fires at, with a
+    reaching a node of `tails` and b reached from a node of `heads` along
+    blocked steps."""
     found = []
     heads = _reach(out, heads)
     x = _reach(inn, tails)
@@ -339,7 +367,7 @@ def _r3_finds(
         low = x & -x
         a = low.bit_length() - 1
         x ^= low
-        y = adj[a] & heads & ~out[a]
+        y = ends[a] & heads & ~out[a]
         while y:
             bit = y & -y
             b = bit.bit_length() - 1
@@ -447,14 +475,20 @@ def _doubly_blocked(m: MarkedGraph) -> frozenset[tuple[NodeId, NodeId]]:
 
 @dataclass(frozen=True, eq=False)
 class EssentialGraphResult:
-    """The essential graph plus the pre-finalization state that produced it.
+    """The essential graph's pre-finalization marks, which `graph` finalizes
+    on first read.
 
     `_tri` holds the triplex masks the marks were drawn from.
     """
 
-    graph: ChainGraph
     marks: MarkedGraph
     _tri: list[dict[int, int]] = field(repr=False)
+
+    @property
+    def graph(self) -> ChainGraph:
+        """The essential graph: the marks finalized on first read, then
+        cached on the marks."""
+        return self.marks.finalize()
 
     @cached_property
     def triplexes(self) -> TriplexKeys:
@@ -478,15 +512,19 @@ def essential_graph(g: ChainGraph) -> EssentialGraphResult:
     Pipeline: triplex masks of g; their R1 seeds on the unmarked skeleton;
     R1-R4 fixpoint; double-blocking of long chordless plain cycles; R2-R4
     fixpoint drawn from the double-blocking additions alone (R1 can no longer
-    fire there, and the rest is already closed); finalization of the marks
-    into a chain graph.  The marks are returned as well so strong-edge
-    labeling can resume from them.
+    fire there, and the rest is already closed).  R3 skips the ends g's own
+    arrows rule out (see the module docstring).  The marks are returned so
+    strong-edge labeling can resume from them; the chain graph is finalized
+    from them when `graph` is first read.
     """
     index = g.index
-    adj = index.adj
+    adj, pa = index.adj, index.pa
+    ends = [a & ~p for a, p in zip(adj, pa)]
     tri = _triplex_masks(index)
     out, inn = [0] * len(adj), [0] * len(adj)
-    _close_blocks(adj, tri, out, inn, _seed_r1(tri, out, inn), RULE_NAMES)
-    _close_blocks(adj, tri, out, inn, _double_block(adj, out, inn), ("R2", "R3", "R4"))
+    _close_blocks(adj, tri, out, inn, _seed_r1(tri, out, inn), RULE_NAMES, ends)
+    added = _double_block(adj, out, inn)
+    _close_blocks(adj, tri, out, inn, added, ("R2", "R3", "R4"), ends)
     m = MarkedGraph(index, tuple(out), tuple(inn))
-    return EssentialGraphResult(m.finalize(), m, tri)
+    object.__setattr__(m, "_closed_under", tri)
+    return EssentialGraphResult(m, tri)

@@ -18,6 +18,7 @@ from typing import Iterable, Literal, Sequence
 
 from .errors import (
     DuplicateEdgeError,
+    InvariantViolationError,
     NotChordalError,
     SelfLoopError,
     SemidirectedCycleError,
@@ -132,9 +133,10 @@ class ChainGraph:
             if a > b:
                 raise ValueError(f"undirected edge ({a!r}, {b!r}) is not in pair() order")
         if self._order is None:
-            raise SemidirectedCycleError(
-                _semidirected_cycle_witness(self.nodes, self.directed, self.undirected)
-            )
+            cycle = _semidirected_cycle_witness(self.nodes, self.directed, self.undirected)
+            if cycle is None:
+                raise InvariantViolationError(_index_mismatch(self))
+            raise SemidirectedCycleError(cycle)
 
     @classmethod
     def _indexed(
@@ -241,6 +243,19 @@ class ComponentPartition:
     @cached_property
     def index_of(self) -> dict[NodeId, int]:
         return {n: i for i, comp in enumerate(self.components) for n in comp}
+
+
+def _index_mismatch(g: ChainGraph) -> str:
+    """Name the first mask of `g.index` that disagrees with g's edges: an
+    index handed to `ChainGraph._indexed` can reject acyclic edges."""
+    given, built = g.index, _graph_index(g.nodes, g.directed, g.undirected)
+    if given.nodes != built.nodes:
+        return "index nodes disagree with the graph's nodes"
+    for field in ("adj", "pa", "ne"):
+        for name, x, y in zip(built.nodes, getattr(given, field), getattr(built, field)):
+            if x != y:
+                return f"index mask {field}[{name!r}] disagrees with the edges"
+    return "index disagrees with the edges"
 
 
 def _check_nodes(nodes: frozenset[NodeId], referenced: Iterable[NodeId]) -> None:

@@ -126,10 +126,15 @@ def label_strong(
     With `check_invariants`, every singly blocked edge is re-blocked anyway:
     each re-blocked copy is asserted against the orientation invariants, and
     each shortcut label must be confirmed by its own re-blocking check.
+
+    Marks that are not closed under R2-R4 raise `InvalidStateError`.  The
+    marks `essential_graph` returns, read with its `triplexes`, are closed
+    by construction and skip that check unless `check_invariants` is set.
     """
     names = m.index.nodes
     tri = m._triplex_masks(t)
-    _check_line6_fixpoint(m, tri)
+    if check_invariants or tri is not m._closed_under:
+        _check_line6_fixpoint(m, tri)
     eg = m.finalize()
     eg_triplexes = triplexes(eg) if check_invariants else frozenset()
     pre = _pretriplexes_by_end(m)

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 import time
 from itertools import combinations
@@ -18,11 +20,20 @@ from ampcg import (
     pair,
     random_chain_graph,
     separated,
+    serialize_graph,
     triplexes,
     unmarked_skeleton,
 )
+from ampcg.cli import cli
 from ampcg.equivalence import _triplex_masks
-from ampcg.essential import RULE_NAMES, MarkedGraph, _key_masks, _path_exists, _seed_r1
+from ampcg.essential import (
+    RULE_NAMES,
+    EssentialGraphResult,
+    MarkedGraph,
+    _key_masks,
+    _path_exists,
+    _seed_r1,
+)
 from ampcg.strong import _s3
 
 from .support import (
@@ -154,16 +165,80 @@ def test_index_read_masks_and_seeds_match_the_name_set(g):
 @settings(max_examples=200, deadline=None)
 @given(chain_graphs(max_nodes=7))
 def test_one_pass_equals_the_public_composition(g):
-    # fixpoint, double-blocking, then the R2-R4 fixpoint of the additions
+    m = _public_composition(g)
+    result = essential_graph(g)
+    assert result.marks == m
+    assert result.triplexes == triplexes(g)
+    assert result.graph == m.finalize()
+
+
+def _public_composition(g):
+    """The essential graph's marks through the public steps, whose R3 never
+    reads g: fixpoint, double-blocking, fixpoint of the additions."""
     t = triplexes(g)
     fixpoint = apply_rules_R(unmarked_skeleton(g), t)
     doubled = double_block_chordless_cycles(fixpoint)
     additions = doubled.blocked - fixpoint.blocked
-    m = apply_rules_R(doubled, t, ("R2", "R3", "R4"), new=additions)
+    return apply_rules_R(doubled, t, ("R2", "R3", "R4"), new=additions)
+
+
+@pytest.mark.parametrize(
+    "n, p_u, p_d, seed",
+    [(30, 0.04, 0.07, 30), (100, 0.01, 0.016, 100), (100, 0.015, 0.02, 108), (200, 0.008, 0.012, 200)],
+)
+def test_one_pass_equals_the_public_composition_at_scale(n, p_u, p_d, seed):
+    # R3 in `essential_graph` skips the ends g's arrows rule out; the public
+    # steps keep the unrestricted R3 and must reach the same marks; R3 fires
+    # in some draws of every row
+    rnd = random.Random(seed)
+    for _ in range(10):
+        g = random_chain_graph(rnd, node_names(n), p_u, p_d)
+        assert essential_graph(g).marks == _public_composition(g)
+
+
+def test_every_class_member_gives_the_same_marks():
+    # R3's skipped ends depend on which member g is, the marks must not
+    rnd = random.Random(32)
+    checked = 0
+    while checked < 300:
+        g = random_chain_graph(rnd, node_names(rnd.randint(3, 7)),
+                               rnd.uniform(0.1, 0.6), rnd.uniform(0.1, 0.6))
+        if len(g.skeleton) > 12:
+            continue
+        m = essential_graph(g).marks
+        for h in enumerate_class(g).members:
+            k = essential_graph(h).marks
+            assert (k.index.nodes, k.out, k.inn) == (m.index.nodes, m.out, m.inn), (g, h)
+        checked += 1
+
+
+def test_graph_is_finalized_from_the_marks_when_read():
+    g = random_chain_graph(random.Random(33), node_names(30), 0.04, 0.07)
     result = essential_graph(g)
-    assert result.marks == m
-    assert result.triplexes == t
-    assert result.graph == m.finalize()
+    assert "graph" not in {f.name for f in dataclasses.fields(EssentialGraphResult)}
+    assert "_finalized" not in vars(result.marks)
+    assert result.graph is result.marks.finalize()
+    assert result.graph is result.graph
+
+
+def test_json_marks_finalize_to_the_printed_graph(tmp_path, capsys):
+    # `ampcg --format json eg` prints the marks and builds no chain graph;
+    # the marks it prints finalize to the graph `ampcg eg` prints
+    rnd = random.Random(34)
+    for n, p_u, p_d in [(100, 0.01, 0.016)] * 4 + [(30, 0.04, 0.07)] * 4:
+        g = random_chain_graph(rnd, node_names(n), p_u, p_d)
+        path = tmp_path / "g.txt"
+        path.write_text(serialize_graph(g))
+        assert cli(["--format", "json", "eg", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert cli(["eg", str(path)]) == 0
+        text = capsys.readouterr().out
+        edges = doc["edges"]
+        skeleton = cg(doc["nodes"], [], [(e["u"], e["v"]) for e in edges])
+        blocks = [(e["u"], e["v"]) for e in edges if e["blocked_u"]]
+        blocks += [(e["v"], e["u"]) for e in edges if e["blocked_v"]]
+        m = unmarked_skeleton(skeleton).with_blocks(blocks)
+        assert serialize_graph(m.finalize()) == text
 
 
 @settings(max_examples=100, deadline=None)

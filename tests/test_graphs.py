@@ -25,6 +25,7 @@ from ampcg import (
 from ampcg.equivalence import _FWD, _REV, _UND, _semidirected_free
 from ampcg.errors import (
     DuplicateEdgeError,
+    InvariantViolationError,
     NotChordalError,
     SelfLoopError,
     SemidirectedCycleError,
@@ -32,7 +33,7 @@ from ampcg.errors import (
     UnknownNodeError,
 )
 from ampcg.generate import node_names
-from ampcg.graphs import _component_order, _graph_index, pair
+from ampcg.graphs import GraphIndex, _component_order, _graph_index, pair
 
 from .support import _eliminate, cg, chain_graphs, set_component_order, set_orient_by_mcs
 
@@ -59,6 +60,16 @@ class TestValidation:
     def test_constructor_rejects_a_self_loop(self):
         with pytest.raises(SelfLoopError, match="self-loop at 'A'"):
             ChainGraph(frozenset("AB"), frozenset(), frozenset({("A", "A")}))
+
+    def test_an_index_that_disagrees_with_the_edges_is_named(self):
+        # A -> B, B -- C with an ne mask that also joins A -- B: the index has
+        # a semidirected cycle the edges lack, so no witness exists
+        good = _graph_index("ABC", [("A", "B")], [("B", "C")])
+        bad = GraphIndex(good.nodes, good.pos, good.adj, good.pa, (0b010, 0b101, 0b010))
+        args = frozenset("ABC"), frozenset({("A", "B")}), frozenset({("B", "C")})
+        with pytest.raises(InvariantViolationError, match=r"index mask ne\['A'\] disagrees"):
+            ChainGraph._indexed(*args, bad)
+        assert ChainGraph._indexed(*args, good) == ChainGraph(*args)
 
     def test_constructor_rejects_an_undirected_pair_out_of_order(self):
         with pytest.raises(ValueError, match="pair"):

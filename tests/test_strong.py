@@ -23,10 +23,10 @@ from ampcg import (
     unmarked_skeleton,
     validate_chain_graph,
 )
-from ampcg import equivalence, essential, graphs
+from ampcg import equivalence, essential, graphs, strong
 from ampcg.cli import cli
 from ampcg.errors import InvalidStateError, InvariantViolationError
-from ampcg.essential import _close_blocks
+from ampcg.essential import MarkedGraph, _close_blocks
 from ampcg.strong import _propagate
 
 from .support import cg, edges_blocked_at_one_end, undirected_grid
@@ -67,6 +67,37 @@ class TestLabelStrong:
         unsettled = unmarked_skeleton(g).with_blocks([("A", "C"), ("B", "C")])
         with pytest.raises(InvalidStateError):
             label_strong(unsettled, result.triplexes)
+
+    def test_only_caller_supplied_marks_are_rechecked(self, monkeypatch):
+        # essential_graph's own marks are closed and skip the fixpoint check;
+        # an equal copy built by the caller, and any call with
+        # check_invariants, still runs it, with the same labels
+        g = cg("ABCD", [("A", "C"), ("B", "C"), ("C", "D")])
+        unsettled = unmarked_skeleton(g).with_blocks([("A", "C"), ("B", "C")])
+        with pytest.raises(InvalidStateError):
+            label_strong(unsettled, essential_graph(g).triplexes, check_invariants=True)
+        checks = 0
+        check = strong._check_line6_fixpoint
+
+        def counted(*args):
+            nonlocal checks
+            checks += 1
+            return check(*args)
+
+        monkeypatch.setattr(strong, "_check_line6_fixpoint", counted)
+        rnd = random.Random(31)
+        for _ in range(40):
+            g = random_chain_graph(rnd, node_names(rnd.randint(2, 30)), 0.1, 0.15)
+            result = essential_graph(g)
+            m, t = result.marks, result.triplexes
+            copy = MarkedGraph(m.index, m.out, m.inn)
+            checks = 0
+            labels = label_strong(m, t)
+            assert checks == 0
+            assert strong_labeling(g) == labels and checks == 0
+            assert label_strong(copy, t) == labels and checks == 1
+            assert label_strong(m, t, check_invariants=True) == labels and checks == 2
+            assert label_strong(m.with_blocks([]), t) == labels and checks == 3
 
     def test_shortcut_labels_match_checked_labels(self):
         rnd = random.Random(23)
