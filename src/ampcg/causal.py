@@ -27,7 +27,7 @@ from .errors import (
     UnknownNodeError,
 )
 from .essential import EssentialGraphResult
-from .graphs import ChainGraph, NodeId, family, pair
+from .graphs import ChainGraph, NodeId, _step, family, pair
 from .strong import StrongLabeling
 
 Mode = Literal["class", "maxoriented", "superset"]
@@ -63,8 +63,10 @@ def adjusting_set(g: ChainGraph, x: NodeId) -> frozenset[NodeId]:
     """Neighbors of x plus parents of x and its neighbors, minus x itself."""
     if x not in g.nodes:
         raise UnknownNodeError(f"unknown node {x!r}")
-    ne = family(g, {x}, "ne")
-    return (ne | family(g, ne | {x}, "pa")) - {x}
+    index = g.index
+    i = index.pos[x]
+    ne = index.ne[i]
+    return index.names_of((ne | _step(index.pa, ne | 1 << i)) & ~(1 << i))
 
 
 def st_nst(labeling: StrongLabeling | EssentialGraphResult, x: NodeId) -> StNstPartition:
@@ -72,7 +74,8 @@ def st_nst(labeling: StrongLabeling | EssentialGraphResult, x: NodeId) -> StNstP
     eg = labeling.graph
     if x not in eg.nodes:
         raise UnknownNodeError(f"unknown node {x!r}")
-    neighbors = eg.neighbor_map[x]
+    index = eg.index
+    neighbors = index.names_of(index.ne[index.pos[x]])
     st = frozenset(a for a in neighbors if pair(a, x) in labeling.strong_undirected)
     nst = neighbors - st
     if st and nst:
@@ -95,10 +98,9 @@ def locally_valid(
             f"{sorted(s - partition.nst)} are not non-strong neighbors of {x!r}"
         )
     index = eg.index
-    pos = index.pos
-    b = pos[x]
-    heads = index.pa[b] | sum(1 << pos[n] for n in s)
-    others = sum(1 << pos[n] for n in partition.st)
+    b = index.pos[x]
+    heads = index.pa[b] | index.mask_of(s)
+    others = index.mask_of(partition.st)
     present = _flank_masks(index.adj, index.pa[b], index.ne[b])
     return all(
         not cs & ~present.get(a, 0) for a, cs in _flank_masks(index.adj, heads, others).items()

@@ -112,7 +112,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .equivalence import TriplexKeys, _triplex_keys, _triplex_masks
-from .graphs import ChainGraph, GraphIndex, Masks, NodeId, NodeIndex, _edges
+from .graphs import ChainGraph, GraphIndex, Masks, NodeId, NodeIndex, _edges, _reach, _step
 
 RULE_NAMES = ("R1", "R2", "R3", "R4")
 
@@ -244,25 +244,6 @@ def _seed_r1(
                 inn[b] |= 1 << a
                 seeds.append((a, b))
     return seeds
-
-
-def _step(step: Sequence[int], frontier: int) -> int:
-    """The union of the step masks of the nodes in `frontier`."""
-    reached = 0
-    while frontier:
-        low = frontier & -frontier
-        reached |= step[low.bit_length() - 1]
-        frontier ^= low
-    return reached
-
-
-def _reach(step: Sequence[int], seen: int) -> int:
-    """The nodes reached from the mask `seen` along the step masks."""
-    frontier = seen
-    while frontier:
-        frontier = _step(step, frontier) & ~seen
-        seen |= frontier
-    return seen
 
 
 def _path_exists(adj: Sequence[int], step: Sequence[int], a: int, b: int, last: int) -> bool:

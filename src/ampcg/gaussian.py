@@ -161,8 +161,7 @@ def random_model(graph: ChainGraph, seed: int) -> LinearGaussianModel:
 
 
 def _coefficient_matrix(model: LinearGaussianModel) -> tuple[tuple[NodeId, ...], np.ndarray]:
-    names = model.graph.sorted_nodes
-    index = {n: i for i, n in enumerate(names)}
+    names, index = model.graph.sorted_nodes, model.graph.index.pos
     b = np.zeros((len(names), len(names)))
     for (u, v), c in model.coefficients.items():
         b[index[u], index[v]] = c
@@ -170,8 +169,7 @@ def _coefficient_matrix(model: LinearGaussianModel) -> tuple[tuple[NodeId, ...],
 
 
 def _noise_matrix(model: LinearGaussianModel) -> np.ndarray:
-    names = model.graph.sorted_nodes
-    index = {n: i for i, n in enumerate(names)}
+    names, index = model.graph.sorted_nodes, model.graph.index.pos
     sigma = np.zeros((len(names), len(names)))
     for comp, block in model.noise.items():
         comp_names = sorted(comp)
@@ -198,8 +196,8 @@ def sample(model: LinearGaussianModel, n: int, seed: int) -> Dataset:
     if n < 1:
         raise ValueError("need at least one observation")
     rng = np.random.default_rng(seed)
-    names = model.graph.sorted_nodes
-    index = {node: i for i, node in enumerate(names)}
+    index = model.graph.index
+    names, pos = index.nodes, index.pos
     values = np.zeros((n, len(names)))
     for comp in chain_components(model.graph).components:
         comp_names = sorted(comp)
@@ -208,9 +206,9 @@ def sample(model: LinearGaussianModel, n: int, seed: int) -> Dataset:
         eps = rng.standard_normal((n, len(comp_names))) @ chol.T
         for j, node in enumerate(comp_names):
             total = eps[:, j]
-            for parent in sorted(model.graph.parent_map[node]):
-                total = total + model.coefficients[(parent, node)] * values[:, index[parent]]
-            values[:, index[node]] = total
+            for parent in sorted(index.names_of(index.pa[pos[node]])):
+                total = total + model.coefficients[(parent, node)] * values[:, pos[parent]]
+            values[:, pos[node]] = total
     return Dataset(columns=names, rows=values)
 
 
@@ -222,13 +220,15 @@ def true_effect(model: LinearGaussianModel, x: NodeId, y: NodeId) -> float:
     if x == y:
         raise ValueError("source and outcome must differ")
     order = [n for comp in chain_components(g).components for n in sorted(comp)]
+    index = g.index
     weight = {n: 0.0 for n in g.nodes}
     weight[x] = 1.0
     for node in order:
         if node == x:
             continue
         weight[node] = sum(
-            model.coefficients[(p, node)] * weight[p] for p in g.parent_map[node]
+            model.coefficients[(p, node)] * weight[p]
+            for p in sorted(index.names_of(index.pa[index.pos[node]]))
         )
     return weight[y]
 

@@ -7,7 +7,7 @@ from itertools import combinations, product
 from typing import Sequence
 
 from .errors import SemidirectedCycleError
-from .graphs import ChainGraph, NodeId, _undirected_components
+from .graphs import ChainGraph, NodeId, _component_order, _graph_index
 
 #: per-pair states for exhaustive generation
 _NONE, _FWD, _REV, _UND = range(4)
@@ -60,9 +60,10 @@ def random_chain_graph(
         undirected = frozenset(
             (a, b) for a, b in combinations(nodes, 2) if rng.random() < p_undirected
         )
-        comps = _undirected_components(nodes, undirected)
+        # with no arrows, the chain components come in least-node order
+        comps = _component_order(_graph_index(nodes, (), undirected))
         rng.shuffle(comps)
-        rank = {n: i for i, comp in enumerate(comps) for n in comp}
+        rank = {nodes[v]: i for i, comp in enumerate(comps) for v in comp}
         directed = []
         for a, b in combinations(nodes, 2):
             if rank[a] == rank[b]:

@@ -13,7 +13,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 from typing import Iterable, Literal, Sequence
 
 from .errors import (
@@ -67,6 +67,24 @@ class NodeIndex:
     pos: dict[NodeId, int]
     adj: Masks
 
+    def mask_of(self, names: Iterable[NodeId]) -> int:
+        """The mask of the positions of `names`, which must all be nodes."""
+        pos = self.pos
+        mask = 0
+        for n in names:
+            mask |= 1 << pos[n]
+        return mask
+
+    def names_of(self, mask: int) -> frozenset[NodeId]:
+        """The nodes at the positions set in `mask`."""
+        names = self.nodes
+        found = []
+        while mask:
+            low = mask & -mask
+            found.append(names[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(found)
+
 
 @dataclass(frozen=True, eq=False)
 class GraphIndex(NodeIndex):
@@ -75,6 +93,31 @@ class GraphIndex(NodeIndex):
 
     pa: Masks
     ne: Masks
+
+    @cached_property
+    def ch(self) -> Masks:
+        """The children of each node: the adjacent nodes that are neither
+        parents nor undirected neighbors."""
+        return tuple(a & ~p & ~n for a, p, n in zip(self.adj, self.pa, self.ne))
+
+
+def _step(step: Sequence[int], frontier: int) -> int:
+    """The union of the step masks of the nodes in `frontier`."""
+    reached = 0
+    while frontier:
+        low = frontier & -frontier
+        reached |= step[low.bit_length() - 1]
+        frontier ^= low
+    return reached
+
+
+def _reach(step: Sequence[int], seen: int) -> int:
+    """The nodes reached from the mask `seen` along the step masks."""
+    frontier = seen
+    while frontier:
+        frontier = _step(step, frontier) & ~seen
+        seen |= frontier
+    return seen
 
 
 def _graph_index(
@@ -179,36 +222,6 @@ class ChainGraph:
         """All edges as canonical unordered pairs."""
         return frozenset([(u, v) if u < v else (v, u) for u, v in self.directed]) | self.undirected
 
-    @cached_property
-    def adjacency(self) -> dict[NodeId, frozenset[NodeId]]:
-        adj: dict[NodeId, set[NodeId]] = {n: set() for n in self.nodes}
-        for a, b in self.skeleton:
-            adj[a].add(b)
-            adj[b].add(a)
-        return {n: frozenset(s) for n, s in adj.items()}
-
-    @cached_property
-    def parent_map(self) -> dict[NodeId, frozenset[NodeId]]:
-        out: dict[NodeId, set[NodeId]] = {n: set() for n in self.nodes}
-        for u, v in self.directed:
-            out[v].add(u)
-        return {n: frozenset(s) for n, s in out.items()}
-
-    @cached_property
-    def child_map(self) -> dict[NodeId, frozenset[NodeId]]:
-        out: dict[NodeId, set[NodeId]] = {n: set() for n in self.nodes}
-        for u, v in self.directed:
-            out[u].add(v)
-        return {n: frozenset(s) for n, s in out.items()}
-
-    @cached_property
-    def neighbor_map(self) -> dict[NodeId, frozenset[NodeId]]:
-        out: dict[NodeId, set[NodeId]] = {n: set() for n in self.nodes}
-        for a, b in self.undirected:
-            out[a].add(b)
-            out[b].add(a)
-        return {n: frozenset(s) for n, s in out.items()}
-
     def is_adjacent(self, u: NodeId, v: NodeId) -> bool:
         return pair(u, v) in self.skeleton
 
@@ -262,32 +275,6 @@ def _check_nodes(nodes: frozenset[NodeId], referenced: Iterable[NodeId]) -> None
     for n in referenced:
         if n not in nodes:
             raise UnknownNodeError(f"unknown node {n!r}")
-
-
-def _undirected_components(
-    nodes: Iterable[NodeId], undirected: Iterable[tuple[NodeId, NodeId]]
-) -> list[frozenset[NodeId]]:
-    """Connected components of the undirected subgraph, sorted by least node."""
-    nbr: dict[NodeId, set[NodeId]] = {n: set() for n in nodes}
-    for a, b in undirected:
-        nbr[a].add(b)
-        nbr[b].add(a)
-    seen: set[NodeId] = set()
-    comps = []
-    for start in sorted(nbr):
-        if start in seen:
-            continue
-        stack, comp = [start], {start}
-        seen.add(start)
-        while stack:
-            cur = stack.pop()
-            for w in nbr[cur]:
-                if w not in comp:
-                    comp.add(w)
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(frozenset(comp))
-    return comps
 
 
 def _component_order(index: GraphIndex) -> list[Sequence[int]] | None:
@@ -423,25 +410,21 @@ def family(g: ChainGraph, xs: Iterable[NodeId], relation: Relation) -> frozenset
     """
     xset = frozenset(xs)
     _check_nodes(g.nodes, xset)
+    index = g.index
+    x = index.mask_of(xset)
     if relation == "pa":
-        return frozenset(p for x in xset for p in g.parent_map[x])
-    if relation == "ch":
-        return frozenset(c for x in xset for c in g.child_map[x])
-    if relation == "ne":
-        return frozenset(n for x in xset for n in g.neighbor_map[x])
-    if relation == "ad":
-        return frozenset(a for x in xset for a in g.adjacency[x])
-    if relation == "de":
-        out: set[NodeId] = set()
-        frontier = [c for x in xset for c in g.child_map[x]]
-        while frontier:
-            cur = frontier.pop()
-            if cur in out:
-                continue
-            out.add(cur)
-            frontier.extend(g.child_map[cur])
-        return frozenset(out)
-    raise ValueError(f"unknown relation {relation!r}")
+        step = index.pa
+    elif relation == "ch":
+        step = index.ch
+    elif relation == "ne":
+        step = index.ne
+    elif relation == "ad":
+        step = index.adj
+    elif relation == "de":
+        return index.names_of(_reach(index.ch, _step(index.ch, x)))
+    else:
+        raise ValueError(f"unknown relation {relation!r}")
+    return index.names_of(_step(step, x))
 
 
 def chain_components(g: ChainGraph) -> ComponentPartition:
@@ -453,17 +436,29 @@ def chain_components(g: ChainGraph) -> ComponentPartition:
     return g._partition
 
 
+def _is_clique(ne: Masks, x: int) -> bool:
+    """Is every pair of nodes in the mask `x` joined by an undirected edge?"""
+    y = x
+    while y:
+        low = y & -y
+        if x & ~ne[low.bit_length() - 1] & ~low:
+            return False
+        y ^= low
+    return True
+
+
 def is_complete(g: ChainGraph, nodes: Iterable[NodeId]) -> bool:
     """True when every pair in the set is joined by an undirected edge."""
     ns = sorted(frozenset(nodes))
     _check_nodes(g.nodes, ns)
-    return all(g.has_undirected(a, b) for a, b in combinations(ns, 2))
+    return _is_clique(g.index.ne, g.index.mask_of(ns))
 
 
 def is_simplicial(g: ChainGraph, v: NodeId) -> bool:
     """True when the neighbors of v form a complete set."""
     _check_nodes(g.nodes, (v,))
-    return is_complete(g, g.neighbor_map[v])
+    ne = g.index.ne
+    return _is_clique(ne, ne[g.index.pos[v]])
 
 
 def _require_undirected(g: ChainGraph) -> None:

@@ -4,27 +4,51 @@ A node inside a route is a *triplex occurrence* when the two edges around it
 carry at least one arrowhead into the node and no arrowhead out of it
 (`equivalence._is_triplex`).  A route is Z-open when every triplex
 occurrence lies in Z and every other interior occurrence lies outside Z;
-endpoints impose no constraint.  Routes may repeat nodes, so the production test works on the finite quotient of
-(node, entry-mark) states instead of enumerating routes.
+endpoints impose no constraint.  Routes may repeat nodes, so the test works
+on (node, entry-mark) states instead of enumerating routes: three frontier
+masks over `ChainGraph.index`, one per mark at v of the edge a route enters
+v by (head from a parent, tail from a child, und from a neighbor).  A route
+passes v exactly when the occurrence's triplex status matches v in Z:
+
+    entry | exits if v is in Z | exits if v is not in Z
+    head  | parents, neighbors | children
+    und   | parents            | neighbors, children
+    tail  | none               | parents, neighbors, children
+
+A step to a parent enters it by a tail, to a neighbor by und and to a child
+by a head, so one step takes the frontiers to
+
+    tail' = pa of ((head | und) & Z  |  tail & ~Z)
+    und'  = ne of (head & Z  |  (und | tail) & ~Z)
+    head' = ch of ((head | und | tail) & ~Z)
+
+where "pa of F" is the union of the parent masks of the nodes in F.  An
+endpoint allows every exit, as a tail entry outside Z does, so a walk
+starts from X as tail entries; X and Z are disjoint.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Sequence
 
-from .equivalence import HEAD, TAIL, UND, _is_triplex
 from .errors import InvalidQueryError
-from .graphs import ChainGraph, NodeId
+from .graphs import ChainGraph, GraphIndex, NodeId, _step
 
 
-def _mark_at(g: ChainGraph, node: NodeId, other: NodeId) -> str:
-    """Mark of the edge {node, other} at `node`."""
-    if g.has_directed(other, node):
-        return HEAD
-    if g.has_directed(node, other):
-        return TAIL
-    return UND
+def _passes(index: GraphIndex, zs: int, head: int, tail: int, und: int) -> tuple[int, int, int]:
+    """The (head, tail, und) entry frontiers one step past the given ones,
+    whose nodes pass as the module's table allows with Z the mask `zs`."""
+    return (
+        _step(index.ch, (head | und | tail) & ~zs),
+        _step(index.pa, (head | und) & zs | tail & ~zs),
+        _step(index.ne, head & zs | (und | tail) & ~zs),
+    )
+
+
+def _check_known(g: ChainGraph, name: str, s: Iterable[NodeId]) -> None:
+    unknown = frozenset(s) - g.nodes
+    if unknown:
+        raise InvalidQueryError(f"{name} contains unknown nodes {sorted(unknown)}")
 
 
 def _check_query(
@@ -33,9 +57,7 @@ def _check_query(
     if not xs or not ys:
         raise InvalidQueryError("X and Y must be nonempty")
     for name, s in (("X", xs), ("Y", ys), ("Z", zs)):
-        unknown = s - g.nodes
-        if unknown:
-            raise InvalidQueryError(f"{name} contains unknown nodes {sorted(unknown)}")
+        _check_known(g, name, s)
     if xs & ys or xs & zs or ys & zs:
         raise InvalidQueryError("X, Y and Z must be pairwise disjoint")
 
@@ -48,49 +70,44 @@ def separated(
 ) -> bool:
     """True iff no Z-open route connects X and Y.
 
-    Multi-source reachability over (node, entry-mark) states: passage through
-    an interior node is allowed exactly when its occurrence's triplex status
-    matches membership in Z.
+    Multi-source reachability over the three entry frontiers of the module
+    docstring; each (node, entry mark) state is expanded once.
     """
     xs, ys, zs = frozenset(xs), frozenset(ys), frozenset(zs)
     _check_query(g, xs, ys, zs)
-    seen: set[tuple[NodeId, str]] = set()
-    queue: deque[tuple[NodeId, str]] = deque()
-
-    def push(node: NodeId, mark: str) -> None:
-        state = (node, mark)
-        if state not in seen:
-            seen.add(state)
-            queue.append(state)
-
-    for x in xs:
-        for w in g.adjacency[x]:
-            if w in ys:
-                return False
-            push(w, _mark_at(g, w, x))
-    while queue:
-        node, entry = queue.popleft()
-        for w in g.adjacency[node]:
-            exit_ = _mark_at(g, node, w)
-            if _is_triplex(entry, exit_) != (node in zs):
-                continue
-            if w in ys:
-                return False
-            push(w, _mark_at(g, w, node))
+    index = g.index
+    y, z = index.mask_of(ys), index.mask_of(zs)
+    head, tail, und = 0, index.mask_of(xs), 0
+    seen_head, seen_tail, seen_und = head, tail, und
+    while head | tail | und:
+        head, tail, und = _passes(index, z, head, tail, und)
+        if (head | tail | und) & y:
+            return False
+        head &= ~seen_head
+        tail &= ~seen_tail
+        und &= ~seen_und
+        seen_head |= head
+        seen_tail |= tail
+        seen_und |= und
     return True
 
 
 def route_is_open(g: ChainGraph, route: Sequence[NodeId], zs: Iterable[NodeId]) -> bool:
-    """Apply the Z-open definition literally to one concrete route."""
+    """Apply the Z-open definition literally to one concrete route: step the
+    entry frontiers along it, keeping only the route's next node."""
     zs = frozenset(zs)
+    _check_known(g, "route", route)
+    _check_known(g, "Z", zs)
     if len(route) < 2:
         return False
     for a, b in zip(route, route[1:]):
         if not g.is_adjacent(a, b):
             raise InvalidQueryError(f"{a!r} and {b!r} are not adjacent")
-    for i in range(1, len(route) - 1):
-        entry = _mark_at(g, route[i], route[i - 1])
-        exit_ = _mark_at(g, route[i], route[i + 1])
-        if _is_triplex(entry, exit_) != (route[i] in zs):
-            return False
-    return True
+    index = g.index
+    pos, z = index.pos, index.mask_of(zs)
+    frontiers = (0, 1 << pos[route[0]], 0)
+    passing = z & ~frontiers[1]  # the first node is an endpoint: Z does not constrain it
+    for n in route[1:]:
+        frontiers = tuple(f & 1 << pos[n] for f in _passes(index, passing, *frontiers))
+        passing = z
+    return any(frontiers)

@@ -28,39 +28,33 @@ from .errors import (
 from .essential import essential_graph
 from .graphs import (
     ChainGraph,
+    GraphIndex,
     NodeId,
+    _is_clique,
     _mcs_ranks,
     _oriented,
+    _reach,
+    _step,
     chain_components,
-    family,
-    is_complete,
     pair,
 )
 
 
-def _semidirected_descendants(g: ChainGraph, xs: Iterable[NodeId]) -> frozenset[NodeId]:
-    """Nodes reachable by a route of -> and -- steps containing an arrow.
+def _semidirected_descendants(index: GraphIndex, xs: int) -> int:
+    """The mask of the nodes reachable from the mask `xs` by a route of ->
+    and -- steps containing an arrow.
 
     This is the reachability that matters for merge feasibility: after a
     merge, any such route from the upper component to another parent of the
     lower one would close a semidirected cycle.  Directed-only descendants
     are too weak here (an arrow may be followed by undirected hops).
     """
-    frontier: list[tuple[NodeId, bool]] = [(x, False) for x in frozenset(xs)]
-    seen: set[tuple[NodeId, bool]] = set(frontier)
+    ch, ne = index.ch, index.ne
+    arrowed = frontier = _step(ch, _reach(ne, xs))
     while frontier:
-        node, arrow = frontier.pop()
-        for w in g.child_map[node]:
-            state = (w, True)
-            if state not in seen:
-                seen.add(state)
-                frontier.append(state)
-        for w in g.neighbor_map[node]:
-            state = (w, arrow)
-            if state not in seen:
-                seen.add(state)
-                frontier.append(state)
-    return frozenset(n for n, arrow in seen if arrow)
+        frontier = (_step(ch, frontier) | _step(ne, frontier)) & ~arrowed
+        arrowed |= frontier
+    return arrowed
 
 
 def _require_component(g: ChainGraph, comp: frozenset[NodeId]) -> None:
@@ -84,18 +78,20 @@ def feasible_merge_check(
     _require_component(g, lower)
     if upper == lower:
         raise NotComponentsError("upper and lower must be distinct components")
-    pa_lower = family(g, lower, "pa")
-    boundary = pa_lower & upper
+    index = g.index
+    pa, pos = index.pa, index.pos
+    up = index.mask_of(upper)
+    pa_lower = _step(pa, index.mask_of(lower))
+    boundary = pa_lower & up
     if not boundary:
         return False  # nothing to merge
-    if not all(lower <= family(g, {x}, "ch") for x in boundary):
+    if not _is_clique(index.ne, boundary):
         return False
-    if not is_complete(g, boundary):
+    # every boundary node and every parent of one is a parent of each lower node
+    covered = boundary | _step(pa, boundary)
+    if any(covered & ~pa[pos[y]] for y in lower):
         return False
-    pa_boundary = family(g, boundary, "pa")
-    if not all(pa_boundary <= family(g, {y}, "pa") for y in lower):
-        return False
-    if _semidirected_descendants(g, upper) & pa_lower:
+    if _semidirected_descendants(index, up) & pa_lower:
         return False
     return True
 

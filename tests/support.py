@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import defaultdict
+from collections import defaultdict, deque
 from itertools import combinations, permutations
 
 from hypothesis import strategies as st
@@ -20,17 +20,80 @@ from ampcg import (
     validate_chain_graph,
 )
 from ampcg.causal import st_nst
-from ampcg.equivalence import _is_triplex
+from ampcg.equivalence import HEAD, TAIL, UND, _is_triplex
 from ampcg.errors import NotChordalError
 from ampcg.essential import RULE_NAMES, MarkedGraph, unmarked_skeleton
-from ampcg.graphs import _undirected_components
-from ampcg.separation import _check_query, _mark_at, route_is_open
+from ampcg.separation import _check_query, route_is_open
 from ampcg.transform import _split_candidates, _split_result
 
 
 def cg(nodes, directed=(), undirected=()) -> ChainGraph:
     """Shorthand constructor for small literal graphs."""
     return validate_chain_graph(nodes, directed, undirected)
+
+
+# Name helpers: the package reads a graph's edges off its index masks, so
+# these keep the oracles on names.
+
+
+def adjacency(m: MarkedGraph | ChainGraph) -> dict[str, frozenset[str]]:
+    """Each node's adjacent nodes, by name."""
+    adj: dict[str, set[str]] = {n: set() for n in m.nodes}
+    for a, b in m.skeleton:
+        adj[a].add(b)
+        adj[b].add(a)
+    return {n: frozenset(s) for n, s in adj.items()}
+
+
+def parents(g: ChainGraph) -> dict[str, frozenset[str]]:
+    """Each node's parents, by name."""
+    out: dict[str, set[str]] = {n: set() for n in g.nodes}
+    for u, v in g.directed:
+        out[v].add(u)
+    return {n: frozenset(s) for n, s in out.items()}
+
+
+def children(g: ChainGraph) -> dict[str, frozenset[str]]:
+    """Each node's children, by name."""
+    out: dict[str, set[str]] = {n: set() for n in g.nodes}
+    for u, v in g.directed:
+        out[u].add(v)
+    return {n: frozenset(s) for n, s in out.items()}
+
+
+def neighbors(g: ChainGraph) -> dict[str, frozenset[str]]:
+    """Each node's undirected neighbors, by name."""
+    out: dict[str, set[str]] = {n: set() for n in g.nodes}
+    for a, b in g.undirected:
+        out[a].add(b)
+        out[b].add(a)
+    return {n: frozenset(s) for n, s in out.items()}
+
+
+def undirected_components(nodes, undirected) -> list[frozenset[str]]:
+    """Connected components of the undirected subgraph, sorted by least node,
+    by depth-first search over name sets: an oracle for the component search
+    of `graphs._component_order`."""
+    nbr: dict[str, set[str]] = {n: set() for n in nodes}
+    for a, b in undirected:
+        nbr[a].add(b)
+        nbr[b].add(a)
+    seen: set[str] = set()
+    comps = []
+    for start in sorted(nbr):
+        if start in seen:
+            continue
+        stack, comp = [start], {start}
+        seen.add(start)
+        while stack:
+            cur = stack.pop()
+            for w in nbr[cur]:
+                if w not in comp:
+                    comp.add(w)
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(frozenset(comp))
+    return comps
 
 
 def derive_classes(graphs) -> dict[ChainGraph, EquivalenceClass]:
@@ -54,29 +117,28 @@ def derive_classes(graphs) -> dict[ChainGraph, EquivalenceClass]:
     return lookup
 
 
-def set_flanks(g: ChainGraph, heads, others) -> set[tuple[str, str]]:
-    """Non-adjacent pairs {a, c} with a in `heads` and c in `heads | others`,
-    by set arithmetic on names: an oracle for the mask search
-    `equivalence._flank_masks`."""
+def set_flanks(adj, heads, others) -> set[tuple[str, str]]:
+    """Non-adjacent pairs {a, c} under the name adjacency `adj`, with a in
+    `heads` and c in `heads | others`, by set arithmetic on names: an oracle
+    for the mask search `equivalence._flank_masks`."""
     near = heads | others
-    return {pair(a, c) for a in heads for c in near - g.adjacency[a] if c != a}
+    return {pair(a, c) for a in heads for c in near - adj[a] if c != a}
 
 
 def set_triplexes(g: ChainGraph):
     """Every (middle, sorted flank pair) key, by set arithmetic: an oracle for
     `triplexes`."""
-    return frozenset(
-        (b, fl) for b in g.nodes for fl in set_flanks(g, g.parent_map[b], g.neighbor_map[b])
-    )
+    adj, pa, ne = adjacency(g), parents(g), neighbors(g)
+    return frozenset((b, fl) for b in g.nodes for fl in set_flanks(adj, pa[b], ne[b]))
 
 
 def set_locally_valid(labeling, x, s) -> bool:
     """`locally_valid` by set arithmetic: orienting s -> x adds no flank pair
     at x that the essential graph lacks."""
     eg = labeling.graph
-    heads = eg.parent_map[x] | frozenset(s)
-    return set_flanks(eg, heads, st_nst(labeling, x).st) <= set_flanks(
-        eg, eg.parent_map[x], eg.neighbor_map[x]
+    adj, pa = adjacency(eg), parents(eg)[x]
+    return set_flanks(adj, pa | frozenset(s), st_nst(labeling, x).st) <= set_flanks(
+        adj, pa, neighbors(eg)[x]
     )
 
 
@@ -84,7 +146,7 @@ def set_component_order(nodes, directed, undirected):
     """Chain components in topological order, or None on a semidirected
     cycle, by Kahn's algorithm over frozensets with a (least node, index)
     heap: an oracle for `graphs._component_order`."""
-    comps = _undirected_components(nodes, undirected)
+    comps = undirected_components(nodes, undirected)
     comp_index = {n: i for i, comp in enumerate(comps) for n in comp}
     succ = {i: set() for i in range(len(comps))}
     indeg = {i: 0 for i in range(len(comps))}
@@ -117,7 +179,7 @@ def _eliminate(g: ChainGraph) -> list[str] | None:
     """Remove simplicial nodes, least name first, until none is left; the
     removal order, or None when no node qualifies: a set-based oracle for
     the chordality check of `graphs._mcs_ranks`."""
-    adj = {n: set(s) for n, s in g.adjacency.items()}
+    adj = {n: set(s) for n, s in adjacency(g).items()}
     order: list[str] = []
     while adj:
         v = next((n for n in sorted(adj) if _simplicial_in(adj, n)), None)
@@ -135,6 +197,7 @@ def set_orient_by_mcs(g: ChainGraph, rng: random.Random | None = None) -> ChainG
     the bucket-mask search `graphs._mcs_ranks`."""
     if _eliminate(g) is None:
         raise NotChordalError("graph is not chordal")
+    adj = adjacency(g)
     weight = {n: 0 for n in g.nodes}
     unmarked = set(g.nodes)
     position: dict[str, int] = {}
@@ -144,12 +207,53 @@ def set_orient_by_mcs(g: ChainGraph, rng: random.Random | None = None) -> ChainG
         chosen = candidates[0] if rng is None else rng.choice(candidates)
         position[chosen] = len(position)
         unmarked.discard(chosen)
-        for w in g.adjacency[chosen] & unmarked:
+        for w in adj[chosen] & unmarked:
             weight[w] += 1
     directed = frozenset(
         (a, b) if position[a] < position[b] else (b, a) for a, b in g.undirected
     )
     return ChainGraph(nodes=g.nodes, directed=directed, undirected=frozenset())
+
+
+def _mark_at(g: ChainGraph, node, other) -> str:
+    """Mark of the edge {node, other} at `node`."""
+    if g.has_directed(other, node):
+        return HEAD
+    if g.has_directed(node, other):
+        return TAIL
+    return UND
+
+
+def set_separated(g: ChainGraph, xs, ys, zs=()) -> bool:
+    """`separated` by breadth-first search over (node, entry-mark) states on
+    names, asking `_is_triplex` at each passage: a polynomial oracle for the
+    three frontier masks of `separation`."""
+    xs, ys, zs = frozenset(xs), frozenset(ys), frozenset(zs)
+    _check_query(g, xs, ys, zs)
+    adj = adjacency(g)
+    seen: set[tuple[str, str]] = set()
+    queue: deque[tuple[str, str]] = deque()
+
+    def push(node, mark) -> None:
+        state = (node, mark)
+        if state not in seen:
+            seen.add(state)
+            queue.append(state)
+
+    for x in xs:
+        for w in adj[x]:
+            if w in ys:
+                return False
+            push(w, _mark_at(g, w, x))
+    while queue:
+        node, entry = queue.popleft()
+        for w in adj[node]:
+            if _is_triplex(entry, _mark_at(g, node, w)) != (node in zs):
+                continue
+            if w in ys:
+                return False
+            push(w, _mark_at(g, w, node))
+    return True
 
 
 def open_route_oracle(g: ChainGraph, xs, ys, zs=()) -> bool:
@@ -164,12 +268,13 @@ def open_route_oracle(g: ChainGraph, xs, ys, zs=()) -> bool:
     xs, ys, zs = frozenset(xs), frozenset(ys), frozenset(zs)
     _check_query(g, xs, ys, zs)
     bound = 3 * len(g.nodes) + 1
+    adj = adjacency(g)
 
     def dfs(route: list[str], states: frozenset, entry: str | None) -> list[str] | None:
         if len(route) >= bound:
             return None
         last = route[-1]
-        for w in sorted(g.adjacency[last]):
+        for w in sorted(adj[last]):
             if entry is not None:  # `last` becomes interior: its occurrence must pass
                 exit_ = _mark_at(g, last, w)
                 if _is_triplex(entry, exit_) != (last in zs):
@@ -234,15 +339,6 @@ def greedy_maximally_oriented(g: ChainGraph, reverse_order: bool = False) -> Cha
 
 # Name helpers over a marked graph's derived views: the engine reads only
 # the masks, so these keep the oracles on names.
-
-
-def adjacency(m: MarkedGraph) -> dict[str, frozenset[str]]:
-    """Each node's neighbors, by name."""
-    adj: dict[str, set[str]] = {n: set() for n in m.nodes}
-    for a, b in m.skeleton:
-        adj[a].add(b)
-        adj[b].add(a)
-    return {n: frozenset(s) for n, s in adj.items()}
 
 
 def is_adjacent(m: MarkedGraph, u, v) -> bool:
@@ -420,7 +516,7 @@ def chain_graphs(draw, max_nodes: int = 5) -> ChainGraph:
     undirected = frozenset(
         p for p in pairs if draw(st.booleans(), label=f"und {p}")
     )
-    comps = _undirected_components(nodes, undirected)
+    comps = undirected_components(nodes, undirected)
     order = draw(st.permutations(range(len(comps))))
     rank = {node: order[i] for i, comp in enumerate(comps) for node in comp}
     directed = []

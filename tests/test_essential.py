@@ -76,7 +76,8 @@ class TestTriplexMembership:
                       for z in combinations(rest, k)]
                 separating = [z for z in zs if separated(g, {a}, {c}, z)]
                 assert separating, (a, c)
-                shared = g.adjacency[a] & g.adjacency[c]
+                adj = adjacency(g)
+                shared = adj[a] & adj[c]
                 for z in separating:
                     for b in shared:
                         assert (b in z) == ((b, pair(a, c)) not in t)

@@ -35,7 +35,14 @@ from ampcg.errors import (
 from ampcg.generate import node_names
 from ampcg.graphs import GraphIndex, _component_order, _graph_index, pair
 
-from .support import _eliminate, cg, chain_graphs, set_component_order, set_orient_by_mcs
+from .support import (
+    _eliminate,
+    adjacency,
+    cg,
+    chain_graphs,
+    set_component_order,
+    set_orient_by_mcs,
+)
 
 
 class TestValidation:
@@ -211,9 +218,9 @@ class TestChordal:
             tail = list(rnd.choice(edges)) if edges else [u.sorted_nodes[0]]
             order = perfect_elimination_ending_with(u, tail)
             assert list(order[-len(tail):]) == tail
-            remaining = set(u.nodes)
+            remaining, adj = set(u.nodes), adjacency(u)
             for v in order:
-                nbrs = sorted(u.adjacency[v] & remaining)
+                nbrs = sorted(adj[v] & remaining)
                 assert all(u.has_undirected(a, b) for a, b in combinations(nbrs, 2))
                 remaining.discard(v)
 

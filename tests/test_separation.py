@@ -4,10 +4,20 @@ import pytest
 from hypothesis import given, settings
 
 from ampcg import random_chain_graph, route_is_open, separated
+from ampcg.equivalence import _is_triplex
 from ampcg.errors import InvalidQueryError
 from ampcg.generate import node_names
 
-from .support import all_singleton_queries, cg, chain_graphs, open_route_oracle
+from .support import (
+    _mark_at,
+    adjacency,
+    all_singleton_queries,
+    cg,
+    chain_graphs,
+    open_route_oracle,
+    random_corpus,
+    set_separated,
+)
 
 
 class TestSeparated:
@@ -93,3 +103,65 @@ def test_multi_source_queries_decompose_into_pairs():
         joint = separated(g, xs, ys, zs)
         pairwise = all(separated(g, {x}, {y}, zs) for x in xs for y in ys)
         assert joint == pairwise, (g, xs, ys, zs)
+
+
+class TestUnknownRouteNodes:
+    def test_route_node_is_named(self):
+        g = cg("ABCD", [("A", "C"), ("B", "C")], [("C", "D")])
+        with pytest.raises(InvalidQueryError, match=r"route contains unknown nodes \['Q'\]"):
+            route_is_open(g, ["A", "Q"], [])
+
+    def test_z_node_is_named(self):
+        g = cg("ABCD", [("A", "C"), ("B", "C")], [("C", "D")])
+        with pytest.raises(InvalidQueryError, match=r"Z contains unknown nodes \['Q'\]"):
+            route_is_open(g, ["A", "C", "D"], ["Q"])
+        with pytest.raises(InvalidQueryError, match=r"Z contains unknown nodes \['Q'\]"):
+            separated(g, {"A"}, {"B"}, {"Q"})
+
+
+def _agree_with_the_name_oracle(g, queries):
+    answers = set()
+    for x, y, zs in queries:
+        got = separated(g, {x}, {y}, zs)
+        assert got == set_separated(g, {x}, {y}, zs), (g, x, y, sorted(zs))
+        answers.add(got)
+    return answers
+
+
+def test_masks_match_the_name_oracle_on_every_4_node_graph(corpus4):
+    for g in corpus4:
+        _agree_with_the_name_oracle(g, all_singleton_queries(g))
+
+
+def test_masks_match_the_name_oracle_on_random_graphs():
+    for g in random_corpus(341, 80, (5, 6, 7, 8), p_undirected=0.25, p_directed=0.3):
+        _agree_with_the_name_oracle(g, all_singleton_queries(g))
+
+
+def test_masks_match_the_name_oracle_at_scale():
+    # the ROADMAP draws at 200 nodes and both at 1000 nodes
+    for n, p_u, p_d in ((200, 0.006, 0.01), (1000, 0.0012, 0.002), (1000, 0.003, 0.005)):
+        g = random_chain_graph(random.Random(n), node_names(n), p_u, p_d)
+        rnd = random.Random(n + 1)
+        queries = []
+        for _ in range(300):
+            x, y, *zs = rnd.sample(g.sorted_nodes, 2 + rnd.randint(0, 8))
+            queries.append((x, y, frozenset(zs)))
+        assert _agree_with_the_name_oracle(g, queries) == {True, False}, n
+
+
+def test_route_check_matches_the_literal_definition_on_names():
+    rnd = random.Random(343)
+    for g in random_corpus(344, 150, (3, 4, 5, 6), p_undirected=0.3, p_directed=0.3):
+        adj = adjacency(g)
+        starts = [n for n in g.sorted_nodes if adj[n]]
+        for _ in range(10 if starts else 0):
+            route = [rnd.choice(starts)]
+            for _ in range(rnd.randint(1, 7)):
+                route.append(rnd.choice(sorted(adj[route[-1]])))
+            zs = frozenset(rnd.sample(g.sorted_nodes, rnd.randint(0, len(g.nodes))))
+            want = all(
+                _is_triplex(_mark_at(g, v, u), _mark_at(g, v, w)) == (v in zs)
+                for u, v, w in zip(route, route[1:], route[2:])
+            )
+            assert route_is_open(g, route, zs) == want, (g, route, sorted(zs))
