@@ -91,12 +91,16 @@ def _print_graph(g: ChainGraph, fmt: str) -> None:
         sys.stdout.write(serialize_graph(g))
 
 
+def _print_doc(doc: dict) -> None:
+    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _print_members(members: list[ChainGraph], fmt: str, key: str, noun: str, **doc) -> None:
     """JSON: `doc` with the members under `key`; text: a count of `noun`,
     then one member per line."""
     if fmt == "json":
         doc[key] = [graph_to_json(m) for m in members]
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _print_doc(doc)
     else:
         sys.stdout.write(f"{len(members)} {noun}\n")
         for m in members:
@@ -120,7 +124,7 @@ def _cmd_components(ns) -> int:
     comps = chain_components(g).components
     if ns.format == "json":
         doc = {"components": [sorted(c) for c in comps]}
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _print_doc(doc)
     else:
         for i, comp in enumerate(comps):
             sys.stdout.write(f"{i}: {' '.join(sorted(comp))}\n")
@@ -140,7 +144,7 @@ def _cmd_sep(ns) -> int:
             "z": sorted(zs),
             "separated": result,
         }
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _print_doc(doc)
     else:
         sys.stdout.write(("separated" if result else "connected") + "\n")
     return 0
@@ -181,7 +185,7 @@ def _cmd_strong(ns) -> int:
         labels = sorted(accelerator_labels(result.marks))
         if ns.format == "json":
             doc = {"strong_directed": [list(e) for e in labels]}
-            sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            _print_doc(doc)
         else:
             for u, v in labels:
                 sys.stdout.write(f"{u} -> {v} strong\n")
@@ -229,7 +233,7 @@ def _cmd_adjust(ns) -> int:
             "mode": ns.mode,
             "sets": [sorted(a.nodes) for a in sets],
         }
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _print_doc(doc)
     else:
         for a in sets:
             names = " ".join(sorted(a.nodes))
@@ -270,7 +274,7 @@ def _cmd_bound(ns) -> int:
                 for aset, value in report.entries
             ],
         }
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _print_doc(doc)
     else:
         for aset, value in report.entries:
             names = " ".join(sorted(aset.nodes)) if aset.nodes else "(empty)"

@@ -43,8 +43,9 @@ look only at the b in `ends[a] = adj[a] & ~pa[a]`, read off g's index.
 Marks that need not be sound for g keep the unrestricted R3 (`ends`
 defaults to `adj`): `apply_rules_R`, `double_block_chordless_cycles` and
 the re-blocked copies of `strong`.  The result keeps the marks and the
-triplex masks; its `graph` is the marks finalized when first read, so
-`ampcg --format json eg`, which prints the marks, builds no chain graph.
+triplex masks; its `graph` is the marks finalized when first read, by
+`graphs._oriented` with no loose edges, so `ampcg --format json eg`, which
+prints the marks, builds no chain graph.
 
 The engine works on integer masks, and they are `MarkedGraph`'s state.  Its
 `index` is the graph's own `ChainGraph.index`, shared by every copy: the nodes
@@ -112,7 +113,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .equivalence import TriplexKeys, _triplex_keys, _triplex_masks
-from .graphs import ChainGraph, GraphIndex, Masks, NodeId, NodeIndex, _edges, _reach, _step
+from .graphs import ChainGraph, Masks, NodeId, NodeIndex, _edges, _oriented, _reach, _step
 
 RULE_NAMES = ("R1", "R2", "R3", "R4")
 
@@ -159,35 +160,8 @@ class MarkedGraph:
 
     @cached_property
     def _finalized(self) -> ChainGraph:
-        """One pass over the edges in position order: an edge blocked at one
-        end becomes an arrow out of it, any other edge an undirected pair.
-        The same pass builds the graph's index; the constructor still runs
-        every check on it."""
-        index = self.index
-        names, adj = index.nodes, index.adj
-        out, inn = self.out, self.inn
-        pa = [0] * len(names)
-        ne = [0] * len(names)
-        directed = []
-        undirected = []
-        for i, w in _edges(adj):
-            low = 1 << w
-            if not (out[i] ^ inn[i]) & low:
-                ne[i] |= low
-                ne[w] |= 1 << i
-                undirected.append((names[i], names[w]))
-            elif out[i] & low:
-                pa[w] |= 1 << i
-                directed.append((names[i], names[w]))
-            else:
-                pa[i] |= low
-                directed.append((names[w], names[i]))
-        return ChainGraph._indexed(
-            self.nodes,
-            frozenset(directed),
-            frozenset(undirected),
-            GraphIndex(names, index.pos, adj, tuple(pa), tuple(ne)),
-        )
+        none = (0,) * len(self.out)
+        return _oriented(self.index, self.out, self.inn, none, ())
 
     def with_blocks(self, additions: Iterable[tuple[NodeId, NodeId]]) -> MarkedGraph:
         """A copy with the (end, other) pairs in `additions` blocked too."""

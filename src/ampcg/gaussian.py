@@ -65,9 +65,12 @@ class Dataset:
     rows: np.ndarray
 
     def covariance(self) -> Covariance:
-        centered = self.rows - self.rows.mean(axis=0, keepdims=True)
+        """The sample covariance; ModelError below two rows."""
         n = self.rows.shape[0]
-        matrix = centered.T @ centered / max(n - 1, 1)
+        if n < 2:
+            raise ModelError(f"a sample covariance needs at least two rows, got {n}")
+        centered = self.rows - self.rows.mean(axis=0, keepdims=True)
+        matrix = centered.T @ centered / (n - 1)
         return Covariance(columns=self.columns, matrix=matrix)
 
 

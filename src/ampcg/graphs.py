@@ -253,10 +253,6 @@ class ComponentPartition:
     def component_of(self) -> dict[NodeId, frozenset[NodeId]]:
         return {n: comp for comp in self.components for n in comp}
 
-    @cached_property
-    def index_of(self) -> dict[NodeId, int]:
-        return {n: i for i, comp in enumerate(self.components) for n in comp}
-
 
 def _index_mismatch(g: ChainGraph) -> str:
     """Name the first mask of `g.index` that disagrees with g's edges: an
@@ -564,27 +560,42 @@ def perfect_elimination_ending_with(
     return tuple(name for _, name in sorted(zip(rank, index.nodes), reverse=True))
 
 
-def _oriented(g: ChainGraph, loose: Sequence[int], rank: Sequence[int]) -> ChainGraph:
-    """g with every undirected edge in the masks `loose` oriented away from
-    its lower-ranked end and every other edge kept.  One pass over the loose
-    edges builds the graph and its index; the constructor still runs every
-    check on them."""
-    index = g.index
-    names = index.nodes
-    pa = list(index.pa)
-    directed = set(g.directed)
-    moved = []
-    for i, j in _edges(loose):
-        u, w = (i, j) if rank[i] < rank[j] else (j, i)
-        pa[w] |= 1 << u
-        directed.add((names[u], names[w]))
-        moved.append((names[i], names[j]))
-    ne = tuple(n & ~x for n, x in zip(index.ne, loose))
+def _oriented(
+    index: NodeIndex,
+    out: Sequence[int],
+    inn: Sequence[int],
+    loose: Sequence[int],
+    rank: Sequence[int],
+) -> ChainGraph:
+    """The chain graph on the skeleton `index.adj` read off end marks: an
+    edge in the masks `loose` points away from its end of lower `rank`, an
+    edge blocked at one end only (in `out`, the w with i ~ w blocked at i;
+    `inn`, the same seen from w) points out of that end, any other edge is
+    undirected.  One pass over the edges builds the graph and its index; the
+    constructor still runs every check on them."""
+    names, adj = index.nodes, index.adj
+    pa = [0] * len(names)
+    ne = [0] * len(names)
+    directed = []
+    undirected = []
+    for i, w in _edges(adj):
+        low = 1 << w
+        if loose[i] & low:
+            u, v = (i, w) if rank[i] < rank[w] else (w, i)
+        elif (out[i] ^ inn[i]) & low:
+            u, v = (i, w) if out[i] & low else (w, i)
+        else:
+            ne[i] |= low
+            ne[w] |= 1 << i
+            undirected.append((names[i], names[w]))
+            continue
+        pa[v] |= 1 << u
+        directed.append((names[u], names[v]))
     return ChainGraph._indexed(
-        g.nodes,
+        frozenset(names),
         frozenset(directed),
-        g.undirected.difference(moved),
-        GraphIndex(names, index.pos, index.adj, tuple(pa), ne),
+        frozenset(undirected),
+        GraphIndex(names, index.pos, adj, tuple(pa), tuple(ne)),
     )
 
 
@@ -598,4 +609,5 @@ def orient_by_mcs(g: ChainGraph, rng: random.Random | None = None) -> ChainGraph
     """
     _require_undirected(g)
     ne = g.index.ne
-    return _oriented(g, ne, _mcs_ranks(ne, rng))
+    none = (0,) * len(ne)
+    return _oriented(g.index, none, none, ne, _mcs_ranks(ne, rng))

@@ -82,27 +82,11 @@ def serialize_graph(g: ChainGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_to_json(
-    obj: ChainGraph | MarkedGraph | StrongLabeling,
-) -> dict[str, Any]:
-    """JSON-ready dict; marked graphs carry end marks, labelings strong labels."""
-    if isinstance(obj, StrongLabeling):
-        doc = graph_to_json(obj.graph)
-        doc["strong_directed"] = [list(e) for e in sorted(obj.strong_directed)]
-        doc["strong_undirected"] = [list(e) for e in sorted(obj.strong_undirected)]
-        return doc
-    if isinstance(obj, MarkedGraph):
-        blocked = obj.blocked
-        return {
-            "nodes": sorted(obj.nodes),
-            "edges": [
-                {"u": a, "v": b, "blocked_u": (a, b) in blocked, "blocked_v": (b, a) in blocked}
-                for a, b in sorted(obj.skeleton)
-            ],
-        }
-    edges = [{"u": u, "v": v, "kind": "directed"} for u, v in sorted(obj.directed)]
-    edges += [{"u": a, "v": b, "kind": "undirected"} for a, b in sorted(obj.undirected)]
-    return {"nodes": list(obj.sorted_nodes), "edges": edges}
+def graph_to_json(g: ChainGraph) -> dict[str, Any]:
+    """JSON-ready dict of the nodes and the edges, each edge with its kind."""
+    edges = [{"u": u, "v": v, "kind": "directed"} for u, v in sorted(g.directed)]
+    edges += [{"u": a, "v": b, "kind": "undirected"} for a, b in sorted(g.undirected)]
+    return {"nodes": list(g.sorted_nodes), "edges": edges}
 
 
 def _json_array(items: list[str], indent: str) -> str:
@@ -119,9 +103,10 @@ _FIELD = ",\n      "  # between the fields of an edge object
 
 
 def to_json(obj: ChainGraph | MarkedGraph | StrongLabeling) -> str:
-    """`json.dumps(graph_to_json(obj), indent=2, sort_keys=True)` plus a
-    newline, written directly: the indenting encoder of `json` is pure
-    Python."""
+    """The document `json.dumps(doc, indent=2, sort_keys=True)` writes, plus
+    a newline, for `graph_to_json`'s dict, with each edge's end marks on a
+    marked graph or the strong labels added on a labeling; written directly:
+    the indenting encoder of `json` is pure Python."""
     q = encode_basestring_ascii
     if isinstance(obj, MarkedGraph):
         nodes, out = obj.index.nodes, obj.out

@@ -5,11 +5,11 @@ splitting re-orients the undirected edges across a bipartition of one
 component.  Both operations preserve Markov equivalence when feasible, and
 iterating them reaches the whole equivalence class, which this module
 exploits to enumerate classes and to find the minimally oriented members.
-A maximally oriented member is built directly from the essential graph and
-its strong undirected edges, by the member builder `graphs._oriented` that
-`orient_by_mcs` shares: it orients the other undirected edges by visit rank
-under maximum cardinality search.  The split search here only serves as its
-oracle.
+A maximally oriented member is read straight off the essential graph's
+marks by `graphs._oriented`, the builder that finalization and
+`orient_by_mcs` share: it orients the edges blocked at neither end by visit
+rank under maximum cardinality search.  The split search here only serves
+as its oracle.
 """
 
 from __future__ import annotations
@@ -218,8 +218,12 @@ def minimally_oriented(g: ChainGraph, max_edges: int = 16) -> frozenset[ChainGra
     return frozenset(m for m in members if not feasible_merges(m))
 
 
-def has_feasible_split(g: ChainGraph) -> bool:
+def has_feasible_split(g: ChainGraph, max_edges: int = 16) -> bool:
     """Does some bipartition of some component split feasibly? (brute force)"""
+    if len(g.skeleton) > max_edges:
+        raise TooLargeError(
+            f"{len(g.skeleton)} edges exceeds the split search cap of {max_edges}"
+        )
     return any(
         _split_result(g, comp, upper) is not None
         for comp, upper in _split_candidates(g)
@@ -232,15 +236,16 @@ def maximally_oriented(g: ChainGraph) -> ChainGraph:
     Constructive: every maximally oriented member carries the essential
     graph's arrows and keeps exactly its strong undirected edges, the doubly
     blocked edges of its marks, undirected; no strong arrow is searched for.
-    The remaining undirected edges, the loose masks, are oriented acyclically
-    and triplex-free by `graphs._oriented`: each points away from the end
-    that maximum cardinality search over the loose masks, with lexicographic
-    tie-breaking, visits first.
+    The remaining edges, blocked at neither end, are the loose masks;
+    `graphs._oriented` reads the member off the marks, each loose edge
+    pointing away from the end that maximum cardinality search over the
+    loose masks, with lexicographic tie-breaking, visits first.  That is
+    acyclic and triplex-free.
     """
-    result = essential_graph(g)
-    marks = result.marks
-    loose = [ne & ~(o & n) for ne, o, n in zip(result.graph.index.ne, marks.out, marks.inn)]
-    return _oriented(result.graph, loose, _mcs_ranks(loose))
+    marks = essential_graph(g).marks
+    out, inn = marks.out, marks.inn
+    loose = [a & ~o & ~n for a, o, n in zip(marks.index.adj, out, inn)]
+    return _oriented(marks.index, out, inn, loose, _mcs_ranks(loose))
 
 
 def maximally_oriented_members(
@@ -248,4 +253,4 @@ def maximally_oriented_members(
 ) -> frozenset[ChainGraph]:
     """All equivalent chain graphs admitting no feasible split (brute force)."""
     members = enumerate_class(g, max_edges=max_edges)
-    return frozenset(m for m in members if not has_feasible_split(m))
+    return frozenset(m for m in members if not has_feasible_split(m, max_edges))

@@ -370,6 +370,14 @@ def edges_blocked_at_one_end(m: MarkedGraph) -> list[tuple[str, str]]:
     return out
 
 
+def set_finalize(m: MarkedGraph) -> ChainGraph:
+    """The marks finalized by name: an edge blocked at one end only points
+    out of that end, any other edge is undirected."""
+    directed = edges_blocked_at_one_end(m)
+    undirected = m.skeleton - {pair(u, v) for u, v in directed}
+    return ChainGraph(m.nodes, frozenset(directed), undirected)
+
+
 def chordless_cycle_orders(m: MarkedGraph) -> list[tuple[str, ...]]:
     """Every node order (v0, ..., vk), k >= 2, that walks a chordless cycle
     v0 ~ v1 ~ ... ~ vk ~ v0, once per rotation and direction.

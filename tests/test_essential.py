@@ -34,6 +34,7 @@ from ampcg.essential import (
     _path_exists,
     _seed_r1,
 )
+from ampcg.errors import SemidirectedCycleError
 from ampcg.strong import _s3
 
 from .support import (
@@ -50,6 +51,7 @@ from .support import (
     marked_graphs,
     plain_edge,
     r3_instances,
+    set_finalize,
     set_path_exists,
     set_triplexes,
     singly_blocked,
@@ -220,6 +222,19 @@ def test_graph_is_finalized_from_the_marks_when_read():
     assert "_finalized" not in vars(result.marks)
     assert result.graph is result.marks.finalize()
     assert result.graph is result.graph
+
+
+@settings(max_examples=200, deadline=None)
+@given(marked_graphs())
+def test_finalize_matches_the_name_level_finalization(m):
+    # arbitrary marks may finalize to a semidirected cycle; both name it
+    def outcome(finalize):
+        try:
+            return finalize(m)
+        except SemidirectedCycleError as exc:
+            return exc.cycle
+
+    assert outcome(MarkedGraph.finalize) == outcome(set_finalize)
 
 
 def test_json_marks_finalize_to_the_printed_graph(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ampcg import (
+    Dataset,
     adjusted_effect,
     adjusting_set,
     bound_effect,
@@ -112,6 +113,17 @@ class TestSampling:
             sc = sample(m, n, seed=13).covariance()
             errs.append(np.abs(sc.matrix - pop).max())
         assert errs[2] < errs[0]
+
+    def test_a_covariance_needs_two_rows(self):
+        m = chain_model()
+        for n in (0, 1):
+            ds = Dataset(columns=("A", "B", "C"), rows=np.ones((n, 3)))
+            with pytest.raises(ModelError, match=f"at least two rows, got {n}"):
+                ds.covariance()
+            with pytest.raises(ModelError, match=f"at least two rows, got {n}"):
+                bound_effect(ds, strong_labeling(m.graph), "A", "C", "maxoriented")
+        two = sample(m, 2, seed=3).covariance()
+        assert two.matrix.shape == (3, 3)
 
 
 class TestEffects:

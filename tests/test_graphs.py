@@ -33,7 +33,7 @@ from ampcg.errors import (
     UnknownNodeError,
 )
 from ampcg.generate import node_names
-from ampcg.graphs import GraphIndex, _component_order, _graph_index, pair
+from ampcg.graphs import GraphIndex, _component_order, _graph_index, _oriented, pair
 
 from .support import (
     _eliminate,
@@ -305,7 +305,7 @@ class TestMcs:
 @settings(max_examples=80, deadline=None)
 @given(chain_graphs())
 def test_directed_edges_cross_components_forward(g):
-    idx = chain_components(g).index_of
+    idx = {n: i for i, comp in enumerate(chain_components(g).components) for n in comp}
     for u, v in g.directed:
         assert idx[u] < idx[v]
 
@@ -363,7 +363,7 @@ def test_validation_matches_the_independent_cycle_check(case):
         assert any((a, b) in directed for a, b in steps)
         return
     assert _semidirected_free(nodes, edges, states)
-    idx = chain_components(g).index_of
+    idx = {n: i for i, comp in enumerate(chain_components(g).components) for n in comp}
     assert all(idx[u] < idx[v] for u, v in g.directed)
 
 
@@ -393,6 +393,18 @@ class TestComponentOrderOracle:
             assert [frozenset(names[i] for i in comp) for comp in order] == expected
             g = ChainGraph(frozenset(nodes), directed, undirected)
             assert list(chain_components(g).components) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_graphs(max_nodes=7))
+def test_the_builder_reads_a_graph_back_from_its_own_marks(g):
+    # each arrow blocked at its tail alone, each undirected edge at neither
+    # end, no loose edges: the builder returns g, isolated nodes included
+    index = g.index
+    h = _oriented(index, index.ch, index.pa, (0,) * len(index.adj), ())
+    assert h == g
+    for field in ("nodes", "pos", "adj", "pa", "ne"):
+        assert getattr(h.index, field) == getattr(index, field), field
 
 
 @settings(max_examples=150, deadline=None)

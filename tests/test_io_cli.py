@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ampcg import (
     ChainGraph,
+    MarkedGraph,
     StrongLabeling,
     essential_graph,
     pair,
@@ -101,7 +102,25 @@ class TestExports:
 
 
 def _json_module_text(obj) -> str:
-    return json.dumps(graph_to_json(obj), indent=2, sort_keys=True) + "\n"
+    """The `json` module's text of the reference dict: `graph_to_json` for a
+    chain graph, plus the strong labels for a labeling, and each edge's end
+    marks for a marked graph."""
+    if isinstance(obj, MarkedGraph):
+        blocked = obj.blocked
+        doc = {
+            "nodes": sorted(obj.nodes),
+            "edges": [
+                {"u": a, "v": b, "blocked_u": (a, b) in blocked, "blocked_v": (b, a) in blocked}
+                for a, b in sorted(obj.skeleton)
+            ],
+        }
+    elif isinstance(obj, StrongLabeling):
+        doc = graph_to_json(obj.graph)
+        doc["strong_directed"] = [list(e) for e in sorted(obj.strong_directed)]
+        doc["strong_undirected"] = [list(e) for e in sorted(obj.strong_undirected)]
+    else:
+        doc = graph_to_json(obj)
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class TestJsonWriter:
@@ -389,7 +408,8 @@ class TestCli:
         data.write_text("A,B,C,D\n0.5,1.0,-0.25,2.0\n")
         argv = ["bound", graph_file, "--data", str(data), "--x", "C", "--y", "B"]
         assert cli(argv) == 2
-        assert capsys.readouterr().err.startswith("error: collinear regression columns")
+        err = capsys.readouterr().err
+        assert err == "error: a sample covariance needs at least two rows, got 1\n"
 
     def test_non_finite_dataset_is_exit_two(self, graph_file, tmp_path, capsys):
         for row, message in [

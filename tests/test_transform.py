@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from ampcg import (
     ChainGraph,
@@ -8,6 +9,7 @@ from ampcg import (
     class_by_merge_split,
     enumerate_class,
     equivalent,
+    essential_graph,
     feasible_merge_check,
     feasible_merges,
     maximally_oriented,
@@ -22,7 +24,12 @@ from ampcg import (
 )
 from ampcg import graphs, strong, transform
 from ampcg.cli import cli
-from ampcg.errors import InfeasibleMergeError, InfeasibleSplitError, NotComponentsError
+from ampcg.errors import (
+    InfeasibleMergeError,
+    InfeasibleSplitError,
+    NotComponentsError,
+    TooLargeError,
+)
 from ampcg.transform import (
     _merge_candidates,
     _split_candidates,
@@ -30,7 +37,7 @@ from ampcg.transform import (
     has_feasible_split,
 )
 
-from .support import cg, greedy_maximally_oriented
+from .support import cg, chain_graphs, greedy_maximally_oriented
 
 
 class TestFeasibleMerge:
@@ -143,9 +150,21 @@ class TestMinMaxOriented:
             assert {w1.undirected, w2.undirected} | {m.undirected for m in members} \
                 == {w1.undirected}
 
-    def test_one_command_builds_three_chain_graphs(self, monkeypatch, tmp_path, capsys):
-        # the parsed graph, the essential graph and the member: the loose
-        # edges are oriented on masks, with no graph of their own
+    @settings(max_examples=150, deadline=None)
+    @given(chain_graphs(max_nodes=7))
+    def test_member_orients_only_the_essential_graphs_loose_edges(self, g):
+        # the member is read off the marks: it keeps the essential graph's
+        # arrows and its strong undirected edges and orients the rest
+        result = essential_graph(g)
+        w = maximally_oriented(g)
+        assert w.skeleton == result.graph.skeleton
+        assert w.directed >= result.graph.directed
+        assert w.undirected == result.strong_undirected
+        assert equivalent(w, g)
+
+    def test_one_command_builds_two_chain_graphs(self, monkeypatch, tmp_path, capsys):
+        # the parsed graph and the member: the member is read off the
+        # essential graph's marks, with no essential graph built
         g = random_chain_graph(random.Random(12), node_names(12), 0.5, 0.1)
         path = tmp_path / "g.txt"
         path.write_text(serialize_graph(g))
@@ -159,7 +178,7 @@ class TestMinMaxOriented:
 
         monkeypatch.setattr(ChainGraph, "__post_init__", counted)
         assert cli(["minmax", "--mode", "max", str(path)]) == 0
-        assert builds == 3
+        assert builds == 2
         assert capsys.readouterr().out == serialize_graph(maximally_oriented(g))
 
     @pytest.mark.parametrize(
@@ -202,8 +221,16 @@ class TestMinMaxOriented:
                 continue
             w = maximally_oriented(g)
             assert equivalent(g, w), g
-            assert not has_feasible_split(w), g
+            assert not has_feasible_split(w, max_edges=len(w.skeleton)), g
             checked += 1
+
+    def test_split_search_refuses_past_its_cap(self, monkeypatch):
+        # 17 edges: refused before any of the 2^18 bipartitions is tried
+        names = node_names(18)
+        path = cg(names, [], list(zip(names, names[1:])))
+        monkeypatch.setattr(transform, "_split_result", None)
+        with pytest.raises(TooLargeError, match="17 edges exceeds the split search cap of 16"):
+            has_feasible_split(path)
 
     def test_strong_arrows_live_in_every_minimally_oriented_member(self):
         rnd = random.Random(73)
