@@ -4,7 +4,9 @@ The package provides the combinatorial pipeline (validation, separation,
 Markov equivalence, essential-graph construction, strong-edge labeling,
 merge/split transformations, adjusting-set enumeration) together with
 linear-Gaussian models for numeric effect bounds, and brute-force oracles
-that verify every constructive algorithm at desk scale.
+that verify every constructive algorithm at desk scale.  The oracles live in
+`ampcg.oracle`; their names here load it on first use, so the pipeline
+never imports it.
 """
 
 __version__ = "0.1.0"
@@ -17,23 +19,8 @@ from .causal import (
     locally_valid,
     st_nst,
 )
-from .equivalence import (
-    EquivalenceClass,
-    StrongEdgeSummary,
-    enumerate_class,
-    equivalent,
-    essential_from_class,
-    strong_oracle,
-    triplexes,
-)
-from .essential import (
-    EssentialGraphResult,
-    MarkedGraph,
-    apply_rules_R,
-    double_block_chordless_cycles,
-    essential_graph,
-    unmarked_skeleton,
-)
+from .equivalence import equivalent, triplexes
+from .essential import EssentialGraphResult, MarkedGraph, essential_graph
 from .gaussian import (
     Covariance,
     Dataset,
@@ -47,18 +34,13 @@ from .gaussian import (
     sample,
     true_effect,
 )
-from .generate import all_chain_graphs, node_names, random_chain_graph, random_chordal_graph
+from .generate import node_names, random_chain_graph
 from .graphs import (
     ChainGraph,
     ComponentPartition,
     chain_components,
     family,
-    is_chordal,
-    is_complete,
-    is_simplicial,
-    orient_by_mcs,
     pair,
-    perfect_elimination_ending_with,
     validate_chain_graph,
 )
 from .io_text import (
@@ -71,15 +53,39 @@ from .io_text import (
 )
 from .separation import route_is_open, separated
 from .strong import StrongLabeling, accelerator_labels, label_strong, strong_labeling
-from .transform import (
-    class_by_merge_split,
-    feasible_merge_check,
-    feasible_merges,
-    maximally_oriented,
-    maximally_oriented_members,
-    merge,
-    minimally_oriented,
-    split,
-)
+from .transform import feasible_merge_check, feasible_merges, maximally_oriented, merge, split
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # graphs, their text forms and generators
+    "ChainGraph", "ComponentPartition", "validate_chain_graph", "chain_components",
+    "family", "pair", "parse_graph", "serialize_graph", "to_dot", "to_json",
+    "node_names", "random_chain_graph",
+    # separation and Markov equivalence
+    "separated", "route_is_open", "triplexes", "equivalent",
+    # the essential graph and its strong edges
+    "EssentialGraphResult", "MarkedGraph", "essential_graph",
+    "StrongLabeling", "label_strong", "strong_labeling", "accelerator_labels",
+    # merges, splits and a maximally oriented member
+    "feasible_merge_check", "feasible_merges", "merge", "split", "maximally_oriented",
+    # adjusting sets
+    "AdjustingSet", "StNstPartition", "adjusting_set", "st_nst", "locally_valid",
+    "enumerate_adjusting_sets",
+    # linear-Gaussian models and effect bounds
+    "LinearGaussianModel", "Covariance", "Dataset", "EffectBoundReport",
+    "linear_gaussian_model", "random_model", "population_covariance", "sample",
+    "true_effect", "adjusted_effect", "bound_effect", "read_dataset", "write_dataset",
+    # the brute-force oracles of `ampcg.oracle`, bound on first use below
+    "EquivalenceClass", "StrongEdgeSummary", "enumerate_class", "essential_from_class",
+    "strong_oracle", "class_by_merge_split", "minimally_oriented",
+    "maximally_oriented_members",
+]
+
+
+def __getattr__(name: str):
+    # the names of `__all__` not imported above are the oracles: loading them
+    # here, not at import, keeps `ampcg.oracle` off the pipeline's path
+    if name in __all__:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,7 +6,8 @@ effects computable from observational quantities.  When only the essential
 graph is known, the candidate adjusting sets can be enumerated from the whole
 class, from the maximally oriented members alone (via locally valid
 orientation sets, no enumeration needed), or bounded by a crude superset of
-adjacency closures.
+adjacency closures.  The `class` and `superset` modes are brute force and
+live in `ampcg.oracle`, which loads only when one of them runs.
 
 The functions here read only a labeling's `.graph` and `.strong_undirected`,
 so `essential_graph(g)` serves as well as `strong_labeling(g)` and spares the
@@ -16,15 +17,16 @@ strong-arrow search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Literal
 
-from .equivalence import _flank_masks, enumerate_class
+from .equivalence import _flank_masks
 from .errors import (
+    MAX_EDGES,
+    MAXORIENTED_CAP,
     MixedStrongNeighborsError,
     NotNonStrongNeighborError,
-    TooLargeError,
     UnknownNodeError,
+    check_cap,
 )
 from .essential import EssentialGraphResult
 from .graphs import ChainGraph, NodeId, _step, family, pair
@@ -32,8 +34,6 @@ from .strong import StrongLabeling
 
 Mode = Literal["class", "maxoriented", "superset"]
 MODES = ("class", "maxoriented", "superset")
-#: most nodes in the `superset` base, whose every subset becomes a set
-SUPERSET_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -111,26 +111,26 @@ def enumerate_adjusting_sets(
     labeling: StrongLabeling | EssentialGraphResult,
     x: NodeId,
     mode: Mode,
-    max_edges: int = 16,
+    max_edges: int = MAX_EDGES,
 ) -> frozenset[AdjustingSet]:
     """Candidate adjusting sets for x under the chosen strategy.
 
-    class: the adjusting set of every class member (brute-force enumeration).
+    class: the adjusting set of every class member (brute-force enumeration,
+    in `ampcg.oracle`).
     maxoriented: strong neighbors plus their and x's parents plus each locally
     valid orientation set; exactly the adjusting sets of the maximally
-    oriented members.
+    oriented members.  Refused once it has grown more than
+    `errors.MAXORIENTED_CAP` sets.
     superset: every subset of the two-step adjacency closure of x; a looser
-    but enumeration-free envelope.
+    envelope that needs no class (in `ampcg.oracle`).
     """
     eg = labeling.graph
     if x not in eg.nodes:
         raise UnknownNodeError(f"unknown node {x!r}")
     if mode == "class":
-        sets: dict[frozenset[NodeId], AdjustingSet] = {}
-        for member in sorted(enumerate_class(eg, max_edges=max_edges), key=repr):
-            z = adjusting_set(member, x)
-            sets.setdefault(z, AdjustingSet(nodes=z))
-        return frozenset(sets.values())
+        from .oracle import class_adjusting_sets
+
+        return class_adjusting_sets(eg, x, max_edges)
     if mode == "maxoriented":
         partition = st_nst(labeling, x)
         base = partition.st | family(eg, partition.st | {x}, "pa")
@@ -143,21 +143,14 @@ def enumerate_adjusting_sets(
                 return
             z = (base | s) - {x}
             found.append(AdjustingSet(nodes=z, source=s))
+            check_cap(len(found), MAXORIENTED_CAP, "maxoriented mode exceeds the cap of {cap} sets")
             for i in range(start, len(nst)):
                 grow(s | {nst[i]}, i + 1)
 
         grow(frozenset(), 0)
         return frozenset(found)
     if mode == "superset":
-        ad = family(eg, {x}, "ad")
-        base = sorted((ad | family(eg, ad, "ad")) - {x})
-        if len(base) > SUPERSET_CAP:
-            raise TooLargeError(
-                f"superset base of {len(base)} nodes exceeds the cap of {SUPERSET_CAP}"
-            )
-        out = set()
-        for size in range(len(base) + 1):
-            for combo in combinations(base, size):
-                out.add(AdjustingSet(nodes=frozenset(combo)))
-        return frozenset(out)
+        from .oracle import superset_adjusting_sets
+
+        return superset_adjusting_sets(eg, x)
     raise ValueError(f"unknown mode {mode!r}")

@@ -14,8 +14,9 @@ from typing import Sequence
 
 from . import __version__
 from .causal import MODES, adjusting_set, enumerate_adjusting_sets
-from .equivalence import enumerate_class, equivalent, essential_from_class, strong_oracle
+from .equivalence import equivalent
 from .errors import (
+    MAX_EDGES,
     GraphError,
     InvariantViolationError,
     ModelError,
@@ -35,12 +36,7 @@ from .io_text import (
     write_dataset,
 )
 from .strong import accelerator_labels, label_strong
-from .transform import (
-    class_by_merge_split,
-    maximally_oriented,
-    maximally_oriented_members,
-    minimally_oriented,
-)
+from .transform import maximally_oriented
 
 USAGE_EXIT = 1
 FAILURE_EXIT = 2
@@ -158,6 +154,8 @@ def _cmd_equiv(ns) -> int:
 
 
 def _cmd_class(ns) -> int:
+    from .oracle import class_by_merge_split, enumerate_class
+
     g = _load_graph(ns.graph)
     if ns.via == "merge-split":
         cls = class_by_merge_split(g, max_edges=ns.max_edges)
@@ -211,6 +209,8 @@ def _cmd_strong(ns) -> int:
 def _cmd_minmax(ns) -> int:
     g = _load_graph(ns.graph)
     if ns.mode == "min":
+        from .oracle import minimally_oriented
+
         members = sorted(minimally_oriented(g, max_edges=ns.max_edges), key=repr)
         _print_members(
             members, ns.format, "minimally_oriented", "minimally oriented members"
@@ -284,6 +284,15 @@ def _cmd_bound(ns) -> int:
 
 
 def _cmd_oracle(ns) -> int:
+    from .oracle import (
+        class_by_merge_split,
+        enumerate_class,
+        essential_from_class,
+        maximally_oriented_members,
+        minimally_oriented,
+        strong_oracle,
+    )
+
     g = _load_graph(ns.graph)
     checks: list[tuple[str, bool]] = []
     cls = enumerate_class(g, max_edges=ns.max_edges)
@@ -351,7 +360,7 @@ def _build_parser() -> _Parser:
     fmt.add_argument("--format", default=argparse.SUPPRESS, **formats)
     parser.add_argument("--seed", type=_non_negative, default=0, help="random seed")
     parser.add_argument(
-        "--max-edges", type=_non_negative, default=16, help="cap for class enumerations"
+        "--max-edges", type=_non_negative, default=MAX_EDGES, help="cap for class enumerations"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

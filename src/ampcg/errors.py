@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size caps behind
+`TooLargeError`: every refusal past a cap goes through `check_cap`."""
 
 from __future__ import annotations
 
@@ -49,6 +50,21 @@ class EmptyClassError(GraphError):
 
 class TooLargeError(GraphError):
     """An enumeration exceeds its configured size cap."""
+
+
+#: most edges a class enumeration, closure or split search takes (`--max-edges`)
+MAX_EDGES = 16
+#: most nodes in the `superset` adjusting-set base, whose every subset is a set
+SUPERSET_CAP = 20
+#: most sets the `maxoriented` mode grows; an undirected K_k grows 2^(k-1)
+MAXORIENTED_CAP = 4096
+
+
+def check_cap(count: int, cap: int, message: str) -> None:
+    """Refuse past a size cap: TooLargeError with `message`, formatted with
+    `count` and `cap`, when `count` exceeds `cap`."""
+    if count > cap:
+        raise TooLargeError(message.format(count=count, cap=cap))
 
 
 class NotComponentsError(GraphError):

@@ -29,8 +29,9 @@ after the block that enabled it changes no block of the least fixpoint.
 `essential_graph` runs on positions from the graph's index to the final
 marks: `equivalence._triplex_masks` reads the triplex masks off the index,
 their keys are the R1 seeds, and one pair of mask lists carries the
-fixpoint, the double-blocking and the second fixpoint.  `apply_rules_R` and
-`double_block_chordless_cycles` call the same internals on copies.
+fixpoint, the double-blocking and the second fixpoint.  `strong`'s
+re-blocked copies call the same internals, and so do the tests' name-level
+wrappers (`tests/support.py`).
 
 `essential_graph` also holds one member of the class, g, and every block
 it places holds in every member (that is what R1-R4 and double-blocking
@@ -41,11 +42,10 @@ semidirected cycle, which a chain graph has none of.  R3 therefore never
 fires at an end (a, b) with b -> a in g, and `essential_graph`'s R3 passes
 look only at the b in `ends[a] = adj[a] & ~pa[a]`, read off g's index.
 Marks that need not be sound for g keep the unrestricted R3 (`ends`
-defaults to `adj`): `apply_rules_R`, `double_block_chordless_cycles` and
-the re-blocked copies of `strong`.  The result keeps the marks and the
-triplex masks; its `graph` is the marks finalized when first read, by
-`graphs._oriented` with no loose edges, so `ampcg --format json eg`, which
-prints the marks, builds no chain graph.
+defaults to `adj`), such as the re-blocked copies of `strong`.  The result
+keeps the marks and the triplex masks; its `graph` is the marks finalized
+when first read, by `graphs._oriented` with no loose edges, so
+`ampcg --format json eg`, which prints the marks, builds no chain graph.
 
 The engine works on integer masks, and they are `MarkedGraph`'s state.  Its
 `index` is the graph's own `ChainGraph.index`, shared by every copy: the nodes
@@ -57,8 +57,7 @@ in adj[v] & ~adj[u] & ~bit(u) & ~tri[v][u], and R4 at every a in
 adj[u] & adj[v] & ~inn[v] for which some d lies in
 adj[v] & adj[a] & ~adj[u] & ~bit(u) & inn[v] & ~tri[a][u].  R3's two walks
 and `_path_exists` advance a whole frontier mask per step.  The name sets
-`nodes`, `skeleton` and `blocked` are views derived from the masks, and
-`with_blocks` is the one way to add blocks by name.
+`nodes`, `skeleton` and `blocked` are views derived from the masks.
 
 R3, S3 (in `strong`) and double-blocking ask whether a chordless cycle of a
 given kind passes through an edge a ~ b, which for arbitrary marks is
@@ -108,9 +107,9 @@ states where the question is asked:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .equivalence import TriplexKeys, _triplex_keys, _triplex_masks
 from .graphs import ChainGraph, Masks, NodeId, NodeIndex, _edges, _oriented, _reach, _step
@@ -163,16 +162,6 @@ class MarkedGraph:
         none = (0,) * len(self.out)
         return _oriented(self.index, self.out, self.inn, none, ())
 
-    def with_blocks(self, additions: Iterable[tuple[NodeId, NodeId]]) -> MarkedGraph:
-        """A copy with the (end, other) pairs in `additions` blocked too."""
-        pos = self.index.pos
-        out, inn = list(self.out), list(self.inn)
-        for a, b in additions:
-            i, w = pos[a], pos[b]
-            out[i] |= 1 << w
-            inn[w] |= 1 << i
-        return replace(self, out=tuple(out), inn=tuple(inn))
-
     def _triplex_masks(self, t: TriplexKeys) -> list[dict[int, int]]:
         """`_key_masks(self.index, t)`, built once along a chain of copies
         that all ask with the same `t` object."""
@@ -180,12 +169,6 @@ class MarkedGraph:
         if not cache or cache[0] is not t:
             cache[:] = (t, _key_masks(self.index, t))
         return cache[1]
-
-
-def unmarked_skeleton(g: ChainGraph) -> MarkedGraph:
-    """The skeleton of g with no blocks, on g's own index."""
-    none = (0,) * len(g.nodes)
-    return MarkedGraph(g.index, none, none)
 
 
 # ---------------------------------------------------------------------------
@@ -358,39 +341,6 @@ def _positions(masks: Sequence[int]) -> list[tuple[int, int]]:
     return found
 
 
-def apply_rules_R(
-    m: MarkedGraph,
-    t: TriplexKeys,
-    rules: Sequence[str] = RULE_NAMES,
-    new: Iterable[tuple[NodeId, NodeId]] | None = None,
-) -> MarkedGraph:
-    """Least fixpoint of the selected rules.
-
-    The rules only add blocks and never invalidate each other's antecedents,
-    so the fixpoint does not depend on application order.  `new` names the
-    blocks of `m` whose consequences have not been drawn yet: the caller
-    promises that the rest of `m.blocked` is closed under `rules`.  `None`
-    means every block of `m`, plus the R1 seeds from `t`.
-    """
-    unknown = set(rules) - set(RULE_NAMES)
-    if unknown:
-        raise ValueError(f"unknown rules {sorted(unknown)}")
-    out, inn = list(m.out), list(m.inn)
-    tri = m._triplex_masks(t)
-    if new is None:
-        if "R1" in rules:
-            _seed_r1(tri, out, inn)
-        pending = _positions(out)
-    else:
-        new = set(new)
-        if not new <= m.blocked:
-            raise ValueError(f"new blocks {sorted(new - m.blocked)} are not blocks of m")
-        pos = m.index.pos
-        pending = [(pos[u], pos[v]) for u, v in new]
-    _close_blocks(m.index.adj, tri, out, inn, pending, rules)
-    return replace(m, out=tuple(out), inn=tuple(inn))
-
-
 def _double_block(adj: Sequence[int], out: list[int], inn: list[int]) -> list[tuple[int, int]]:
     """Block both ends, in `out`/`inn`, of every plain edge a ~ b with an
     all-plain walk around it; return the added (end, other) positions.
@@ -405,20 +355,6 @@ def _double_block(adj: Sequence[int], out: list[int], inn: list[int]) -> list[tu
             inn[b] |= 1 << a
             added += ((a, b), (b, a))
     return added
-
-
-def double_block_chordless_cycles(m: MarkedGraph) -> MarkedGraph:
-    """Block both ends of every edge on a chordless all-plain cycle of at
-    least four nodes.
-
-    `m` must be an R1-R4 fixpoint, as in `essential_graph`: only there is an
-    all-plain walk around an edge (`_path_exists`) as good as such a cycle.
-    Snapshot semantics: the edges are found on the input first and then
-    double-blocked at once.
-    """
-    out, inn = list(m.out), list(m.inn)
-    _double_block(m.index.adj, out, inn)
-    return replace(m, out=tuple(out), inn=tuple(inn))
 
 
 def _doubly_blocked(m: MarkedGraph) -> frozenset[tuple[NodeId, NodeId]]:

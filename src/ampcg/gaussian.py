@@ -17,6 +17,7 @@ import numpy as np
 
 from .causal import AdjustingSet, Mode, enumerate_adjusting_sets
 from .errors import (
+    MAX_EDGES,
     ModelError,
     SingularRegressionError,
     SingularSystemError,
@@ -292,7 +293,7 @@ def bound_effect(
     y: NodeId,
     mode: Mode,
     truth: float | None = None,
-    max_edges: int = 16,
+    max_edges: int = MAX_EDGES,
 ) -> EffectBoundReport:
     """Evaluate the adjusted effect over every candidate adjusting set.
 

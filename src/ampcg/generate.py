@@ -1,43 +1,12 @@
-"""Exhaustive and random chain-graph generators used by tests and demos."""
+"""Random chain graphs and generated node names, used by tests and demos."""
 
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations
 from typing import Sequence
 
-from .errors import SemidirectedCycleError
 from .graphs import ChainGraph, NodeId, _component_order, _graph_index
-
-#: per-pair states for exhaustive generation
-_NONE, _FWD, _REV, _UND = range(4)
-
-
-def all_chain_graphs(nodes: Sequence[NodeId]) -> list[ChainGraph]:
-    """Every valid chain graph over the labeled nodes.
-
-    Generated from the four states (absent / -> / <- / --) per unordered pair,
-    filtered for semidirected cycles.  Exponential; intended for <= 4 nodes.
-    """
-    nodes = tuple(sorted(nodes))
-    pairs = list(combinations(nodes, 2))
-    node_set = frozenset(nodes)
-    out: list[ChainGraph] = []
-    for assignment in product(range(4), repeat=len(pairs)):
-        directed = []
-        undirected = []
-        for (a, b), s in zip(pairs, assignment):
-            if s == _FWD:
-                directed.append((a, b))
-            elif s == _REV:
-                directed.append((b, a))
-            elif s == _UND:
-                undirected.append((a, b))
-        try:
-            out.append(ChainGraph(node_set, frozenset(directed), frozenset(undirected)))
-        except SemidirectedCycleError:
-            pass
-    return out
 
 
 def random_chain_graph(
@@ -75,31 +44,6 @@ def random_chain_graph(
         return ChainGraph(
             nodes=node_set, directed=frozenset(directed), undirected=undirected
         )
-
-
-def random_chordal_graph(
-    rng: random.Random, nodes: Sequence[NodeId], p_edge: float = 0.35
-) -> ChainGraph:
-    """A random chordal undirected graph via elimination fill-in."""
-    nodes = list(nodes)
-    rng.shuffle(nodes)
-    adj: dict[NodeId, set[NodeId]] = {n: set() for n in nodes}
-    for a, b in combinations(sorted(nodes), 2):
-        if rng.random() < p_edge:
-            adj[a].add(b)
-            adj[b].add(a)
-    position = {n: i for i, n in enumerate(nodes)}
-    for v in nodes:  # triangulate along the elimination order
-        later = sorted(w for w in adj[v] if position[w] > position[v])
-        for a, b in combinations(later, 2):
-            adj[a].add(b)
-            adj[b].add(a)
-    undirected = frozenset(
-        (a, b) for a, b in combinations(sorted(nodes), 2) if b in adj[a]
-    )
-    return ChainGraph(
-        nodes=frozenset(nodes), directed=frozenset(), undirected=undirected
-    )
 
 
 def node_names(count: int) -> tuple[NodeId, ...]:

@@ -22,7 +22,6 @@ from .errors import (
     NotChordalError,
     SelfLoopError,
     SemidirectedCycleError,
-    TailNotCompleteError,
     UnknownNodeError,
 )
 
@@ -443,25 +442,6 @@ def _is_clique(ne: Masks, x: int) -> bool:
     return True
 
 
-def is_complete(g: ChainGraph, nodes: Iterable[NodeId]) -> bool:
-    """True when every pair in the set is joined by an undirected edge."""
-    ns = sorted(frozenset(nodes))
-    _check_nodes(g.nodes, ns)
-    return _is_clique(g.index.ne, g.index.mask_of(ns))
-
-
-def is_simplicial(g: ChainGraph, v: NodeId) -> bool:
-    """True when the neighbors of v form a complete set."""
-    _check_nodes(g.nodes, (v,))
-    ne = g.index.ne
-    return _is_clique(ne, ne[g.index.pos[v]])
-
-
-def _require_undirected(g: ChainGraph) -> None:
-    if g.directed:
-        raise ValueError("operation requires a purely undirected graph")
-
-
 def _mcs_ranks(
     nbrs: Sequence[int], rng: random.Random | None = None, first: Sequence[int] = ()
 ) -> list[int]:
@@ -528,38 +508,6 @@ def _mcs_ranks(
     return rank
 
 
-def is_chordal(g: ChainGraph) -> bool:
-    """Chordality test by maximum cardinality search on the neighbor masks."""
-    _require_undirected(g)
-    try:
-        _mcs_ranks(g.index.ne)
-    except NotChordalError:
-        return False
-    return True
-
-
-def perfect_elimination_ending_with(
-    g: ChainGraph, tail: Sequence[NodeId]
-) -> tuple[NodeId, ...]:
-    """A perfect elimination ordering whose final elements are exactly `tail`.
-
-    The reverse of a maximum cardinality search that visits the complete
-    `tail` first, last element first (see `_mcs_ranks`).  NotChordalError
-    comes before TailNotCompleteError when both apply.
-    """
-    _require_undirected(g)
-    tail = tuple(tail)
-    _check_nodes(g.nodes, tail)
-    if len(set(tail)) != len(tail):
-        raise TailNotCompleteError("tail contains repeated nodes")
-    index = g.index
-    if not is_complete(g, tail):
-        _mcs_ranks(index.ne)  # raises first on a graph that is not chordal
-        raise TailNotCompleteError(f"tail {sorted(tail)} is not complete")
-    rank = _mcs_ranks(index.ne, first=[index.pos[v] for v in reversed(tail)])
-    return tuple(name for _, name in sorted(zip(rank, index.nodes), reverse=True))
-
-
 def _oriented(
     index: NodeIndex,
     out: Sequence[int],
@@ -597,17 +545,3 @@ def _oriented(
         frozenset(undirected),
         GraphIndex(names, index.pos, adj, tuple(pa), tuple(ne)),
     )
-
-
-def orient_by_mcs(g: ChainGraph, rng: random.Random | None = None) -> ChainGraph:
-    """Acyclic, triplex-free orientation of a chordal undirected graph.
-
-    Nodes are visited by maximum cardinality search and every edge is oriented
-    away from the node visited earlier.  Ties are broken lexicographically, or
-    uniformly at random when `rng` is given (any node can come first, so any
-    single edge can receive either direction across seeds).
-    """
-    _require_undirected(g)
-    ne = g.index.ne
-    none = (0,) * len(ne)
-    return _oriented(g.index, none, none, ne, _mcs_ranks(ne, rng))

@@ -11,14 +11,13 @@ from ampcg import (
     EquivalenceClass,
     EssentialGraphResult,
     StrongLabeling,
-    all_chain_graphs,
     enumerate_class,
     essential_graph,
     label_strong,
 )
 from ampcg.errors import InvariantViolationError
 
-from .support import derive_classes, random_corpus
+from .support import all_chain_graphs, derive_classes, random_corpus
 
 
 @dataclass

@@ -5,7 +5,9 @@ from __future__ import annotations
 import heapq
 import random
 from collections import defaultdict, deque
-from itertools import combinations, permutations
+from dataclasses import replace
+from itertools import combinations, permutations, product
+from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
 
@@ -20,11 +22,20 @@ from ampcg import (
     validate_chain_graph,
 )
 from ampcg.causal import st_nst
-from ampcg.equivalence import HEAD, TAIL, UND, _is_triplex
-from ampcg.errors import NotChordalError
-from ampcg.essential import RULE_NAMES, MarkedGraph, unmarked_skeleton
+from ampcg.equivalence import HEAD, TAIL, UND, TriplexKeys, _is_triplex
+from ampcg.errors import NotChordalError, SemidirectedCycleError, TailNotCompleteError
+from ampcg.essential import (
+    RULE_NAMES,
+    MarkedGraph,
+    _close_blocks,
+    _double_block,
+    _positions,
+    _seed_r1,
+)
+from ampcg.graphs import _check_nodes, _is_clique, _mcs_ranks, _oriented
+from ampcg.oracle import _split_candidates
 from ampcg.separation import _check_query, route_is_open
-from ampcg.transform import _split_candidates, _split_result
+from ampcg.transform import _split_result
 
 
 def cg(nodes, directed=(), undirected=()) -> ChainGraph:
@@ -94,6 +105,190 @@ def undirected_components(nodes, undirected) -> list[frozenset[str]]:
                     stack.append(w)
         comps.append(frozenset(comp))
     return comps
+
+
+# Name-level entry points to the package's mask engine, and generators, that
+# only the tests call.
+
+
+def with_blocks(m: MarkedGraph, additions: Iterable[tuple[str, str]]) -> MarkedGraph:
+    """A copy of `m` with the (end, other) pairs in `additions` blocked too."""
+    pos = m.index.pos
+    out, inn = list(m.out), list(m.inn)
+    for a, b in additions:
+        i, w = pos[a], pos[b]
+        out[i] |= 1 << w
+        inn[w] |= 1 << i
+    return replace(m, out=tuple(out), inn=tuple(inn))
+
+
+def unmarked_skeleton(g: ChainGraph) -> MarkedGraph:
+    """The skeleton of g with no blocks, on g's own index."""
+    none = (0,) * len(g.nodes)
+    return MarkedGraph(g.index, none, none)
+
+
+def apply_rules_R(
+    m: MarkedGraph,
+    t: TriplexKeys,
+    rules: Sequence[str] = RULE_NAMES,
+    new: Iterable[tuple[str, str]] | None = None,
+) -> MarkedGraph:
+    """Least fixpoint of the selected rules, by the engine's worklist.
+
+    The rules only add blocks and never invalidate each other's antecedents,
+    so the fixpoint does not depend on application order.  `new` names the
+    blocks of `m` whose consequences have not been drawn yet: the caller
+    promises that the rest of `m.blocked` is closed under `rules`.  `None`
+    means every block of `m`, plus the R1 seeds from `t`.
+    """
+    unknown = set(rules) - set(RULE_NAMES)
+    if unknown:
+        raise ValueError(f"unknown rules {sorted(unknown)}")
+    out, inn = list(m.out), list(m.inn)
+    tri = m._triplex_masks(t)
+    if new is None:
+        if "R1" in rules:
+            _seed_r1(tri, out, inn)
+        pending = _positions(out)
+    else:
+        new = set(new)
+        if not new <= m.blocked:
+            raise ValueError(f"new blocks {sorted(new - m.blocked)} are not blocks of m")
+        pos = m.index.pos
+        pending = [(pos[u], pos[v]) for u, v in new]
+    _close_blocks(m.index.adj, tri, out, inn, pending, rules)
+    return replace(m, out=tuple(out), inn=tuple(inn))
+
+
+def double_block_chordless_cycles(m: MarkedGraph) -> MarkedGraph:
+    """Block both ends of every edge on a chordless all-plain cycle of at
+    least four nodes, by the engine's `_double_block`.
+
+    `m` must be an R1-R4 fixpoint, as in `essential_graph`: only there is an
+    all-plain walk around an edge (`_path_exists`) as good as such a cycle.
+    Snapshot semantics: the edges are found on the input first and then
+    double-blocked at once.
+    """
+    out, inn = list(m.out), list(m.inn)
+    _double_block(m.index.adj, out, inn)
+    return replace(m, out=tuple(out), inn=tuple(inn))
+
+
+def is_complete(g: ChainGraph, nodes) -> bool:
+    """True when every pair in the set is joined by an undirected edge."""
+    ns = sorted(frozenset(nodes))
+    _check_nodes(g.nodes, ns)
+    return _is_clique(g.index.ne, g.index.mask_of(ns))
+
+
+def is_simplicial(g: ChainGraph, v) -> bool:
+    """True when the neighbors of v form a complete set."""
+    _check_nodes(g.nodes, (v,))
+    ne = g.index.ne
+    return _is_clique(ne, ne[g.index.pos[v]])
+
+
+def _require_undirected(g: ChainGraph) -> None:
+    if g.directed:
+        raise ValueError("operation requires a purely undirected graph")
+
+
+def is_chordal(g: ChainGraph) -> bool:
+    """Chordality test by the engine's maximum cardinality search."""
+    _require_undirected(g)
+    try:
+        _mcs_ranks(g.index.ne)
+    except NotChordalError:
+        return False
+    return True
+
+
+def perfect_elimination_ending_with(g: ChainGraph, tail) -> tuple[str, ...]:
+    """A perfect elimination ordering whose final elements are exactly `tail`.
+
+    The reverse of a maximum cardinality search that visits the complete
+    `tail` first, last element first (see `graphs._mcs_ranks`).
+    NotChordalError comes before TailNotCompleteError when both apply.
+    """
+    _require_undirected(g)
+    tail = tuple(tail)
+    _check_nodes(g.nodes, tail)
+    if len(set(tail)) != len(tail):
+        raise TailNotCompleteError("tail contains repeated nodes")
+    index = g.index
+    if not is_complete(g, tail):
+        _mcs_ranks(index.ne)  # raises first on a graph that is not chordal
+        raise TailNotCompleteError(f"tail {sorted(tail)} is not complete")
+    rank = _mcs_ranks(index.ne, first=[index.pos[v] for v in reversed(tail)])
+    return tuple(name for _, name in sorted(zip(rank, index.nodes), reverse=True))
+
+
+def orient_by_mcs(g: ChainGraph, rng: random.Random | None = None) -> ChainGraph:
+    """Acyclic, triplex-free orientation of a chordal undirected graph, by the
+    engine's `_mcs_ranks` and `_oriented`.
+
+    Nodes are visited by maximum cardinality search and every edge is oriented
+    away from the node visited earlier.  Ties are broken lexicographically, or
+    uniformly at random when `rng` is given (any node can come first, so any
+    single edge can receive either direction across seeds).
+    """
+    _require_undirected(g)
+    ne = g.index.ne
+    none = (0,) * len(ne)
+    return _oriented(g.index, none, none, ne, _mcs_ranks(ne, rng))
+
+
+def random_chordal_graph(rng: random.Random, nodes, p_edge: float = 0.35) -> ChainGraph:
+    """A random chordal undirected graph via elimination fill-in."""
+    nodes = list(nodes)
+    rng.shuffle(nodes)
+    adj: dict[str, set[str]] = {n: set() for n in nodes}
+    for a, b in combinations(sorted(nodes), 2):
+        if rng.random() < p_edge:
+            adj[a].add(b)
+            adj[b].add(a)
+    position = {n: i for i, n in enumerate(nodes)}
+    for v in nodes:  # triangulate along the elimination order
+        later = sorted(w for w in adj[v] if position[w] > position[v])
+        for a, b in combinations(later, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    undirected = frozenset(
+        (a, b) for a, b in combinations(sorted(nodes), 2) if b in adj[a]
+    )
+    return ChainGraph(
+        nodes=frozenset(nodes), directed=frozenset(), undirected=undirected
+    )
+
+
+def all_chain_graphs(nodes) -> list[ChainGraph]:
+    """Every valid chain graph over the labeled nodes.
+
+    Generated from the four states (absent / -> / <- / --) per unordered
+    pair, filtered for semidirected cycles: 4^(n(n-1)/2) candidates, each
+    built and validated.  4 nodes (4096 candidates, 1688 graphs) take about
+    0.1 s; 5 nodes (1 048 576 candidates, 142 624 graphs) take 20-40 s.
+    """
+    nodes = tuple(sorted(nodes))
+    pairs = list(combinations(nodes, 2))
+    node_set = frozenset(nodes)
+    out: list[ChainGraph] = []
+    for assignment in product(("", "->", "<-", "--"), repeat=len(pairs)):
+        directed = []
+        undirected = []
+        for (a, b), s in zip(pairs, assignment):
+            if s == "->":
+                directed.append((a, b))
+            elif s == "<-":
+                directed.append((b, a))
+            elif s == "--":
+                undirected.append((a, b))
+        try:
+            out.append(ChainGraph(node_set, frozenset(directed), frozenset(undirected)))
+        except SemidirectedCycleError:
+            pass
+    return out
 
 
 def derive_classes(graphs) -> dict[ChainGraph, EquivalenceClass]:
@@ -492,10 +687,10 @@ def sweep_fixpoint(m: MarkedGraph, t, rules=RULE_NAMES, rng=None, finders=FINDER
         if not instances:
             return m
         if rng is None:
-            m = m.with_blocks(end for _, additions in instances for end in additions)
+            m = with_blocks(m, (end for _, additions in instances for end in additions))
         else:
             _, additions = rng.choice(sorted(instances, key=lambda i: (i[0], sorted(i[1]))))
-            m = m.with_blocks(additions)
+            m = with_blocks(m, additions)
 
 
 def undirected_grid(k: int) -> ChainGraph:
@@ -556,7 +751,7 @@ def marked_graph_parts(draw, max_nodes: int = 7):
 def marked_graph(nodes, skeleton, blocked) -> MarkedGraph:
     """The marked graph with these name sets, built by name."""
     g = ChainGraph(frozenset(nodes), frozenset(), frozenset(skeleton))
-    return unmarked_skeleton(g).with_blocks(blocked)
+    return with_blocks(unmarked_skeleton(g), blocked)
 
 
 def marked_graphs(max_nodes: int = 7):

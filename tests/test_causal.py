@@ -17,8 +17,8 @@ from ampcg import (
     st_nst,
     strong_labeling,
 )
-from ampcg.causal import MODES, SUPERSET_CAP
-from ampcg.errors import NotNonStrongNeighborError, TooLargeError, UnknownNodeError
+from ampcg.causal import MODES
+from ampcg.errors import SUPERSET_CAP, NotNonStrongNeighborError, TooLargeError, UnknownNodeError
 from ampcg.transform import maximally_oriented_members
 
 from .support import cg, chain_graphs, set_locally_valid, undirected_grid

@@ -156,7 +156,7 @@ class TestStrongOracle:
 def test_equivalence_matches_separation_agreement():
     # equal-skeleton pairs on <= 4 nodes: triplex criterion iff all queries agree
     rnd = random.Random(7)
-    from ampcg import all_chain_graphs
+    from .support import all_chain_graphs
 
     pool = all_chain_graphs("ABCD")
     by_skel = {}

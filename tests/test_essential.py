@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ampcg import (
-    apply_rules_R,
-    double_block_chordless_cycles,
     enumerate_class,
     equivalent,
     essential_from_class,
@@ -22,7 +20,6 @@ from ampcg import (
     separated,
     serialize_graph,
     triplexes,
-    unmarked_skeleton,
 )
 from ampcg.cli import cli
 from ampcg.equivalence import _triplex_masks
@@ -40,9 +37,11 @@ from ampcg.strong import _s3
 from .support import (
     FINDERS,
     adjacency,
+    apply_rules_R,
     cg,
     chain_graphs,
     chordless_cycle_orders,
+    double_block_chordless_cycles,
     doubly_blocked,
     edges_blocked_at_one_end,
     is_adjacent,
@@ -57,6 +56,8 @@ from .support import (
     singly_blocked,
     sweep_fixpoint,
     undirected_grid,
+    unmarked_skeleton,
+    with_blocks,
 )
 
 
@@ -142,7 +143,7 @@ def test_worklist_matches_the_sweep_oracle(m, data):
     for rules in (RULE_NAMES, ("R2", "R3", "R4"), ("R2", "R3")):
         fixpoint = sweep_fixpoint(m, t, rules)
         assert apply_rules_R(m, t, rules) == fixpoint
-        more = fixpoint.with_blocks(extra)
+        more = with_blocks(fixpoint, extra)
         assert apply_rules_R(more, t, rules, new=extra) == sweep_fixpoint(more, t, rules)
 
 
@@ -253,7 +254,7 @@ def test_json_marks_finalize_to_the_printed_graph(tmp_path, capsys):
         skeleton = cg(doc["nodes"], [], [(e["u"], e["v"]) for e in edges])
         blocks = [(e["u"], e["v"]) for e in edges if e["blocked_u"]]
         blocks += [(e["v"], e["u"]) for e in edges if e["blocked_v"]]
-        m = unmarked_skeleton(skeleton).with_blocks(blocks)
+        m = with_blocks(unmarked_skeleton(skeleton), blocks)
         assert serialize_graph(m.finalize()) == text
 
 
@@ -267,7 +268,7 @@ def test_name_views_and_copy_isolation(parts, data):
     out, inn = m.out, m.inn
     ends = sorted(end for a, b in skeleton for end in ((a, b), (b, a)))
     extra = data.draw(st.sets(st.sampled_from(ends), max_size=3)) if ends else set()
-    h = m.with_blocks(extra)
+    h = with_blocks(m, extra)
     assert (m.nodes, m.skeleton, m.blocked) == (nodes, skeleton, blocked)
     assert (m.out, m.inn) == (out, inn)
     assert (h.nodes, h.skeleton, h.blocked) == (nodes, skeleton, blocked | extra)
@@ -290,7 +291,7 @@ class TestLine5:
 
     def test_cycle_with_existing_block_untouched(self):
         m = self._plain_cycle(("A", "B"), ("B", "C"), ("C", "D"), ("A", "D"))
-        m = m.with_blocks([("A", "B")])
+        m = with_blocks(m, [("A", "B")])
         out = double_block_chordless_cycles(m)
         assert out.blocked == m.blocked
 
@@ -399,11 +400,11 @@ def test_reachability_rules_match_exact_search_on_reachable_states():
         added = double_block_chordless_cycles(m).blocked - m.blocked
         assert added == _exact_double_blocks(m, orders[g.skeleton])
         double_blocked += bool(added)
-        m = both_fixpoints(m.with_blocks(added), t, ("R2", "R3", "R4"), new=added)
+        m = both_fixpoints(with_blocks(m, added), t, ("R2", "R3", "R4"), new=added)
         assert m.blocked == essential_graph(g).marks.blocked
         assert _s3(m) == _exact_s3(m, orders[g.skeleton])
         for x, y in edges_blocked_at_one_end(m):
-            both_fixpoints(m.with_blocks([(y, x)]), t, ("R2", "R3"), new={(y, x)})
+            both_fixpoints(with_blocks(m, [(y, x)]), t, ("R2", "R3"), new={(y, x)})
             copies += 1
     assert double_blocked >= 90 and copies >= 500
 

@@ -125,6 +125,13 @@ class TestSampling:
         two = sample(m, 2, seed=3).covariance()
         assert two.matrix.shape == (3, 3)
 
+    def test_covariance_divides_by_n_minus_one(self):
+        # regression slopes do not see the divisor, so it is pinned here
+        rows = sample(chain_model(), 12, seed=5).rows
+        matrix = Dataset(columns=("A", "B", "C"), rows=rows).covariance().matrix
+        assert np.allclose(matrix, np.cov(rows, rowvar=False), rtol=1e-12, atol=0)
+        assert not np.allclose(matrix, np.cov(rows, rowvar=False, bias=True), rtol=1e-3)
+
 
 class TestEffects:
     def test_true_effect_chain(self):

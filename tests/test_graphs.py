@@ -10,19 +10,12 @@ from ampcg import (
     chain_components,
     essential_graph,
     family,
-    is_chordal,
-    is_complete,
-    is_simplicial,
     maximally_oriented,
-    orient_by_mcs,
     parse_graph,
-    perfect_elimination_ending_with,
     random_chain_graph,
-    random_chordal_graph,
     triplexes,
     validate_chain_graph,
 )
-from ampcg.equivalence import _FWD, _REV, _UND, _semidirected_free
 from ampcg.errors import (
     DuplicateEdgeError,
     InvariantViolationError,
@@ -34,12 +27,19 @@ from ampcg.errors import (
 )
 from ampcg.generate import node_names
 from ampcg.graphs import GraphIndex, _component_order, _graph_index, _oriented, pair
+from ampcg.oracle import _FWD, _REV, _UND, _semidirected_free
 
 from .support import (
     _eliminate,
     adjacency,
     cg,
     chain_graphs,
+    is_chordal,
+    is_complete,
+    is_simplicial,
+    orient_by_mcs,
+    perfect_elimination_ending_with,
+    random_chordal_graph,
     set_component_order,
     set_orient_by_mcs,
 )

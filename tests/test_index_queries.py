@@ -7,8 +7,6 @@ from ampcg import (
     adjusting_set,
     family,
     feasible_merges,
-    is_complete,
-    is_simplicial,
     maximally_oriented,
     node_names,
     random_chain_graph,
@@ -18,7 +16,15 @@ from ampcg import (
 from ampcg.graphs import pair
 from ampcg.transform import _merge_candidates, _semidirected_descendants
 
-from .support import adjacency, children, neighbors, parents, random_corpus
+from .support import (
+    adjacency,
+    children,
+    is_complete,
+    is_simplicial,
+    neighbors,
+    parents,
+    random_corpus,
+)
 
 
 def set_family(g, xs, relation):

@@ -22,7 +22,6 @@ from ampcg import (
     strong_labeling,
     to_dot,
     to_json,
-    unmarked_skeleton,
     write_dataset,
 )
 from ampcg import graphs, io_text
@@ -31,7 +30,7 @@ from ampcg.errors import DuplicateEdgeError, ParseError
 from ampcg.gaussian import Dataset
 from ampcg.io_text import graph_to_json
 
-from .support import cg, chain_graphs, marked_graphs
+from .support import cg, chain_graphs, marked_graphs, unmarked_skeleton, with_blocks
 
 
 class TestParse:
@@ -142,9 +141,12 @@ class TestJsonWriter:
         docs += [essential_graph(g).marks for g in docs] + [strong_labeling(g) for g in docs]
         docs += [
             ChainGraph(frozenset(odd), frozenset({odd[:2]}), frozenset({pair(*odd[1:])})),
-            unmarked_skeleton(
-                ChainGraph(frozenset(odd), frozenset(), frozenset({pair(*odd[:2])}))
-            ).with_blocks({odd[1::-1]}),
+            with_blocks(
+                unmarked_skeleton(
+                    ChainGraph(frozenset(odd), frozenset(), frozenset({pair(*odd[:2])}))
+                ),
+                {odd[1::-1]},
+            ),
             StrongLabeling(
                 ChainGraph(frozenset(odd), frozenset({odd[:2]}), frozenset()),
                 frozenset({odd[:2]}),

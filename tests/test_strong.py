@@ -20,7 +20,6 @@ from ampcg import (
     strong_labeling,
     strong_oracle,
     to_json,
-    unmarked_skeleton,
     validate_chain_graph,
 )
 from ampcg import equivalence, essential, graphs, strong
@@ -29,7 +28,7 @@ from ampcg.errors import InvalidStateError, InvariantViolationError
 from ampcg.essential import MarkedGraph, _close_blocks
 from ampcg.strong import _propagate
 
-from .support import cg, edges_blocked_at_one_end, undirected_grid
+from .support import cg, edges_blocked_at_one_end, undirected_grid, unmarked_skeleton, with_blocks
 
 
 def _pipeline(g):
@@ -64,7 +63,7 @@ class TestLabelStrong:
         g = cg("ABCD", [("A", "C"), ("B", "C"), ("C", "D")])
         result = essential_graph(g)
         # one propagation consequent is missing, so the marks are not settled
-        unsettled = unmarked_skeleton(g).with_blocks([("A", "C"), ("B", "C")])
+        unsettled = with_blocks(unmarked_skeleton(g), [("A", "C"), ("B", "C")])
         with pytest.raises(InvalidStateError):
             label_strong(unsettled, result.triplexes)
 
@@ -73,7 +72,7 @@ class TestLabelStrong:
         # an equal copy built by the caller, and any call with
         # check_invariants, still runs it, with the same labels
         g = cg("ABCD", [("A", "C"), ("B", "C"), ("C", "D")])
-        unsettled = unmarked_skeleton(g).with_blocks([("A", "C"), ("B", "C")])
+        unsettled = with_blocks(unmarked_skeleton(g), [("A", "C"), ("B", "C")])
         with pytest.raises(InvalidStateError):
             label_strong(unsettled, essential_graph(g).triplexes, check_invariants=True)
         checks = 0
@@ -97,7 +96,7 @@ class TestLabelStrong:
             assert strong_labeling(g) == labels and checks == 0
             assert label_strong(copy, t) == labels and checks == 1
             assert label_strong(m, t, check_invariants=True) == labels and checks == 2
-            assert label_strong(m.with_blocks([]), t) == labels and checks == 3
+            assert label_strong(with_blocks(m, []), t) == labels and checks == 3
 
     def test_shortcut_labels_match_checked_labels(self):
         rnd = random.Random(23)
@@ -252,7 +251,7 @@ class TestLabelStrong:
         # a copy with more blocks finalizes on its own
         m = essential_graph(g).marks
         x, y = edges_blocked_at_one_end(m)[0]
-        h = m.with_blocks([(y, x)])
+        h = with_blocks(m, [(y, x)])
         assert m.finalize() is m.finalize()
         assert h.finalize().has_undirected(x, y) and m.finalize().has_directed(x, y)
 

@@ -22,7 +22,7 @@ from ampcg import (
     split,
     strong_oracle,
 )
-from ampcg import graphs, strong, transform
+from ampcg import graphs, oracle, strong, transform
 from ampcg.cli import cli
 from ampcg.errors import (
     InfeasibleMergeError,
@@ -30,12 +30,8 @@ from ampcg.errors import (
     NotComponentsError,
     TooLargeError,
 )
-from ampcg.transform import (
-    _merge_candidates,
-    _split_candidates,
-    _split_result,
-    has_feasible_split,
-)
+from ampcg.oracle import _split_candidates, has_feasible_split
+from ampcg.transform import _merge_candidates, _split_result
 
 from .support import cg, chain_graphs, greedy_maximally_oriented
 
@@ -228,7 +224,7 @@ class TestMinMaxOriented:
         # 17 edges: refused before any of the 2^18 bipartitions is tried
         names = node_names(18)
         path = cg(names, [], list(zip(names, names[1:])))
-        monkeypatch.setattr(transform, "_split_result", None)
+        monkeypatch.setattr(oracle, "_split_result", None)
         with pytest.raises(TooLargeError, match="17 edges exceeds the split search cap of 16"):
             has_feasible_split(path)
 
