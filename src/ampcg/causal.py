@@ -29,7 +29,7 @@ from .errors import (
     check_cap,
 )
 from .essential import EssentialGraphResult
-from .graphs import ChainGraph, NodeId, _step, family, pair
+from .graphs import ChainGraph, Masks, NodeId, _step, family, pair
 from .strong import StrongLabeling
 
 Mode = Literal["class", "maxoriented", "superset"]
@@ -85,26 +85,38 @@ def st_nst(labeling: StrongLabeling | EssentialGraphResult, x: NodeId) -> StNstP
     return StNstPartition(st=st, nst=nst)
 
 
+def _flanks(
+    labeling: StrongLabeling | EssentialGraphResult, x: NodeId
+) -> tuple[StNstPartition, tuple[Masks, int, int, dict[int, int]]]:
+    """x's partition, and what `_keeps_flanks` reads at x as masks: the
+    adjacency, x's parents, its strong neighbors and the flanks of the
+    triplexes at x in the essential graph."""
+    partition = st_nst(labeling, x)
+    index = labeling.graph.index
+    b = index.pos[x]
+    present = _flank_masks(index.adj, index.pa[b], index.ne[b])
+    return partition, (index.adj, index.pa[b], index.mask_of(partition.st), present)
+
+
+def _keeps_flanks(flanks: tuple[Masks, int, int, dict[int, int]], s: int) -> bool:
+    """Does orienting the mask s -> x add no flank the essential graph lacks
+    at x?"""
+    adj, pa, st, present = flanks
+    return all(not cs & ~present.get(a, 0) for a, cs in _flank_masks(adj, pa | s, st).items())
+
+
 def locally_valid(
     labeling: StrongLabeling | EssentialGraphResult, x: NodeId, s: Iterable[NodeId]
 ) -> bool:
     """Does orienting s -> x (and x -> the other non-strong neighbors) avoid
     creating any triplex at x the essential graph lacks?"""
-    eg = labeling.graph
-    partition = st_nst(labeling, x)
+    partition, flanks = _flanks(labeling, x)
     s = frozenset(s)
     if not s <= partition.nst:
         raise NotNonStrongNeighborError(
             f"{sorted(s - partition.nst)} are not non-strong neighbors of {x!r}"
         )
-    index = eg.index
-    b = index.pos[x]
-    heads = index.pa[b] | index.mask_of(s)
-    others = index.mask_of(partition.st)
-    present = _flank_masks(index.adj, index.pa[b], index.ne[b])
-    return all(
-        not cs & ~present.get(a, 0) for a, cs in _flank_masks(index.adj, heads, others).items()
-    )
+    return _keeps_flanks(flanks, labeling.graph.index.mask_of(s))
 
 
 def enumerate_adjusting_sets(
@@ -132,22 +144,23 @@ def enumerate_adjusting_sets(
 
         return class_adjusting_sets(eg, x, max_edges)
     if mode == "maxoriented":
-        partition = st_nst(labeling, x)
+        partition, flanks = _flanks(labeling, x)
         base = partition.st | family(eg, partition.st | {x}, "pa")
-        nst = sorted(partition.nst)
+        index = eg.index
+        nst = [1 << index.pos[n] for n in sorted(partition.nst)]
         found = []
 
-        def grow(s: frozenset[NodeId], start: int) -> None:
+        def grow(s: int, start: int) -> None:
             # local validity is closed under subsets, so only valid sets grow
-            if not locally_valid(labeling, x, s):
+            if not _keeps_flanks(flanks, s):
                 return
-            z = (base | s) - {x}
-            found.append(AdjustingSet(nodes=z, source=s))
+            names = index.names_of(s)
+            found.append(AdjustingSet(nodes=(base | names) - {x}, source=names))
             check_cap(len(found), MAXORIENTED_CAP, "maxoriented mode exceeds the cap of {cap} sets")
             for i in range(start, len(nst)):
-                grow(s | {nst[i]}, i + 1)
+                grow(s | nst[i], i + 1)
 
-        grow(frozenset(), 0)
+        grow(0, 0)
         return frozenset(found)
     if mode == "superset":
         from .oracle import superset_adjusting_sets

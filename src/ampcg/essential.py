@@ -25,6 +25,11 @@ added tails and forwards from the added heads; each candidate pair is then
 checked on its own, so mixing the ends of different blocks only widens the
 candidates.  The rules are monotone, so drawing an R3 instance some rounds
 after the block that enabled it changes no block of the least fixpoint.
+`_close_blocks` yields each round's new blocks as it draws them.  Blocks
+only grow, so whatever a caller reads off the masks after some round still
+holds at the fixpoint: `strong` stops each re-blocked copy at the round that
+destroys a pretriplex, and the later of the pretriplex's two new blocks
+finds it (the argument is in `strong`'s docstring).
 
 `essential_graph` runs on positions from the graph's index to the final
 marks: `equivalence._triplex_masks` reads the triplex masks off the index,
@@ -109,7 +114,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .equivalence import TriplexKeys, _triplex_keys, _triplex_masks
 from .graphs import ChainGraph, Masks, NodeId, NodeIndex, _edges, _oriented, _reach, _step
@@ -230,10 +235,11 @@ def _close_blocks(
     pending: list[tuple[int, int]],
     rules: Sequence[str],
     ends: Sequence[int] | None = None,
-) -> list[tuple[int, int]]:
+) -> Iterator[list[tuple[int, int]]]:
     """Add to `out`/`inn` every block the `rules` (of R2-R4) draw from the
-    `pending` blocks and their consequences; return the added (end, other)
-    positions.  The other blocks must be closed already.
+    `pending` blocks and their consequences, yielding each round's added
+    (end, other) positions once they are in the masks; the rounds end with
+    one that adds nothing.  The other blocks must be closed already.
 
     Each round draws what R2 and R4 fire from the pending blocks against the
     current marks, adds it at once and makes the blocks not yet present the
@@ -241,9 +247,11 @@ def _close_blocks(
     ends (a, b), b in `ends[a]` (default `adj[a]`), with a reaching a tail
     and b reached from a head, along blocked steps, of any block pending
     since its last pass; its new blocks are the next pending list.
+
+    The rounds are drawn lazily: a caller that needs the fixpoint drains
+    them, and one that stops early leaves the masks part-closed.
     """
     r2, r3, r4 = "R2" in rules, "R3" in rules, "R4" in rules
-    added: list[tuple[int, int]] = []
     tails = heads = 0
     while pending:
         found = []
@@ -271,8 +279,7 @@ def _close_blocks(
             found = _r3_finds(adj, out, inn, tails, heads, adj if ends is None else ends)
             pending = _block(out, inn, found)
             tails = heads = 0
-        added += pending
-    return added
+        yield pending
 
 
 def _block(out: list[int], inn: list[int], found: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -413,9 +420,11 @@ def essential_graph(g: ChainGraph) -> EssentialGraphResult:
     ends = [a & ~p for a, p in zip(adj, pa)]
     tri = _triplex_masks(index)
     out, inn = [0] * len(adj), [0] * len(adj)
-    _close_blocks(adj, tri, out, inn, _seed_r1(tri, out, inn), RULE_NAMES, ends)
+    for _ in _close_blocks(adj, tri, out, inn, _seed_r1(tri, out, inn), RULE_NAMES, ends):
+        pass
     added = _double_block(adj, out, inn)
-    _close_blocks(adj, tri, out, inn, added, ("R2", "R3", "R4"), ends)
+    for _ in _close_blocks(adj, tri, out, inn, added, ("R2", "R3", "R4"), ends):
+        pass
     m = MarkedGraph(index, tuple(out), tuple(inn))
     object.__setattr__(m, "_closed_under", tri)
     return EssentialGraphResult(m, tri)

@@ -4,18 +4,30 @@ Works on the pre-finalization marks: doubly blocked edges are strong
 undirected; an edge blocked at one end is a strong arrow exactly when forcing
 it undirected (blocking the other end, then re-running the propagation rules)
 destroys a pretriplex that the essential graph carries.  Totally plain edges
-are non-strong undirected.  The S1-S6 rules are a sound but incomplete
-shortcut for strong arrows.
+are non-strong undirected.
 
 Everything here reads the marks as `MarkedGraph` holds them: its `index` and
 the mask tuples `out` and `inn`; the rules name the edges they label.  A
 re-blocked copy is a list copy of the two mask tuples, closed under R2 and
-R3 from its one new block.
+R3 from its one new block, and `label_strong` draws that closure only until
+it destroys a pretriplex.  That is exact.  Blocks only grow, so a pretriplex
+destroyed mid-closure stays destroyed, and a copy that closes without
+destroying one is weak.  The pretriplex a ~ b ~ c is destroyed once (b, a)
+and (b, c) are both blocked, and the later of the two blocks finds it by
+reading `pre[b]` at its own end: if both are new, a and c were each blocked
+at their end only, so `pre[b][a]` holds c and `pre[b][c]` holds a; if (b, c)
+was blocked before, only (b, a) is new and `pre[b][a]` holds c.
+
+The S1-S6 rules are a sound but incomplete shortcut for strong arrows.
+`label_strong` seeds its labels from S3 alone, which spares the copies that
+close the most; S1, S2, S4-S6 and `accelerator_labels` are off the labeling
+path and serve `ampcg strong --rules-only`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .equivalence import TriplexKeys, triplexes
 from .errors import InvalidStateError, InvariantViolationError, SemidirectedCycleError
@@ -69,21 +81,8 @@ def _pretriplexes_by_end(m: MarkedGraph) -> list[dict[int, int]]:
 
 def _check_line6_fixpoint(m: MarkedGraph, tri: list[dict[int, int]]) -> None:
     out, inn = list(m.out), list(m.inn)
-    if _close_blocks(m.index.adj, tri, out, inn, _positions(out), ("R2", "R3", "R4")):
+    if any(_close_blocks(m.index.adj, tri, out, inn, _positions(out), ("R2", "R3", "R4"))):
         raise InvalidStateError("marks are not a fixpoint of the propagation rules")
-
-
-def _reblocked(
-    m: MarkedGraph, tri: list[dict[int, int]], x: int, y: int
-) -> tuple[list[int], list[int], list[tuple[int, int]]]:
-    """The copy of `m`'s masks that forces x ~ y undirected: (y, x) blocked,
-    then closed under R2 and R3.  Returns its `out` and `inn` and its new
-    blocks."""
-    out, inn = list(m.out), list(m.inn)
-    out[y] |= 1 << x
-    inn[x] |= 1 << y
-    new = [(y, x)] + _close_blocks(m.index.adj, tri, out, inn, [(y, x)], ("R2", "R3"))
-    return out, inn, new
 
 
 def _verify_candidate_state(h: MarkedGraph, eg_triplexes: TriplexKeys) -> None:
@@ -120,12 +119,13 @@ def label_strong(
     """Classify every edge of the essential graph as strong or not.
 
     `m` must be the pre-finalization marks of an essential graph and `t` the
-    triplex set of its class (`EssentialGraphResult.triplexes`).  Edges the
-    sound shortcut rules already label strong (S1-S3 up front, S4-S6 chained
-    from each strong arrow a re-blocking check finds) skip their own checks.
-    With `check_invariants`, every singly blocked edge is re-blocked anyway:
-    each re-blocked copy is asserted against the orientation invariants, and
-    each shortcut label must be confirmed by its own re-blocking check.
+    triplex set of its class (`EssentialGraphResult.triplexes`).  Each singly
+    blocked x -> y is re-blocked at y, and the copy's closure is drawn round
+    by round only until a new block destroys a pretriplex; arrows S3 already
+    labels strong skip their copies.  With `check_invariants`, every singly
+    blocked edge is re-blocked anyway, each copy is closed fully and asserted
+    against the orientation invariants, and each S3 label must be confirmed
+    by its own copy.
 
     Marks that are not closed under R2-R4 raise `InvalidStateError`.  The
     marks `essential_graph` returns, read with its `triplexes`, are closed
@@ -138,21 +138,24 @@ def label_strong(
     eg = m.finalize()
     eg_triplexes = triplexes(eg) if check_invariants else frozenset()
     pre = _pretriplexes_by_end(m)
-    strong_arrows = set(accelerator_labels(m))
+    strong_arrows = _s3(m)
     confirmed: set[tuple[NodeId, NodeId]] = set()
     for x, y in _one_end_blocked(m):
         edge = (names[x], names[y])
         if edge in strong_arrows and not check_invariants:
             continue
-        copy_out, copy_inn, new = _reblocked(m, tri, x, y)
-        if check_invariants:
-            h = MarkedGraph(m.index, tuple(copy_out), tuple(copy_inn))
-            _verify_candidate_state(h, eg_triplexes)
-        if any(pre[b].get(a, 0) & copy_out[b] for b, a in new):
+        out, inn = list(m.out), list(m.inn)
+        out[y] |= 1 << x
+        inn[x] |= 1 << y
+        rounds = _close_blocks(m.index.adj, tri, out, inn, [(y, x)], ("R2", "R3"))
+        if any(pre[b].get(a, 0) & out[b] for new in chain([[(y, x)]], rounds) for b, a in new):
             confirmed.add(edge)
-            if edge not in strong_arrows:
-                strong_arrows.add(edge)
-                strong_arrows |= _propagate(m, strong_arrows)
+            strong_arrows.add(edge)
+        if check_invariants:
+            for _ in rounds:
+                pass
+            h = MarkedGraph(m.index, tuple(out), tuple(inn))
+            _verify_candidate_state(h, eg_triplexes)
     if check_invariants and strong_arrows - confirmed:
         raise InvariantViolationError(
             f"shortcut labels {sorted(strong_arrows - confirmed)} destroy no pretriplex"
@@ -273,7 +276,8 @@ def _s6(m: MarkedGraph, strong: set[tuple[NodeId, NodeId]]) -> set[tuple[NodeId,
 def _propagate(
     m: MarkedGraph, strong: set[tuple[NodeId, NodeId]]
 ) -> set[tuple[NodeId, NodeId]]:
-    """Strong arrows S4-S6 chain from `strong` until stable, minus `strong`."""
+    """Strong arrows S4-S6 chain from `strong` until stable, minus `strong`.
+    Off the labeling path: `label_strong` finds these by its own copies."""
     closure = set(strong)
     frontier = strong
     while frontier:
@@ -286,8 +290,8 @@ def accelerator_labels(m: MarkedGraph) -> frozenset[tuple[NodeId, NodeId]]:
     """Strong arrows detected by S1-S3, which read only the end marks.
 
     `m` must be settled marks, as `label_strong` takes them.  Sound but
-    deliberately incomplete: some strong arrows are only found by the full
-    re-blocking check.  S4-S6 need labels established by that check, so
-    `label_strong` chains them from each of its hits.
+    deliberately incomplete: some strong arrows are only found by the
+    re-blocking check.  `ampcg strong --rules-only` prints these labels;
+    `label_strong` reads S3 alone.
     """
     return frozenset(_s1(m) | _s2(m) | _s3(m))

@@ -157,7 +157,8 @@ def apply_rules_R(
             raise ValueError(f"new blocks {sorted(new - m.blocked)} are not blocks of m")
         pos = m.index.pos
         pending = [(pos[u], pos[v]) for u, v in new]
-    _close_blocks(m.index.adj, tri, out, inn, pending, rules)
+    for _ in _close_blocks(m.index.adj, tri, out, inn, pending, rules):
+        pass
     return replace(m, out=tuple(out), inn=tuple(inn))
 
 

@@ -17,7 +17,7 @@ from ampcg import (
     st_nst,
     strong_labeling,
 )
-from ampcg.causal import MODES
+from ampcg.causal import MODES, _keeps_flanks
 from ampcg.errors import SUPERSET_CAP, NotNonStrongNeighborError, TooLargeError, UnknownNodeError
 from ampcg.transform import maximally_oriented_members
 
@@ -134,16 +134,33 @@ class TestEnumerateAdjustingSets:
         lab = strong_labeling(cg(["X", *leaves], [], [("X", leaf) for leaf in leaves]))
         calls = []
 
-        def counting(labeling, x, s):
+        def counting(flanks, s):
             calls.append(s)
-            return locally_valid(labeling, x, s)
+            return _keeps_flanks(flanks, s)
 
-        monkeypatch.setattr("ampcg.causal.locally_valid", counting)
+        monkeypatch.setattr("ampcg.causal._keeps_flanks", counting)
         sets = enumerate_adjusting_sets(lab, "X", "maxoriented")
         assert {a.nodes for a in sets} == {frozenset()} | {frozenset([n]) for n in leaves}
         assert all(a.source == a.nodes for a in sets)
         # the empty set, each leaf, and each rejected pair: not 2^30 subsets
         assert len(calls) == 1 + 30 + 30 * 29 // 2
+
+    def test_maxoriented_partitions_the_neighbors_once(self, monkeypatch):
+        # an undirected K_6 grows all 2^5 subsets of V0's neighbors; the
+        # partition and the flank masks at V0 are read once for all of them
+        names = node_names(6)
+        lab = essential_graph(cg(names, [], list(combinations(names, 2))))
+        calls = 0
+        partition = st_nst
+
+        def counting(labeling, x):
+            nonlocal calls
+            calls += 1
+            return partition(labeling, x)
+
+        monkeypatch.setattr("ampcg.causal.st_nst", counting)
+        sets = enumerate_adjusting_sets(lab, "V0", "maxoriented")
+        assert len(sets) == 2**5 and calls == 1
 
     def test_maxoriented_matches_harvested_members(self):
         rnd = random.Random(97)

@@ -489,7 +489,7 @@ class TestCli:
     def test_oracle_reports_an_unsound_shortcut_as_a_failed_check(
         self, graph_file, capsys, monkeypatch
     ):
-        monkeypatch.setattr("ampcg.strong._s1", lambda m: {("A", "B")})
+        monkeypatch.setattr("ampcg.strong._s3", lambda m: {("A", "B")})
         assert cli(["oracle", graph_file]) == 2
         captured = capsys.readouterr()
         row = next(

@@ -109,7 +109,7 @@ class TestLabelStrong:
     def test_checked_mode_rejects_an_unconfirmed_shortcut_label(self, monkeypatch):
         g = cg("ABCD", [("A", "B"), ("C", "B")], [("C", "D")])
         result = essential_graph(g)
-        monkeypatch.setattr("ampcg.strong._s1", lambda m: {("A", "B")})
+        monkeypatch.setattr("ampcg.strong._s3", lambda m: {("A", "B")})
         with pytest.raises(InvariantViolationError, match="shortcut labels"):
             label_strong(result.marks, result.triplexes, check_invariants=True)
 
@@ -119,12 +119,11 @@ class TestLabelStrong:
         i, w = marks.index.pos[end], marks.index.pos[other]
 
         def reblock(adj, tri, out, inn, pending, rules):
-            added = _close_blocks(adj, tri, out, inn, pending, rules)
+            yield from _close_blocks(adj, tri, out, inn, pending, rules)
             if rules == ("R2", "R3") and not out[i] >> w & 1:
                 out[i] |= 1 << w
                 inn[w] |= 1 << i
-                added.append((i, w))
-            return added
+                yield [(i, w)]
 
         monkeypatch.setattr("ampcg.strong._close_blocks", reblock)
 
@@ -156,6 +155,38 @@ class TestLabelStrong:
         message = "finalization created triplexes [('F', ('E', 'G'))]"
         with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
             label_strong(result.marks, result.triplexes, check_invariants=True)
+
+    def test_a_copy_stops_at_its_first_destroyed_pretriplex(self, monkeypatch):
+        # V3 -> V8 is the one strong arrow S1-S3 miss.  The copy that forces
+        # V3 -- V8 destroys a pretriplex with the 2 blocks of its first round,
+        # and its full closure draws 1 and 2 more; the copies of the other
+        # arrows S3 misses add no block
+        g = cg(
+            node_names(9),
+            [("V1", "V8"), ("V2", "V8"), ("V3", "V8"), ("V5", "V8"), ("V7", "V8")],
+            [("V0", "V1"), ("V0", "V5"), ("V1", "V3"), ("V1", "V7"), ("V2", "V7"),
+             ("V3", "V5"), ("V4", "V6"), ("V4", "V7"), ("V5", "V6")],
+        )
+        result = essential_graph(g)
+        assert ("V3", "V8") not in accelerator_labels(result.marks)
+        added = 0
+        block = essential._block
+
+        def counted(out, inn, found):
+            nonlocal added
+            new = block(out, inn, found)
+            added += len(new)
+            return new
+
+        monkeypatch.setattr(essential, "_block", counted)
+        lab = label_strong(result.marks, result.triplexes)
+        assert lab.strong_directed == {("V1", "V8"), ("V3", "V8"), ("V5", "V8"), ("V7", "V8")}
+        assert added == 2
+        # checked, the copy closes fully (2 + 1 + 2), and the copies of S3's
+        # three arrows add 15 blocks
+        added = 0
+        assert label_strong(result.marks, result.triplexes, check_invariants=True) == lab
+        assert added == 5 + 15
 
     def test_labels_a_120_node_graph_in_seconds(self):
         # enumerating every chordless cycle R3 might use takes minutes here
@@ -414,6 +445,35 @@ def test_outputs_at_scale_keep_their_digests():
         for i, expected in enumerate(SCALE_DIGESTS[n]):
             assert _digests(random_chain_graph(rnd, node_names(n), p_u, p_d)) == expected, (n, i)
     assert _digests(undirected_grid(10)) == GRID_DIGESTS
+
+
+# the first 12 hex of sha256(to_json(marks) + to_json(labeling)) for one draw
+# of random_chain_graph(random.Random(n), node_names(n), p_u, p_d) each
+LABELING_DRAWS = (
+    (200, 0.006, 0.01, "7ec70fd1da65"),
+    (500, 0.0024, 0.004, "fc22e77ea8ed"),
+    (1000, 0.0012, 0.002, "32a834e6476d"),
+    (1000, 0.003, 0.005, "9af5f1d2a2ef"),
+    (2000, 0.0006, 0.001, "8a8cf9dd15fe"),
+)
+
+
+def test_labelings_at_200_to_2000_nodes_keep_their_digests():
+    for n, p_u, p_d, expected in LABELING_DRAWS:
+        result = essential_graph(random_chain_graph(random.Random(n), node_names(n), p_u, p_d))
+        labeling = label_strong(result.marks, result.triplexes)
+        text = (to_json(result.marks) + to_json(labeling)).encode()
+        assert hashlib.sha256(text).hexdigest()[:12] == expected, n
+
+
+def test_early_stopped_labels_match_fully_closed_labels_at_30_to_60_nodes():
+    rnd = random.Random(43)
+    for _ in range(80):
+        n = rnd.randint(30, 60)
+        g = random_chain_graph(rnd, node_names(n), rnd.uniform(1, 3) / n, rnd.uniform(1.5, 4) / n)
+        result = essential_graph(g)
+        m, t = result.marks, result.triplexes
+        assert label_strong(m, t) == label_strong(m, t, check_invariants=True)
 
 
 # sha256 of serialize_graph(maximally_oriented(g)) for the draws of SCALES,
