@@ -3,16 +3,18 @@
 This module holds the one triplex test: `_is_triplex` on the two edge marks
 at a middle node, `_flank_masks` on the masks of the nodes around it (read
 from `ChainGraph.index`).  `_triplex_masks` applies it at every middle node;
-`triplexes` and the essential graph's rules both read its masks.  Two chain
-graphs are Markov equivalent exactly when they share adjacencies and
-triplexes; the brute-force class enumeration built on that lives in
-`ampcg.oracle`.
+`triplexes` and the essential graph's rules both read its masks.  The same
+flank search, with the edges blocked at their far end only as heads and the
+doubly blocked edges as the others, answers the pretriplexes of marks
+(`strong._pretriplexes_by_end`).  Two chain graphs are Markov equivalent
+exactly when they share adjacencies and triplexes; the brute-force class
+enumeration built on that lives in `ampcg.oracle`.
 """
 
 from __future__ import annotations
 
 from .errors import NodeSetMismatchError
-from .graphs import ChainGraph, Masks, NodeId, NodeIndex
+from .graphs import ChainGraph, GraphIndex, Masks, NodeId
 
 #: the mark of an edge at one of its ends: an arrowhead into it, a tail, or neither
 HEAD = "head"
@@ -50,7 +52,7 @@ def _flank_masks(adj: Masks, heads: int, others: int) -> dict[int, int]:
     return found
 
 
-def _triplex_masks(index: NodeIndex) -> list[dict[int, int]]:
+def _triplex_masks(index: GraphIndex) -> list[dict[int, int]]:
     """tri[b][a]: the mask of the c with a ~ b ~ c a triplex of the graph,
     for every a that flanks one at b."""
     adj, ne = index.adj, index.ne
@@ -61,7 +63,7 @@ def _triplex_masks(index: NodeIndex) -> list[dict[int, int]]:
 TriplexKeys = frozenset[tuple[NodeId, tuple[NodeId, NodeId]]]
 
 
-def _triplex_keys(index: NodeIndex, tri: list[dict[int, int]]) -> TriplexKeys:
+def _triplex_keys(index: GraphIndex, tri: list[dict[int, int]]) -> TriplexKeys:
     """The triplex masks `tri` as (middle, sorted flank pair) keys."""
     names = index.nodes
     keys = []

@@ -53,13 +53,14 @@ when first read, by `graphs._oriented` with no loose edges, so
 `ampcg --format json eg`, which prints the marks, builds no chain graph.
 
 The engine works on integer masks, and they are `MarkedGraph`'s state.  Its
-`index` is the graph's own `ChainGraph.index`, shared by every copy: the nodes
-in sorted order and one adjacency mask per node, adj[i].  The blocks are two
+`index` is the graph's own `GraphIndex`, shared by every copy: the nodes in
+sorted order and one adjacency mask per node, adj[i].  The blocks are two
 tuples of masks, out[i] (the w with (i, w) blocked) and inn[w] (the i with
-(i, w) blocked), and the triplex set becomes tri[b][a], the mask of the c with
-a ~ b ~ c a triplex.  A pending block (u, v) then fires R2 at every c
-in adj[v] & ~adj[u] & ~bit(u) & ~tri[v][u], and R4 at every a in
-adj[u] & adj[v] & ~inn[v] for which some d lies in
+(i, w) blocked), and `_block` places every block in both: the R1 seeds, each
+round's R2-R4 finds and the double-blocking.  The triplex set becomes
+tri[b][a], the mask of the c with a ~ b ~ c a triplex.  A pending block
+(u, v) then fires R2 at every c in adj[v] & ~adj[u] & ~bit(u) & ~tri[v][u],
+and R4 at every a in adj[u] & adj[v] & ~inn[v] for which some d lies in
 adj[v] & adj[a] & ~adj[u] & ~bit(u) & inn[v] & ~tri[a][u].  R3's two walks
 and `_path_exists` advance a whole frontier mask per step.  The name sets
 `nodes`, `skeleton` and `blocked` are views derived from the masks.
@@ -117,7 +118,7 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from .equivalence import TriplexKeys, _triplex_keys, _triplex_masks
-from .graphs import ChainGraph, Masks, NodeId, NodeIndex, _edges, _oriented, _reach, _step
+from .graphs import ChainGraph, GraphIndex, Masks, NodeId, _edges, _oriented, _reach, _step
 
 RULE_NAMES = ("R1", "R2", "R3", "R4")
 
@@ -126,16 +127,17 @@ RULE_NAMES = ("R1", "R2", "R3", "R4")
 class MarkedGraph:
     """A skeleton with per-edge-end block marks, held as masks.
 
-    `index` numbers the nodes in sorted order and gives each its adjacency
-    mask.  out[i] masks the w with the edge i ~ w blocked at i, and inn[w]
-    the same blocks seen from w.  Copies share `index` (two marked graphs
-    are equal when they share it and their masks agree) and the triplex
-    masks, which `_tri` holds as [t, masks] once built.  `_closed_under` is
-    the triplex masks `essential_graph` closed these blocks under; it is
-    None on every other marked graph, copies included.
+    `index` is the graph's `GraphIndex`: it numbers the nodes in sorted
+    order and gives each its adjacency mask.  out[i] masks the w with the
+    edge i ~ w blocked at i, and inn[w] the same blocks seen from w.  Copies
+    share `index` (two marked graphs are equal when they share it and their
+    masks agree) and the triplex masks, which `_tri` holds as [t, masks]
+    once built.  `_closed_under` is the triplex masks `essential_graph`
+    closed these blocks under; it is None on every other marked graph,
+    copies included.
     """
 
-    index: NodeIndex
+    index: GraphIndex
     out: Masks
     inn: Masks
     _tri: list = field(default_factory=list, compare=False, repr=False)
@@ -180,7 +182,7 @@ class MarkedGraph:
 # rules R1-R4 on masks, drawn by a worklist
 
 
-def _key_masks(index: NodeIndex, t: TriplexKeys) -> list[dict[int, int]]:
+def _key_masks(index: GraphIndex, t: TriplexKeys) -> list[dict[int, int]]:
     """tri[b][a]: the mask of the c with a ~ b ~ c a triplex of `t`, as
     `equivalence._triplex_masks` reads it off a graph's index."""
     pos = index.pos
@@ -198,14 +200,7 @@ def _seed_r1(
 ) -> list[tuple[int, int]]:
     """Add to `out`/`inn` R1's block (a, b) for every a that flanks a
     triplex at b; return the (end, other) positions not blocked before."""
-    seeds = []
-    for b, at in enumerate(tri):
-        for a in at:
-            if not out[a] >> b & 1:
-                out[a] |= 1 << b
-                inn[b] |= 1 << a
-                seeds.append((a, b))
-    return seeds
+    return _block(out, inn, [(a, b) for b, at in enumerate(tri) for a in at])
 
 
 def _path_exists(adj: Sequence[int], step: Sequence[int], a: int, b: int, last: int) -> bool:
@@ -324,17 +319,13 @@ def _r3_finds(
 
 def _one_end_blocked(m: MarkedGraph) -> list[tuple[int, int]]:
     """Every (x, y), as positions, with the edge blocked at x only, in sorted
-    edge order."""
-    out, inn = m.out, m.inn
-    edges = []
-    for i, (o, n) in enumerate(zip(out, inn)):
-        x = ((o ^ n) >> (i + 1)) << (i + 1)
-        while x:
-            low = x & -x
-            w = low.bit_length() - 1
-            edges.append((i, w) if o & low else (w, i))
-            x ^= low
-    return edges
+    edge order.  An edge blocked at one end shows in `o ^ n` at both of its
+    nodes, so those masks are symmetric."""
+    out = m.out
+    return [
+        (i, w) if out[i] >> w & 1 else (w, i)
+        for i, w in _edges([o ^ n for o, n in zip(out, m.inn)])
+    ]
 
 
 def _positions(masks: Sequence[int]) -> list[tuple[int, int]]:
@@ -353,15 +344,11 @@ def _double_block(adj: Sequence[int], out: list[int], inn: list[int]) -> list[tu
     all-plain walk around it; return the added (end, other) positions.
     The walks read the plain edges as they were on entry."""
     plain = [a & ~o & ~n for a, o, n in zip(adj, out, inn)]
-    added = []
+    found = []
     for a, b in _edges(plain):
         if _path_exists(adj, plain, a, b, plain[b]):
-            out[a] |= 1 << b
-            inn[a] |= 1 << b
-            out[b] |= 1 << a
-            inn[b] |= 1 << a
-            added += ((a, b), (b, a))
-    return added
+            found += ((a, b), (b, a))
+    return _block(out, inn, found)
 
 
 def _doubly_blocked(m: MarkedGraph) -> frozenset[tuple[NodeId, NodeId]]:

@@ -58,13 +58,16 @@ def _edges(masks: Sequence[int]) -> list[tuple[int, int]]:
 
 
 @dataclass(frozen=True, eq=False)
-class NodeIndex:
-    """Node positions in sorted order and one adjacency mask per node: bit j
-    of adj[i] is set when nodes[i] ~ nodes[j]."""
+class GraphIndex:
+    """A chain graph's node positions in sorted order and three masks per
+    node: bit j of adj[i] is set when nodes[i] ~ nodes[j], of pa[i] when
+    nodes[j] -> nodes[i], and of ne[i] when nodes[i] -- nodes[j]."""
 
     nodes: tuple[NodeId, ...]
     pos: dict[NodeId, int]
     adj: Masks
+    pa: Masks
+    ne: Masks
 
     def mask_of(self, names: Iterable[NodeId]) -> int:
         """The mask of the positions of `names`, which must all be nodes."""
@@ -83,15 +86,6 @@ class NodeIndex:
             found.append(names[low.bit_length() - 1])
             mask ^= low
         return frozenset(found)
-
-
-@dataclass(frozen=True, eq=False)
-class GraphIndex(NodeIndex):
-    """A chain graph's `NodeIndex`, plus the parents `pa[i]` (the j with
-    nodes[j] -> nodes[i]) and the undirected neighbors `ne[i]` of each node."""
-
-    pa: Masks
-    ne: Masks
 
     @cached_property
     def ch(self) -> Masks:
@@ -509,7 +503,7 @@ def _mcs_ranks(
 
 
 def _oriented(
-    index: NodeIndex,
+    index: GraphIndex,
     out: Sequence[int],
     inn: Sequence[int],
     loose: Sequence[int],

@@ -138,6 +138,18 @@ def to_json(obj: ChainGraph | MarkedGraph | StrongLabeling) -> str:
 
 _STRONG_STYLE = 'style=bold, color="#b22222"'
 
+#: the DOT keywords, which DOT reads in any case
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
+
+
+def _dot_id(name: NodeId) -> str:
+    """A node name as a DOT ID: quoted when DOT would read it as a keyword,
+    or as a numeral and a second ID (a leading digit with a non-digit after
+    it); every other valid name is a DOT ID as it stands."""
+    if name.lower() in _DOT_KEYWORDS or (name[:1].isdigit() and not name.isdigit()):
+        return f'"{name}"'
+    return name
+
 
 def to_dot(obj: ChainGraph | StrongLabeling) -> str:
     """DOT document; undirected edges suppress their direction, strong edges
@@ -152,16 +164,16 @@ def to_dot(obj: ChainGraph | StrongLabeling) -> str:
         strong_und = frozenset()
     lines = ["digraph g {"]
     for n in g.sorted_nodes:
-        lines.append(f"  {n};")
+        lines.append(f"  {_dot_id(n)};")
     for u, v in sorted(g.directed):
         attrs = [_STRONG_STYLE] if (u, v) in strong_dir else []
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {u} -> {v}{suffix};")
+        lines.append(f"  {_dot_id(u)} -> {_dot_id(v)}{suffix};")
     for a, b in sorted(g.undirected):
         attrs = ["dir=none"]
         if (a, b) in strong_und:
             attrs.append(_STRONG_STYLE)
-        lines.append(f"  {a} -> {b} [{', '.join(attrs)}];")
+        lines.append(f"  {_dot_id(a)} -> {_dot_id(b)} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

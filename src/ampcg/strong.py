@@ -20,8 +20,10 @@ was blocked before, only (b, a) is new and `pre[b][a]` holds c.
 
 The S1-S6 rules are a sound but incomplete shortcut for strong arrows.
 `label_strong` seeds its labels from S3 alone, which spares the copies that
-close the most; S1, S2, S4-S6 and `accelerator_labels` are off the labeling
-path and serve `ampcg strong --rules-only`.
+close the most.  S1, S2 and `accelerator_labels` are off the labeling path
+and serve `ampcg strong --rules-only`.  S4-S6 share one guard, a strong
+arrow blocked at its tail only, and run as one pass, `_propagate`, that
+chains new labels from a strong set; it is off the labeling path too.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .equivalence import TriplexKeys, triplexes
+from .equivalence import TriplexKeys, _flank_masks, triplexes
 from .errors import InvalidStateError, InvariantViolationError, SemidirectedCycleError
 from .essential import (
     MarkedGraph,
@@ -54,29 +56,18 @@ class StrongLabeling:
 
 def _pretriplexes_by_end(m: MarkedGraph) -> list[dict[int, int]]:
     """Induced paths a ~ b ~ c that finalize to a triplex at b: pre[b][a] is
-    the mask of their c.
+    the mask of their c, for each a with a ~ b blocked at a only.
 
-    The a-side edge is blocked at a only (a future arrow a -> b) and the
-    c-side edge is blocked at its c end; both orders of each pattern are kept
-    because the flanking roles are not symmetric.  A re-blocked copy destroys
-    the pretriplex only by blocking both (b, a) and (b, c), so only the
-    copies that newly block (b, a) need to look at it.
+    They are the flanks `equivalence._flank_masks` finds at b, with the
+    edges blocked at their far end only as heads (a future arrow a -> b) and
+    the doubly blocked edges as the others.  A re-blocked copy destroys the
+    pretriplex only by blocking both (b, a) and (b, c), so only the copies
+    that newly block (b, a) need to look at it.  The search also keys the a
+    with a ~ b doubly blocked, which no copy reads: (b, a) is blocked in the
+    marks already, so it is never new to a copy.
     """
     adj = m.index.adj
-    out, inn = m.out, m.inn
-    pre = []
-    for b, into in enumerate(inn):
-        ends = {}
-        x = into & ~out[b]
-        while x:
-            low = x & -x
-            a = low.bit_length() - 1
-            cs = into & ~adj[a] & ~low
-            if cs:
-                ends[a] = cs
-            x ^= low
-        pre.append(ends)
-    return pre
+    return [_flank_masks(adj, n & ~o, n & o) for o, n in zip(m.out, m.inn)]
 
 
 def _check_line6_fixpoint(m: MarkedGraph, tri: list[dict[int, int]]) -> None:
@@ -225,63 +216,31 @@ def _s3(m: MarkedGraph) -> set[tuple[NodeId, NodeId]]:
     }
 
 
-def _s4(m: MarkedGraph, strong: set[tuple[NodeId, NodeId]]) -> set[tuple[NodeId, NodeId]]:
-    """(b, c) singly blocked at b, for a strong a -> b with a not adjacent to c."""
-    adj, names, pos = m.index.adj, m.index.nodes, m.index.pos
-    out, inn = m.out, m.inn
-    found = set()
-    for u, v in strong:
-        a, b = pos[u], pos[v]
-        if (out[a] & ~inn[a]) >> b & 1:
-            x = out[b] & ~inn[b] & ~adj[a]
-            while x:
-                low = x & -x
-                found.add((v, names[low.bit_length() - 1]))
-                x ^= low
-    return found
-
-
-def _s5(m: MarkedGraph, strong: set[tuple[NodeId, NodeId]]) -> set[tuple[NodeId, NodeId]]:
-    """(a, b) singly blocked at a, for a strong c -> b with (a, c) blocked."""
-    names, pos = m.index.nodes, m.index.pos
-    out, inn = m.out, m.inn
-    found = set()
-    for u, v in strong:
-        c, b = pos[u], pos[v]
-        if (out[c] & ~inn[c]) >> b & 1:
-            x = inn[b] & ~out[b] & inn[c]
-            while x:
-                low = x & -x
-                found.add((names[low.bit_length() - 1], v))
-                x ^= low
-    return found
-
-
-def _s6(m: MarkedGraph, strong: set[tuple[NodeId, NodeId]]) -> set[tuple[NodeId, NodeId]]:
-    """(a, b) singly blocked at a, for a strong a -> c with (c, b) blocked."""
-    names, pos = m.index.nodes, m.index.pos
-    out, inn = m.out, m.inn
-    found = set()
-    for u, v in strong:
-        a, c = pos[u], pos[v]
-        if (out[a] & ~inn[a]) >> c & 1:
-            x = out[a] & ~inn[a] & out[c]
-            while x:
-                low = x & -x
-                found.add((u, names[low.bit_length() - 1]))
-                x ^= low
-    return found
-
-
 def _propagate(
     m: MarkedGraph, strong: set[tuple[NodeId, NodeId]]
 ) -> set[tuple[NodeId, NodeId]]:
     """Strong arrows S4-S6 chain from `strong` until stable, minus `strong`.
-    Off the labeling path: `label_strong` finds these by its own copies."""
+    Off the labeling path: `label_strong` finds these by its own copies.
+
+    Each rule reads a strong a -> b that is blocked at a only."""
+    index = m.index
+    adj, pos = index.adj, index.pos
+    out, inn = m.out, m.inn
     closure = set(strong)
     frontier = strong
     while frontier:
-        frontier = (_s4(m, frontier) | _s5(m, frontier) | _s6(m, frontier)) - closure
+        found = set()
+        for u, v in frontier:
+            a, b = pos[u], pos[v]
+            if not (out[a] & ~inn[a]) >> b & 1:
+                continue
+            # S4: (b, c) singly blocked at b, with a not adjacent to c
+            found.update((v, c) for c in index.names_of(out[b] & ~inn[b] & ~adj[a]))
+            # S5: (c, b) singly blocked at c, with (c, a) blocked
+            found.update((c, v) for c in index.names_of(inn[b] & ~out[b] & inn[a]))
+            # S6: (a, c) singly blocked at a, with (b, c) blocked
+            found.update((u, c) for c in index.names_of(out[a] & ~inn[a] & out[b]))
+        frontier = found - closure
         closure |= frontier
     return closure - strong
 

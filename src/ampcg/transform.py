@@ -48,11 +48,7 @@ def _semidirected_descendants(index: GraphIndex, xs: int) -> int:
     are too weak here (an arrow may be followed by undirected hops).
     """
     ch, ne = index.ch, index.ne
-    arrowed = frontier = _step(ch, _reach(ne, xs))
-    while frontier:
-        frontier = (_step(ch, frontier) | _step(ne, frontier)) & ~arrowed
-        arrowed |= frontier
-    return arrowed
+    return _reach([c | n for c, n in zip(ch, ne)], _step(ch, _reach(ne, xs)))
 
 
 def _require_component(g: ChainGraph, comp: frozenset[NodeId]) -> None:

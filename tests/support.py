@@ -566,6 +566,32 @@ def edges_blocked_at_one_end(m: MarkedGraph) -> list[tuple[str, str]]:
     return out
 
 
+def s4_s6_closure(m: MarkedGraph, strong) -> set[tuple[str, str]]:
+    """The arrows S4-S6 chain from `strong` until stable, minus `strong`, by
+    name and from the rule text.  Each rule reads a strong a -> b that `m`
+    blocks at a only, and labels an edge `m` blocks at one end only:
+
+    * S4: b -> c, with a and c not adjacent;
+    * S5: c -> b, with (c, a) blocked;
+    * S6: a -> c, with (b, c) blocked.
+    """
+    arrows = set(edges_blocked_at_one_end(m))
+    closure = set(strong)
+    while True:
+        found = set()
+        for a, b in closure & arrows:
+            for c in m.nodes:
+                if (b, c) in arrows and not is_adjacent(m, a, c):
+                    found.add((b, c))
+                if (c, b) in arrows and (c, a) in m.blocked:
+                    found.add((c, b))
+                if (a, c) in arrows and (b, c) in m.blocked:
+                    found.add((a, c))
+        if found <= closure:
+            return closure - set(strong)
+        closure |= found
+
+
 def set_finalize(m: MarkedGraph) -> ChainGraph:
     """The marks finalized by name: an edge blocked at one end only points
     out of that end, any other edge is undirected."""

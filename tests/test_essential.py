@@ -28,6 +28,7 @@ from ampcg.essential import (
     EssentialGraphResult,
     MarkedGraph,
     _key_masks,
+    _one_end_blocked,
     _path_exists,
     _seed_r1,
 )
@@ -236,6 +237,13 @@ def test_finalize_matches_the_name_level_finalization(m):
             return exc.cycle
 
     assert outcome(MarkedGraph.finalize) == outcome(set_finalize)
+
+
+@settings(max_examples=200, deadline=None)
+@given(marked_graphs())
+def test_one_end_blocked_matches_the_name_level_list(m):
+    names = m.index.nodes
+    assert [(names[x], names[y]) for x, y in _one_end_blocked(m)] == edges_blocked_at_one_end(m)
 
 
 def test_json_marks_finalize_to_the_printed_graph(tmp_path, capsys):

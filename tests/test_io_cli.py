@@ -89,6 +89,23 @@ class TestExports:
         out = to_dot(cg(""))
         assert out.startswith("digraph") and out.rstrip().endswith("}")
 
+    def test_dot_quotes_keywords_and_digit_led_names(self):
+        # DOT reads its keywords in any case, and an unquoted ID with a
+        # leading digit must be a numeral
+        g = parse_graph("node 12\nnode B\nedge node -> 1A\nedge graph -- Strict\n")
+        assert to_dot(g).splitlines() == [
+            "digraph g {",
+            "  12;",
+            '  "1A";',
+            "  B;",
+            '  "Strict";',
+            '  "graph";',
+            '  "node";',
+            '  "node" -> "1A";',
+            '  "Strict" -> "graph" [dir=none];',
+            "}",
+        ]
+
     def test_json_carries_marks_and_labels(self):
         g = cg("ABC", [("A", "B"), ("C", "B")])
         doc = json.loads(to_json(essential_graph(g).marks))

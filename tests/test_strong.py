@@ -5,6 +5,8 @@ import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ampcg import (
     accelerator_labels,
@@ -26,9 +28,18 @@ from ampcg import equivalence, essential, graphs, strong
 from ampcg.cli import cli
 from ampcg.errors import InvalidStateError, InvariantViolationError
 from ampcg.essential import MarkedGraph, _close_blocks
-from ampcg.strong import _propagate
+from ampcg.strong import _pretriplexes_by_end, _propagate, _s3
 
-from .support import cg, edges_blocked_at_one_end, undirected_grid, unmarked_skeleton, with_blocks
+from .support import (
+    cg,
+    edges_blocked_at_one_end,
+    is_adjacent,
+    marked_graphs,
+    s4_s6_closure,
+    undirected_grid,
+    unmarked_skeleton,
+    with_blocks,
+)
 
 
 def _pipeline(g):
@@ -342,6 +353,27 @@ class TestAccelerator:
             result, lab = _pipeline(g)
             assert accelerator_labels(result.marks) <= lab.strong_directed
             assert _propagate(result.marks, set(lab.strong_directed)) <= lab.strong_directed
+
+
+@settings(max_examples=200, deadline=None)
+@given(marked_graphs())
+def test_pretriplexes_match_the_name_level_reading(m):
+    # the keys a re-blocked copy reads: (b, a) with the edge blocked at a only
+    pre, pos = _pretriplexes_by_end(m), m.index.pos
+    for a, b in edges_blocked_at_one_end(m):
+        cs = {c for c in m.nodes if c != a and not is_adjacent(m, a, c) and (c, b) in m.blocked}
+        assert m.index.names_of(pre[pos[b]].get(pos[a], 0)) == cs
+
+
+@settings(max_examples=200, deadline=None)
+@given(marked_graphs(), st.data())
+def test_propagate_matches_the_name_level_rules(m, data):
+    arrows = set(edges_blocked_at_one_end(m))
+    # a drawn set may hold edges the marks do not block at their tail only
+    ends = sorted(m.skeleton | {(v, u) for u, v in m.skeleton})
+    drawn = data.draw(st.sets(st.sampled_from(ends)) if ends else st.just(set()))
+    for s in (arrows, _s3(m), drawn):
+        assert _propagate(m, s) == s4_s6_closure(m, s)
 
 
 def test_strong_labeling_convenience_matches_pipeline():
