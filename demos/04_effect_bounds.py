@@ -30,7 +30,7 @@ model = random_model(truth_graph, seed=9)
 beta = model.coefficients[("A", "B")]
 cov = population_covariance(model)
 essential = essential_graph(validate_chain_graph("AB", [], [("A", "B")]))
-report = bound_effect(cov, essential, "A", "B", "maxoriented", truth=beta)
+report = bound_effect(cov, essential, "A", "B", "maxoriented")
 for aset, value in report.entries:
     print(f"  adjust for {sorted(aset.nodes) or '{}'}: effect = {value:+.4f}")
 print(f"  true coefficient {beta:+.4f} lies in [{report.lower:+.4f}, {report.upper:+.4f}]")
@@ -49,14 +49,14 @@ print("generating graph:", g)
 print(f"target: effect of {x} on {y}; truth = {truth:+.4f}")
 print("population input (class bounds are guaranteed to cover the truth):")
 for mode in ("class", "maxoriented", "superset"):
-    report = bound_effect(pop, essential, x, y, mode, truth=truth)
+    report = bound_effect(pop, essential, x, y, mode)
     print(
         f"  {mode:<12} {len(report.entries):>3} sets -> "
         f"[{report.lower:+.4f}, {report.upper:+.4f}]"
     )
 print("sample estimates from 50k rows (subject to sampling error):")
 for mode in ("class", "maxoriented", "superset"):
-    report = bound_effect(data, essential, x, y, mode, truth=truth)
+    report = bound_effect(data, essential, x, y, mode)
     print(
         f"  {mode:<12} {len(report.entries):>3} sets -> "
         f"[{report.lower:+.4f}, {report.upper:+.4f}]"

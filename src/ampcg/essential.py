@@ -81,9 +81,9 @@ states where the question is asked:
   has the same least fixpoint under either R3.
 * S3 reads R2-R4-closed marks, so the same shortcut applies; it keeps the
   last step.  `label_strong` re-closes other marks to check this
-  (`strong._check_line6_fixpoint`), but not the marks `essential_graph`
-  returns, as `strong_labeling` and `ampcg strong` pass them: they are
-  closed by construction, since the R3 ends skipped there fire nothing.
+  (`strong._check_line6_fixpoint`), but not `essential_graph`'s marks when
+  they come with its `triplexes` (`_masks_for`), as in `ampcg strong`: they
+  are closed by construction, since the R3 ends skipped there fire nothing.
 * Double-blocking needs `m` to be the R1-R4 fixpoint of `essential_graph`.
   The least-span chord vi ~ vj of a shortest plain walk is not plain, or the
   walk could skip.  If j - i >= 3, a block at vi (or vj) gives (A) on
@@ -130,18 +130,13 @@ class MarkedGraph:
     `index` is the graph's `GraphIndex`: it numbers the nodes in sorted
     order and gives each its adjacency mask.  out[i] masks the w with the
     edge i ~ w blocked at i, and inn[w] the same blocks seen from w.  Copies
-    share `index` (two marked graphs are equal when they share it and their
-    masks agree) and the triplex masks, which `_tri` holds as [t, masks]
-    once built.  `_closed_under` is the triplex masks `essential_graph`
-    closed these blocks under; it is None on every other marked graph,
-    copies included.
+    share `index`, and two marked graphs are equal when they share it and
+    their masks agree.  Those three fields are all it holds.
     """
 
     index: GraphIndex
     out: Masks
     inn: Masks
-    _tri: list = field(default_factory=list, compare=False, repr=False)
-    _closed_under: list | None = field(default=None, init=False, compare=False, repr=False)
 
     @cached_property
     def nodes(self) -> frozenset[NodeId]:
@@ -169,14 +164,6 @@ class MarkedGraph:
         none = (0,) * len(self.out)
         return _oriented(self.index, self.out, self.inn, none, ())
 
-    def _triplex_masks(self, t: TriplexKeys) -> list[dict[int, int]]:
-        """`_key_masks(self.index, t)`, built once along a chain of copies
-        that all ask with the same `t` object."""
-        cache = self._tri
-        if not cache or cache[0] is not t:
-            cache[:] = (t, _key_masks(self.index, t))
-        return cache[1]
-
 
 # ---------------------------------------------------------------------------
 # rules R1-R4 on masks, drawn by a worklist
@@ -193,6 +180,25 @@ def _key_masks(index: GraphIndex, t: TriplexKeys) -> list[dict[int, int]]:
         at[i] = at.get(i, 0) | 1 << k
         at[k] = at.get(k, 0) | 1 << i
     return tri
+
+
+class _ClassTriplexes(frozenset):
+    """A class's triplex set carrying the marks closed under it and its
+    masks; it equals, hashes and prints as the plain key set."""
+
+    __slots__ = ("marks", "masks")
+
+    def __repr__(self) -> str:
+        return repr(frozenset(self))
+
+
+def _masks_for(m: MarkedGraph, t: TriplexKeys) -> tuple[list[dict[int, int]], bool]:
+    """The triplex masks a labeling of `m` under `t` reads, and whether `m`
+    is known closed under them: `t`'s own masks when `t` is the `triplexes`
+    of the result `m` came from, else masks built from the keys."""
+    if getattr(t, "marks", None) is m:
+        return t.masks, True
+    return _key_masks(m.index, t), False
 
 
 def _seed_r1(
@@ -363,7 +369,7 @@ class EssentialGraphResult:
     """The essential graph's pre-finalization marks, which `graph` finalizes
     on first read.
 
-    `_tri` holds the triplex masks the marks were drawn from.
+    `_tri` holds the triplex masks the marks were closed under.
     """
 
     marks: MarkedGraph
@@ -377,11 +383,11 @@ class EssentialGraphResult:
 
     @cached_property
     def triplexes(self) -> TriplexKeys:
-        """The triplex set of the class, read off the triplex masks.  The
-        marks' cache then holds the masks under this set, so
-        `label_strong(self.marks, self.triplexes)` builds none."""
-        t = _triplex_keys(self.marks.index, self._tri)
-        self.marks._tri[:] = (t, self._tri)
+        """The triplex set of the class, read off the triplex masks.  It
+        carries the marks and those masks, so `label_strong(self.marks,
+        self.triplexes)` builds no masks and skips the re-close."""
+        t = _ClassTriplexes(_triplex_keys(self.marks.index, self._tri))
+        t.marks, t.masks = self.marks, self._tri
         return t
 
     @cached_property
@@ -412,6 +418,4 @@ def essential_graph(g: ChainGraph) -> EssentialGraphResult:
     added = _double_block(adj, out, inn)
     for _ in _close_blocks(adj, tri, out, inn, added, ("R2", "R3", "R4"), ends):
         pass
-    m = MarkedGraph(index, tuple(out), tuple(inn))
-    object.__setattr__(m, "_closed_under", tri)
-    return EssentialGraphResult(m, tri)
+    return EssentialGraphResult(MarkedGraph(index, tuple(out), tuple(inn)), tri)

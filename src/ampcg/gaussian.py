@@ -83,7 +83,6 @@ class EffectBoundReport:
     upper: float
     entries: tuple[tuple[AdjustingSet, float], ...]
     mode: str
-    truth: float | None = None
 
 
 def linear_gaussian_model(
@@ -292,7 +291,6 @@ def bound_effect(
     x: NodeId,
     y: NodeId,
     mode: Mode,
-    truth: float | None = None,
     max_edges: int = MAX_EDGES,
 ) -> EffectBoundReport:
     """Evaluate the adjusted effect over every candidate adjusting set.
@@ -314,5 +312,4 @@ def bound_effect(
         upper=max(values),
         entries=entries,
         mode=mode,
-        truth=truth,
     )

@@ -303,11 +303,9 @@ def maximally_oriented_members(
 
 def class_adjusting_sets(eg: ChainGraph, x: NodeId, max_edges: int) -> frozenset[AdjustingSet]:
     """The `class` mode: the adjusting set of every member of the class."""
-    sets: dict[frozenset[NodeId], AdjustingSet] = {}
-    for member in sorted(enumerate_class(eg, max_edges=max_edges), key=repr):
-        z = adjusting_set(member, x)
-        sets.setdefault(z, AdjustingSet(nodes=z))
-    return frozenset(sets.values())
+    return frozenset(
+        AdjustingSet(nodes=adjusting_set(m, x)) for m in enumerate_class(eg, max_edges=max_edges)
+    )
 
 
 def superset_adjusting_sets(eg: ChainGraph, x: NodeId) -> frozenset[AdjustingSet]:

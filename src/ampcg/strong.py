@@ -37,6 +37,7 @@ from .essential import (
     MarkedGraph,
     _close_blocks,
     _doubly_blocked,
+    _masks_for,
     _one_end_blocked,
     _path_exists,
     _positions,
@@ -118,13 +119,13 @@ def label_strong(
     against the orientation invariants, and each S3 label must be confirmed
     by its own copy.
 
-    Marks that are not closed under R2-R4 raise `InvalidStateError`.  The
-    marks `essential_graph` returns, read with its `triplexes`, are closed
-    by construction and skip that check unless `check_invariants` is set.
+    Marks that are not closed under R2-R4 raise `InvalidStateError`.  Only
+    `essential_graph`'s marks with that result's own `triplexes` skip the
+    check and the mask build (unless `check_invariants`); equal copies do not.
     """
     names = m.index.nodes
-    tri = m._triplex_masks(t)
-    if check_invariants or tri is not m._closed_under:
+    tri, own = _masks_for(m, t)
+    if check_invariants or not own:
         _check_line6_fixpoint(m, tri)
     eg = m.finalize()
     eg_triplexes = triplexes(eg) if check_invariants else frozenset()

@@ -29,6 +29,7 @@ from ampcg.essential import (
     MarkedGraph,
     _close_blocks,
     _double_block,
+    _masks_for,
     _positions,
     _seed_r1,
 )
@@ -146,7 +147,7 @@ def apply_rules_R(
     if unknown:
         raise ValueError(f"unknown rules {sorted(unknown)}")
     out, inn = list(m.out), list(m.inn)
-    tri = m._triplex_masks(t)
+    tri, _ = _masks_for(m, t)
     if new is None:
         if "R1" in rules:
             _seed_r1(tri, out, inn)

@@ -221,7 +221,7 @@ def test_criterion_7_numerical_identifiability():
         x = rnd.choice(nodes)
         y = rnd.choice([n for n in nodes if n != x])
         truth = true_effect(model, x, y)
-        report = bound_effect(cov, labeling, x, y, "class", truth=truth)
+        report = bound_effect(cov, labeling, x, y, "class")
         assert report.lower - 1e-9 <= truth <= report.upper + 1e-9, (g, x, y)
         covered += 1
     _report("ACCEPTANCE 7 numerical identifiability (200 models + 60 coverage runs): PASS")

@@ -226,6 +226,16 @@ def test_graph_is_finalized_from_the_marks_when_read():
     assert result.graph is result.graph
 
 
+def test_marks_are_a_plain_value_and_the_triplexes_a_plain_set():
+    # the marks hold their three fields only; the triplex set that carries
+    # the masks for a labeling equals and prints as the plain key set
+    assert [f.name for f in dataclasses.fields(MarkedGraph)] == ["index", "out", "inn"]
+    g = random_chain_graph(random.Random(33), node_names(30), 0.04, 0.07)
+    result = essential_graph(g)
+    assert result.triplexes == triplexes(g)
+    assert repr(result.triplexes) == repr(frozenset(result.triplexes))
+
+
 @settings(max_examples=200, deadline=None)
 @given(marked_graphs())
 def test_finalize_matches_the_name_level_finalization(m):

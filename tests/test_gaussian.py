@@ -184,7 +184,7 @@ class TestBoundEffect:
         cov = population_covariance(m)
         eg = cg("AB", [], [("A", "B")])
         lab = strong_labeling(eg)
-        report = bound_effect(cov, lab, "A", "B", "maxoriented", truth=0.8)
+        report = bound_effect(cov, lab, "A", "B", "maxoriented")
         values = sorted(v for _, v in report.entries)
         assert values == [pytest.approx(0.0, abs=1e-12), pytest.approx(0.8)]
         assert report.lower <= 0.8 <= report.upper + 1e-12
@@ -201,8 +201,8 @@ class TestBoundEffect:
         g = cg("ABCD", [("A", "C"), ("B", "C"), ("C", "D")])
         cov = population_covariance(random_model(g, seed=4))
         lab = strong_labeling(g)
-        assert bound_effect(cov, lab, "C", "D", "class", truth=0.5) == bound_effect(
-            cov, lab, "C", "D", "class", truth=0.5
+        assert bound_effect(cov, lab, "C", "D", "class") == bound_effect(
+            cov, lab, "C", "D", "class"
         )
 
     def test_class_mode_covers_the_generating_member(self):
@@ -217,7 +217,7 @@ class TestBoundEffect:
             x = rnd.choice(nodes)
             y = rnd.choice([n for n in nodes if n != x])
             truth = true_effect(m, x, y)
-            report = bound_effect(cov, lab, x, y, "class", truth=truth)
+            report = bound_effect(cov, lab, x, y, "class")
             assert report.lower - 1e-9 <= truth <= report.upper + 1e-9
 
     def test_superset_envelope_holds_the_class_bounds_and_the_truth(self):

@@ -1,3 +1,4 @@
+import copy as copying
 import hashlib
 import json
 import random
@@ -80,8 +81,9 @@ class TestLabelStrong:
 
     def test_only_caller_supplied_marks_are_rechecked(self, monkeypatch):
         # essential_graph's own marks are closed and skip the fixpoint check;
-        # an equal copy built by the caller, and any call with
-        # check_invariants, still runs it, with the same labels
+        # an equal copy built by the caller, the triplex set as a plain
+        # frozenset, and any call with check_invariants, still run it, with
+        # the same labels; a plain set builds the masks from its keys once
         g = cg("ABCD", [("A", "C"), ("B", "C"), ("C", "D")])
         unsettled = with_blocks(unmarked_skeleton(g), [("A", "C"), ("B", "C")])
         with pytest.raises(InvalidStateError):
@@ -95,6 +97,15 @@ class TestLabelStrong:
             return check(*args)
 
         monkeypatch.setattr(strong, "_check_line6_fixpoint", counted)
+        builds = 0
+        key_masks = essential._key_masks
+
+        def counted_builds(*args):
+            nonlocal builds
+            builds += 1
+            return key_masks(*args)
+
+        monkeypatch.setattr(essential, "_key_masks", counted_builds)
         rnd = random.Random(31)
         for _ in range(40):
             g = random_chain_graph(rnd, node_names(rnd.randint(2, 30)), 0.1, 0.15)
@@ -108,6 +119,9 @@ class TestLabelStrong:
             assert label_strong(copy, t) == labels and checks == 1
             assert label_strong(m, t, check_invariants=True) == labels and checks == 2
             assert label_strong(with_blocks(m, []), t) == labels and checks == 3
+            builds = 0
+            assert label_strong(m, frozenset(t)) == labels and checks == 4 and builds == 1
+            assert label_strong(m, copying.copy(t)) == labels
 
     def test_shortcut_labels_match_checked_labels(self):
         rnd = random.Random(23)
