@@ -17,7 +17,7 @@ strong-arrow search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Literal, get_args
 
 from .equivalence import _flank_masks
 from .errors import (
@@ -33,7 +33,7 @@ from .graphs import ChainGraph, Masks, NodeId, _step, family, pair
 from .strong import StrongLabeling
 
 Mode = Literal["class", "maxoriented", "superset"]
-MODES = ("class", "maxoriented", "superset")
+MODES = get_args(Mode)
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,6 @@ class NotChordalError(GraphError):
     """The undirected graph has a chordless cycle of length four or more."""
 
 
-class TailNotCompleteError(GraphError):
-    """The requested elimination tail is not a complete set."""
-
-
 class NodeSetMismatchError(GraphError):
     """Two graphs that must share a node set do not."""
 

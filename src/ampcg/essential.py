@@ -120,8 +120,6 @@ from typing import Iterator, Sequence
 from .equivalence import TriplexKeys, _triplex_keys, _triplex_masks
 from .graphs import ChainGraph, GraphIndex, Masks, NodeId, _edges, _oriented, _reach, _step
 
-RULE_NAMES = ("R1", "R2", "R3", "R4")
-
 
 @dataclass(frozen=True)
 class MarkedGraph:
@@ -234,15 +232,15 @@ def _close_blocks(
     out: list[int],
     inn: list[int],
     pending: list[tuple[int, int]],
-    rules: Sequence[str],
+    r4: bool,
     ends: Sequence[int] | None = None,
 ) -> Iterator[list[tuple[int, int]]]:
-    """Add to `out`/`inn` every block the `rules` (of R2-R4) draw from the
-    `pending` blocks and their consequences, yielding each round's added
+    """Add to `out`/`inn` every block R2, R3 and, with `r4`, R4 draw from
+    the `pending` blocks and their consequences, yielding each round's added
     (end, other) positions once they are in the masks; the rounds end with
     one that adds nothing.  The other blocks must be closed already.
 
-    Each round draws what R2 and R4 fire from the pending blocks against the
+    Each round draws what R2 (and R4) fire from the pending blocks against the
     current marks, adds it at once and makes the blocks not yet present the
     next pending list.  When a round adds nothing, R3 re-checks the unblocked
     ends (a, b), b in `ends[a]` (default `adj[a]`), with a reaching a tail
@@ -252,18 +250,16 @@ def _close_blocks(
     The rounds are drawn lazily: a caller that needs the fixpoint drains
     them, and one that stops early leaves the masks part-closed.
     """
-    r2, r3, r4 = "R2" in rules, "R3" in rules, "R4" in rules
     tails = heads = 0
     while pending:
         found = []
         for u, v in pending:
             nu = adj[u] | 1 << u
-            if r2:
-                x = adj[v] & ~nu & ~tri[v].get(u, 0) & ~out[v]
-                while x:
-                    low = x & -x
-                    found.append((v, low.bit_length() - 1))
-                    x ^= low
+            x = adj[v] & ~nu & ~tri[v].get(u, 0) & ~out[v]
+            while x:
+                low = x & -x
+                found.append((v, low.bit_length() - 1))
+                x ^= low
             if r4:
                 ds = adj[v] & ~nu & inn[v]
                 x = adj[u] & adj[v] & ~inn[v] if ds else 0
@@ -276,7 +272,7 @@ def _close_blocks(
             tails |= 1 << u
             heads |= 1 << v
         pending = _block(out, inn, found)
-        if not pending and r3:
+        if not pending:
             found = _r3_finds(adj, out, inn, tails, heads, adj if ends is None else ends)
             pending = _block(out, inn, found)
             tails = heads = 0
@@ -413,9 +409,9 @@ def essential_graph(g: ChainGraph) -> EssentialGraphResult:
     ends = [a & ~p for a, p in zip(adj, pa)]
     tri = _triplex_masks(index)
     out, inn = [0] * len(adj), [0] * len(adj)
-    for _ in _close_blocks(adj, tri, out, inn, _seed_r1(tri, out, inn), RULE_NAMES, ends):
+    for _ in _close_blocks(adj, tri, out, inn, _seed_r1(tri, out, inn), r4=True, ends=ends):
         pass
     added = _double_block(adj, out, inn)
-    for _ in _close_blocks(adj, tri, out, inn, added, ("R2", "R3", "R4"), ends):
+    for _ in _close_blocks(adj, tri, out, inn, added, r4=True, ends=ends):
         pass
     return EssentialGraphResult(MarkedGraph(index, tuple(out), tuple(inn)), tri)

@@ -18,12 +18,11 @@ reading `pre[b]` at its own end: if both are new, a and c were each blocked
 at their end only, so `pre[b][a]` holds c and `pre[b][c]` holds a; if (b, c)
 was blocked before, only (b, a) is new and `pre[b][a]` holds c.
 
-The S1-S6 rules are a sound but incomplete shortcut for strong arrows.
-`label_strong` seeds its labels from S3 alone, which spares the copies that
-close the most.  S1, S2 and `accelerator_labels` are off the labeling path
-and serve `ampcg strong --rules-only`.  S4-S6 share one guard, a strong
-arrow blocked at its tail only, and run as one pass, `_propagate`, that
-chains new labels from a strong set; it is off the labeling path too.
+S1-S3 are a sound but incomplete shortcut for strong arrows.  `label_strong`
+seeds its labels from S3 alone, which spares the copies that close the most;
+the copies find every other strong arrow, those the paper's S4-S6 chain from
+known labels included.  S1, S2 and `accelerator_labels` are off the labeling
+path and serve `ampcg strong --rules-only`.
 """
 
 from __future__ import annotations
@@ -65,7 +64,8 @@ def _pretriplexes_by_end(m: MarkedGraph) -> list[dict[int, int]]:
     pretriplex only by blocking both (b, a) and (b, c), so only the copies
     that newly block (b, a) need to look at it.  The search also keys the a
     with a ~ b doubly blocked, which no copy reads: (b, a) is blocked in the
-    marks already, so it is never new to a copy.
+    marks already, so it is never new to a copy.  Those ends stay in the
+    search all the same, since they are the c of the other keys.
     """
     adj = m.index.adj
     return [_flank_masks(adj, n & ~o, n & o) for o, n in zip(m.out, m.inn)]
@@ -73,7 +73,7 @@ def _pretriplexes_by_end(m: MarkedGraph) -> list[dict[int, int]]:
 
 def _check_line6_fixpoint(m: MarkedGraph, tri: list[dict[int, int]]) -> None:
     out, inn = list(m.out), list(m.inn)
-    if any(_close_blocks(m.index.adj, tri, out, inn, _positions(out), ("R2", "R3", "R4"))):
+    if any(_close_blocks(m.index.adj, tri, out, inn, _positions(out), r4=True)):
         raise InvalidStateError("marks are not a fixpoint of the propagation rules")
 
 
@@ -139,7 +139,7 @@ def label_strong(
         out, inn = list(m.out), list(m.inn)
         out[y] |= 1 << x
         inn[x] |= 1 << y
-        rounds = _close_blocks(m.index.adj, tri, out, inn, [(y, x)], ("R2", "R3"))
+        rounds = _close_blocks(m.index.adj, tri, out, inn, [(y, x)], r4=False)
         if any(pre[b].get(a, 0) & out[b] for new in chain([[(y, x)]], rounds) for b, a in new):
             confirmed.add(edge)
             strong_arrows.add(edge)
@@ -215,35 +215,6 @@ def _s3(m: MarkedGraph) -> set[tuple[NodeId, NodeId]]:
         for a, b in _one_end_blocked(m)
         if _path_exists(adj, out, a, b, inn[b] & ~out[b])
     }
-
-
-def _propagate(
-    m: MarkedGraph, strong: set[tuple[NodeId, NodeId]]
-) -> set[tuple[NodeId, NodeId]]:
-    """Strong arrows S4-S6 chain from `strong` until stable, minus `strong`.
-    Off the labeling path: `label_strong` finds these by its own copies.
-
-    Each rule reads a strong a -> b that is blocked at a only."""
-    index = m.index
-    adj, pos = index.adj, index.pos
-    out, inn = m.out, m.inn
-    closure = set(strong)
-    frontier = strong
-    while frontier:
-        found = set()
-        for u, v in frontier:
-            a, b = pos[u], pos[v]
-            if not (out[a] & ~inn[a]) >> b & 1:
-                continue
-            # S4: (b, c) singly blocked at b, with a not adjacent to c
-            found.update((v, c) for c in index.names_of(out[b] & ~inn[b] & ~adj[a]))
-            # S5: (c, b) singly blocked at c, with (c, a) blocked
-            found.update((c, v) for c in index.names_of(inn[b] & ~out[b] & inn[a]))
-            # S6: (a, c) singly blocked at a, with (b, c) blocked
-            found.update((u, c) for c in index.names_of(out[a] & ~inn[a] & out[b]))
-        frontier = found - closure
-        closure |= frontier
-    return closure - strong
 
 
 def accelerator_labels(m: MarkedGraph) -> frozenset[tuple[NodeId, NodeId]]:

@@ -189,16 +189,3 @@ def maximally_oriented(g: ChainGraph) -> ChainGraph:
     loose = [a & ~o & ~n for a, o, n in zip(marks.index.adj, out, inn)]
     return _oriented(marks.index, out, inn, loose, _mcs_ranks(loose))
 
-
-def __getattr__(name: str):
-    # The acceptance suite imports these oracle names from this module, where
-    # they lived before `ampcg.oracle`.  Forwarding them on first use keeps
-    # that import working, while importing `transform` still loads no oracle.
-    if name in (
-        "_split_candidates", "class_by_merge_split", "maximally_oriented_members",
-        "minimally_oriented",
-    ):
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

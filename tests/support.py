@@ -23,9 +23,8 @@ from ampcg import (
 )
 from ampcg.causal import st_nst
 from ampcg.equivalence import HEAD, TAIL, UND, TriplexKeys, _is_triplex
-from ampcg.errors import NotChordalError, SemidirectedCycleError, TailNotCompleteError
+from ampcg.errors import GraphError, NotChordalError, SemidirectedCycleError
 from ampcg.essential import (
-    RULE_NAMES,
     MarkedGraph,
     _close_blocks,
     _double_block,
@@ -129,6 +128,9 @@ def unmarked_skeleton(g: ChainGraph) -> MarkedGraph:
     return MarkedGraph(g.index, none, none)
 
 
+RULE_NAMES = ("R1", "R2", "R3", "R4")
+
+
 def apply_rules_R(
     m: MarkedGraph,
     t: TriplexKeys,
@@ -142,10 +144,16 @@ def apply_rules_R(
     blocks of `m` whose consequences have not been drawn yet: the caller
     promises that the rest of `m.blocked` is closed under `rules`.  `None`
     means every block of `m`, plus the R1 seeds from `t`.
+
+    Besides R1, the engine closes under R2-R3 or R2-R4 (`_close_blocks`'
+    `r4`), or under nothing, so those are the rule sets taken.
     """
     unknown = set(rules) - set(RULE_NAMES)
     if unknown:
         raise ValueError(f"unknown rules {sorted(unknown)}")
+    closing = set(rules) - {"R1"}
+    if closing not in (set(), {"R2", "R3"}, {"R2", "R3", "R4"}):
+        raise ValueError(f"the engine does not close under {sorted(closing)} alone")
     out, inn = list(m.out), list(m.inn)
     tri, _ = _masks_for(m, t)
     if new is None:
@@ -158,8 +166,9 @@ def apply_rules_R(
             raise ValueError(f"new blocks {sorted(new - m.blocked)} are not blocks of m")
         pos = m.index.pos
         pending = [(pos[u], pos[v]) for u, v in new]
-    for _ in _close_blocks(m.index.adj, tri, out, inn, pending, rules):
-        pass
+    if closing:
+        for _ in _close_blocks(m.index.adj, tri, out, inn, pending, r4="R4" in closing):
+            pass
     return replace(m, out=tuple(out), inn=tuple(inn))
 
 
@@ -204,6 +213,10 @@ def is_chordal(g: ChainGraph) -> bool:
     except NotChordalError:
         return False
     return True
+
+
+class TailNotCompleteError(GraphError):
+    """The requested elimination tail is not a complete set."""
 
 
 def perfect_elimination_ending_with(g: ChainGraph, tail) -> tuple[str, ...]:

@@ -31,18 +31,20 @@ from ampcg import (
 from ampcg.causal import enumerate_adjusting_sets
 from ampcg.gaussian import adjusted_effect, linear_gaussian_model
 from ampcg.graphs import family
-from ampcg.strong import _propagate
-from ampcg.transform import (
+from ampcg.oracle import (
     _split_candidates,
-    _split_result,
     class_by_merge_split,
-    feasible_merges,
-    maximally_oriented,
     maximally_oriented_members,
     minimally_oriented,
 )
+from ampcg.transform import _split_result, feasible_merges, maximally_oriented
 
-from .support import cg, greedy_maximally_oriented, same_separations
+from .support import (
+    cg,
+    greedy_maximally_oriented,
+    s4_s6_closure as _propagate,
+    same_separations,
+)
 
 
 def _report(line: str) -> None:

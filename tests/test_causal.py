@@ -19,7 +19,7 @@ from ampcg import (
 )
 from ampcg.causal import MODES, _keeps_flanks
 from ampcg.errors import SUPERSET_CAP, NotNonStrongNeighborError, TooLargeError, UnknownNodeError
-from ampcg.transform import maximally_oriented_members
+from ampcg.oracle import maximally_oriented_members
 
 from .support import cg, chain_graphs, set_locally_valid, undirected_grid
 

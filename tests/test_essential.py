@@ -24,7 +24,6 @@ from ampcg import (
 from ampcg.cli import cli
 from ampcg.equivalence import _triplex_masks
 from ampcg.essential import (
-    RULE_NAMES,
     EssentialGraphResult,
     MarkedGraph,
     _key_masks,
@@ -37,6 +36,7 @@ from ampcg.strong import _s3
 
 from .support import (
     FINDERS,
+    RULE_NAMES,
     adjacency,
     apply_rules_R,
     cg,

@@ -22,7 +22,6 @@ from ampcg.errors import (
     NotChordalError,
     SelfLoopError,
     SemidirectedCycleError,
-    TailNotCompleteError,
     UnknownNodeError,
 )
 from ampcg.generate import node_names
@@ -30,6 +29,7 @@ from ampcg.graphs import GraphIndex, _component_order, _graph_index, _oriented, 
 from ampcg.oracle import _FWD, _REV, _UND, _semidirected_free
 
 from .support import (
+    TailNotCompleteError,
     _eliminate,
     adjacency,
     cg,

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ampcg
-from ampcg import enumerate_adjusting_sets, essential_graph, node_names, oracle, transform
+from ampcg import enumerate_adjusting_sets, essential_graph, node_names, oracle
 from ampcg.cli import cli
 from ampcg.errors import MAXORIENTED_CAP, SUPERSET_CAP, TooLargeError
 
@@ -66,18 +66,7 @@ def test_star_import_binds_exactly_all_and_no_module():
     assert not [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["_split_candidates", "class_by_merge_split", "maximally_oriented_members",
-     "minimally_oriented"],
-)
-def test_transform_forwards_its_old_oracle_names(name):
-    assert getattr(transform, name) is getattr(oracle, name)
-
-
 def test_other_names_are_not_forwarded():
-    with pytest.raises(AttributeError):
-        getattr(transform, "enumerate_class")
     with pytest.raises(AttributeError):
         getattr(ampcg, "has_feasible_split")
 

@@ -7,7 +7,6 @@ import time
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ampcg import (
     accelerator_labels,
@@ -29,7 +28,7 @@ from ampcg import equivalence, essential, graphs, strong
 from ampcg.cli import cli
 from ampcg.errors import InvalidStateError, InvariantViolationError
 from ampcg.essential import MarkedGraph, _close_blocks
-from ampcg.strong import _pretriplexes_by_end, _propagate, _s3
+from ampcg.strong import _pretriplexes_by_end
 
 from .support import (
     cg,
@@ -143,9 +142,9 @@ class TestLabelStrong:
         # every re-blocked copy also blocks (end, other)
         i, w = marks.index.pos[end], marks.index.pos[other]
 
-        def reblock(adj, tri, out, inn, pending, rules):
-            yield from _close_blocks(adj, tri, out, inn, pending, rules)
-            if rules == ("R2", "R3") and not out[i] >> w & 1:
+        def reblock(adj, tri, out, inn, pending, r4):
+            yield from _close_blocks(adj, tri, out, inn, pending, r4)
+            if not r4 and not out[i] >> w & 1:
                 out[i] |= 1 << w
                 inn[w] |= 1 << i
                 yield [(i, w)]
@@ -339,7 +338,7 @@ class TestAccelerator:
     def test_s4_propagates_known_labels(self):
         g = cg("ABCDE", [("A", "C"), ("B", "C"), ("C", "D"), ("D", "E")])
         result = essential_graph(g)
-        propagated = _propagate(result.marks, {("C", "D")})
+        propagated = s4_s6_closure(result.marks, {("C", "D")})
         assert ("D", "E") in propagated
 
     def test_s2_uses_double_blocks(self):
@@ -366,7 +365,7 @@ class TestAccelerator:
             g = random_chain_graph(rnd, node_names(rnd.randint(2, 6)))
             result, lab = _pipeline(g)
             assert accelerator_labels(result.marks) <= lab.strong_directed
-            assert _propagate(result.marks, set(lab.strong_directed)) <= lab.strong_directed
+            assert s4_s6_closure(result.marks, set(lab.strong_directed)) <= lab.strong_directed
 
 
 @settings(max_examples=200, deadline=None)
@@ -377,17 +376,6 @@ def test_pretriplexes_match_the_name_level_reading(m):
     for a, b in edges_blocked_at_one_end(m):
         cs = {c for c in m.nodes if c != a and not is_adjacent(m, a, c) and (c, b) in m.blocked}
         assert m.index.names_of(pre[pos[b]].get(pos[a], 0)) == cs
-
-
-@settings(max_examples=200, deadline=None)
-@given(marked_graphs(), st.data())
-def test_propagate_matches_the_name_level_rules(m, data):
-    arrows = set(edges_blocked_at_one_end(m))
-    # a drawn set may hold edges the marks do not block at their tail only
-    ends = sorted(m.skeleton | {(v, u) for u, v in m.skeleton})
-    drawn = data.draw(st.sets(st.sampled_from(ends)) if ends else st.just(set()))
-    for s in (arrows, _s3(m), drawn):
-        assert _propagate(m, s) == s4_s6_closure(m, s)
 
 
 def test_strong_labeling_convenience_matches_pipeline():
@@ -510,6 +498,18 @@ def test_labelings_at_200_to_2000_nodes_keep_their_digests():
         labeling = label_strong(result.marks, result.triplexes)
         text = (to_json(result.marks) + to_json(labeling)).encode()
         assert hashlib.sha256(text).hexdigest()[:12] == expected, n
+
+
+def test_shortcut_rules_are_sound_at_200_and_500_nodes():
+    # acceptance criterion 3 at scale: S1-S3 label strong arrows only, and
+    # S4-S6 chain further strong arrows from those labels
+    for n, p_u, p_d, _ in LABELING_DRAWS[:2]:
+        result = essential_graph(random_chain_graph(random.Random(n), node_names(n), p_u, p_d))
+        strong = label_strong(result.marks, result.triplexes).strong_directed
+        rules = accelerator_labels(result.marks)
+        chained = s4_s6_closure(result.marks, rules)
+        assert rules < strong and chained, n
+        assert chained <= strong, n
 
 
 def test_early_stopped_labels_match_fully_closed_labels_at_30_to_60_nodes():
