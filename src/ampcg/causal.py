@@ -12,14 +12,25 @@ live in `ampcg.oracle`, which loads only when one of them runs.
 The functions here read only a labeling's `.graph` and `.strong_undirected`,
 so `essential_graph(g)` serves as well as `strong_labeling(g)` and spares the
 strong-arrow search.
+
+Local validity is a clique test.  Orienting a set s of x's non-strong
+neighbors into x (and x into the others) is locally valid when it adds no
+triplex at x the essential graph lacks, the AMP form of IDA's local
+criterion (Maathuis, Kalisch & Buhlmann, *Ann. Statist.* 2009).  If x has
+strong neighbors, it has no non-strong ones (`st_nst`), so s is empty.
+Otherwise x ends with parents pa(x) | s and no undirected neighbor, so a
+new triplex at x has two non-adjacent flanks in pa(x) | s.  Flanks p in
+pa(x) and v in pa(x) | s already make a triplex at x, where v -> x or
+v -- x; two flanks in s make a new one.  Two non-strong neighbors of x lie
+in its chain component, so any edge between them is undirected: s is valid
+exactly when it is a clique of the undirected edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Literal, get_args
 
-from .equivalence import _flank_masks
 from .errors import (
     MAX_EDGES,
     MAXORIENTED_CAP,
@@ -29,7 +40,7 @@ from .errors import (
     check_cap,
 )
 from .essential import EssentialGraphResult
-from .graphs import ChainGraph, Masks, NodeId, _step, family, pair
+from .graphs import ChainGraph, NodeId, _is_clique, _step, family, pair
 from .strong import StrongLabeling
 
 Mode = Literal["class", "maxoriented", "superset"]
@@ -41,7 +52,8 @@ class AdjustingSet:
     """A candidate conditioning set for the effect of a treatment."""
 
     nodes: frozenset[NodeId]
-    source: frozenset[NodeId] | None = None  # orientation set behind a maxoriented entry
+    # orientation set behind a maxoriented entry; equal nodes are one set
+    source: frozenset[NodeId] | None = field(default=None, compare=False)
 
     def sort_key(self) -> tuple:
         return (len(self.nodes), tuple(sorted(self.nodes)))
@@ -85,38 +97,20 @@ def st_nst(labeling: StrongLabeling | EssentialGraphResult, x: NodeId) -> StNstP
     return StNstPartition(st=st, nst=nst)
 
 
-def _flanks(
-    labeling: StrongLabeling | EssentialGraphResult, x: NodeId
-) -> tuple[StNstPartition, tuple[Masks, int, int, dict[int, int]]]:
-    """x's partition, and what `_keeps_flanks` reads at x as masks: the
-    adjacency, x's parents, its strong neighbors and the flanks of the
-    triplexes at x in the essential graph."""
-    partition = st_nst(labeling, x)
-    index = labeling.graph.index
-    b = index.pos[x]
-    present = _flank_masks(index.adj, index.pa[b], index.ne[b])
-    return partition, (index.adj, index.pa[b], index.mask_of(partition.st), present)
-
-
-def _keeps_flanks(flanks: tuple[Masks, int, int, dict[int, int]], s: int) -> bool:
-    """Does orienting the mask s -> x add no flank the essential graph lacks
-    at x?"""
-    adj, pa, st, present = flanks
-    return all(not cs & ~present.get(a, 0) for a, cs in _flank_masks(adj, pa | s, st).items())
-
-
 def locally_valid(
     labeling: StrongLabeling | EssentialGraphResult, x: NodeId, s: Iterable[NodeId]
 ) -> bool:
     """Does orienting s -> x (and x -> the other non-strong neighbors) avoid
-    creating any triplex at x the essential graph lacks?"""
-    partition, flanks = _flanks(labeling, x)
+    creating any triplex at x the essential graph lacks?  Exactly when s is
+    a clique (the module docstring has the argument)."""
+    nst = st_nst(labeling, x).nst
     s = frozenset(s)
-    if not s <= partition.nst:
+    if not s <= nst:
         raise NotNonStrongNeighborError(
-            f"{sorted(s - partition.nst)} are not non-strong neighbors of {x!r}"
+            f"{sorted(s - nst)} are not non-strong neighbors of {x!r}"
         )
-    return _keeps_flanks(flanks, labeling.graph.index.mask_of(s))
+    index = labeling.graph.index
+    return _is_clique(index.ne, index.mask_of(s))
 
 
 def enumerate_adjusting_sets(
@@ -144,23 +138,23 @@ def enumerate_adjusting_sets(
 
         return class_adjusting_sets(eg, x, max_edges)
     if mode == "maxoriented":
-        partition, flanks = _flanks(labeling, x)
+        partition = st_nst(labeling, x)
         base = partition.st | family(eg, partition.st | {x}, "pa")
         index = eg.index
-        nst = [1 << index.pos[n] for n in sorted(partition.nst)]
         found = []
 
-        def grow(s: int, start: int) -> None:
-            # local validity is closed under subsets, so only valid sets grow
-            if not _keeps_flanks(flanks, s):
-                return
+        def grow(s: int, candidates: int) -> None:
+            # the locally valid sets are the cliques, so each step keeps only
+            # the candidates joined to the one it adds
             names = index.names_of(s)
             found.append(AdjustingSet(nodes=(base | names) - {x}, source=names))
             check_cap(len(found), MAXORIENTED_CAP, "maxoriented mode exceeds the cap of {cap} sets")
-            for i in range(start, len(nst)):
-                grow(s | nst[i], i + 1)
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                grow(s | low, candidates & index.ne[low.bit_length() - 1])
 
-        grow(0, 0)
+        grow(0, index.mask_of(partition.nst))
         return frozenset(found)
     if mode == "superset":
         from .oracle import superset_adjusting_sets

@@ -267,6 +267,8 @@ def adjusted_effect(
     only capture y when no directed path from x to y exists, where the
     interventional effect vanishes.
     """
+    if x == y:
+        raise ValueError("treatment and outcome must differ")
     cov = _as_covariance(source)
     zs = frozenset(zs)
     if x in zs:

@@ -17,8 +17,14 @@ from ampcg import (
     st_nst,
     strong_labeling,
 )
-from ampcg.causal import MODES, _keeps_flanks
-from ampcg.errors import SUPERSET_CAP, NotNonStrongNeighborError, TooLargeError, UnknownNodeError
+from ampcg.causal import MODES
+from ampcg.errors import (
+    SUPERSET_CAP,
+    NotNonStrongNeighborError,
+    TooLargeError,
+    UnknownNodeError,
+    check_cap,
+)
 from ampcg.oracle import maximally_oriented_members
 
 from .support import cg, chain_graphs, set_locally_valid, undirected_grid
@@ -132,22 +138,22 @@ class TestEnumerateAdjustingSets:
         # so the valid orientation sets are the empty set and each single leaf
         leaves = [f"L{i:02d}" for i in range(30)]
         lab = strong_labeling(cg(["X", *leaves], [], [("X", leaf) for leaf in leaves]))
-        calls = []
+        built = []
 
-        def counting(flanks, s):
-            calls.append(s)
-            return _keeps_flanks(flanks, s)
+        def counting(count, cap, message):
+            built.append(count)
+            return check_cap(count, cap, message)
 
-        monkeypatch.setattr("ampcg.causal._keeps_flanks", counting)
+        monkeypatch.setattr("ampcg.causal.check_cap", counting)
         sets = enumerate_adjusting_sets(lab, "X", "maxoriented")
         assert {a.nodes for a in sets} == {frozenset()} | {frozenset([n]) for n in leaves}
         assert all(a.source == a.nodes for a in sets)
-        # the empty set, each leaf, and each rejected pair: not 2^30 subsets
-        assert len(calls) == 1 + 30 + 30 * 29 // 2
+        # the empty set and each leaf; no pair of leaves is tried, let alone 2^30 subsets
+        assert len(built) == 1 + 30
 
     def test_maxoriented_partitions_the_neighbors_once(self, monkeypatch):
         # an undirected K_6 grows all 2^5 subsets of V0's neighbors; the
-        # partition and the flank masks at V0 are read once for all of them
+        # partition at V0 is read once for all of them
         names = node_names(6)
         lab = essential_graph(cg(names, [], list(combinations(names, 2))))
         calls = 0
@@ -161,6 +167,21 @@ class TestEnumerateAdjustingSets:
         monkeypatch.setattr("ampcg.causal.st_nst", counting)
         sets = enumerate_adjusting_sets(lab, "V0", "maxoriented")
         assert len(sets) == 2**5 and calls == 1
+
+    def test_maxoriented_sets_are_class_sets(self):
+        # the entries compare by their nodes alone, so the two families nest
+        # as sets of AdjustingSet
+        rnd = random.Random(109)
+        nested = 0
+        for _ in range(150):
+            g = random_chain_graph(rnd, node_names(rnd.randint(2, 6)),
+                                   p_undirected=0.3, p_directed=0.3)
+            lab = essential_graph(g)
+            for x in g.sorted_nodes:
+                maxoriented = enumerate_adjusting_sets(lab, x, "maxoriented")
+                assert maxoriented <= enumerate_adjusting_sets(lab, x, "class"), (g, x)
+                nested += any(a.source for a in maxoriented)
+        assert nested >= 300
 
     def test_maxoriented_matches_harvested_members(self):
         rnd = random.Random(97)
@@ -185,6 +206,23 @@ def test_locally_valid_matches_the_set_oracle(g):
         for size in range(len(nst) + 1):
             for s in combinations(nst, size):
                 assert locally_valid(lab, x, s) == set_locally_valid(lab, x, s), (x, s)
+
+
+def test_locally_valid_matches_the_set_oracle_at_scale():
+    # every subset of every node with at most 10 non-strong neighbors, on the
+    # 200- and 500-node draws
+    pairs = 0
+    for n, p_u, p_d in ((200, 0.006, 0.01), (500, 0.0024, 0.004)):
+        lab = essential_graph(random_chain_graph(random.Random(n), node_names(n), p_u, p_d))
+        for x in lab.graph.sorted_nodes:
+            nst = sorted(st_nst(lab, x).nst)
+            if len(nst) > 10:
+                continue
+            for size in range(len(nst) + 1):
+                for s in combinations(nst, size):
+                    assert locally_valid(lab, x, s) == set_locally_valid(lab, x, s), (n, x, s)
+                    pairs += 1
+    assert pairs == 933
 
 
 class TestEssentialGraphArgument:

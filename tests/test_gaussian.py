@@ -151,6 +151,14 @@ class TestEffects:
         assert adjusted_effect(cov, "A", "C", ["B"]) == pytest.approx(0.0, abs=1e-12)
         assert adjusted_effect(cov, "A", "C", ["C"]) == 0.0  # outcome inside Z
 
+    def test_adjusted_effect_refuses_the_treatment_as_outcome(self):
+        # regressing x on itself would give 1.0; true_effect and bound_effect refuse
+        g = cg("ABCD", [("A", "B"), ("C", "B")], [("C", "D")])
+        cov = population_covariance(random_model(g, 1))
+        for zs in ([], ["D"]):
+            with pytest.raises(ValueError, match="treatment and outcome must differ"):
+                adjusted_effect(cov, "C", "C", zs)
+
     def test_singular_regression_reports_columns(self):
         from ampcg.gaussian import Covariance
 
