@@ -14,7 +14,6 @@ def random_chain_graph(
     nodes: Sequence[NodeId],
     p_undirected: float = 0.18,
     p_directed: float = 0.22,
-    max_edges: int | None = None,
 ) -> ChainGraph:
     """A random valid chain graph, built constructively.
 
@@ -24,26 +23,20 @@ def random_chain_graph(
     over the nodes has positive probability.
     """
     nodes = tuple(sorted(nodes))
-    node_set = frozenset(nodes)
-    while True:
-        undirected = frozenset(
-            (a, b) for a, b in combinations(nodes, 2) if rng.random() < p_undirected
-        )
-        # with no arrows, the chain components come in least-node order
-        comps = _component_order(_graph_index(nodes, (), undirected))
-        rng.shuffle(comps)
-        rank = {nodes[v]: i for i, comp in enumerate(comps) for v in comp}
-        directed = []
-        for a, b in combinations(nodes, 2):
-            if rank[a] == rank[b]:
-                continue
-            if rng.random() < p_directed:
-                directed.append((a, b) if rank[a] < rank[b] else (b, a))
-        if max_edges is not None and len(directed) + len(undirected) > max_edges:
+    undirected = frozenset(
+        (a, b) for a, b in combinations(nodes, 2) if rng.random() < p_undirected
+    )
+    # with no arrows, the chain components come in least-node order
+    comps = _component_order(_graph_index(nodes, (), undirected))
+    rng.shuffle(comps)
+    rank = {nodes[v]: i for i, comp in enumerate(comps) for v in comp}
+    directed = []
+    for a, b in combinations(nodes, 2):
+        if rank[a] == rank[b]:
             continue
-        return ChainGraph(
-            nodes=node_set, directed=frozenset(directed), undirected=undirected
-        )
+        if rng.random() < p_directed:
+            directed.append((a, b) if rank[a] < rank[b] else (b, a))
+    return ChainGraph(frozenset(nodes), frozenset(directed), undirected)
 
 
 def node_names(count: int) -> tuple[NodeId, ...]:

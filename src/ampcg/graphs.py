@@ -13,8 +13,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NoReturn, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -118,20 +117,25 @@ def _graph_index(
     directed: Iterable[tuple[NodeId, NodeId]],
     undirected: Iterable[tuple[NodeId, NodeId]],
 ) -> GraphIndex:
-    """The index of an edge set whose ends all lie in `nodes`, in one pass
-    over the edges."""
+    """The index of an edge list over `nodes`, checked in the one pass that
+    sets each edge's bits: the first faulty edge, directed ones first,
+    raises what `_edge_fault` says."""
     names = tuple(sorted(nodes))
     pos = {n: i for i, n in enumerate(names)}
     adj = [0] * len(names)
     pa = [0] * len(names)
     ne = [0] * len(names)
     for u, v in directed:
-        i, j = pos[u], pos[v]
+        i, j = pos.get(u), pos.get(v)
+        if i is None or j is None or i == j or adj[i] >> j & 1:
+            _edge_fault(pos, u, v, False)
         pa[j] |= 1 << i
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    for a, b in undirected:
-        i, j = pos[a], pos[b]
+    for u, v in undirected:
+        i, j = pos.get(u), pos.get(v)
+        if i is None or j is None or i >= j or adj[i] >> j & 1:
+            _edge_fault(pos, u, v, True)
         ne[i] |= 1 << j
         ne[j] |= 1 << i
         adj[i] |= 1 << j
@@ -139,19 +143,30 @@ def _graph_index(
     return GraphIndex(names, pos, tuple(adj), tuple(pa), tuple(ne))
 
 
+def _edge_fault(pos: dict[NodeId, int], u: NodeId, v: NodeId, undirected: bool) -> NoReturn:
+    """Raise for an edge u, v that `_graph_index` rejects: an end outside
+    `pos`, a loop, an undirected edge out of `pair()` order, or a doubled pair."""
+    if u not in pos or v not in pos:
+        raise UnknownNodeError(f"unknown node {u if u not in pos else v!r}")
+    if u == v:
+        raise SelfLoopError(f"self-loop at {u!r}")
+    if undirected and u > v:
+        raise ValueError(f"undirected edge ({u!r}, {v!r}) is not in pair() order")
+    a, b = pair(u, v)
+    raise DuplicateEdgeError(f"more than one edge between {a!r} and {b!r}")
+
+
 @dataclass(frozen=True)
 class ChainGraph:
     """A set of nodes with directed (tail, head) and undirected edges.
 
-    Every instance is well formed and has no semidirected cycle.  The
-    constructor rejects an edge end outside `nodes` (UnknownNodeError), a
-    self-loop (SelfLoopError) and an undirected edge not stored in canonical
-    `pair()` order (ValueError).  It then computes the chain components in
-    topological order once, on the graph's `index`, keeps them for
-    :func:`chain_components`, and raises SemidirectedCycleError when there
-    is no such order.  Edges from outside the package should go through
-    :func:`validate_chain_graph`, which also rejects bad names and duplicate
-    pair-edges and canonicalizes the undirected pairs.
+    Every instance is well formed and has no semidirected cycle.  Building
+    the graph's `index` checks the edges (:func:`_graph_index`); the
+    constructor then computes the chain components in topological order
+    once, on that index, keeps them for :func:`chain_components`, and raises
+    SemidirectedCycleError when there is no such order.  Edges from outside
+    the package should go through :func:`validate_chain_graph`, which also
+    rejects bad names and canonicalizes the undirected pairs.
     """
 
     nodes: frozenset[NodeId]
@@ -159,15 +174,6 @@ class ChainGraph:
     undirected: frozenset[tuple[NodeId, NodeId]]
 
     def __post_init__(self) -> None:
-        nodes = self.nodes
-        for u, v in chain(self.directed, self.undirected):
-            if u not in nodes or v not in nodes:
-                raise UnknownNodeError(f"unknown node {u if u not in nodes else v!r}")
-            if u == v:
-                raise SelfLoopError(f"self-loop at {u!r}")
-        for a, b in self.undirected:
-            if a > b:
-                raise ValueError(f"undirected edge ({a!r}, {b!r}) is not in pair() order")
         if self._order is None:
             cycle = _semidirected_cycle_witness(self.nodes, self.directed, self.undirected)
             if cycle is None:
@@ -182,8 +188,9 @@ class ChainGraph:
         undirected: frozenset[tuple[NodeId, NodeId]],
         index: GraphIndex,
     ) -> ChainGraph:
-        """Construct with `index` as the graph's index, for a builder that
-        made it in the same pass as the edges; every check still runs."""
+        """Construct with `index` as the graph's index, made in the pass
+        that built the edges: `_graph_index` checks them as it goes, and
+        `_oriented` reads them off a skeleton.  Only the cycle test runs."""
         g = cls.__new__(cls)
         g.__dict__.update(nodes=nodes, directed=directed, undirected=undirected, index=index)
         g.__post_init__()
@@ -370,25 +377,18 @@ def validate_chain_graph(
 ) -> ChainGraph:
     """Build a chain graph, rejecting malformed or cyclic edge sets.
 
-    Raises UnknownNodeError on a bad name, DuplicateEdgeError, or what the
-    ChainGraph constructor raises: UnknownNodeError, SelfLoopError or
-    SemidirectedCycleError (with one witness cycle attached).
+    Raises UnknownNodeError on a bad name; then, with the undirected pairs
+    canonicalized, what `_graph_index` raises at the first faulty edge in
+    list order; then SemidirectedCycleError, with one witness cycle attached.
     """
     node_set = frozenset(nodes)
     for n in node_set:
         if not is_valid_name(n):
             raise UnknownNodeError(f"invalid node name {n!r}")
     directed = list(directed)
-    undirected = list(undirected)
-    seen_pairs: set[tuple[NodeId, NodeId]] = set()
-    for u, v in directed + undirected:
-        key = pair(u, v)
-        if key in seen_pairs:
-            raise DuplicateEdgeError(f"more than one edge between {key[0]!r} and {key[1]!r}")
-        seen_pairs.add(key)
-    return ChainGraph(
-        node_set, frozenset(directed), frozenset(pair(a, b) for a, b in undirected)
-    )
+    undirected = [pair(a, b) for a, b in undirected]
+    index = _graph_index(node_set, directed, undirected)
+    return ChainGraph._indexed(node_set, frozenset(directed), frozenset(undirected), index)
 
 
 def family(g: ChainGraph, xs: Iterable[NodeId], relation: Relation) -> frozenset[NodeId]:
@@ -513,8 +513,9 @@ def _oriented(
     edge in the masks `loose` points away from its end of lower `rank`, an
     edge blocked at one end only (in `out`, the w with i ~ w blocked at i;
     `inn`, the same seen from w) points out of that end, any other edge is
-    undirected.  One pass over the edges builds the graph and its index; the
-    constructor still runs every check on them."""
+    undirected.  One pass over the edges builds the graph and its index.
+    Each edge is read once off `index.adj`, so the edge checks of
+    `_graph_index` cannot fire; the constructor runs only its cycle test."""
     names, adj = index.nodes, index.adj
     pa = [0] * len(names)
     ne = [0] * len(names)

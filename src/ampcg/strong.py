@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .equivalence import TriplexKeys, _flank_masks, triplexes
+from .equivalence import TriplexKeys, _flank_masks, _triplex_keys, _triplex_masks
 from .errors import InvalidStateError, InvariantViolationError, SemidirectedCycleError
 from .essential import (
     MarkedGraph,
@@ -77,13 +77,13 @@ def _check_line6_fixpoint(m: MarkedGraph, tri: list[dict[int, int]]) -> None:
         raise InvalidStateError("marks are not a fixpoint of the propagation rules")
 
 
-def _verify_candidate_state(h: MarkedGraph, eg_triplexes: TriplexKeys) -> None:
+def _verify_candidate_state(h: MarkedGraph, eg_tri: list[dict[int, int]]) -> None:
     """Invariants every re-blocked copy must satisfy before finalization.
 
     Checked: no induced triangle with one blocked edge and two totally plain
     edges; finalization yields a valid chain graph (so no chordless cycle
     carries single blocks in one rotational sense only); finalization adds
-    no triplex the essential graph lacks.
+    no triplex the essential graph's triplex masks `eg_tri` lack.
     """
     names = h.index.nodes
     plain = [a & ~o & ~n for a, o, n in zip(h.index.adj, h.out, h.inn)]
@@ -98,8 +98,9 @@ def _verify_candidate_state(h: MarkedGraph, eg_triplexes: TriplexKeys) -> None:
         oriented = h.finalize()
     except SemidirectedCycleError as exc:
         raise InvariantViolationError(f"finalization yields a {exc}") from exc
-    extra = triplexes(oriented) - eg_triplexes
-    if extra:
+    tri = _triplex_masks(oriented.index)
+    if any(cs & ~eg_tri[b].get(a, 0) for b, at in enumerate(tri) for a, cs in at.items()):
+        extra = _triplex_keys(h.index, tri) - _triplex_keys(h.index, eg_tri)
         raise InvariantViolationError(f"finalization created triplexes {sorted(extra)}")
 
 
@@ -128,7 +129,7 @@ def label_strong(
     if check_invariants or not own:
         _check_line6_fixpoint(m, tri)
     eg = m.finalize()
-    eg_triplexes = triplexes(eg) if check_invariants else frozenset()
+    eg_tri = _triplex_masks(eg.index) if check_invariants else []
     pre = _pretriplexes_by_end(m)
     strong_arrows = _s3(m)
     confirmed: set[tuple[NodeId, NodeId]] = set()
@@ -147,7 +148,7 @@ def label_strong(
             for _ in rounds:
                 pass
             h = MarkedGraph(m.index, tuple(out), tuple(inn))
-            _verify_candidate_state(h, eg_triplexes)
+            _verify_candidate_state(h, eg_tri)
     if check_invariants and strong_arrows - confirmed:
         raise InvariantViolationError(
             f"shortcut labels {sorted(strong_arrows - confirmed)} destroy no pretriplex"

@@ -742,13 +742,21 @@ def undirected_grid(k: int) -> ChainGraph:
     return cg([name(i, j) for i in range(k) for j in range(k)], [], rows + cols)
 
 
-def random_corpus(seed: int, count: int, sizes, **kwargs) -> list[ChainGraph]:
+def random_corpus(
+    seed: int, count: int, sizes, max_edges: int | None = None, **kwargs
+) -> list[ChainGraph]:
+    """`count` draws of `random_chain_graph` from one seeded stream, sizes in
+    turn; a draw with more than `max_edges` edges is redrawn."""
     rnd = random.Random(seed)
     sizes = list(sizes)
-    return [
-        random_chain_graph(rnd, node_names(sizes[i % len(sizes)]), **kwargs)
-        for i in range(count)
-    ]
+    corpus = []
+    for i in range(count):
+        while True:
+            g = random_chain_graph(rnd, node_names(sizes[i % len(sizes)]), **kwargs)
+            if max_edges is None or len(g.skeleton) <= max_edges:
+                break
+        corpus.append(g)
+    return corpus
 
 
 @st.composite

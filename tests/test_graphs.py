@@ -20,6 +20,7 @@ from ampcg.errors import (
     DuplicateEdgeError,
     InvariantViolationError,
     NotChordalError,
+    ParseError,
     SelfLoopError,
     SemidirectedCycleError,
     UnknownNodeError,
@@ -117,6 +118,66 @@ class TestValidation:
             cg("A", [("A", "B")])
         with pytest.raises(UnknownNodeError):
             validate_chain_graph(["bad name"])
+
+
+_DOUBLED = (DuplicateEdgeError, "more than one edge between 'A' and 'B'")
+_LINE2_DOUBLED = (DuplicateEdgeError, "line 2: more than one edge between 'A' and 'B'")
+
+
+# One row per malformed edge list: the nodes and edges the bare constructor
+# and `validate_chain_graph` take, the same edges as a document, and what the
+# constructor, the validator and the parser do with them: (type, message)
+# for a rejection, the graph built for an acceptance.  A document declares
+# its nodes through its edges, so no document has an unknown end.
+@pytest.mark.parametrize(
+    "nodes, directed, undirected, document, bare, validated, parsed",
+    [
+        pytest.param(
+            "A", [("A", "B")], [], None,
+            (UnknownNodeError, "unknown node 'B'"), (UnknownNodeError, "unknown node 'B'"), None,
+            id="unknown end",
+        ),
+        pytest.param(
+            "A", [("A", "A")], [], "edge A -> A\n",
+            (SelfLoopError, "self-loop at 'A'"), (SelfLoopError, "self-loop at 'A'"),
+            (ParseError, "line 1: self-loop at 'A'"),
+            id="self-loop",
+        ),
+        pytest.param(
+            "AB", [("A", "B")], [("A", "B")], "edge A -> B\nedge A -- B\n",
+            _DOUBLED, _DOUBLED, _LINE2_DOUBLED,
+            id="doubled pair across kinds",
+        ),
+        pytest.param(
+            "AB", [("A", "B"), ("B", "A")], [], "edge A -> B\nedge B -> A\n",
+            _DOUBLED, _DOUBLED, _LINE2_DOUBLED,
+            id="doubled pair in one list",
+        ),
+        pytest.param(
+            "AB", [], [("B", "A")], "edge B -- A\n",
+            (ValueError, "undirected edge ('B', 'A') is not in pair() order"),
+            cg("AB", [], [("A", "B")]), cg("AB", [], [("A", "B")]),
+            id="reversed undirected pair",
+        ),
+    ],
+)
+def test_every_entry_point_reports_a_malformed_edge_list(
+    nodes, directed, undirected, document, bare, validated, parsed
+):
+    for build, expected in (
+        (lambda: ChainGraph(frozenset(nodes), frozenset(directed), frozenset(undirected)), bare),
+        (lambda: validate_chain_graph(nodes, directed, undirected), validated),
+        (lambda: parse_graph(document), parsed),
+    ):
+        if expected is None:
+            continue
+        if isinstance(expected, ChainGraph):
+            assert build() == expected
+            continue
+        kind, message = expected
+        with pytest.raises(kind) as exc:
+            build()
+        assert type(exc.value) is kind and str(exc.value) == message
 
 
 class TestFamily:
