@@ -5,8 +5,9 @@ Markov equivalence, essential-graph construction, strong-edge labeling,
 merge/split transformations, adjusting-set enumeration) together with
 linear-Gaussian models for numeric effect bounds, and brute-force oracles
 that verify every constructive algorithm at desk scale.  The oracles live in
-`ampcg.oracle`; their names here load it on first use, so the pipeline
-never imports it.
+`ampcg.oracle` and the linear-Gaussian models, which need numpy, in
+`ampcg.gaussian`; their names here load those modules on first use, so the
+graph pipeline imports neither.
 """
 
 __version__ = "0.1.0"
@@ -21,19 +22,6 @@ from .causal import (
 )
 from .equivalence import equivalent, triplexes
 from .essential import EssentialGraphResult, MarkedGraph, essential_graph
-from .gaussian import (
-    Covariance,
-    Dataset,
-    EffectBoundReport,
-    LinearGaussianModel,
-    adjusted_effect,
-    bound_effect,
-    linear_gaussian_model,
-    population_covariance,
-    random_model,
-    sample,
-    true_effect,
-)
 from .generate import node_names, random_chain_graph
 from .graphs import (
     ChainGraph,
@@ -55,6 +43,13 @@ from .separation import route_is_open, separated
 from .strong import StrongLabeling, accelerator_labels, label_strong, strong_labeling
 from .transform import feasible_merge_check, feasible_merges, maximally_oriented, merge, split
 
+# the linear-Gaussian names, which `ampcg.gaussian` binds on first use below
+_GAUSSIAN = (
+    "LinearGaussianModel", "Covariance", "Dataset", "EffectBoundReport",
+    "linear_gaussian_model", "random_model", "population_covariance", "sample",
+    "true_effect", "adjusted_effect", "bound_effect",
+)
+
 __all__ = [
     # graphs, their text forms and generators
     "ChainGraph", "ComponentPartition", "validate_chain_graph", "chain_components",
@@ -71,9 +66,7 @@ __all__ = [
     "AdjustingSet", "StNstPartition", "adjusting_set", "st_nst", "locally_valid",
     "enumerate_adjusting_sets",
     # linear-Gaussian models and effect bounds
-    "LinearGaussianModel", "Covariance", "Dataset", "EffectBoundReport",
-    "linear_gaussian_model", "random_model", "population_covariance", "sample",
-    "true_effect", "adjusted_effect", "bound_effect", "read_dataset", "write_dataset",
+    *_GAUSSIAN, "read_dataset", "write_dataset",
     # the brute-force oracles of `ampcg.oracle`, bound on first use below
     "EquivalenceClass", "StrongEdgeSummary", "enumerate_class", "essential_from_class",
     "strong_oracle", "class_by_merge_split", "minimally_oriented",
@@ -82,10 +75,13 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # the names of `__all__` not imported above are the oracles: loading them
-    # here, not at import, keeps `ampcg.oracle` off the pipeline's path
-    if name in __all__:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the names of `__all__` not imported above are the gaussian ones and the
+    # oracles: loading them here, not at import, keeps numpy and
+    # `ampcg.oracle` off the graph pipeline's path
+    if name in _GAUSSIAN:
+        from . import gaussian as home
+    elif name in __all__:
+        from . import oracle as home
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(home, name)

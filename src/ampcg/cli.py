@@ -24,7 +24,6 @@ from .errors import (
     TooLargeError,
 )
 from .essential import essential_graph
-from .gaussian import bound_effect, random_model, sample
 from .graphs import ChainGraph, chain_components
 from .io_text import (
     graph_to_json,
@@ -242,6 +241,8 @@ def _cmd_adjust(ns) -> int:
 
 
 def _cmd_sample(ns) -> int:
+    from .gaussian import random_model, sample
+
     g = _load_graph(ns.graph)
     model = random_model(g, seed=ns.seed)
     ds = sample(model, n=ns.n, seed=ns.seed)
@@ -251,6 +252,8 @@ def _cmd_sample(ns) -> int:
 
 
 def _cmd_bound(ns) -> int:
+    from .gaussian import bound_effect
+
     g = _load_graph(ns.graph)
     ds = read_dataset(ns.data)
     columns = set(ds.columns)

@@ -9,17 +9,19 @@ parse(serialize(g)) == g.
 from __future__ import annotations
 
 import csv
+import os
+import stat
 import warnings
 from json.encoder import encode_basestring_ascii
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from .errors import DuplicateEdgeError, ParseError
 from .essential import MarkedGraph
-from .gaussian import Dataset
 from .graphs import ChainGraph, NodeId, _edges, is_valid_name, pair
 from .strong import StrongLabeling
+
+if TYPE_CHECKING:
+    from .gaussian import Dataset
 
 
 def parse_graph(text: str) -> ChainGraph:
@@ -218,6 +220,10 @@ def _first_bad_row(path: str) -> ParseError | None:
     return None
 
 
+#: the suffixes by which `np.loadtxt` decompresses a path
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def read_dataset(path: str) -> Dataset:
     """Read a CSV written by `write_dataset`; every row must be as wide as
     the header and every value a finite number.
@@ -226,19 +232,41 @@ def read_dataset(path: str) -> Dataset:
     accepted, `#` starts no comment, and `1_000`-style literals are
     rejected.  Blank lines are skipped; the line number in an error counts
     the header and the non-blank rows only.
+
+    `csv` reads the header; `np.loadtxt` is then given the path, not the
+    open file, because numpy parses a path in C chunks but walks a file
+    object one Python line at a time.  Its `skiprows` is the header's
+    physical line count, 2 when a quoted name holds a newline.  A relative
+    path gets a leading `./`, as numpy would fetch a name that reads as a
+    URL.  Only a regular file is opened twice: a pipe or FIFO (`--data
+    <(zcat d.csv.gz)`, `/dev/stdin`) cannot be read again, and a name numpy
+    would decompress by its suffix would not be read as text, so both keep
+    the open file.  numpy is imported here, not with the module, so the
+    graph commands never load it.
     """
+    import numpy as np
+
+    from .gaussian import Dataset
+
     with open(path, newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            header = next(csv.reader(fh))
+            header = next(reader)
         except StopIteration:
             raise ParseError(1, "empty dataset") from None
         except csv.Error as exc:
             raise ParseError(1, str(exc)) from None
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        if regular and not os.fspath(path).endswith(_COMPRESSED):
+            source, skip = os.path.join(os.curdir, path), reader.line_num
+        else:
+            source, skip = fh, 0
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 values = np.loadtxt(
-                    fh, delimiter=",", ndmin=2, dtype=float, comments=None, quotechar='"'
+                    source, skiprows=skip, delimiter=",", ndmin=2, dtype=float,
+                    comments=None, quotechar='"',
                 )
         except ValueError:
             values = None

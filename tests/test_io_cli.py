@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -68,6 +70,34 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse_graph("node A\nedgy A -> B\n")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize(
+        "document, kind, message",
+        [
+            (
+                "edge A -> B\nedge B -- A\nnode C\nbogus X\n",
+                DuplicateEdgeError, "line 2: more than one edge between 'A' and 'B'",
+            ),
+            (
+                "bogus X\nedge A -> B\nedge B -- A\n",
+                ParseError, "line 1: unknown statement 'bogus'",
+            ),
+            (
+                "edge A -> A\nnode B\nedge B -> C-D\n",
+                ParseError, "line 1: self-loop at 'A'",
+            ),
+            (
+                "node B\nedge B -> C-D\nedge A -> A\n",
+                ParseError, "line 2: invalid node name in 'edge B -> C-D'",
+            ),
+        ],
+        ids=["doubled-before-unknown", "unknown-before-doubled", "loop-before-name",
+             "name-before-loop"],
+    )
+    def test_the_first_faulty_line_wins_across_fault_kinds(self, document, kind, message):
+        with pytest.raises(kind) as exc:
+            parse_graph(document)
+        assert type(exc.value) is kind and str(exc.value) == message
 
     @settings(max_examples=60, deadline=None)
     @given(chain_graphs())
@@ -187,21 +217,64 @@ class TestDatasets:
         assert np.array_equal(back.rows, ds.rows)
 
     @pytest.mark.parametrize(
-        "text",
+        "text, columns",
         [
-            "A,B\r\n0.5,1\r\n-2,3e-1\r\n",
-            "A,B\n0.5,1\n-2,3e-1",
-            "A,B\n0.5,1\n\n\n-2,3e-1\n",
-            'A,B\n"0.5",1\n-2,"3e-1"\n',
+            ("A,B\r\n0.5,1\r\n-2,3e-1\r\n", ("A", "B")),
+            ("A,B\n0.5,1\n-2,3e-1", ("A", "B")),
+            ("A,B\n0.5,1\n\n\n-2,3e-1\n", ("A", "B")),
+            ('A,B\n"0.5",1\n-2,"3e-1"\n', ("A", "B")),
+            # the header takes two physical lines, and numpy must skip both
+            ('"A,\nx",B\n0.5,1\n-2,3e-1\n', ("A,\nx", "B")),
+            ("A,B\r0.5,1\r-2,3e-1\r", ("A", "B")),
+            ("A,B\n\n\n0.5,1\n-2,3e-1\n", ("A", "B")),
         ],
-        ids=["crlf", "no-final-newline", "blank-lines", "quoted"],
+        ids=["crlf", "no-final-newline", "blank-lines", "quoted", "two-line-header", "cr-only",
+             "blank-lines-after-header"],
     )
-    def test_accepted_layouts(self, tmp_path, text):
+    def test_accepted_layouts(self, tmp_path, text, columns):
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode())
         ds = read_dataset(str(path))
-        assert ds.columns == ("A", "B")
+        assert ds.columns == columns
         assert np.array_equal(ds.rows, [[0.5, 1.0], [-2.0, 0.3]])
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_a_name_numpy_would_decompress_is_read_as_text(self, tmp_path, suffix):
+        path = tmp_path / f"d.csv{suffix}"
+        path.write_text("A,B\n0.5,1\n-2,3e-1\n")
+        assert np.array_equal(read_dataset(str(path)).rows, [[0.5, 1.0], [-2.0, 0.3]])
+
+    def test_a_name_that_reads_as_a_url_is_a_local_file(self, tmp_path, monkeypatch):
+        def no_fetch(*args, **kwargs):
+            raise AssertionError("a local dataset was fetched as a URL")
+
+        monkeypatch.setattr("urllib.request.urlopen", no_fetch)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "d.csv").write_text("A,B\n0.5,1\n-2,3e-1\n")
+        assert np.array_equal(
+            read_dataset("http://host/d.csv").rows, [[0.5, 1.0], [-2.0, 0.3]]
+        )
+
+    def test_a_pipe_is_read_once_to_its_last_row(self):
+        rows = np.random.default_rng(3).standard_normal((1000, 3))
+        text = "A,B,C\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows)
+        assert len(text) > 8192  # past the first buffer a second open would lose
+        read_fd, write_fd = os.pipe()
+
+        def write():
+            with os.fdopen(write_fd, "w") as out:
+                out.write(text)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            ds = read_dataset(f"/dev/fd/{read_fd}")
+        finally:
+            writer.join()
+            os.close(read_fd)
+        assert ds.columns == ("A", "B", "C")
+        assert np.array_equal(ds.rows, rows)
 
     def test_read_peak_memory_stays_near_the_array(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -230,11 +303,12 @@ class TestDatasets:
                  '"', '"1"', " ", "\t", "#", "x", "_", "\u0663", "."]
             ),
             max_size=16,
-        ).map("".join)
+        ).map("".join),
+        st.sampled_from(["A,B", '"A\nx",B']),
     )
-    def test_every_rejection_names_its_line(self, tmp_path, body):
+    def test_every_rejection_names_its_line(self, tmp_path, body, header):
         path = tmp_path / "fuzz.csv"
-        path.write_bytes(("A,B\n" + body).encode())
+        path.write_bytes((header + "\n" + body).encode())
         try:
             ds = read_dataset(str(path))
         except ParseError as exc:
@@ -514,3 +588,4 @@ class TestCli:
         )
         assert row.endswith("FAIL")
         assert "shortcut labels" in captured.err
+

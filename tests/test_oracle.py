@@ -20,8 +20,9 @@ from .support import cg
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Runs the pipeline commands in one process and reports, after them and after
-# one oracle command, whether `ampcg.oracle` has been imported.
+# Runs the pipeline commands in one process and reports whether numpy has been
+# imported after the graph commands and after `sample` and `bound`, then
+# whether `ampcg.oracle` has been, before and after one oracle command.
 _LAZY_SCRIPT = """
 import contextlib, io, sys
 from ampcg.cli import cli
@@ -32,13 +33,19 @@ def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli(list(argv)) == 0, argv
 
+run("validate", graph)
+run("components", graph)
+run("sep", graph, "--x", "A", "--y", "D", "--z", "C")
+run("equiv", graph, graph)
 run("eg", graph)
 run("--format", "json", "eg", graph)
 run("strong", graph)
 run("minmax", graph, "--mode", "max")
 run("adjust", graph, "--x", "C")
+print("numpy" in sys.modules)
 run("sample", graph, "--n", "50", "--out", data)
 run("bound", graph, "--data", data, "--x", "C", "--y", "D", "--mode", "maxoriented")
+print("numpy" in sys.modules)
 print("ampcg.oracle" in sys.modules)
 run("class", graph)
 print("ampcg.oracle" in sys.modules)
@@ -54,7 +61,7 @@ def test_pipeline_commands_leave_the_oracle_unloaded(tmp_path):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False", "True", "False", "True"]
 
 
 def test_star_import_binds_exactly_all_and_no_module():
