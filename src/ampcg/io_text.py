@@ -9,15 +9,16 @@ parse(serialize(g)) == g.
 from __future__ import annotations
 
 import csv
+import io
 import os
 import stat
 import warnings
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, TextIO
 
-from .errors import DuplicateEdgeError, ParseError
+from .errors import DuplicateEdgeError, GraphError, InvariantViolationError, ParseError
 from .essential import MarkedGraph
-from .graphs import ChainGraph, NodeId, _edges, is_valid_name, pair
+from .graphs import ChainGraph, NodeId, _edges, _graph_index, is_valid_name, pair
 from .strong import StrongLabeling
 
 if TYPE_CHECKING:
@@ -27,13 +28,50 @@ if TYPE_CHECKING:
 def parse_graph(text: str) -> ChainGraph:
     """Parse a graph document into a validated chain graph.
 
-    The per-line checks name the offending line; the `ChainGraph`
-    constructor then rejects a semidirected cycle.  Each distinct name is
-    checked once: a name already in `nodes` passed.
+    One lean pass sorts each line by its token count and keyword, checks
+    each distinct name once and hands the edge lists to `_graph_index`,
+    which rejects self-loops and doubled pairs as it builds the graph's
+    index; the constructor then runs only the cycle test.  Any rejection
+    re-reads the text line by line (`_first_faulty_line`), so every error
+    names the first faulty line, and a semidirected cycle is reported only
+    when no line is faulty.
     """
-    nodes: set[NodeId] = set()
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    declared: list[NodeId] = []
     directed: list[tuple[NodeId, NodeId]] = []
     undirected: list[tuple[NodeId, NodeId]] = []
+    for line in lines:
+        tokens = line.split()
+        if len(tokens) == 4 and tokens[0] == "edge":
+            _, a, op, b = tokens
+            if op == "->":
+                directed.append((a, b))
+            elif op == "--":
+                undirected.append((a, b) if a <= b else (b, a))
+            else:
+                raise _first_faulty_line(text)
+        elif len(tokens) == 2 and tokens[0] == "node":
+            declared.append(tokens[1])
+        elif tokens:
+            raise _first_faulty_line(text)
+    nodes = set(declared).union(*directed, *undirected)
+    if not all(map(is_valid_name, nodes)):
+        raise _first_faulty_line(text)
+    try:
+        index = _graph_index(nodes, directed, undirected)
+    except GraphError:
+        raise _first_faulty_line(text) from None
+    return ChainGraph._indexed(
+        frozenset(nodes), frozenset(directed), frozenset(undirected), index
+    )
+
+
+def _first_faulty_line(text: str) -> Exception:
+    """The error of the first line of `text` that `parse_graph` rejects,
+    read line by line: a malformed statement, an invalid name, a self-loop
+    or a second edge between one pair."""
     seen_pairs: set[tuple[NodeId, NodeId]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if "#" in raw:
@@ -44,34 +82,26 @@ def parse_graph(text: str) -> ChainGraph:
         kind = tokens[0]
         if kind == "edge":
             if len(tokens) != 4 or tokens[2] not in ("->", "--"):
-                raise ParseError(
+                return ParseError(
                     lineno, f"expected 'edge A -> B' or 'edge A -- B', got {raw.strip()!r}"
                 )
-            _, a, op, b = tokens
-            if (a not in nodes and not is_valid_name(a)) or (
-                b not in nodes and not is_valid_name(b)
-            ):
-                raise ParseError(lineno, f"invalid node name in {raw.strip()!r}")
+            _, a, _, b = tokens
+            if not (is_valid_name(a) and is_valid_name(b)):
+                return ParseError(lineno, f"invalid node name in {raw.strip()!r}")
             if a == b:
-                raise ParseError(lineno, f"self-loop at {a!r}")
-            key = (a, b) if a <= b else (b, a)
+                return ParseError(lineno, f"self-loop at {a!r}")
+            key = pair(a, b)
             if key in seen_pairs:
-                raise DuplicateEdgeError(
+                return DuplicateEdgeError(
                     f"line {lineno}: more than one edge between {key[0]!r} and {key[1]!r}"
                 )
             seen_pairs.add(key)
-            nodes.update((a, b))
-            if op == "->":
-                directed.append((a, b))
-            else:
-                undirected.append(key)
         elif kind == "node":
-            if len(tokens) != 2 or (tokens[1] not in nodes and not is_valid_name(tokens[1])):
-                raise ParseError(lineno, f"expected 'node NAME', got {raw.strip()!r}")
-            nodes.add(tokens[1])
+            if len(tokens) != 2 or not is_valid_name(tokens[1]):
+                return ParseError(lineno, f"expected 'node NAME', got {raw.strip()!r}")
         else:
-            raise ParseError(lineno, f"unknown statement {kind!r}")
-    return ChainGraph(frozenset(nodes), frozenset(directed), frozenset(undirected))
+            return ParseError(lineno, f"unknown statement {kind!r}")
+    return InvariantViolationError("parse_graph rejected a document with no faulty line")
 
 
 def serialize_graph(g: ChainGraph) -> str:
@@ -108,32 +138,34 @@ def to_json(obj: ChainGraph | MarkedGraph | StrongLabeling) -> str:
     """The document `json.dumps(doc, indent=2, sort_keys=True)` writes, plus
     a newline, for `graph_to_json`'s dict, with each edge's end marks on a
     marked graph or the strong labels added on a labeling; written directly:
-    the indenting encoder of `json` is pure Python."""
+    the indenting encoder of `json` is pure Python.  Each node name is
+    encoded once, and every edge end reuses its string."""
     q = encode_basestring_ascii
     if isinstance(obj, MarkedGraph):
-        nodes, out = obj.index.nodes, obj.out
+        out = obj.out
+        names = list(map(q, obj.index.nodes))
         edges = [
             f'{{\n      "blocked_u": {_BOOL[out[i] >> w & 1]}{_FIELD}'
             f'"blocked_v": {_BOOL[out[w] >> i & 1]}{_FIELD}'
-            f'"u": {q(nodes[i])}{_FIELD}"v": {q(nodes[w])}\n    }}'
+            f'"u": {names[i]}{_FIELD}"v": {names[w]}\n    }}'
             for i, w in _edges(obj.index.adj)
         ]
     else:
         g = obj.graph if isinstance(obj, StrongLabeling) else obj
+        names = list(map(q, g.sorted_nodes))
+        quoted = dict(zip(g.sorted_nodes, names))
         edges = [
-            f'{{\n      "kind": {kind}{_FIELD}"u": {q(u)}{_FIELD}"v": {q(v)}\n    }}'
+            f'{{\n      "kind": {kind}{_FIELD}"u": {quoted[u]}{_FIELD}"v": {quoted[v]}\n    }}'
             for pairs, kind in ((g.directed, '"directed"'), (g.undirected, '"undirected"'))
             for u, v in sorted(pairs)
         ]
-        nodes = g.sorted_nodes
-    names = [q(n) for n in nodes]
     doc = f'{{\n  "edges": {_json_array(edges, "  ")},\n  "nodes": {_json_array(names, "  ")}'
     if isinstance(obj, StrongLabeling):
         for key, pairs in (
             ("strong_directed", obj.strong_directed),
             ("strong_undirected", obj.strong_undirected),
         ):
-            items = [_json_array([q(u), q(v)], "    ") for u, v in sorted(pairs)]
+            items = [_json_array([quoted[u], quoted[v]], "    ") for u, v in sorted(pairs)]
             doc += f',\n  "{key}": {_json_array(items, "  ")}'
     return doc + "\n}\n"
 
@@ -202,9 +234,10 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def _first_bad_row(path: str) -> ParseError | None:
-    """Re-read `path` row by row and name the first row numpy rejected."""
-    with open(path, newline="") as fh:
+def _first_bad_row(rows: TextIO) -> ParseError | None:
+    """Read the dataset stream `rows` row by row, from its header on, and
+    name the first row numpy rejected."""
+    with rows as fh:
         reader = csv.reader(fh)
         width = len(next(reader))
         line = 1
@@ -238,29 +271,34 @@ def read_dataset(path: str) -> Dataset:
     object one Python line at a time.  Its `skiprows` is the header's
     physical line count, 2 when a quoted name holds a newline.  A relative
     path gets a leading `./`, as numpy would fetch a name that reads as a
-    URL.  Only a regular file is opened twice: a pipe or FIFO (`--data
-    <(zcat d.csv.gz)`, `/dev/stdin`) cannot be read again, and a name numpy
-    would decompress by its suffix would not be read as text, so both keep
-    the open file.  numpy is imported here, not with the module, so the
-    graph commands never load it.
+    URL.  Only a regular file is opened more than once: a pipe or FIFO
+    (`--data <(zcat d.csv.gz)`, `/dev/stdin`) cannot be read again, and a
+    name numpy would decompress by its suffix would not be read as text, so
+    the bytes of both are read once and held; the header, numpy and the row
+    scan of a rejected file read them through one text stream.  numpy is
+    imported here, not with the module, so the graph commands never load it.
     """
     import numpy as np
 
     from .gaussian import Dataset
 
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        if regular and not os.fspath(path).endswith(_COMPRESSED):
+            rows = fh
+        else:  # held as bytes, which decode as the open file decodes them
+            rows = io.TextIOWrapper(io.BytesIO(fh.buffer.read()), fh.encoding, newline="")
+        reader = csv.reader(rows)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError(1, "empty dataset") from None
         except csv.Error as exc:
             raise ParseError(1, str(exc)) from None
-        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-        if regular and not os.fspath(path).endswith(_COMPRESSED):
+        if rows is fh:
             source, skip = os.path.join(os.curdir, path), reader.line_num
         else:
-            source, skip = fh, 0
+            source, skip = rows, 0
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -273,7 +311,11 @@ def read_dataset(path: str) -> Dataset:
     if values is None or (len(values) and values.shape[1] != len(header)):
         # `_is_number` matches numpy 2.4's reader; should another numpy reject
         # a row the scan accepts, the fallback keeps the ParseError exit
-        raise _first_bad_row(path) or ParseError(2, "unreadable data rows")
+        if rows is fh:
+            rows = open(path, newline="")
+        else:
+            rows.seek(0)
+        raise _first_bad_row(rows) or ParseError(2, "unreadable data rows")
     if not len(values):
         raise ParseError(2, "no data rows under the header")
     finite = np.isfinite(values)

@@ -23,7 +23,13 @@ from ampcg import (
 )
 from ampcg.causal import st_nst
 from ampcg.equivalence import HEAD, TAIL, UND, TriplexKeys, _is_triplex
-from ampcg.errors import GraphError, NotChordalError, SemidirectedCycleError
+from ampcg.errors import (
+    DuplicateEdgeError,
+    GraphError,
+    NotChordalError,
+    ParseError,
+    SemidirectedCycleError,
+)
 from ampcg.essential import (
     MarkedGraph,
     _close_blocks,
@@ -32,7 +38,7 @@ from ampcg.essential import (
     _positions,
     _seed_r1,
 )
-from ampcg.graphs import _check_nodes, _is_clique, _mcs_ranks, _oriented
+from ampcg.graphs import _check_nodes, _is_clique, _mcs_ranks, _oriented, is_valid_name
 from ampcg.oracle import _split_candidates
 from ampcg.separation import _check_query, route_is_open
 from ampcg.transform import _split_result
@@ -806,3 +812,103 @@ def marked_graph(nodes, skeleton, blocked) -> MarkedGraph:
 def marked_graphs(max_nodes: int = 7):
     """Marked graphs drawn as `marked_graph_parts`."""
     return marked_graph_parts(max_nodes).map(lambda parts: marked_graph(*parts))
+
+
+def parse_graph_line_by_line(text: str) -> ChainGraph:
+    """The reference reading of a graph document: each line is checked as it
+    is read, so the first faulty line raises; the constructor then rejects a
+    semidirected cycle."""
+    nodes: set[str] = set()
+    directed: list[tuple[str, str]] = []
+    undirected: list[tuple[str, str]] = []
+    seen_pairs: set[tuple[str, str]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        tokens = raw.split()
+        if not tokens:
+            continue
+        kind = tokens[0]
+        if kind == "edge":
+            if len(tokens) != 4 or tokens[2] not in ("->", "--"):
+                raise ParseError(
+                    lineno, f"expected 'edge A -> B' or 'edge A -- B', got {raw.strip()!r}"
+                )
+            _, a, op, b = tokens
+            if (a not in nodes and not is_valid_name(a)) or (
+                b not in nodes and not is_valid_name(b)
+            ):
+                raise ParseError(lineno, f"invalid node name in {raw.strip()!r}")
+            if a == b:
+                raise ParseError(lineno, f"self-loop at {a!r}")
+            key = (a, b) if a <= b else (b, a)
+            if key in seen_pairs:
+                raise DuplicateEdgeError(
+                    f"line {lineno}: more than one edge between {key[0]!r} and {key[1]!r}"
+                )
+            seen_pairs.add(key)
+            nodes.update((a, b))
+            if op == "->":
+                directed.append((a, b))
+            else:
+                undirected.append(key)
+        elif kind == "node":
+            if len(tokens) != 2 or (tokens[1] not in nodes and not is_valid_name(tokens[1])):
+                raise ParseError(lineno, f"expected 'node NAME', got {raw.strip()!r}")
+            nodes.add(tokens[1])
+        else:
+            raise ParseError(lineno, f"unknown statement {kind!r}")
+    return ChainGraph(frozenset(nodes), frozenset(directed), frozenset(undirected))
+
+
+#: every character `str.split` splits at, then those `str.splitlines` breaks
+#: a line at (with "\r\n"), and the rest, which separate the tokens of a line
+_SPACES = [c for c in map(chr, range(0x3001)) if c.isspace()]
+_BREAKS = [c for c in _SPACES if len(f"a{c}b".splitlines()) == 2] + ["\r\n"]
+_GAPS = [c for c in _SPACES if c not in _BREAKS]
+
+
+@st.composite
+def graph_documents(draw, max_lines: int = 8) -> str:
+    """Graph documents, valid or not: edge and node statements over four
+    names, often with a cycle through three or four of them, so doubled
+    pairs and semidirected cycles are common; up to two faulty lines (a
+    self-loop, an invalid name, a bad operator or shape, an unknown keyword)
+    put anywhere; every line break and every space, blank lines, and `#`
+    comments glued to the line, which may hold a line break themselves."""
+    name = st.sampled_from("ABCD")
+    edge = st.tuples(st.permutations("ABCD"), st.sampled_from(["->", "--"])).map(
+        lambda drawn: ("edge", drawn[0][0], drawn[1], drawn[0][1])
+    )
+    statement = st.one_of(edge, edge, edge, st.tuples(st.just("node"), name), st.just(()))
+    bad_name = st.sampled_from(["A-B", "\xe9", "\u0663"])
+    faulty = st.one_of(
+        name.map(lambda a: ("edge", a, "->", a)),
+        st.tuples(st.just("edge"), name, st.sampled_from(["->", "--"]), bad_name),
+        st.tuples(st.just("node"), bad_name),
+        st.tuples(st.just("edge"), name, st.just("<-"), name),
+        st.tuples(st.sampled_from(["edge", "node"]), name, name),
+        st.tuples(st.just("bogus"), name),
+    )
+    statements = draw(st.lists(statement, max_size=max_lines))
+    if draw(st.booleans()):  # a cycle through three or four names
+        ring = draw(st.permutations("ABCD"))[: draw(st.integers(3, 4))]
+        ops = draw(st.lists(st.sampled_from(["->", "--"]), min_size=4, max_size=4))
+        statements += [("edge", u, op, v) for u, v, op in zip(ring, ring[1:] + ring[:1], ops)]
+        statements = draw(st.permutations(statements))
+    for tokens in draw(st.lists(faulty, max_size=2)):
+        statements.insert(draw(st.integers(0, len(statements))), tokens)
+    gap = st.text(st.sampled_from(_GAPS), min_size=1, max_size=2)
+    pad = st.text(st.sampled_from(_GAPS), max_size=2)
+    comment = st.lists(
+        st.sampled_from(["#", "x", " ", "node E", "edge E -> A"] + _BREAKS), max_size=4
+    ).map("".join)
+    lines = []
+    for tokens in statements:
+        line = draw(pad) + "".join(t + draw(gap) for t in tokens[:-1]) + "".join(tokens[-1:])
+        if draw(st.integers(0, 3)) == 0:
+            line += "#" + draw(comment)
+        lines.append(line + draw(pad))
+    ends = draw(st.lists(st.sampled_from(_BREAKS), min_size=len(lines), max_size=len(lines)))
+    ends[-1:] = [draw(st.sampled_from(["", *_BREAKS]))]  # the last line may end unbroken
+    return "".join(line + end for line, end in zip(lines, ends))

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -26,7 +27,14 @@ from ampcg.errors import (
     UnknownNodeError,
 )
 from ampcg.generate import node_names
-from ampcg.graphs import GraphIndex, _component_order, _graph_index, _oriented, pair
+from ampcg.graphs import (
+    GraphIndex,
+    _component_order,
+    _graph_index,
+    _oriented,
+    is_valid_name,
+    pair,
+)
 from ampcg.oracle import _FWD, _REV, _UND, _semidirected_free
 
 from .support import (
@@ -118,6 +126,13 @@ class TestValidation:
             cg("A", [("A", "B")])
         with pytest.raises(UnknownNodeError):
             validate_chain_graph(["bad name"])
+
+    @settings(max_examples=300)
+    @given(
+        st.text(st.sampled_from("Az09_-\n \xe9\u0663\u2160\uff21\U0001d400")) | st.text()
+    )
+    def test_a_name_is_a_run_of_ascii_letters_digits_and_underscores(self, name):
+        assert is_valid_name(name) == bool(re.fullmatch(r"[A-Za-z0-9_]+", name))
 
 
 _DOUBLED = (DuplicateEdgeError, "more than one edge between 'A' and 'B'")

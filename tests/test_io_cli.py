@@ -3,6 +3,7 @@ import json
 import os
 import threading
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +29,47 @@ from ampcg import (
 )
 from ampcg import graphs, io_text
 from ampcg.cli import _build_parser, cli
-from ampcg.errors import DuplicateEdgeError, ParseError
+from ampcg.errors import DuplicateEdgeError, GraphError, ParseError
 from ampcg.gaussian import Dataset
 from ampcg.io_text import graph_to_json
 
-from .support import cg, chain_graphs, marked_graphs, unmarked_skeleton, with_blocks
+from .support import (
+    cg,
+    chain_graphs,
+    graph_documents,
+    marked_graphs,
+    parse_graph_line_by_line,
+    unmarked_skeleton,
+    with_blocks,
+)
+
+
+@contextmanager
+def fed_fifo(tmp_path, text):
+    """The path of a FIFO that a thread writes `text` into once.  Should the
+    reader open it again, the thread answers with end-of-file at once, so a
+    second open fails the test instead of hanging it."""
+    path = tmp_path / "data.fifo"
+    os.mkfifo(path)
+    done = threading.Event()
+
+    def feed():
+        with open(path, "w") as out:
+            out.write(text)
+        while not done.wait(0.01):
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader is waiting
+                pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield str(path)
+    finally:
+        done.set()
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 class TestParse:
@@ -103,6 +140,46 @@ class TestParse:
     @given(chain_graphs())
     def test_round_trip(self, g):
         assert parse_graph(serialize_graph(g)) == g
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_documents())
+    def test_the_lean_pass_reads_as_the_line_by_line_reference(self, document):
+        try:
+            want = parse_graph_line_by_line(document)
+        except (GraphError, ParseError) as exc:
+            with pytest.raises(type(exc)) as got:
+                parse_graph(document)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            return
+        g, masks = parse_graph(document), lambda h: (h.index.adj, h.index.pa, h.index.ne)
+        assert g == want and g.sorted_nodes == want.sorted_nodes and masks(g) == masks(want)
+
+    def test_only_a_rejected_document_is_read_again_line_by_line(self, monkeypatch):
+        want = cg("ABC", [("A", "B")], [("B", "C")])
+        calls = {"find": 0, "index": 0}
+        find, build = io_text._first_faulty_line, graphs._graph_index
+
+        def counted_find(text):
+            calls["find"] += 1
+            return find(text)
+
+        def counted_build(*args):
+            calls["index"] += 1
+            return build(*args)
+
+        monkeypatch.setattr(io_text, "_first_faulty_line", counted_find)
+        # the parser's own call, and any later build of the graph's index
+        monkeypatch.setattr(io_text, "_graph_index", counted_build)
+        monkeypatch.setattr(graphs, "_graph_index", counted_build)
+        g = parse_graph("# head\r\nnode\tA # tail\r\n\r\nedge A\t->\tB#glued\r\nedge C -- B\r\n")
+        assert g == want and g.sorted_nodes == ("A", "B", "C") and g.index.ne[1] == 0b100
+        assert calls == {"find": 0, "index": 1}
+        with pytest.raises(ParseError, match="line 2: unknown statement 'bogus'"):
+            parse_graph("edge A -> B\nbogus X\n")
+        assert calls == {"find": 1, "index": 1}
+        with pytest.raises(DuplicateEdgeError, match="line 2: more than one edge"):
+            parse_graph("edge A -> B\nedge B -- A\n")
+        assert calls == {"find": 2, "index": 2}
 
 
 class TestExports:
@@ -257,7 +334,7 @@ class TestDatasets:
         )
 
     def test_a_pipe_is_read_once_to_its_last_row(self):
-        rows = np.random.default_rng(3).standard_normal((1000, 3))
+        rows = np.random.default_rng(3).standard_normal((20_000, 3))
         text = "A,B,C\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows)
         assert len(text) > 8192  # past the first buffer a second open would lose
         read_fd, write_fd = os.pipe()
@@ -268,13 +345,25 @@ class TestDatasets:
 
         writer = threading.Thread(target=write)
         writer.start()
+        tracemalloc.start()
         try:
             ds = read_dataset(f"/dev/fd/{read_fd}")
+            _, peak = tracemalloc.get_traced_memory()
         finally:
+            tracemalloc.stop()
             writer.join()
             os.close(read_fd)
         assert ds.columns == ("A", "B", "C")
         assert np.array_equal(ds.rows, rows)
+        # the input is held once, as bytes: a str copy in a StringIO is ~5x
+        assert peak < 3 * len(text)
+
+    def test_a_fifo_names_the_line_of_its_first_bad_row(self, tmp_path):
+        with fed_fifo(tmp_path, "C,D\n1,2\n3,x\n") as path:
+            with pytest.raises(ParseError) as exc:
+                read_dataset(path)
+        assert exc.value.line == 3
+        assert str(exc.value) == "line 3: non-numeric value 'x' in column 2"
 
     def test_read_peak_memory_stays_near_the_array(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -520,6 +609,18 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: line 3: {message}\n"
+
+    def test_a_bad_dataset_fifo_reads_as_the_regular_file(self, graph_file, tmp_path, capsys):
+        text = "C,D\n1,2\n3,x\n"
+        data = tmp_path / "bad.csv"
+        data.write_text(text)
+        argv = ["bound", graph_file, "--x", "C", "--y", "D", "--data"]
+        assert cli([*argv, str(data)]) == 2
+        regular = capsys.readouterr()
+        with fed_fifo(tmp_path, text) as path:
+            assert cli([*argv, path]) == 2
+        assert capsys.readouterr() == regular
+        assert regular.err == "error: line 3: non-numeric value 'x' in column 2\n"
 
     @pytest.mark.parametrize(
         "text, line",
