@@ -51,6 +51,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+#: the formats a command writes: DOT where it prints one graph, JSON where
+#: it prints more than a verdict or a file summary
+_TEXT, _TEXT_JSON, _ALL_FORMATS = ("text",), ("text", "json"), ("text", "json", "dot")
+
+
+def _check_format(ns) -> None:
+    """Raise a usage error when the parsed command cannot write `--format`.
+    `strong --rules-only` and `minmax --mode min` print lists, not a graph."""
+    command, formats = ns.command, ns.formats
+    if command == "strong" and ns.rules_only:
+        command, formats = "strong --rules-only", _TEXT_JSON
+    elif command == "minmax" and ns.mode == "min":
+        command, formats = "minmax --mode min", _TEXT_JSON
+    if ns.format not in formats:
+        raise _UsageError(f"{command} cannot write --format {ns.format}")
+
+
 def _at_least(text: str, least: int, kind: str) -> int:
     """A base-10 integer that is at least `least`, or argparse's type error."""
     try:
@@ -355,7 +372,7 @@ def _build_parser() -> _Parser:
     the `_cmd_*` functions call, not the `_cmd_*` functions themselves."""
     parser = _Parser(prog="ampcg", description=__doc__)
     parser.add_argument("--version", action="version", version=f"ampcg {__version__}")
-    formats = {"choices": ("text", "json", "dot"), "help": "output format (default: text)"}
+    formats = {"choices": _ALL_FORMATS, "help": "output format (default: text)"}
     parser.add_argument("--format", default="text", **formats)
     # after the subcommand too; SUPPRESS keeps an absent one from resetting
     # the value given before it
@@ -369,32 +386,32 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="parse and validate a graph document", parents=[fmt])
     p.add_argument("graph")
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=_cmd_validate, formats=_ALL_FORMATS)
 
     p = sub.add_parser("components", help="chain components in topological order", parents=[fmt])
     p.add_argument("graph")
-    p.set_defaults(func=_cmd_components)
+    p.set_defaults(func=_cmd_components, formats=_TEXT_JSON)
 
     p = sub.add_parser("sep", help="test a separation query", parents=[fmt])
     p.add_argument("graph")
     p.add_argument("--x", required=True, help="comma-separated nodes")
     p.add_argument("--y", required=True, help="comma-separated nodes")
     p.add_argument("--z", default="", help="comma-separated nodes")
-    p.set_defaults(func=_cmd_sep)
+    p.set_defaults(func=_cmd_sep, formats=_TEXT_JSON)
 
     p = sub.add_parser("equiv", help="test Markov equivalence of two graphs")
     p.add_argument("graph1")
     p.add_argument("graph2")
-    p.set_defaults(func=_cmd_equiv)
+    p.set_defaults(func=_cmd_equiv, formats=_TEXT)
 
     p = sub.add_parser("class", help="enumerate the equivalence class", parents=[fmt])
     p.add_argument("graph")
     p.add_argument("--via", choices=("brute", "merge-split"), default="brute")
-    p.set_defaults(func=_cmd_class)
+    p.set_defaults(func=_cmd_class, formats=_TEXT_JSON)
 
     p = sub.add_parser("eg", help="construct the essential graph", parents=[fmt])
     p.add_argument("graph")
-    p.set_defaults(func=_cmd_eg)
+    p.set_defaults(func=_cmd_eg, formats=_ALL_FORMATS)
 
     p = sub.add_parser("strong", help="label strong edges in the essential graph", parents=[fmt])
     p.add_argument("graph")
@@ -402,24 +419,24 @@ def _build_parser() -> _Parser:
         "--rules-only", action="store_true",
         help="report only the labels found by the shortcut rules",
     )
-    p.set_defaults(func=_cmd_strong)
+    p.set_defaults(func=_cmd_strong, formats=_ALL_FORMATS)
 
     p = sub.add_parser("minmax", help="minimally or maximally oriented members", parents=[fmt])
     p.add_argument("graph")
     p.add_argument("--mode", choices=("min", "max"), required=True)
-    p.set_defaults(func=_cmd_minmax)
+    p.set_defaults(func=_cmd_minmax, formats=_ALL_FORMATS)
 
     p = sub.add_parser("adjust", help="enumerate adjusting sets for a node", parents=[fmt])
     p.add_argument("graph")
     p.add_argument("--x", required=True)
     p.add_argument("--mode", choices=MODES, default="maxoriented")
-    p.set_defaults(func=_cmd_adjust)
+    p.set_defaults(func=_cmd_adjust, formats=_TEXT_JSON)
 
     p = sub.add_parser("sample", help="sample a random model on the graph")
     p.add_argument("graph")
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sample)
+    p.set_defaults(func=_cmd_sample, formats=_TEXT)
 
     p = sub.add_parser("bound", help="bound a causal effect from data", parents=[fmt])
     p.add_argument("graph")
@@ -427,11 +444,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--mode", choices=MODES, default="maxoriented")
-    p.set_defaults(func=_cmd_bound)
+    p.set_defaults(func=_cmd_bound, formats=_TEXT_JSON)
 
     p = sub.add_parser("oracle", help="run the brute-force cross-checks on a graph")
     p.add_argument("graph")
-    p.set_defaults(func=_cmd_oracle)
+    p.set_defaults(func=_cmd_oracle, formats=_TEXT)
 
     return parser
 
@@ -440,6 +457,7 @@ def cli(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
+        _check_format(ns)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return USAGE_EXIT

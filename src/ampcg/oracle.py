@@ -7,13 +7,17 @@ and the `class` and `superset` adjusting-set modes do, when they run.
 
 Two chain graphs are Markov equivalent exactly when they share adjacencies
 and triplexes, so `enumerate_class` walks the orientation assignments of a
-skeleton and keeps the valid chain graphs with the right triplex set; the
+skeleton and keeps those with the right triplexes that are chain graphs; the
 class then yields the essential graph and the strong edges by definition.
-`class_by_merge_split` reaches the same class as the closure under feasible
-merges and splits, and the minimally and maximally oriented members are the
-members that admit no merge, or no split.  The enumeration stays independent
-of the constructive algorithms it is used to verify.  Each entry point checks
-its size through `errors.check_cap` before it enumerates.
+It shares three primitives with the package: `equivalence._is_triplex`
+(which end marks make a triplex), `equivalence.triplexes` (the target set)
+and `graphs._component_order`, the semidirected-cycle test every
+`ChainGraph` passes.  It reads nothing of `essential`, `strong` or
+`transform`'s member builder, the algorithms it is used to verify.
+`class_by_merge_split` reaches the same class as the closure under
+`transform`'s feasible merges and splits, and the minimally and maximally
+oriented members are the members that admit no merge, or no split.  Each
+entry point checks its size through `errors.check_cap` before it enumerates.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Iterator, NamedTuple
 from .causal import AdjustingSet, adjusting_set
 from .equivalence import HEAD, TAIL, UND, _is_triplex, triplexes
 from .errors import MAX_EDGES, SUPERSET_CAP, EmptyClassError, check_cap
-from .graphs import ChainGraph, NodeId, chain_components, family, pair
+from .graphs import ChainGraph, GraphIndex, NodeId, _component_order, chain_components, family, pair
 from .transform import _merged, _split_result, feasible_merges
 
 #: edge states inside the enumerator: undirected / a->b / b->a for a canonical pair (a, b)
@@ -48,97 +52,31 @@ class EquivalenceClass:
         return g in self.members
 
 
-def _ordered_edges(g: ChainGraph) -> list[tuple[NodeId, NodeId]]:
-    """Skeleton edges ordered so consecutive edges tend to share nodes.
+def enumerate_class(g: ChainGraph, max_edges: int = MAX_EDGES) -> EquivalenceClass:
+    """Every chain graph with the skeleton and triplexes of g.
 
-    Locality lets the enumerator check most triplex constraints early.
+    Brute force over the 3^|E| orientation assignments of the sorted
+    skeleton, pruned as soon as an assigned pair of edges disagrees with the
+    triplexes of g; a full assignment is kept when `_component_order` finds
+    no semidirected cycle in it.  Guarded by an explicit edge cap.
     """
-    remaining = sorted(g.skeleton)
-    order: list[tuple[NodeId, NodeId]] = []
-    touched: set[NodeId] = set()
-    while remaining:
-        best = None
-        for e in remaining:
-            score = (e[0] in touched) + (e[1] in touched)
-            if best is None or score > best[0]:
-                best = (score, e)
-        order.append(best[1])
-        touched.update(best[1])
-        remaining.remove(best[1])
-    return order
-
-
-def _semidirected_free(
-    nodes: tuple[NodeId, ...],
-    edges: list[tuple[NodeId, NodeId]],
-    states: tuple[int, ...],
-) -> bool:
-    """Validity of one orientation assignment (no semidirected cycle)."""
-    parent = {n: n for n in nodes}
-
-    def find(x: NodeId) -> NodeId:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    arcs: list[tuple[NodeId, NodeId]] = []
-    for (a, b), s in zip(edges, states):
-        if s == _UND:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        elif s == _FWD:
-            arcs.append((a, b))
-        else:
-            arcs.append((b, a))
-    succ: dict[NodeId, set[NodeId]] = {}
-    indeg: dict[NodeId, int] = {}
-    for u, v in arcs:
-        ru, rv = find(u), find(v)
-        if ru == rv:  # directed edge inside an undirected component
-            return False
-        succ.setdefault(ru, set())
-        succ.setdefault(rv, set())
-        if rv not in succ[ru]:
-            succ[ru].add(rv)
-            indeg[rv] = indeg.get(rv, 0) + 1
-        indeg.setdefault(ru, indeg.get(ru, 0))
-    ready = [n for n in succ if indeg[n] == 0]
-    seen = 0
-    while ready:
-        cur = ready.pop()
-        seen += 1
-        for w in succ[cur]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    return seen == len(succ)
-
-
-def _class_states(g: ChainGraph) -> tuple[list[tuple[NodeId, NodeId]], list[tuple[int, ...]]]:
-    """Edges plus every orientation assignment matching the triplexes of g."""
-    nodes = g.sorted_nodes
-    edges = _ordered_edges(g)
-    index = {e: i for i, e in enumerate(edges)}
+    check_cap(len(g.skeleton), max_edges, "{count} edges exceeds the enumeration cap of {cap}")
+    index = g.index
+    edges = sorted(g.skeleton)
     target = triplexes(g)
 
     # candidate triples (two skeleton edges at a middle with non-adjacent far
     # endpoints), attached to the later edge in assignment order with the
     # (earlier state, later state) pairs that match the target triplex set
     checks: list[list[tuple[int, frozenset[tuple[int, int]]]]] = [[] for _ in edges]
-    for b in nodes:
-        incident = sorted(e for e in edges if b in e)
-        for e1, e2 in combinations(incident, 2):
+    for b in index.nodes:
+        incident = [(k, e) for k, e in enumerate(edges) if b in e]
+        for (i, e1), (j, e2) in combinations(incident, 2):
             f1 = e1[0] if e1[1] == b else e1[1]
             f2 = e2[0] if e2[1] == b else e2[1]
             if pair(f1, f2) in g.skeleton:
                 continue
             expected = (b, pair(f1, f2)) in target
-            i, j = index[e1], index[e2]
-            if i > j:
-                i, j = j, i
-                e1, e2 = e2, e1
             # the mark at b of each edge, per state
             m1 = (UND, HEAD, TAIL) if e1[1] == b else (UND, TAIL, HEAD)
             m2 = (UND, HEAD, TAIL) if e2[1] == b else (UND, TAIL, HEAD)
@@ -150,14 +88,31 @@ def _class_states(g: ChainGraph) -> tuple[list[tuple[NodeId, NodeId]], list[tupl
             )
             checks[j].append((i, allowed))
 
+    # every member shares g's skeleton, so its index differs from g's only
+    # in the parent and neighbor masks
+    ends = [(index.pos[a], index.pos[b]) for a, b in edges]
     states: list[int] = [0] * len(edges)
-    out: list[tuple[int, ...]] = []
+    members = set()
 
     def rec(k: int) -> None:
         if k == len(edges):
-            assignment = tuple(states)
-            if _semidirected_free(nodes, edges, assignment):
-                out.append(assignment)
+            pa = [0] * len(index.nodes)
+            ne = [0] * len(index.nodes)
+            for (i, j), s in zip(ends, states):
+                if s == _UND:
+                    ne[i] |= 1 << j
+                    ne[j] |= 1 << i
+                elif s == _FWD:
+                    pa[j] |= 1 << i
+                else:
+                    pa[i] |= 1 << j
+            member = GraphIndex(index.nodes, index.pos, index.adj, tuple(pa), tuple(ne))
+            if _component_order(member) is not None:
+                directed = frozenset(
+                    e if s == _FWD else e[::-1] for e, s in zip(edges, states) if s != _UND
+                )
+                undirected = frozenset(e for e, s in zip(edges, states) if s == _UND)
+                members.add(ChainGraph._indexed(g.nodes, directed, undirected, member))
             return
         for s in (_UND, _FWD, _REV):
             states[k] = s
@@ -168,35 +123,6 @@ def _class_states(g: ChainGraph) -> tuple[list[tuple[NodeId, NodeId]], list[tupl
                 rec(k + 1)
 
     rec(0)
-    return edges, out
-
-
-def enumerate_class(g: ChainGraph, max_edges: int = MAX_EDGES) -> EquivalenceClass:
-    """Every chain graph with the skeleton and triplexes of g.
-
-    Brute force over the 3^|E| orientation assignments (with early pruning on
-    triplex mismatches); guarded by an explicit edge cap.
-    """
-    check_cap(len(g.skeleton), max_edges, "{count} edges exceeds the enumeration cap of {cap}")
-    edges, assignments = _class_states(g)
-    members = set()
-    for states in assignments:
-        directed = []
-        undirected = []
-        for (a, b), s in zip(edges, states):
-            if s == _UND:
-                undirected.append((a, b))
-            elif s == _FWD:
-                directed.append((a, b))
-            else:
-                directed.append((b, a))
-        members.add(
-            ChainGraph(
-                nodes=g.nodes,
-                directed=frozenset(directed),
-                undirected=frozenset(undirected),
-            )
-        )
     return EquivalenceClass(members=frozenset(members))
 
 

@@ -13,6 +13,7 @@ from ampcg import (
     validate_chain_graph,
 )
 from ampcg.errors import EmptyClassError, NodeSetMismatchError, TooLargeError
+from ampcg.graphs import _graph_index
 
 from .support import cg, chain_graphs, same_separations, set_triplexes
 
@@ -85,6 +86,21 @@ class TestEnumerateClass:
         for member in cls:
             assert member.skeleton == g.skeleton
             assert equivalent(member, g)
+
+    def test_every_four_node_class_matches_the_definitional_grouping(self, corpus4, classes4):
+        # all 1688 chain graphs on four labeled nodes, in 224 classes; each
+        # member's index was set from the enumerator's own masks, so it is
+        # checked against the index its edges build
+        assert len(corpus4) == 1688
+        assert len({classes4[g].members for g in corpus4}) == 224
+        for g in corpus4:
+            cls = enumerate_class(g)
+            assert cls.members == classes4[g].members, g
+            for m in cls:
+                built = _graph_index(m.nodes, m.directed, m.undirected)
+                assert (m.index.nodes, m.index.adj, m.index.pa, m.index.ne) == (
+                    built.nodes, built.adj, built.pa, built.ne
+                ), m
 
     def test_matches_naive_reference_enumeration(self):
         # unpruned reference: try all 3^|E| assignments, validate, filter

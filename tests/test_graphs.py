@@ -35,7 +35,7 @@ from ampcg.graphs import (
     is_valid_name,
     pair,
 )
-from ampcg.oracle import _FWD, _REV, _UND, _semidirected_free
+from ampcg.oracle import _FWD, _REV, _UND
 
 from .support import (
     TailNotCompleteError,
@@ -432,13 +432,13 @@ def test_validation_matches_the_independent_cycle_check(case):
     g = outcomes[0]
     assert outcomes[1] == g and outcomes[2] == g
     if isinstance(g, list):
-        assert not _semidirected_free(nodes, edges, states)
+        assert set_component_order(nodes, directed, undirected) is None
         steps = list(zip(g, g[1:]))
         assert g[0] == g[-1]
         assert all((a, b) in directed or pair(a, b) in undirected for a, b in steps)
         assert any((a, b) in directed for a, b in steps)
         return
-    assert _semidirected_free(nodes, edges, states)
+    assert set_component_order(nodes, directed, undirected) is not None
     idx = {n: i for i, comp in enumerate(chain_components(g).components) for n in comp}
     assert all(idx[u] < idx[v] for u, v in g.directed)
 

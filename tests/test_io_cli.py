@@ -419,6 +419,33 @@ def graph_file(tmp_path):
     return str(path)
 
 
+# each command, with the flag that changes what it prints, its further
+# arguments and the formats it writes; any other --format is a usage error
+WRITES = [
+    ("validate", [], "text json dot"),
+    ("components", [], "text json"),
+    ("sep", ["--x", "A", "--y", "D"], "text json"),
+    ("equiv", ["GRAPH"], "text"),
+    ("class", [], "text json"),
+    ("eg", [], "text json dot"),
+    ("strong", [], "text json dot"),
+    ("strong --rules-only", [], "text json"),
+    ("minmax --mode max", [], "text json dot"),
+    ("minmax --mode min", [], "text json"),
+    ("adjust", ["--x", "C"], "text json"),
+    ("sample", ["--n", "50", "--out", "OUT"], "text"),
+    ("bound", ["--data", "DATA", "--x", "C", "--y", "B"], "text json"),
+    ("oracle", [], "text"),
+]
+
+
+def _argv(command, args, graph_file, tmp_path):
+    name, *flags = command.split()
+    files = {"GRAPH": graph_file, "OUT": str(tmp_path / "out.csv"),
+             "DATA": str(tmp_path / "data.csv")}
+    return [name, graph_file, *flags, *(files.get(a, a) for a in args)]
+
+
 class TestCli:
     def test_validate_round_trip(self, graph_file, capsys):
         assert cli(["validate", graph_file]) == 0
@@ -451,6 +478,10 @@ class TestCli:
         # the subcommand's --format overrides the top-level one, and leaves it
         # alone when absent
         for fmt in ("text", "json", "dot"):
+            if command[-1] == "min" and fmt == "dot":  # members print as a list
+                assert cli(["--format", fmt, command[0], graph_file, *command[1:]]) == 1
+                capsys.readouterr()
+                continue
             assert cli(["--format", fmt, command[0], graph_file, *command[1:]]) == 0
             before = capsys.readouterr().out
             assert cli([command[0], "--format", fmt, graph_file, *command[1:]]) == 0
@@ -462,6 +493,35 @@ class TestCli:
             assert capsys.readouterr().out == before
         assert cli(["--format", "json", command[0], graph_file, *command[1:]]) == 0
         assert capsys.readouterr().out.startswith("{")
+
+    @pytest.mark.parametrize(
+        "command, args, writes, fmt",
+        [
+            pytest.param(command, args, writes, fmt, id=f"{command}-{fmt}")
+            for command, args, writes in WRITES
+            for fmt in ("json", "dot")
+            if fmt not in writes.split()
+        ],
+    )
+    def test_a_format_the_command_cannot_write_is_a_usage_error(
+        self, graph_file, tmp_path, capsys, command, args, writes, fmt
+    ):
+        argv = _argv(command, args, graph_file, tmp_path)
+        placements = [["--format", fmt, *argv]]
+        if writes != "text":  # the command takes --format after it too
+            placements.append([*argv, "--format", fmt])
+        for full in placements:
+            assert cli(full) == 1
+            assert capsys.readouterr() == ("", f"usage error: {command} cannot write --format {fmt}\n")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_every_format_a_command_writes_is_accepted(self, graph_file, tmp_path, capsys):
+        assert cli(["sample", graph_file, "--n", "50", "--out", str(tmp_path / "data.csv")]) == 0
+        for command, args, writes in WRITES:
+            argv = _argv(command, args, graph_file, tmp_path)
+            for fmt in writes.split():
+                assert cli(["--format", fmt, *argv]) == 0, (command, fmt)
+                assert capsys.readouterr().out
 
     def test_zero_edge_cap_is_allowed(self, graph_file, capsys):
         assert cli(["--max-edges", "0", "class", graph_file]) == 3
