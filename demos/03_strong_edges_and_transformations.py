@@ -3,7 +3,9 @@
 An edge of the essential graph is *strong* when every member of the class
 carries it with the same orientation.  Directed essential-graph edges need
 not be strong; the labeling algorithm finds exactly the ones that are, and
-the shortcut rules S1-S6 find some of them without any re-blocking work.
+the shortcut rules S1-S3 (`accelerator_labels`) find some of them without
+any re-blocking work.  The paper's S4-S6 are not in the package: every arrow
+they would chain from known labels, a re-blocking check finds.
 """
 
 from ampcg import (
@@ -21,7 +23,7 @@ from ampcg import (
 print("== a directed essential-graph edge that is not strong ==")
 g = validate_chain_graph("ABCD", [("A", "B"), ("C", "B")], [("C", "D")])
 result = essential_graph(g)
-lab = label_strong(result.marks, result.triplexes)
+lab = label_strong(result)
 print("essential graph:", result.graph)
 print("strong arrows:  ", sorted(lab.strong_directed) or "(none)")
 print("members showing why:", *sorted(map(repr, enumerate_class(g))), sep="\n  ")
@@ -30,7 +32,7 @@ print()
 print("== a strong arrow, and the shortcut rules finding it ==")
 g = validate_chain_graph("ABCD", [("A", "C"), ("B", "C"), ("C", "D")])
 result = essential_graph(g)
-lab = label_strong(result.marks, result.triplexes)
+lab = label_strong(result)
 print("essential graph:", result.graph)
 print("strong arrows:  ", sorted(lab.strong_directed))
 print("rules alone:    ", sorted(accelerator_labels(result.marks)))
@@ -39,7 +41,7 @@ print()
 print("== the rules are incomplete: a two-step disjunction ==")
 g = validate_chain_graph("ABCDE", [("A", "C"), ("B", "C"), ("C", "D"), ("D", "E")])
 result = essential_graph(g)
-lab = label_strong(result.marks, result.triplexes)
+lab = label_strong(result)
 rules = accelerator_labels(result.marks)
 print("strong arrows:  ", sorted(lab.strong_directed))
 print("rules alone:    ", sorted(rules), " (D->E needs the re-blocking check)")

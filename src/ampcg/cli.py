@@ -206,7 +206,7 @@ def _cmd_strong(ns) -> int:
             if not labels:
                 sys.stdout.write("no strong edges detected by rules\n")
         return 0
-    labeling = label_strong(result.marks, result.triplexes)
+    labeling = label_strong(result)
     if ns.format == "json":
         sys.stdout.write(to_json(labeling))
     elif ns.format == "dot":
@@ -305,11 +305,11 @@ def _cmd_bound(ns) -> int:
 
 def _cmd_oracle(ns) -> int:
     from .oracle import (
+        _merge_free,
+        _split_free,
         class_by_merge_split,
         enumerate_class,
         essential_from_class,
-        maximally_oriented_members,
-        minimally_oriented,
         strong_oracle,
     )
 
@@ -320,11 +320,11 @@ def _cmd_oracle(ns) -> int:
     eg_oracle = essential_from_class(cls)
     checks.append(("essential graph matches class oracle", result.graph == eg_oracle))
     try:
-        labeling = label_strong(result.marks, result.triplexes, check_invariants=True)
+        labeling = label_strong(result, check_invariants=True)
         invariants_hold = True
     except InvariantViolationError as exc:
         sys.stderr.write(f"invariant violation: {exc}\n")
-        labeling = label_strong(result.marks, result.triplexes)
+        labeling = label_strong(result)
         invariants_hold = False
     summary = strong_oracle(cls)
     checks.append(
@@ -337,14 +337,14 @@ def _cmd_oracle(ns) -> int:
     checks.append(("re-blocking invariants hold, rule shortcut is sound", invariants_hold))
     closure = class_by_merge_split(g, max_edges=ns.max_edges)
     checks.append(("merge/split closure equals brute force", closure.members == cls.members))
-    mins = minimally_oriented(g, max_edges=ns.max_edges)
+    mins = _merge_free(closure)
     maximal_dirsets = {
         m
         for m in cls.members
         if not any(m.directed > other.directed for other in cls.members)
     }
     checks.append(("minimally oriented members are the arrow-minimal ones", mins == maximal_dirsets))
-    maxes = maximally_oriented_members(g, max_edges=ns.max_edges)
+    maxes = _split_free(cls, ns.max_edges)
     checks.append(
         ("maximally oriented members share undirected edges",
          len({m.undirected for m in maxes}) == 1)

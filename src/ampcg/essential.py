@@ -80,10 +80,10 @@ states where the question is asked:
   thus fires nothing new; the rules are monotone, so every rule set with R3
   has the same least fixpoint under either R3.
 * S3 reads R2-R4-closed marks, so the same shortcut applies; it keeps the
-  last step.  `label_strong` re-closes other marks to check this
-  (`strong._check_line6_fixpoint`), but not `essential_graph`'s marks when
-  they come with its `triplexes` (`_masks_for`), as in `ampcg strong`: they
-  are closed by construction, since the R3 ends skipped there fire nothing.
+  last step.  `label_strong` takes an `EssentialGraphResult`, whose marks
+  are closed by construction, since the R3 ends skipped there fire nothing;
+  with `check_invariants` it re-closes them to check this
+  (`strong._check_line6_fixpoint`).
 * Double-blocking needs `m` to be the R1-R4 fixpoint of `essential_graph`.
   The least-span chord vi ~ vj of a shortest plain walk is not plain, or the
   walk could skip.  If j - i >= 3, a block at vi (or vj) gives (A) on
@@ -165,38 +165,6 @@ class MarkedGraph:
 
 # ---------------------------------------------------------------------------
 # rules R1-R4 on masks, drawn by a worklist
-
-
-def _key_masks(index: GraphIndex, t: TriplexKeys) -> list[dict[int, int]]:
-    """tri[b][a]: the mask of the c with a ~ b ~ c a triplex of `t`, as
-    `equivalence._triplex_masks` reads it off a graph's index."""
-    pos = index.pos
-    tri: list[dict[int, int]] = [{} for _ in pos]
-    for b, (a, c) in t:
-        at = tri[pos[b]]
-        i, k = pos[a], pos[c]
-        at[i] = at.get(i, 0) | 1 << k
-        at[k] = at.get(k, 0) | 1 << i
-    return tri
-
-
-class _ClassTriplexes(frozenset):
-    """A class's triplex set carrying the marks closed under it and its
-    masks; it equals, hashes and prints as the plain key set."""
-
-    __slots__ = ("marks", "masks")
-
-    def __repr__(self) -> str:
-        return repr(frozenset(self))
-
-
-def _masks_for(m: MarkedGraph, t: TriplexKeys) -> tuple[list[dict[int, int]], bool]:
-    """The triplex masks a labeling of `m` under `t` reads, and whether `m`
-    is known closed under them: `t`'s own masks when `t` is the `triplexes`
-    of the result `m` came from, else masks built from the keys."""
-    if getattr(t, "marks", None) is m:
-        return t.masks, True
-    return _key_masks(m.index, t), False
 
 
 def _seed_r1(
@@ -365,7 +333,8 @@ class EssentialGraphResult:
     """The essential graph's pre-finalization marks, which `graph` finalizes
     on first read.
 
-    `_tri` holds the triplex masks the marks were closed under.
+    `_tri` holds the triplex masks the marks were closed under;
+    `strong.label_strong` takes the whole result and reads both.
     """
 
     marks: MarkedGraph
@@ -379,12 +348,8 @@ class EssentialGraphResult:
 
     @cached_property
     def triplexes(self) -> TriplexKeys:
-        """The triplex set of the class, read off the triplex masks.  It
-        carries the marks and those masks, so `label_strong(self.marks,
-        self.triplexes)` builds no masks and skips the re-close."""
-        t = _ClassTriplexes(_triplex_keys(self.marks.index, self._tri))
-        t.marks, t.masks = self.marks, self._tri
-        return t
+        """The triplex set of the class, read off the triplex masks."""
+        return _triplex_keys(self.marks.index, self._tri)
 
     @cached_property
     def strong_undirected(self) -> frozenset[tuple[NodeId, NodeId]]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .causal import AdjustingSet, adjusting_set
 from .equivalence import HEAD, TAIL, UND, _is_triplex, triplexes
@@ -204,10 +204,14 @@ def class_by_merge_split(g: ChainGraph, max_edges: int = MAX_EDGES) -> Equivalen
     return EquivalenceClass(members=frozenset(seen))
 
 
+def _merge_free(members: Iterable[ChainGraph]) -> frozenset[ChainGraph]:
+    """The members admitting no feasible merge."""
+    return frozenset(m for m in members if not feasible_merges(m))
+
+
 def minimally_oriented(g: ChainGraph, max_edges: int = MAX_EDGES) -> frozenset[ChainGraph]:
     """All equivalent chain graphs admitting no feasible merge."""
-    members = class_by_merge_split(g, max_edges=max_edges)
-    return frozenset(m for m in members if not feasible_merges(m))
+    return _merge_free(class_by_merge_split(g, max_edges=max_edges))
 
 
 def has_feasible_split(g: ChainGraph, max_edges: int = MAX_EDGES) -> bool:
@@ -219,12 +223,16 @@ def has_feasible_split(g: ChainGraph, max_edges: int = MAX_EDGES) -> bool:
     )
 
 
+def _split_free(members: Iterable[ChainGraph], max_edges: int) -> frozenset[ChainGraph]:
+    """The members admitting no feasible split (brute force)."""
+    return frozenset(m for m in members if not has_feasible_split(m, max_edges))
+
+
 def maximally_oriented_members(
     g: ChainGraph, max_edges: int = MAX_EDGES
 ) -> frozenset[ChainGraph]:
     """All equivalent chain graphs admitting no feasible split (brute force)."""
-    members = enumerate_class(g, max_edges=max_edges)
-    return frozenset(m for m in members if not has_feasible_split(m, max_edges))
+    return _split_free(enumerate_class(g, max_edges=max_edges), max_edges)
 
 
 def class_adjusting_sets(eg: ChainGraph, x: NodeId, max_edges: int) -> frozenset[AdjustingSet]:

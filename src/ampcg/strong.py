@@ -30,13 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .equivalence import TriplexKeys, _flank_masks, _triplex_keys, _triplex_masks
+from .equivalence import _flank_masks, _triplex_keys, _triplex_masks
 from .errors import InvalidStateError, InvariantViolationError, SemidirectedCycleError
 from .essential import (
+    EssentialGraphResult,
     MarkedGraph,
     _close_blocks,
-    _doubly_blocked,
-    _masks_for,
     _one_end_blocked,
     _path_exists,
     _positions,
@@ -104,31 +103,26 @@ def _verify_candidate_state(h: MarkedGraph, eg_tri: list[dict[int, int]]) -> Non
         raise InvariantViolationError(f"finalization created triplexes {sorted(extra)}")
 
 
-def label_strong(
-    m: MarkedGraph,
-    t: TriplexKeys,
-    check_invariants: bool = False,
-) -> StrongLabeling:
-    """Classify every edge of the essential graph as strong or not.
+def label_strong(result: EssentialGraphResult, check_invariants: bool = False) -> StrongLabeling:
+    """Classify every edge of an essential graph as strong or not.
 
-    `m` must be the pre-finalization marks of an essential graph and `t` the
-    triplex set of its class (`EssentialGraphResult.triplexes`).  Each singly
-    blocked x -> y is re-blocked at y, and the copy's closure is drawn round
-    by round only until a new block destroys a pretriplex; arrows S3 already
-    labels strong skip their copies.  With `check_invariants`, every singly
-    blocked edge is re-blocked anyway, each copy is closed fully and asserted
-    against the orientation invariants, and each S3 label must be confirmed
-    by its own copy.
+    `result` is what `essential_graph` returned: the pre-finalization marks,
+    closed under R1-R4 by construction, and the triplex masks they were
+    closed under.  Each singly blocked x -> y is re-blocked at y, and the
+    copy's closure is drawn round by round only until a new block destroys
+    a pretriplex; arrows S3 already labels strong skip their copies.
 
-    Marks that are not closed under R2-R4 raise `InvalidStateError`.  Only
-    `essential_graph`'s marks with that result's own `triplexes` skip the
-    check and the mask build (unless `check_invariants`); equal copies do not.
+    With `check_invariants`, the marks are re-closed first, and marks that
+    are not closed under R2-R4 raise `InvalidStateError`; then every singly
+    blocked edge is re-blocked anyway, each copy is closed fully and
+    asserted against the orientation invariants, and each S3 label must be
+    confirmed by its own copy.
     """
+    m, tri = result.marks, result._tri
     names = m.index.nodes
-    tri, own = _masks_for(m, t)
-    if check_invariants or not own:
+    if check_invariants:
         _check_line6_fixpoint(m, tri)
-    eg = m.finalize()
+    eg = result.graph
     eg_tri = _triplex_masks(eg.index) if check_invariants else []
     pre = _pretriplexes_by_end(m)
     strong_arrows = _s3(m)
@@ -156,14 +150,13 @@ def label_strong(
     return StrongLabeling(
         graph=eg,
         strong_directed=frozenset(strong_arrows),
-        strong_undirected=_doubly_blocked(m),
+        strong_undirected=result.strong_undirected,
     )
 
 
 def strong_labeling(g: ChainGraph) -> StrongLabeling:
     """Convenience pipeline: essential graph of g, then edge labeling."""
-    result = essential_graph(g)
-    return label_strong(result.marks, result.triplexes)
+    return label_strong(essential_graph(g))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +214,7 @@ def _s3(m: MarkedGraph) -> set[tuple[NodeId, NodeId]]:
 def accelerator_labels(m: MarkedGraph) -> frozenset[tuple[NodeId, NodeId]]:
     """Strong arrows detected by S1-S3, which read only the end marks.
 
-    `m` must be settled marks, as `label_strong` takes them.  Sound but
+    `m` must be settled marks, such as `essential_graph`'s.  Sound but
     deliberately incomplete: some strong arrows are only found by the
     re-blocking check.  `ampcg strong --rules-only` prints these labels;
     `label_strong` reads S3 alone.

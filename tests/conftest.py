@@ -41,10 +41,10 @@ def run_pipeline(graphs) -> PipelineRun:
         cls = enumerate_class(g)
         result = essential_graph(g)
         try:
-            labeling = label_strong(result.marks, result.triplexes, check_invariants=True)
+            labeling = label_strong(result, check_invariants=True)
         except InvariantViolationError as exc:
             run.invariant_violations.append((g, str(exc)))
-            labeling = label_strong(result.marks, result.triplexes)
+            labeling = label_strong(result)
         run.records.append(PipelineRecord(g, cls, result, labeling))
     return run
 

@@ -34,11 +34,17 @@ from ampcg.essential import (
     MarkedGraph,
     _close_blocks,
     _double_block,
-    _masks_for,
     _positions,
     _seed_r1,
 )
-from ampcg.graphs import _check_nodes, _is_clique, _mcs_ranks, _oriented, is_valid_name
+from ampcg.graphs import (
+    GraphIndex,
+    _check_nodes,
+    _is_clique,
+    _mcs_ranks,
+    _oriented,
+    is_valid_name,
+)
 from ampcg.oracle import _split_candidates
 from ampcg.separation import _check_query, route_is_open
 from ampcg.transform import _split_result
@@ -137,6 +143,20 @@ def unmarked_skeleton(g: ChainGraph) -> MarkedGraph:
 RULE_NAMES = ("R1", "R2", "R3", "R4")
 
 
+def _key_masks(index: GraphIndex, t: TriplexKeys) -> list[dict[int, int]]:
+    """tri[b][a]: the mask of the c with a ~ b ~ c a triplex of `t`, the
+    name-key reference for the masks `equivalence._triplex_masks` reads off
+    a graph's index."""
+    pos = index.pos
+    tri: list[dict[int, int]] = [{} for _ in pos]
+    for b, (a, c) in t:
+        at = tri[pos[b]]
+        i, k = pos[a], pos[c]
+        at[i] = at.get(i, 0) | 1 << k
+        at[k] = at.get(k, 0) | 1 << i
+    return tri
+
+
 def apply_rules_R(
     m: MarkedGraph,
     t: TriplexKeys,
@@ -161,7 +181,7 @@ def apply_rules_R(
     if closing not in (set(), {"R2", "R3"}, {"R2", "R3", "R4"}):
         raise ValueError(f"the engine does not close under {sorted(closing)} alone")
     out, inn = list(m.out), list(m.inn)
-    tri, _ = _masks_for(m, t)
+    tri = _key_masks(m.index, t)
     if new is None:
         if "R1" in rules:
             _seed_r1(tri, out, inn)

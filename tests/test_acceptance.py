@@ -57,7 +57,7 @@ DISJUNCTIVE = cg("ABCDE", [("A", "C"), ("B", "C"), ("C", "D"), ("D", "E")])
 
 def _labeling(g, **kwargs):
     result = essential_graph(g)
-    return label_strong(result.marks, result.triplexes, **kwargs)
+    return label_strong(result, **kwargs)
 
 
 def test_criterion_1_essential_graph_matches_class_oracle(corpus4, classes4, run56):
@@ -75,7 +75,7 @@ def test_criterion_2_strong_labels_match_class_oracle(corpus4, classes4, run7, r
     checked = 0
     for g in corpus4:
         result = essential_graph(g)
-        labeling = label_strong(result.marks, result.triplexes, check_invariants=True)
+        labeling = label_strong(result, check_invariants=True)
         summary = strong_oracle(classes4[g])
         assert labeling.strong_directed == summary.directed, g
         assert labeling.strong_undirected == summary.undirected, g
@@ -100,7 +100,7 @@ def test_criterion_2_strong_labels_match_class_oracle(corpus4, classes4, run7, r
 def test_criterion_3_accelerator_sound_and_incomplete(corpus4, run56, run7):
     for g in corpus4:
         result = essential_graph(g)
-        labeling = label_strong(result.marks, result.triplexes, check_invariants=True)
+        labeling = label_strong(result, check_invariants=True)
         assert accelerator_labels(result.marks) <= labeling.strong_directed, g
     for run in (run56, run7):
         for record in run.records:
@@ -233,7 +233,7 @@ def test_criterion_8_orientation_invariants_never_fire(run56, run7, corpus4):
     violations = list(run56.invariant_violations) + list(run7.invariant_violations)
     for g in corpus4:
         result = essential_graph(g)
-        label_strong(result.marks, result.triplexes, check_invariants=True)
+        label_strong(result, check_invariants=True)
     assert violations == [], violations
     _report(
         "ACCEPTANCE 8 re-blocking invariants "

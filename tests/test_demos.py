@@ -1,8 +1,10 @@
-"""Every demo script runs to completion against the in-tree package."""
+"""Every demo script, and README's quick start, runs to completion against
+the in-tree package."""
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +35,15 @@ def test_cli_runs_as_module(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "node A\nnode B\nedge A -> B\n"
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", block], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[('C', 'D'), ('D', 'E')]"

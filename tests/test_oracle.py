@@ -1,9 +1,11 @@
 """The oracle module's place in the package: loaded only when an oracle runs,
-re-exported lazily, and refusing past one set of caps."""
+re-exported lazily, refusing past one set of caps, and building each class
+once per `ampcg oracle`."""
 
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 import types
@@ -12,7 +14,14 @@ from pathlib import Path
 import pytest
 
 import ampcg
-from ampcg import enumerate_adjusting_sets, essential_graph, node_names, oracle
+from ampcg import (
+    enumerate_adjusting_sets,
+    essential_graph,
+    node_names,
+    oracle,
+    random_chain_graph,
+    serialize_graph,
+)
 from ampcg.cli import cli
 from ampcg.errors import MAXORIENTED_CAP, SUPERSET_CAP, TooLargeError
 
@@ -134,3 +143,28 @@ def test_adjust_past_the_maxoriented_cap_is_exit_three(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"size cap: maxoriented mode exceeds the cap of {MAXORIENTED_CAP} sets\n"
+
+
+def test_the_oracle_command_builds_each_class_once(tmp_path, capsys, monkeypatch):
+    # the member filters read the class and the closure the command already
+    # holds, on a 13-edge draw whose class has 24 members
+    g = random_chain_graph(random.Random(5), node_names(9), 0.12, 0.2)
+    path = tmp_path / "g13.txt"
+    path.write_text(serialize_graph(g))
+    calls = {"enumerate_class": 0, "class_by_merge_split": 0}
+
+    def counting(name):
+        build = getattr(oracle, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return build(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(oracle, name, counting(name))
+    assert cli(["oracle", str(path)]) == 0
+    assert calls == {"enumerate_class": 1, "class_by_merge_split": 1}
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 8 and "FAIL" not in out

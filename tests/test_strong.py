@@ -1,4 +1,3 @@
-import copy as copying
 import hashlib
 import json
 import random
@@ -27,7 +26,7 @@ from ampcg import (
 from ampcg import equivalence, essential, graphs, strong
 from ampcg.cli import cli
 from ampcg.errors import InvalidStateError, InvariantViolationError
-from ampcg.essential import MarkedGraph, _close_blocks
+from ampcg.essential import EssentialGraphResult, _close_blocks
 from ampcg.strong import _pretriplexes_by_end
 
 from .support import (
@@ -44,7 +43,7 @@ from .support import (
 
 def _pipeline(g):
     result = essential_graph(g)
-    return result, label_strong(result.marks, result.triplexes, check_invariants=True)
+    return result, label_strong(result, check_invariants=True)
 
 
 class TestLabelStrong:
@@ -76,17 +75,12 @@ class TestLabelStrong:
         # one propagation consequent is missing, so the marks are not settled
         unsettled = with_blocks(unmarked_skeleton(g), [("A", "C"), ("B", "C")])
         with pytest.raises(InvalidStateError):
-            label_strong(unsettled, result.triplexes)
+            label_strong(EssentialGraphResult(unsettled, result._tri), check_invariants=True)
 
-    def test_only_caller_supplied_marks_are_rechecked(self, monkeypatch):
-        # essential_graph's own marks are closed and skip the fixpoint check;
-        # an equal copy built by the caller, the triplex set as a plain
-        # frozenset, and any call with check_invariants, still run it, with
-        # the same labels; a plain set builds the masks from its keys once
-        g = cg("ABCD", [("A", "C"), ("B", "C"), ("C", "D")])
-        unsettled = with_blocks(unmarked_skeleton(g), [("A", "C"), ("B", "C")])
-        with pytest.raises(InvalidStateError):
-            label_strong(unsettled, essential_graph(g).triplexes, check_invariants=True)
+    def test_only_checked_mode_recloses_the_marks(self, monkeypatch):
+        # essential_graph's marks are closed by construction, so a labeling
+        # runs the fixpoint check only under check_invariants, with the same
+        # labels either way
         checks = 0
         check = strong._check_line6_fixpoint
 
@@ -96,46 +90,29 @@ class TestLabelStrong:
             return check(*args)
 
         monkeypatch.setattr(strong, "_check_line6_fixpoint", counted)
-        builds = 0
-        key_masks = essential._key_masks
-
-        def counted_builds(*args):
-            nonlocal builds
-            builds += 1
-            return key_masks(*args)
-
-        monkeypatch.setattr(essential, "_key_masks", counted_builds)
         rnd = random.Random(31)
         for _ in range(40):
             g = random_chain_graph(rnd, node_names(rnd.randint(2, 30)), 0.1, 0.15)
             result = essential_graph(g)
-            m, t = result.marks, result.triplexes
-            copy = MarkedGraph(m.index, m.out, m.inn)
             checks = 0
-            labels = label_strong(m, t)
+            labels = label_strong(result)
             assert checks == 0
             assert strong_labeling(g) == labels and checks == 0
-            assert label_strong(copy, t) == labels and checks == 1
-            assert label_strong(m, t, check_invariants=True) == labels and checks == 2
-            assert label_strong(with_blocks(m, []), t) == labels and checks == 3
-            builds = 0
-            assert label_strong(m, frozenset(t)) == labels and checks == 4 and builds == 1
-            assert label_strong(m, copying.copy(t)) == labels
+            assert label_strong(result, check_invariants=True) == labels and checks == 1
 
     def test_shortcut_labels_match_checked_labels(self):
         rnd = random.Random(23)
         for _ in range(120):
             g = random_chain_graph(rnd, node_names(rnd.randint(2, 6)))
             result = essential_graph(g)
-            m, t = result.marks, result.triplexes
-            assert label_strong(m, t) == label_strong(m, t, check_invariants=True)
+            assert label_strong(result) == label_strong(result, check_invariants=True)
 
     def test_checked_mode_rejects_an_unconfirmed_shortcut_label(self, monkeypatch):
         g = cg("ABCD", [("A", "B"), ("C", "B")], [("C", "D")])
         result = essential_graph(g)
         monkeypatch.setattr("ampcg.strong._s3", lambda m: {("A", "B")})
         with pytest.raises(InvariantViolationError, match="shortcut labels"):
-            label_strong(result.marks, result.triplexes, check_invariants=True)
+            label_strong(result, check_invariants=True)
 
     @staticmethod
     def _reblock_also(monkeypatch, marks, end, other):
@@ -158,7 +135,7 @@ class TestLabelStrong:
         # then finalizes to B -> C -> A -- B, a semidirected cycle
         self._reblock_also(monkeypatch, result.marks, "B", "C")
         with pytest.raises(InvariantViolationError, match="semidirected cycle"):
-            label_strong(result.marks, result.triplexes, check_invariants=True)
+            label_strong(result, check_invariants=True)
 
     def test_checked_mode_reports_a_block_on_a_plain_triangle(self, monkeypatch):
         # the collider gives singly blocked edges to re-block; E--F--G--E
@@ -168,7 +145,7 @@ class TestLabelStrong:
         self._reblock_also(monkeypatch, result.marks, "E", "F")
         message = "blocked edge E~F on an otherwise plain triangle with G"
         with pytest.raises(InvariantViolationError, match=f"^{message}$"):
-            label_strong(result.marks, result.triplexes, check_invariants=True)
+            label_strong(result, check_invariants=True)
 
     def test_checked_mode_reports_a_new_triplex(self, monkeypatch):
         # each copy blocks (E, F) of the plain path E--F--G, which finalizes
@@ -178,7 +155,7 @@ class TestLabelStrong:
         self._reblock_also(monkeypatch, result.marks, "E", "F")
         message = "finalization created triplexes [('F', ('E', 'G'))]"
         with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
-            label_strong(result.marks, result.triplexes, check_invariants=True)
+            label_strong(result, check_invariants=True)
 
     def test_a_copy_stops_at_its_first_destroyed_pretriplex(self, monkeypatch):
         # V3 -> V8 is the one strong arrow S1-S3 miss.  The copy that forces
@@ -203,13 +180,13 @@ class TestLabelStrong:
             return new
 
         monkeypatch.setattr(essential, "_block", counted)
-        lab = label_strong(result.marks, result.triplexes)
+        lab = label_strong(result)
         assert lab.strong_directed == {("V1", "V8"), ("V3", "V8"), ("V5", "V8"), ("V7", "V8")}
         assert added == 2
         # checked, the copy closes fully (2 + 1 + 2), and the copies of S3's
         # three arrows add 15 blocks
         added = 0
-        assert label_strong(result.marks, result.triplexes, check_invariants=True) == lab
+        assert label_strong(result, check_invariants=True) == lab
         assert added == 5 + 15
 
     def test_labels_a_120_node_graph_in_seconds(self):
@@ -219,9 +196,9 @@ class TestLabelStrong:
         g = random_chain_graph(rnd, node_names(120), 0.01, 0.017)
         result = essential_graph(g)
         start = time.perf_counter()
-        lab = label_strong(result.marks, result.triplexes)
+        lab = label_strong(result)
         assert time.perf_counter() - start < 5.0
-        assert lab == label_strong(result.marks, result.triplexes, check_invariants=True)
+        assert lab == label_strong(result, check_invariants=True)
 
     def test_re_blocking_a_200_node_graph_walks_only_from_the_new_block(self, monkeypatch):
         # full rescans of R3 per re-blocked copy made 39 639 walks here
@@ -238,9 +215,9 @@ class TestLabelStrong:
         with monkeypatch.context() as patch:
             patch.setattr("ampcg.essential._path_exists", counted)
             patch.setattr("ampcg.strong._path_exists", counted)
-            lab = label_strong(result.marks, result.triplexes)
+            lab = label_strong(result)
         assert calls <= 10_000
-        assert lab == label_strong(result.marks, result.triplexes, check_invariants=True)
+        assert lab == label_strong(result, check_invariants=True)
 
     def test_one_labeling_builds_the_adjacency_once(self, monkeypatch):
         # the graph's constructor builds its index; every fixpoint shares it,
@@ -266,27 +243,23 @@ class TestLabelStrong:
     def test_one_labeling_builds_the_triplex_masks_once(self, monkeypatch, tmp_path):
         # essential_graph reads the masks off the graph's index once; both of
         # its fixpoints and the labeling share that build, through the library
-        # and through `ampcg strong`, and none is rebuilt from the name set
-        builds = {"index": 0, "keys": 0}
+        # and through `ampcg strong`
+        builds = 0
+        build = equivalence._triplex_masks
 
-        def counting(kind, build):
-            def counted(*args):
-                builds[kind] += 1
-                return build(*args)
+        def counted(*args):
+            nonlocal builds
+            builds += 1
+            return build(*args)
 
-            return counted
-
-        monkeypatch.setattr(
-            essential, "_triplex_masks", counting("index", equivalence._triplex_masks)
-        )
-        monkeypatch.setattr(essential, "_key_masks", counting("keys", essential._key_masks))
+        monkeypatch.setattr(essential, "_triplex_masks", counted)
         g = random_chain_graph(random.Random(30), node_names(30), 0.04, 0.07)
         strong_labeling(g)
-        assert builds == {"index": 1, "keys": 0}
+        assert builds == 1
         path = tmp_path / "g.txt"
         path.write_text(serialize_graph(g))
         assert cli(["strong", str(path)]) == 0
-        assert builds == {"index": 2, "keys": 0}
+        assert builds == 2
 
     def test_one_labeling_validates_its_marks_once(self, monkeypatch):
         # essential_graph finalizes the marks, and label_strong reads that
@@ -418,8 +391,8 @@ def test_renaming_the_nodes_renames_every_output():
         )
         result_g, result_h = essential_graph(g), essential_graph(h)
         assert to_json(result_h.marks) == _renamed_marks_json(to_json(result_g.marks), rename)
-        lab_g = label_strong(result_g.marks, result_g.triplexes)
-        lab_h = label_strong(result_h.marks, result_h.triplexes)
+        lab_g = label_strong(result_g)
+        lab_h = label_strong(result_h)
         assert lab_h.strong_directed == {(rename[u], rename[v]) for u, v in lab_g.strong_directed}
         assert lab_h.strong_undirected == {
             pair(rename[a], rename[b]) for a, b in lab_g.strong_undirected
@@ -495,7 +468,7 @@ LABELING_DRAWS = (
 def test_labelings_at_200_to_2000_nodes_keep_their_digests():
     for n, p_u, p_d, expected in LABELING_DRAWS:
         result = essential_graph(random_chain_graph(random.Random(n), node_names(n), p_u, p_d))
-        labeling = label_strong(result.marks, result.triplexes)
+        labeling = label_strong(result)
         text = (to_json(result.marks) + to_json(labeling)).encode()
         assert hashlib.sha256(text).hexdigest()[:12] == expected, n
 
@@ -505,7 +478,7 @@ def test_shortcut_rules_are_sound_at_200_and_500_nodes():
     # S4-S6 chain further strong arrows from those labels
     for n, p_u, p_d, _ in LABELING_DRAWS[:2]:
         result = essential_graph(random_chain_graph(random.Random(n), node_names(n), p_u, p_d))
-        strong = label_strong(result.marks, result.triplexes).strong_directed
+        strong = label_strong(result).strong_directed
         rules = accelerator_labels(result.marks)
         chained = s4_s6_closure(result.marks, rules)
         assert rules < strong and chained, n
@@ -518,8 +491,7 @@ def test_early_stopped_labels_match_fully_closed_labels_at_30_to_60_nodes():
         n = rnd.randint(30, 60)
         g = random_chain_graph(rnd, node_names(n), rnd.uniform(1, 3) / n, rnd.uniform(1.5, 4) / n)
         result = essential_graph(g)
-        m, t = result.marks, result.triplexes
-        assert label_strong(m, t) == label_strong(m, t, check_invariants=True)
+        assert label_strong(result) == label_strong(result, check_invariants=True)
 
 
 # sha256 of serialize_graph(maximally_oriented(g)) for the draws of SCALES,
