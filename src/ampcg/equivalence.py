@@ -83,7 +83,9 @@ def triplexes(g: ChainGraph) -> TriplexKeys:
 
 
 def equivalent(g: ChainGraph, h: ChainGraph) -> bool:
-    """Same adjacencies and same triplexes."""
-    if g.nodes != h.nodes:
-        raise NodeSetMismatchError(f"node sets differ: {sorted(g.nodes)} vs {sorted(h.nodes)}")
-    return g.skeleton == h.skeleton and triplexes(g) == triplexes(h)
+    """Same adjacencies and same triplexes, compared as masks over the
+    shared node positions."""
+    gi, hi = g.index, h.index
+    if gi.nodes != hi.nodes:
+        raise NodeSetMismatchError(f"node sets differ: {list(gi.nodes)} vs {list(hi.nodes)}")
+    return gi.adj == hi.adj and _triplex_masks(gi) == _triplex_masks(hi)

@@ -80,8 +80,8 @@ class InvalidStateError(GraphError):
 
 
 class InvariantViolationError(GraphError):
-    """An internal consistency invariant broke: in the labeling machinery, or
-    a graph index that disagrees with the graph's edges."""
+    """An internal consistency invariant broke in the labeling machinery, or
+    `parse_graph` rejected a document it cannot fault."""
 
 
 class MixedStrongNeighborsError(GraphError):

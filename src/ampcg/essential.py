@@ -118,7 +118,17 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from .equivalence import TriplexKeys, _triplex_keys, _triplex_masks
-from .graphs import ChainGraph, GraphIndex, Masks, NodeId, _edges, _oriented, _reach, _step
+from .graphs import (
+    ChainGraph,
+    GraphIndex,
+    Masks,
+    NodeId,
+    _edges,
+    _oriented,
+    _positions,
+    _reach,
+    _step,
+)
 
 
 @dataclass(frozen=True)
@@ -128,8 +138,8 @@ class MarkedGraph:
     `index` is the graph's `GraphIndex`: it numbers the nodes in sorted
     order and gives each its adjacency mask.  out[i] masks the w with the
     edge i ~ w blocked at i, and inn[w] the same blocks seen from w.  Copies
-    share `index`, and two marked graphs are equal when they share it and
-    their masks agree.  Those three fields are all it holds.
+    share `index`, and two marked graphs are equal when their indexes and
+    masks agree.  Those three fields are all it holds.
     """
 
     index: GraphIndex
@@ -296,17 +306,6 @@ def _one_end_blocked(m: MarkedGraph) -> list[tuple[int, int]]:
         (i, w) if out[i] >> w & 1 else (w, i)
         for i, w in _edges([o ^ n for o, n in zip(out, m.inn)])
     ]
-
-
-def _positions(masks: Sequence[int]) -> list[tuple[int, int]]:
-    """Every (i, w) with bit w set in masks[i]."""
-    found = []
-    for i, x in enumerate(masks):
-        while x:
-            low = x & -x
-            found.append((i, low.bit_length() - 1))
-            x ^= low
-    return found
 
 
 def _double_block(adj: Sequence[int], out: list[int], inn: list[int]) -> list[tuple[int, int]]:

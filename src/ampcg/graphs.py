@@ -2,7 +2,10 @@
 
 All graph types are immutable values: operations elsewhere in the package
 return new graphs instead of mutating, which makes oracle comparisons plain
-equality checks.
+equality checks.  A `ChainGraph` is its `GraphIndex` alone, and an index
+compares by its nodes and masks, so two graphs with the same edges are
+equal and hash alike however they were built; a `MarkedGraph`, its index
+plus two mask tuples, compares by value the same way.
 """
 
 from __future__ import annotations
@@ -10,13 +13,12 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Literal, NoReturn, Sequence
 
 from .errors import (
     DuplicateEdgeError,
-    InvariantViolationError,
     NotChordalError,
     SelfLoopError,
     SemidirectedCycleError,
@@ -54,15 +56,29 @@ def _edges(masks: Sequence[int]) -> list[tuple[int, int]]:
     return found
 
 
-@dataclass(frozen=True, eq=False)
+def _positions(masks: Sequence[int]) -> list[tuple[int, int]]:
+    """Every (i, w) with bit w set in masks[i], in sorted order."""
+    found = []
+    for i, x in enumerate(masks):
+        while x:
+            low = x & -x
+            found.append((i, low.bit_length() - 1))
+            x ^= low
+    return found
+
+
+@dataclass(frozen=True)
 class GraphIndex:
     """A chain graph's node positions in sorted order and three masks per
     node: bit j of adj[i] is set when nodes[i] ~ nodes[j], of pa[i] when
-    nodes[j] -> nodes[i], and of ne[i] when nodes[i] -- nodes[j]."""
+    nodes[j] -> nodes[i], and of ne[i] when nodes[i] -- nodes[j].
+
+    Two indexes are equal, and hash alike, when their nodes, `pa` and `ne`
+    agree; `pos` and `adj` follow from those and are not compared."""
 
     nodes: tuple[NodeId, ...]
-    pos: dict[NodeId, int]
-    adj: Masks
+    pos: dict[NodeId, int] = field(compare=False)
+    adj: Masks = field(compare=False)
     pa: Masks
     ne: Masks
 
@@ -154,55 +170,51 @@ def _edge_fault(pos: dict[NodeId, int], u: NodeId, v: NodeId, undirected: bool) 
     raise DuplicateEdgeError(f"more than one edge between {a!r} and {b!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChainGraph:
     """A set of nodes with directed (tail, head) and undirected edges.
 
-    Every instance is well formed and has no semidirected cycle.  Building
-    the graph's `index` checks the edges (:func:`_graph_index`); the
-    constructor then computes the chain components in topological order
-    once, on that index, keeps them for :func:`chain_components`, and raises
-    SemidirectedCycleError when there is no such order.  Edges from outside
-    the package should go through :func:`validate_chain_graph`, which also
-    rejects bad names and canonicalizes the undirected pairs.
+    Every instance is well formed and has no semidirected cycle.  The graph
+    is its `index` alone: `nodes`, `directed`, `undirected` and `skeleton`
+    are name sets derived from the masks when first read, and equality and
+    hashing are the index's.  The constructor builds the index from edge
+    sets, checking them (:func:`_graph_index`); `_of` takes an index whose
+    masks a builder set itself.  Either way the chain components are then
+    computed in topological order once, kept for :func:`chain_components`,
+    and SemidirectedCycleError is raised when there is no such order.
+    Edges from outside the package should go through
+    :func:`validate_chain_graph`, which also rejects bad names and
+    canonicalizes the undirected pairs.
     """
 
-    nodes: frozenset[NodeId]
-    directed: frozenset[tuple[NodeId, NodeId]]
-    undirected: frozenset[tuple[NodeId, NodeId]]
+    index: GraphIndex
 
-    def __post_init__(self) -> None:
-        if self._order is None:
-            cycle = _semidirected_cycle_witness(self.nodes, self.directed, self.undirected)
-            if cycle is None:
-                raise InvariantViolationError(_index_mismatch(self))
-            raise SemidirectedCycleError(cycle)
+    def __init__(
+        self,
+        nodes: Iterable[NodeId],
+        directed: Iterable[tuple[NodeId, NodeId]],
+        undirected: Iterable[tuple[NodeId, NodeId]],
+    ) -> None:
+        self._adopt(_graph_index(nodes, directed, undirected), None)
 
     @classmethod
-    def _indexed(
-        cls,
-        nodes: frozenset[NodeId],
-        directed: frozenset[tuple[NodeId, NodeId]],
-        undirected: frozenset[tuple[NodeId, NodeId]],
-        index: GraphIndex,
-    ) -> ChainGraph:
-        """Construct with `index` as the graph's index, made in the pass
-        that built the edges: `_graph_index` checks them as it goes, and
-        `_oriented` reads them off a skeleton.  Only the cycle test runs."""
+    def _of(cls, index: GraphIndex, order: list[Sequence[int]] | None = None) -> ChainGraph:
+        """The chain graph whose index is `index`, from a builder that set
+        its masks itself; `order` is `_component_order(index)` when the
+        builder has found it already."""
         g = cls.__new__(cls)
-        g.__dict__.update(nodes=nodes, directed=directed, undirected=undirected, index=index)
-        g.__post_init__()
+        g._adopt(index, order)
         return g
 
-    @cached_property
-    def index(self) -> GraphIndex:
-        """Sorted positions with adjacency, parent and neighbor masks, built
-        once per graph."""
-        return _graph_index(self.nodes, self.directed, self.undirected)
-
-    @cached_property
-    def _order(self) -> list[Sequence[int]] | None:
-        return _component_order(self.index)
+    def _adopt(self, index: GraphIndex, order: list[Sequence[int]] | None) -> None:
+        """Hold `index`, with `order` (found when None) its chain components
+        in topological order: the cycle test of every build."""
+        if order is None:
+            order = _component_order(index)
+            if order is None:
+                raise SemidirectedCycleError(_semidirected_cycle_witness(index))
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_order", order)
 
     @cached_property
     def _partition(self) -> ComponentPartition:
@@ -216,9 +228,26 @@ class ChainGraph:
         return self.index.nodes
 
     @cached_property
+    def nodes(self) -> frozenset[NodeId]:
+        return frozenset(self.index.nodes)
+
+    @cached_property
+    def directed(self) -> frozenset[tuple[NodeId, NodeId]]:
+        """The arrows as (tail, head) names."""
+        names = self.index.nodes
+        return frozenset((names[i], names[w]) for i, w in _positions(self.index.ch))
+
+    @cached_property
+    def undirected(self) -> frozenset[tuple[NodeId, NodeId]]:
+        """The undirected edges as `pair()`-ordered names."""
+        names = self.index.nodes
+        return frozenset((names[i], names[w]) for i, w in _edges(self.index.ne))
+
+    @cached_property
     def skeleton(self) -> frozenset[tuple[NodeId, NodeId]]:
-        """All edges as canonical unordered pairs."""
-        return frozenset([(u, v) if u < v else (v, u) for u, v in self.directed]) | self.undirected
+        """All edges as `pair()`-ordered names."""
+        names = self.index.nodes
+        return frozenset((names[i], names[w]) for i, w in _edges(self.index.adj))
 
     def is_adjacent(self, u: NodeId, v: NodeId) -> bool:
         return pair(u, v) in self.skeleton
@@ -232,8 +261,7 @@ class ChainGraph:
     def __repr__(self) -> str:  # compact form, readable in test failures
         parts = [f"{u}->{v}" for u, v in sorted(self.directed)]
         parts += [f"{a}--{b}" for a, b in sorted(self.undirected)]
-        isolated = sorted(self.nodes - {n for e in self.skeleton for n in e})
-        parts += isolated
+        parts += [n for n, a in zip(self.index.nodes, self.index.adj) if not a]
         return "ChainGraph(" + ", ".join(parts) + ")"
 
 
@@ -250,19 +278,6 @@ class ComponentPartition:
     @cached_property
     def component_of(self) -> dict[NodeId, frozenset[NodeId]]:
         return {n: comp for comp in self.components for n in comp}
-
-
-def _index_mismatch(g: ChainGraph) -> str:
-    """Name the first mask of `g.index` that disagrees with g's edges: an
-    index handed to `ChainGraph._indexed` can reject acyclic edges."""
-    given, built = g.index, _graph_index(g.nodes, g.directed, g.undirected)
-    if given.nodes != built.nodes:
-        return "index nodes disagree with the graph's nodes"
-    for field in ("adj", "pa", "ne"):
-        for name, x, y in zip(built.nodes, getattr(given, field), getattr(built, field)):
-            if x != y:
-                return f"index mask {field}[{name!r}] disagrees with the edges"
-    return "index disagrees with the edges"
 
 
 def _check_nodes(nodes: frozenset[NodeId], referenced: Iterable[NodeId]) -> None:
@@ -334,29 +349,24 @@ def _component_order(index: GraphIndex) -> list[Sequence[int]] | None:
     return order if len(order) == len(members) else None
 
 
-def _semidirected_cycle_witness(
-    nodes: frozenset[NodeId],
-    directed: Iterable[tuple[NodeId, NodeId]],
-    undirected: Iterable[tuple[NodeId, NodeId]],
-) -> list[NodeId] | None:
-    """One semidirected cycle, or None when the edges admit none.
+def _semidirected_cycle_witness(index: GraphIndex) -> list[NodeId]:
+    """One semidirected cycle of an index that `_component_order` rejects.
 
     The first arrow u -> v, in sorted order, whose head reaches its tail by
     -> and -- steps, closed by a shortest route from v back to u
     (breadth-first, successors in sorted order).
     """
-    succ: dict[NodeId, set[NodeId]] = {n: set() for n in nodes}
-    for u, v in directed:
-        succ[u].add(v)
-    for a, b in undirected:
-        succ[a].add(b)
-        succ[b].add(a)
-    for u, v in sorted(directed):
-        prev: dict[NodeId, NodeId] = {v: v}
+    succ = [c | n for c, n in zip(index.ch, index.ne)]
+    for u, v in _positions(index.ch):
+        prev = {v: v}
         queue = deque([v])
         while queue and u not in prev:
             cur = queue.popleft()
-            for w in sorted(succ[cur]):
+            x = succ[cur]
+            while x:
+                low = x & -x
+                w = low.bit_length() - 1
+                x ^= low
                 if w not in prev:
                     prev[w] = cur
                     queue.append(w)
@@ -364,8 +374,8 @@ def _semidirected_cycle_witness(
             path = [u]
             while path[-1] != v:
                 path.append(prev[path[-1]])
-            return [u, *reversed(path)]
-    return None
+            return [index.nodes[i] for i in (u, *reversed(path))]
+    raise AssertionError("no semidirected cycle in a rejected index")
 
 
 def validate_chain_graph(
@@ -383,10 +393,7 @@ def validate_chain_graph(
     for n in node_set:
         if not is_valid_name(n):
             raise UnknownNodeError(f"invalid node name {n!r}")
-    directed = list(directed)
-    undirected = [pair(a, b) for a, b in undirected]
-    index = _graph_index(node_set, directed, undirected)
-    return ChainGraph._indexed(node_set, frozenset(directed), frozenset(undirected), index)
+    return ChainGraph(node_set, directed, [pair(a, b) for a, b in undirected])
 
 
 def family(g: ChainGraph, xs: Iterable[NodeId], relation: Relation) -> frozenset[NodeId]:
@@ -511,14 +518,12 @@ def _oriented(
     edge in the masks `loose` points away from its end of lower `rank`, an
     edge blocked at one end only (in `out`, the w with i ~ w blocked at i;
     `inn`, the same seen from w) points out of that end, any other edge is
-    undirected.  One pass over the edges builds the graph and its index.
-    Each edge is read once off `index.adj`, so the edge checks of
-    `_graph_index` cannot fire; the constructor runs only its cycle test."""
+    undirected.  One pass over the edges sets the parent and neighbor
+    masks; each edge is read once off `index.adj`, so the edge checks of
+    `_graph_index` have nothing to catch and only the cycle test runs."""
     names, adj = index.nodes, index.adj
     pa = [0] * len(names)
     ne = [0] * len(names)
-    directed = []
-    undirected = []
     for i, w in _edges(adj):
         low = 1 << w
         if loose[i] & low:
@@ -528,13 +533,6 @@ def _oriented(
         else:
             ne[i] |= low
             ne[w] |= 1 << i
-            undirected.append((names[i], names[w]))
             continue
         pa[v] |= 1 << u
-        directed.append((names[u], names[v]))
-    return ChainGraph._indexed(
-        frozenset(names),
-        frozenset(directed),
-        frozenset(undirected),
-        GraphIndex(names, index.pos, adj, tuple(pa), tuple(ne)),
-    )
+    return ChainGraph._of(GraphIndex(names, index.pos, adj, tuple(pa), tuple(ne)))

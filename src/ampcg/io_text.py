@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any, TextIO
 
 from .errors import DuplicateEdgeError, GraphError, InvariantViolationError, ParseError
 from .essential import MarkedGraph
-from .graphs import ChainGraph, NodeId, _edges, _graph_index, is_valid_name, pair
+from .graphs import ChainGraph, NodeId, _edges, _graph_index, _positions, is_valid_name, pair
 from .strong import StrongLabeling
 
 if TYPE_CHECKING:
@@ -31,7 +31,7 @@ def parse_graph(text: str) -> ChainGraph:
     One lean pass sorts each line by its token count and keyword, checks
     each distinct name once and hands the edge lists to `_graph_index`,
     which rejects self-loops and doubled pairs as it builds the graph's
-    index; the constructor then runs only the cycle test.  Any rejection
+    index; `ChainGraph._of` then runs only the cycle test.  Any rejection
     re-reads the text line by line (`_first_faulty_line`), so every error
     names the first faulty line, and a semidirected cycle is reported only
     when no line is faulty.
@@ -63,9 +63,7 @@ def parse_graph(text: str) -> ChainGraph:
         index = _graph_index(nodes, directed, undirected)
     except GraphError:
         raise _first_faulty_line(text) from None
-    return ChainGraph._indexed(
-        frozenset(nodes), frozenset(directed), frozenset(undirected), index
-    )
+    return ChainGraph._of(index)
 
 
 def _first_faulty_line(text: str) -> Exception:
@@ -105,12 +103,17 @@ def _first_faulty_line(text: str) -> Exception:
 
 
 def serialize_graph(g: ChainGraph) -> str:
-    """Canonical text form: sorted node lines, then sorted edge lines."""
-    lines = [f"node {n}" for n in g.sorted_nodes]
-    edges = [(pair(u, v), "->", (u, v)) for u, v in g.directed]
-    edges += [((a, b), "--", (a, b)) for a, b in g.undirected]
-    for _, op, (u, v) in sorted(edges):
-        lines.append(f"edge {u} {op} {v}")
+    """Canonical text form: sorted node lines, then the edge lines in sorted
+    pair order, read off the masks."""
+    names, pa = g.index.nodes, g.index.pa
+    lines = [f"node {n}" for n in names]
+    for i, w in _edges(g.index.adj):
+        if pa[w] >> i & 1:
+            lines.append(f"edge {names[i]} -> {names[w]}")
+        elif pa[i] >> w & 1:
+            lines.append(f"edge {names[w]} -> {names[i]}")
+        else:
+            lines.append(f"edge {names[i]} -- {names[w]}")
     return "\n".join(lines) + "\n"
 
 
@@ -151,16 +154,17 @@ def to_json(obj: ChainGraph | MarkedGraph | StrongLabeling) -> str:
             for i, w in _edges(obj.index.adj)
         ]
     else:
-        g = obj.graph if isinstance(obj, StrongLabeling) else obj
-        names = list(map(q, g.sorted_nodes))
-        quoted = dict(zip(g.sorted_nodes, names))
+        index = (obj.graph if isinstance(obj, StrongLabeling) else obj).index
+        names = list(map(q, index.nodes))
+        kinds = ((_positions(index.ch), '"directed"'), (_edges(index.ne), '"undirected"'))
         edges = [
-            f'{{\n      "kind": {kind}{_FIELD}"u": {quoted[u]}{_FIELD}"v": {quoted[v]}\n    }}'
-            for pairs, kind in ((g.directed, '"directed"'), (g.undirected, '"undirected"'))
-            for u, v in sorted(pairs)
+            f'{{\n      "kind": {kind}{_FIELD}"u": {names[i]}{_FIELD}"v": {names[w]}\n    }}'
+            for found, kind in kinds
+            for i, w in found
         ]
     doc = f'{{\n  "edges": {_json_array(edges, "  ")},\n  "nodes": {_json_array(names, "  ")}'
     if isinstance(obj, StrongLabeling):
+        quoted = dict(zip(index.nodes, names))
         for key, pairs in (
             ("strong_directed", obj.strong_directed),
             ("strong_undirected", obj.strong_undirected),

@@ -107,12 +107,9 @@ def enumerate_class(g: ChainGraph, max_edges: int = MAX_EDGES) -> EquivalenceCla
                 else:
                     pa[i] |= 1 << j
             member = GraphIndex(index.nodes, index.pos, index.adj, tuple(pa), tuple(ne))
-            if _component_order(member) is not None:
-                directed = frozenset(
-                    e if s == _FWD else e[::-1] for e, s in zip(edges, states) if s != _UND
-                )
-                undirected = frozenset(e for e, s in zip(edges, states) if s == _UND)
-                members.add(ChainGraph._indexed(g.nodes, directed, undirected, member))
+            order = _component_order(member)
+            if order is not None:
+                members.add(ChainGraph._of(member, order))
             return
         for s in (_UND, _FWD, _REV):
             states[k] = s

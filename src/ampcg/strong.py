@@ -38,10 +38,9 @@ from .essential import (
     _close_blocks,
     _one_end_blocked,
     _path_exists,
-    _positions,
     essential_graph,
 )
-from .graphs import ChainGraph, NodeId
+from .graphs import ChainGraph, NodeId, _positions
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from ampcg.essential import (
     MarkedGraph,
     _close_blocks,
     _double_block,
-    _positions,
     _seed_r1,
 )
 from ampcg.graphs import (
@@ -43,6 +42,7 @@ from ampcg.graphs import (
     _is_clique,
     _mcs_ranks,
     _oriented,
+    _positions,
     is_valid_name,
 )
 from ampcg.oracle import _split_candidates

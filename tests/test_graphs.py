@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from itertools import combinations
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from ampcg import (
     ChainGraph,
     chain_components,
+    enumerate_class,
     essential_graph,
     family,
     maximally_oriented,
@@ -19,7 +21,6 @@ from ampcg import (
 )
 from ampcg.errors import (
     DuplicateEdgeError,
-    InvariantViolationError,
     NotChordalError,
     ParseError,
     SelfLoopError,
@@ -28,7 +29,6 @@ from ampcg.errors import (
 )
 from ampcg.generate import node_names
 from ampcg.graphs import (
-    GraphIndex,
     _component_order,
     _graph_index,
     _oriented,
@@ -36,6 +36,7 @@ from ampcg.graphs import (
     pair,
 )
 from ampcg.oracle import _FWD, _REV, _UND
+from ampcg.transform import _merged
 
 from .support import (
     TailNotCompleteError,
@@ -77,15 +78,29 @@ class TestValidation:
         with pytest.raises(SelfLoopError, match="self-loop at 'A'"):
             ChainGraph(frozenset("AB"), frozenset(), frozenset({("A", "A")}))
 
-    def test_an_index_that_disagrees_with_the_edges_is_named(self):
-        # A -> B, B -- C with an ne mask that also joins A -- B: the index has
-        # a semidirected cycle the edges lack, so no witness exists
-        good = _graph_index("ABC", [("A", "B")], [("B", "C")])
-        bad = GraphIndex(good.nodes, good.pos, good.adj, good.pa, (0b010, 0b101, 0b010))
-        args = frozenset("ABC"), frozenset({("A", "B")}), frozenset({("B", "C")})
-        with pytest.raises(InvariantViolationError, match=r"index mask ne\['A'\] disagrees"):
-            ChainGraph._indexed(*args, bad)
-        assert ChainGraph._indexed(*args, good) == ChainGraph(*args)
+    def test_every_builder_gives_one_value(self):
+        # the same edges from six builders: equal graphs with equal hashes,
+        # whose name views are the input sets; the index is all a graph holds
+        nodes = frozenset("ABCDE")
+        directed = frozenset({("A", "C"), ("B", "C")})
+        undirected = frozenset({("C", "D")})
+        g = ChainGraph(nodes, directed, undirected)
+        index = g.index
+        builds = [
+            g,
+            validate_chain_graph("ABCDE", directed, [("D", "C")]),
+            parse_graph("node E\nedge A -> C\nedge B -> C\nedge D -- C\n"),
+            _oriented(index, index.ch, index.pa, (0,) * 5, ()),
+            next(m for m in enumerate_class(g) if m.directed == directed),
+            _merged(ChainGraph(nodes, directed | {("C", "D")}, ()), {"C"}, {"D"}),
+        ]
+        for h in builds:
+            assert h == g and hash(h) == hash(g)
+            assert (h.nodes, h.directed, h.undirected) == (nodes, directed, undirected)
+            assert h.skeleton == {("A", "C"), ("B", "C"), ("C", "D")}
+        assert [f.name for f in dataclasses.fields(ChainGraph)] == ["index"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.index = index
 
     def test_constructor_rejects_an_undirected_pair_out_of_order(self):
         with pytest.raises(ValueError, match="pair"):
@@ -486,11 +501,10 @@ def test_the_builder_reads_a_graph_back_from_its_own_marks(g):
 @settings(max_examples=150, deadline=None)
 @given(chain_graphs(max_nodes=7), st.integers(0, 2**32), st.integers(1, 10))
 def test_hand_built_indexes_match_their_edges(g, seed, size):
-    # the builders that hand their index to `ChainGraph._indexed` agree with
+    # the builders that hand their index to `ChainGraph._of` agree with
     # the index computed from the finished edge sets
     u = random_chordal_graph(random.Random(seed), node_names(size))
     for h in (essential_graph(g).graph, maximally_oriented(g), orient_by_mcs(u)):
-        assert "index" in h.__dict__
         built, fresh = h.index, _graph_index(h.nodes, h.directed, h.undirected)
         for field in ("nodes", "pos", "adj", "pa", "ne"):
             assert getattr(built, field) == getattr(fresh, field), (h, field)

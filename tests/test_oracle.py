@@ -17,6 +17,7 @@ import ampcg
 from ampcg import (
     enumerate_adjusting_sets,
     essential_graph,
+    graphs,
     node_names,
     oracle,
     random_chain_graph,
@@ -168,3 +169,21 @@ def test_the_oracle_command_builds_each_class_once(tmp_path, capsys, monkeypatch
     assert calls == {"enumerate_class": 1, "class_by_merge_split": 1}
     out = capsys.readouterr().out
     assert out.count("PASS") == 8 and "FAIL" not in out
+
+
+def test_the_enumeration_runs_one_cycle_test_per_leaf(monkeypatch):
+    # a kept member takes the component order its leaf found: the 66 leaves
+    # of this draw make 66 cycle tests, none more for its 24 members
+    g = random_chain_graph(random.Random(5), node_names(9), 0.12, 0.2)
+    calls = 0
+    order = graphs._component_order
+
+    def counted(index):
+        nonlocal calls
+        calls += 1
+        return order(index)
+
+    monkeypatch.setattr(graphs, "_component_order", counted)
+    monkeypatch.setattr(oracle, "_component_order", counted)
+    assert len(oracle.enumerate_class(g)) == 24
+    assert calls == 66

@@ -165,14 +165,14 @@ class TestMinMaxOriented:
         path = tmp_path / "g.txt"
         path.write_text(serialize_graph(g))
         builds = 0
-        check = ChainGraph.__post_init__
+        check = ChainGraph._adopt
 
-        def counted(self):
+        def counted(self, *args):
             nonlocal builds
             builds += 1
-            check(self)
+            check(self, *args)
 
-        monkeypatch.setattr(ChainGraph, "__post_init__", counted)
+        monkeypatch.setattr(ChainGraph, "_adopt", counted)
         assert cli(["minmax", "--mode", "max", str(path)]) == 0
         assert builds == 2
         assert capsys.readouterr().out == serialize_graph(maximally_oriented(g))
