@@ -170,13 +170,9 @@ def _cmd_equiv(ns) -> int:
 
 
 def _cmd_class(ns) -> int:
-    from .oracle import class_by_merge_split, enumerate_class
+    from .oracle import enumerate_class
 
-    g = _load_graph(ns.graph)
-    if ns.via == "merge-split":
-        cls = class_by_merge_split(g, max_edges=ns.max_edges)
-    else:
-        cls = enumerate_class(g, max_edges=ns.max_edges)
+    cls = enumerate_class(_load_graph(ns.graph), max_edges=ns.max_edges)
     members = sorted(cls.members, key=repr)
     _print_members(members, ns.format, "members", "members", size=len(members))
     return 0
@@ -337,13 +333,14 @@ def _cmd_oracle(ns) -> int:
     checks.append(("re-blocking invariants hold, rule shortcut is sound", invariants_hold))
     closure = class_by_merge_split(g, max_edges=ns.max_edges)
     checks.append(("merge/split closure equals brute force", closure.members == cls.members))
-    mins = _merge_free(closure)
-    maximal_dirsets = {
+    arrow_minimal = {
         m
         for m in cls.members
         if not any(m.directed > other.directed for other in cls.members)
     }
-    checks.append(("minimally oriented members are the arrow-minimal ones", mins == maximal_dirsets))
+    checks.append(
+        ("minimally oriented members are the arrow-minimal ones", _merge_free(cls) == arrow_minimal)
+    )
     maxes = _split_free(cls, ns.max_edges)
     checks.append(
         ("maximally oriented members share undirected edges",
@@ -406,7 +403,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("class", help="enumerate the equivalence class", parents=[fmt])
     p.add_argument("graph")
-    p.add_argument("--via", choices=("brute", "merge-split"), default="brute")
     p.set_defaults(func=_cmd_class, formats=_TEXT_JSON)
 
     p = sub.add_parser("eg", help="construct the essential graph", parents=[fmt])

@@ -14,10 +14,12 @@ It shares three primitives with the package: `equivalence._is_triplex`
 and `graphs._component_order`, the semidirected-cycle test every
 `ChainGraph` passes.  It reads nothing of `essential`, `strong` or
 `transform`'s member builder, the algorithms it is used to verify.
-`class_by_merge_split` reaches the same class as the closure under
-`transform`'s feasible merges and splits, and the minimally and maximally
-oriented members are the members that admit no merge, or no split.  Each
-entry point checks its size through `errors.check_cap` before it enumerates.
+Every routine that needs a class reads `enumerate_class`: the minimally and
+maximally oriented members are its members that admit no merge, or no split.
+`class_by_merge_split` builds the same class as the closure under
+`transform`'s feasible merges and splits, only to be checked against the
+enumeration.  Each entry point checks its size through `errors.check_cap`
+before it enumerates.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .errors import MAX_EDGES, SUPERSET_CAP, EmptyClassError, check_cap
 from .graphs import ChainGraph, GraphIndex, NodeId, _component_order, chain_components, family, pair
 from .transform import _merged, _split_result, feasible_merges
 
-#: edge states inside the enumerator: undirected / a->b / b->a for a canonical pair (a, b)
+#: the states of an edge over a canonical pair (a, b), in the enumerator and in
+#: `_edge_states`: a -- b / a -> b / b -> a
 _UND, _FWD, _REV = 0, 1, 2
 
 
@@ -123,27 +126,41 @@ def enumerate_class(g: ChainGraph, max_edges: int = MAX_EDGES) -> EquivalenceCla
     return EquivalenceClass(members=frozenset(members))
 
 
+def _edge_states(cls: EquivalenceClass) -> dict[tuple[NodeId, NodeId], set[int]]:
+    """For each skeleton edge (a, b), a < b, the states the members give it:
+    `_FWD` for a -> b, `_REV` for b -> a, `_UND` for a -- b, read off each
+    member's parent masks."""
+    if not cls.members:
+        raise EmptyClassError("empty equivalence class")
+    some = next(iter(cls.members))
+    pos = some.index.pos
+    table = {(a, b): set() for a, b in some.skeleton}
+    for m in cls.members:
+        pa = m.index.pa
+        for (a, b), states in table.items():
+            i, j = pos[a], pos[b]
+            states.add(_FWD if pa[j] >> i & 1 else _REV if pa[i] >> j & 1 else _UND)
+    return table
+
+
 def essential_from_class(cls: EquivalenceClass) -> ChainGraph:
     """Class representative: a directed edge survives iff its reverse never occurs.
 
     An edge a->b appears in the output exactly when some member carries a->b
     and no member carries b->a; every other skeleton edge is undirected.
+    `strong_oracle` reads the same table of `_edge_states`.
     """
-    if not cls.members:
-        raise EmptyClassError("empty equivalence class")
-    some = next(iter(cls.members))
     directed = []
     undirected = []
-    for a, b in sorted(some.skeleton):
-        fwd = any(m.has_directed(a, b) for m in cls.members)
-        rev = any(m.has_directed(b, a) for m in cls.members)
-        if fwd and not rev:
+    for (a, b), states in _edge_states(cls).items():
+        arrows = states - {_UND}
+        if arrows == {_FWD}:
             directed.append((a, b))
-        elif rev and not fwd:
+        elif arrows == {_REV}:
             directed.append((b, a))
         else:
             undirected.append((a, b))
-    return ChainGraph(some.nodes, frozenset(directed), frozenset(undirected))
+    return ChainGraph(next(iter(cls.members)).nodes, frozenset(directed), frozenset(undirected))
 
 
 class StrongEdgeSummary(NamedTuple):
@@ -154,20 +171,12 @@ class StrongEdgeSummary(NamedTuple):
 
 
 def strong_oracle(cls: EquivalenceClass) -> StrongEdgeSummary:
-    """Brute-force strong labels: edges identical across all members."""
-    if not cls.members:
-        raise EmptyClassError("empty equivalence class")
-    some = next(iter(cls.members))
-    strong_dir = set()
-    strong_und = set()
-    for a, b in some.skeleton:
-        if all(m.has_directed(a, b) for m in cls.members):
-            strong_dir.add((a, b))
-        elif all(m.has_directed(b, a) for m in cls.members):
-            strong_dir.add((b, a))
-        elif all(m.has_undirected(a, b) for m in cls.members):
-            strong_und.add(pair(a, b))
-    return StrongEdgeSummary(frozenset(strong_dir), frozenset(strong_und))
+    """Brute-force strong labels: the edges every member gives one state."""
+    shared = {e: states.pop() for e, states in _edge_states(cls).items() if len(states) == 1}
+    return StrongEdgeSummary(
+        frozenset((a, b) if s == _FWD else (b, a) for (a, b), s in shared.items() if s != _UND),
+        frozenset(e for e, s in shared.items() if s == _UND),
+    )
 
 
 def _split_candidates(
@@ -207,8 +216,8 @@ def _merge_free(members: Iterable[ChainGraph]) -> frozenset[ChainGraph]:
 
 
 def minimally_oriented(g: ChainGraph, max_edges: int = MAX_EDGES) -> frozenset[ChainGraph]:
-    """All equivalent chain graphs admitting no feasible merge."""
-    return _merge_free(class_by_merge_split(g, max_edges=max_edges))
+    """All equivalent chain graphs admitting no feasible merge (brute force)."""
+    return _merge_free(enumerate_class(g, max_edges=max_edges))
 
 
 def has_feasible_split(g: ChainGraph, max_edges: int = MAX_EDGES) -> bool:

@@ -4,8 +4,8 @@ oriented member.
 Merging two components turns every directed edge between them undirected;
 splitting re-orients the undirected edges across a bipartition of one
 component.  Both operations preserve Markov equivalence when feasible, and
-iterating them reaches the whole equivalence class; `ampcg.oracle` does that
-to enumerate classes and to find the minimally oriented members.  A
+iterating them reaches the whole equivalence class; `ampcg.oracle` builds
+that closure only to check it against its enumeration of the class.  A
 maximally oriented member is read straight off the essential graph's marks
 by `graphs._oriented`, the builder finalization uses too: it orients the
 edges blocked at neither end by visit rank under maximum cardinality search.
@@ -17,12 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .equivalence import equivalent
-from .errors import (
-    InfeasibleMergeError,
-    InfeasibleSplitError,
-    NotComponentsError,
-    SemidirectedCycleError,
-)
+from .errors import InfeasibleMergeError, InfeasibleSplitError, NotComponentsError
 from .essential import essential_graph
 from .graphs import (
     ChainGraph,
@@ -113,29 +108,26 @@ def _merged(g: ChainGraph, upper: frozenset[NodeId], lower: frozenset[NodeId]) -
 def _split_result(
     g: ChainGraph, comp: frozenset[NodeId], upper: frozenset[NodeId]
 ) -> ChainGraph | None:
-    """Orient the crossing edges of a bipartition; None when infeasible.
+    """Orient the crossing edges of a proper bipartition upper | lower of the
+    component `comp` as upper -> lower; None when the result is not
+    equivalent to g.
 
-    Feasibility is semantic: the result must be a valid chain graph that is
-    equivalent to the input.
+    The result is never g, and always a chain graph.  A component is
+    connected by its undirected edges, so a proper bipartition has a
+    crossing edge.  A semidirected cycle would need a new arrow u -> l, as g
+    has none; but from l an undirected step stays in lower, and an arrow
+    leads to a later component, from which every route stays in the same or
+    later components, so no route gets back to u in upper.
     """
     crossing = {
         ((u, v) if u in upper else (v, u))
         for u, v in g.undirected
         if u in comp and v in comp and (u in upper) != (v in upper)
     }
-    if not crossing:
-        return None
-    try:
-        candidate = ChainGraph(
-            g.nodes,
-            g.directed | crossing,
-            g.undirected - {pair(a, b) for a, b in crossing},
-        )
-    except SemidirectedCycleError:
-        return None
-    if not equivalent(g, candidate):
-        return None
-    return candidate
+    candidate = ChainGraph(
+        g.nodes, g.directed | crossing, g.undirected - {pair(a, b) for a, b in crossing}
+    )
+    return candidate if equivalent(g, candidate) else None
 
 
 def split(

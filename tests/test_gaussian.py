@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from ampcg import (
+    Covariance,
     Dataset,
     adjusted_effect,
     adjusting_set,
     bound_effect,
+    essential_graph,
     linear_gaussian_model,
     node_names,
     population_covariance,
@@ -18,7 +20,7 @@ from ampcg import (
     true_effect,
     validate_chain_graph,
 )
-from ampcg.errors import ModelError, SingularRegressionError
+from ampcg.errors import ModelError, SingularRegressionError, UnknownNodeError
 from ampcg.graphs import family
 
 from .support import cg
@@ -63,6 +65,52 @@ class TestModelValidation:
         assert not m.coefficients
         for block in m.noise.values():
             assert block.shape == (1, 1)
+
+
+def _ab_model(block, directed=()):
+    """A model on A and B: one arrow or one undirected edge, with one noise
+    block over both nodes."""
+    g = cg("AB", directed, [] if directed else [("A", "B")])
+    return linear_gaussian_model(g, {e: 0.5 for e in directed}, {frozenset("AB"): block})
+
+
+@pytest.mark.parametrize(
+    "refuse, error, message",
+    [
+        (lambda: _ab_model(np.eye(2), directed=[("A", "B")]),
+         ModelError, "noise must be keyed exactly by the chain components"),
+        (lambda: _ab_model(np.eye(3)),
+         ModelError, "noise block for ['A', 'B'] has shape (3, 3)"),
+        (lambda: _ab_model(np.array([[2.0, 0.5], [0.1, 2.0]])),
+         ModelError, "noise block for ['A', 'B'] is not symmetric"),
+        (lambda: _ab_model(np.eye(2)),
+         ModelError, "precision vanishes on the edge A--B"),
+        (lambda: Covariance(("A", "B"), np.eye(2)).index("Z"),
+         UnknownNodeError, "unknown node 'Z'"),
+        (lambda: sample(chain_model(), n=0, seed=0),
+         ValueError, "need at least one observation"),
+        (lambda: true_effect(chain_model(), "A", "Z"),
+         UnknownNodeError, "unknown node in ('A', 'Z')"),
+        (lambda: true_effect(chain_model(), "B", "B"),
+         ValueError, "source and outcome must differ"),
+        (lambda: adjusted_effect(population_covariance(chain_model()), "A", "C", {"A"}),
+         ValueError, "the treatment cannot appear in the adjusting set"),
+        (lambda: bound_effect(
+            population_covariance(chain_model()), essential_graph(chain_model().graph),
+            "B", "B", "class"),
+         ValueError, "treatment and outcome must differ"),
+    ],
+    ids=[
+        "noise-keys", "block-shape", "asymmetric-block", "vanishing-precision",
+        "unknown-column", "no-rows", "unknown-node", "same-source-and-outcome",
+        "treatment-in-z", "bound-same-treatment-and-outcome",
+    ],
+)
+def test_input_checks_name_the_fault(refuse, error, message):
+    with pytest.raises(error) as caught:
+        refuse()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 class TestPopulationCovariance:

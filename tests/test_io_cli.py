@@ -555,14 +555,17 @@ class TestCli:
         assert cli(["equiv", str(a), str(b)]) == 0
         assert capsys.readouterr().out.strip() == "equivalent"
 
-    def test_class_modes_agree(self, tmp_path, capsys):
+    def test_class_lists_the_enumerated_members(self, tmp_path, capsys):
+        # the merge/split closure is no way to list a class, only a check of
+        # the enumeration (`ampcg oracle`)
         path = tmp_path / "ab.txt"
         path.write_text("edge A -- B\n")
         assert cli(["class", str(path)]) == 0
-        brute = capsys.readouterr().out
-        assert cli(["class", str(path), "--via", "merge-split"]) == 0
-        assert capsys.readouterr().out == brute
-        assert brute.startswith("3 members")
+        assert capsys.readouterr().out.startswith("3 members\n")
+        assert cli(["class", str(path), "--via", "merge-split"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: unrecognized arguments: --via")
 
     def test_eg_and_strong(self, graph_file, capsys):
         assert cli(["eg", graph_file]) == 0
@@ -579,6 +582,22 @@ class TestCli:
         assert cli(["--format", "dot", "strong", str(path)]) == 0
         out = capsys.readouterr().out
         assert "C -> D [style=bold" in out and "A -> C [style" not in out
+
+    def test_strong_dot_styles_strong_undirected_edges(self, tmp_path, capsys):
+        path = tmp_path / "cycle.txt"
+        path.write_text(
+            "edge A -- B\nedge B -- C\nedge C -- D\nedge A -- D\nedge E -> F\nedge G -> F\n"
+        )
+        assert cli(["--format", "dot", "strong", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert '  A -> B [dir=none, style=bold, color="#b22222"];' in lines
+
+    def test_rules_only_prints_the_rule_labels(self, tmp_path, capsys):
+        # the README quick-start graph: S1 alone labels C -> D
+        path = tmp_path / "quick.txt"
+        path.write_text("edge A -> C\nedge B -> C\nedge C -> D\nedge D -> E\n")
+        assert cli(["strong", str(path), "--rules-only"]) == 0
+        assert capsys.readouterr().out == "C -> D strong\n"
 
     def test_minmax(self, graph_file, capsys):
         assert cli(["minmax", graph_file, "--mode", "min"]) == 0
@@ -644,6 +663,14 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert "bounds: [" in out
+
+    def test_empty_dataset_is_exit_two(self, graph_file, tmp_path, capsys):
+        data = tmp_path / "empty.csv"
+        data.write_text("")
+        assert cli(["bound", graph_file, "--data", str(data), "--x", "C", "--y", "B"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: empty dataset\n"
 
     def test_one_row_dataset_is_exit_two(self, graph_file, tmp_path, capsys):
         data = tmp_path / "one.csv"

@@ -4,6 +4,7 @@ once per `ampcg oracle`."""
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -171,6 +172,29 @@ def test_the_oracle_command_builds_each_class_once(tmp_path, capsys, monkeypatch
     assert out.count("PASS") == 8 and "FAIL" not in out
 
 
+def test_minimal_members_come_from_one_enumeration(tmp_path, capsys, monkeypatch):
+    # `minmax --mode min` filters the enumerated class; it builds no closure
+    g = random_chain_graph(random.Random(5), node_names(9), 0.12, 0.2)
+    path = tmp_path / "g13.txt"
+    path.write_text(serialize_graph(g))
+    calls = {"enumerate_class": 0, "class_by_merge_split": 0}
+
+    def counting(name):
+        build = getattr(oracle, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return build(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(oracle, name, counting(name))
+    assert cli(["minmax", str(path), "--mode", "min"]) == 0
+    assert calls == {"enumerate_class": 1, "class_by_merge_split": 0}
+    assert capsys.readouterr().out.startswith("2 minimally oriented members\n")
+
+
 def test_the_enumeration_runs_one_cycle_test_per_leaf(monkeypatch):
     # a kept member takes the component order its leaf found: the 66 leaves
     # of this draw make 66 cycle tests, none more for its 24 members
@@ -187,3 +211,29 @@ def test_the_enumeration_runs_one_cycle_test_per_leaf(monkeypatch):
     monkeypatch.setattr(oracle, "_component_order", counted)
     assert len(oracle.enumerate_class(g)) == 24
     assert calls == 66
+
+
+# the first 12 hex of sha256 of the stdout of each command that reads a class,
+# on the 13-edge draw above, in text and in JSON
+_CLASS_COMMAND_DIGESTS = {
+    ("class",): ("c9bd15b0a730", "53fd5553f163"),
+    ("minmax", "--mode", "min"): ("d4d48d877405", "b401c8dfa092"),
+    ("adjust", "--x", "V0", "--mode", "class"): ("741abcb71bb3", "6bd04f5e8f96"),
+}
+_ORACLE_DIGEST = "f2eecda00e4f"
+
+
+def _stdout_digest(capsys, argv) -> str:
+    assert cli(argv) == 0, argv
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:12]
+
+
+def test_the_class_commands_keep_their_bytes(tmp_path, capsys):
+    g = random_chain_graph(random.Random(5), node_names(9), 0.12, 0.2)
+    path = tmp_path / "g13.txt"
+    path.write_text(serialize_graph(g))
+    for (command, *options), (text, as_json) in _CLASS_COMMAND_DIGESTS.items():
+        argv = [command, str(path), *options]
+        assert _stdout_digest(capsys, argv) == text, command
+        assert _stdout_digest(capsys, ["--format", "json", *argv]) == as_json, command
+    assert _stdout_digest(capsys, ["oracle", str(path)]) == _ORACLE_DIGEST

@@ -63,6 +63,7 @@ class TestRouteOracle:
         assert route_is_open(g, ["A", "B", "C", "D"], {"B"})
         assert not route_is_open(g, ["A", "B", "C", "D"], set())
         assert not route_is_open(g, ["A", "B", "C", "D"], {"B", "C"})
+        assert not route_is_open(g, ["A"], set())  # a route needs an edge
         with pytest.raises(InvalidQueryError):
             route_is_open(g, ["A", "D"], set())
 

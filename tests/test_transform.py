@@ -72,6 +72,10 @@ class TestFeasibleMerge:
         g = cg("ABCD", [("A", "C"), ("A", "D"), ("B", "C")], [("B", "D")])
         assert not feasible_merge_check(g, {"A"}, {"C"})
 
+    def test_no_arrow_from_upper_into_lower_is_no_merge(self):
+        g = cg("ABCD", [("A", "B")], [("C", "D")])
+        assert not feasible_merge_check(g, {"C", "D"}, {"B"})
+
     def test_not_components(self):
         g = cg("ABC", [("A", "B"), ("C", "B")])
         with pytest.raises(NotComponentsError):
