@@ -2,15 +2,29 @@
 
 Exit codes: 0 success, 1 usage error, 2 validation or domain failure,
 3 size cap exceeded.
+
+The grammar is declared once, as data: `_GLOBAL_OPTIONS` and `_COMMANDS`.
+`cli()` first reads argv with `_read_canonical`, a lean pass over that table
+that accepts only the canonical form: the global options before the command,
+the command's own options after it (`--format` only where the command writes
+more than text), each option written exactly as `--name value` (or the bare
+`--rules-only` flag) and at most once in its place, values converted by their
+type function and checked against their choices, every required option
+given, and exactly the command's positionals.  Anything else (no command,
+`-h`, `--version`, `--name=value`, an abbreviated or unknown option, `--`, a
+repeated option, a value or positional starting with `-`, a wrong number of
+positionals, a failed type or choice check) goes to `argparse`, built from
+the same table, so every help page, usage message and exit code is its own.
+A valid command line neither imports nor builds `argparse`.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
-from typing import Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import __version__
 from .causal import MODES, adjusting_set, enumerate_adjusting_sets
@@ -37,6 +51,9 @@ from .io_text import (
 from .strong import accelerator_labels, label_strong
 from .transform import maximally_oriented
 
+if TYPE_CHECKING:
+    import argparse
+
 USAGE_EXIT = 1
 FAILURE_EXIT = 2
 TOO_LARGE_EXIT = 3
@@ -44,11 +61,6 @@ TOO_LARGE_EXIT = 3
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # exit 1 instead of argparse's default 2
-        raise _UsageError(message)
 
 
 #: the formats a command writes: DOT where it prints one graph, JSON where
@@ -69,23 +81,24 @@ def _check_format(ns) -> None:
 
 
 def _at_least(text: str, least: int, kind: str) -> int:
-    """A base-10 integer that is at least `least`, or argparse's type error."""
+    """A base-10 integer that is at least `least`, or a ValueError whose
+    message is the usage error's."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
     if value < least:
-        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
+        raise ValueError(f"expected a {kind} integer, got {value}")
     return value
 
 
 def _non_negative(text: str) -> int:
-    """An argparse type: a base-10 integer that is at least 0."""
+    """A type function: a base-10 integer that is at least 0."""
     return _at_least(text, 0, "non-negative")
 
 
 def _positive(text: str) -> int:
-    """An argparse type: a base-10 integer that is at least 1."""
+    """A type function: a base-10 integer that is at least 1."""
     return _at_least(text, 1, "positive")
 
 
@@ -362,97 +375,233 @@ def _cmd_oracle(ns) -> int:
     return 0 if all_ok else FAILURE_EXIT
 
 
+class _Option:
+    """A `--name` option: the type function and choices its value must pass,
+    its default and help; a flag takes no value and is True when given.
+    `dest` is the namespace attribute, as argparse names it."""
+
+    __slots__ = ("name", "dest", "type", "choices", "default", "required", "help", "flag")
+
+    def __init__(
+        self,
+        name: str,
+        type: Callable[[str], int] | None = None,
+        choices: tuple[str, ...] | None = None,
+        default: object = None,
+        required: bool = False,
+        help: str | None = None,
+        flag: bool = False,
+    ) -> None:
+        self.name, self.dest = name, name[2:].replace("-", "_")
+        self.type, self.choices, self.default = type, choices, default
+        self.required, self.help, self.flag = required, help, flag
+
+
+class _Command:
+    """A command: its handler, the formats it writes (`--format` may follow a
+    command that writes more than text), its help, its positionals and its
+    own options."""
+
+    __slots__ = ("func", "formats", "help", "positionals", "options")
+
+    def __init__(
+        self,
+        func: Callable[[SimpleNamespace], int],
+        formats: tuple[str, ...],
+        help: str,
+        positionals: tuple[str, ...] = ("graph",),
+        options: tuple[_Option, ...] = (),
+    ) -> None:
+        self.func, self.formats, self.help = func, formats, help
+        self.positionals, self.options = positionals, options
+
+
+#: `--format` before the command; a command that writes more than text takes
+#: it after itself too, with no default, so an absent one keeps the first
+_FORMAT = _Option(
+    "--format", choices=_ALL_FORMATS, default="text", help="output format (default: text)"
+)
+_GLOBAL_OPTIONS = (
+    _FORMAT,
+    _Option("--seed", _non_negative, default=0, help="random seed"),
+    _Option("--max-edges", _non_negative, default=MAX_EDGES, help="cap for class enumerations"),
+)
+_NODES = "comma-separated nodes"
+_COMMANDS = {
+    "validate": _Command(_cmd_validate, _ALL_FORMATS, "parse and validate a graph document"),
+    "components": _Command(
+        _cmd_components, _TEXT_JSON, "chain components in topological order"
+    ),
+    "sep": _Command(
+        _cmd_sep, _TEXT_JSON, "test a separation query",
+        options=(
+            _Option("--x", required=True, help=_NODES),
+            _Option("--y", required=True, help=_NODES),
+            _Option("--z", default="", help=_NODES),
+        ),
+    ),
+    "equiv": _Command(
+        _cmd_equiv, _TEXT, "test Markov equivalence of two graphs", ("graph1", "graph2")
+    ),
+    "class": _Command(_cmd_class, _TEXT_JSON, "enumerate the equivalence class"),
+    "eg": _Command(_cmd_eg, _ALL_FORMATS, "construct the essential graph"),
+    "strong": _Command(
+        _cmd_strong, _ALL_FORMATS, "label strong edges in the essential graph",
+        options=(
+            _Option(
+                "--rules-only", default=False, flag=True,
+                help="report only the labels found by the shortcut rules",
+            ),
+        ),
+    ),
+    "minmax": _Command(
+        _cmd_minmax, _ALL_FORMATS, "minimally or maximally oriented members",
+        options=(_Option("--mode", choices=("min", "max"), required=True),),
+    ),
+    "adjust": _Command(
+        _cmd_adjust, _TEXT_JSON, "enumerate adjusting sets for a node",
+        options=(
+            _Option("--x", required=True),
+            _Option("--mode", choices=MODES, default="maxoriented"),
+        ),
+    ),
+    "sample": _Command(
+        _cmd_sample, _TEXT, "sample a random model on the graph",
+        options=(_Option("--n", _positive, required=True), _Option("--out", required=True)),
+    ),
+    "bound": _Command(
+        _cmd_bound, _TEXT_JSON, "bound a causal effect from data",
+        options=(
+            _Option("--data", required=True),
+            _Option("--x", required=True),
+            _Option("--y", required=True),
+            _Option("--mode", choices=MODES, default="maxoriented"),
+        ),
+    ),
+    "oracle": _Command(_cmd_oracle, _TEXT, "run the brute-force cross-checks on a graph"),
+}
+
+
+#: what `_read_canonical` looks up, built once: the namespace before any
+#: option is read, and the options before and after each command by name
+_GLOBAL_DEFAULTS = {o.dest: o.default for o in _GLOBAL_OPTIONS}
+_GLOBAL_READ = {o.name: o for o in _GLOBAL_OPTIONS}
+_COMMAND_READ = {
+    name: {o.name: o for o in ((_FORMAT,) if command.formats != _TEXT else ()) + command.options}
+    for name, command in _COMMANDS.items()
+}
+
+
+def _read_canonical(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse would return for a canonical argv (the module
+    docstring gives the rule), or None for any other argv."""
+    values = dict(_GLOBAL_DEFAULTS)
+    name, options, given, positionals = None, _GLOBAL_READ, set(), []
+    i, end = 0, len(argv)
+    while i < end:
+        token = argv[i]
+        i += 1
+        if not token.startswith("-"):
+            if name is not None:
+                positionals.append(token)
+            elif token in _COMMANDS:
+                name, options, given = token, _COMMAND_READ[token], set()
+            else:
+                return None
+            continue
+        if token not in options or token in given:
+            return None
+        given.add(token)
+        option = options[token]
+        if option.flag:
+            values[option.dest] = True
+            continue
+        if i == end or argv[i].startswith("-"):
+            return None
+        value = argv[i]
+        i += 1
+        if option.type is not None:
+            try:
+                value = option.type(value)
+            except ValueError:
+                return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[option.dest] = value
+    if name is None:
+        return None
+    command = _COMMANDS[name]
+    if len(positionals) != len(command.positionals):
+        return None
+    for option in command.options:
+        if option.name not in given:
+            if option.required:
+                return None
+            values[option.dest] = option.default
+    values.update(zip(command.positionals, positionals))
+    return SimpleNamespace(command=name, func=command.func, formats=command.formats, **values)
+
+
 @functools.cache
-def _build_parser() -> _Parser:
-    """The argument parser, built once per process; every parse makes a
-    fresh namespace.  Handlers are bound at first build, so tests patch what
-    the `_cmd_*` functions call, not the `_cmd_*` functions themselves."""
-    parser = _Parser(prog="ampcg", description=__doc__)
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the same table, built once per process and
+    only for an argv `_read_canonical` declines; every parse makes a fresh
+    namespace.  Handlers are bound in the table, so tests patch what the
+    `_cmd_*` functions call, not the `_cmd_*` functions themselves."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str):  # exit 1 instead of argparse's default 2
+            raise _UsageError(message)
+
+    def checked(convert: Callable[[str], int]) -> Callable[[str], int]:
+        def typed(text: str) -> int:
+            try:
+                return convert(text)
+            except ValueError as exc:  # argparse words its own message for a ValueError
+                raise argparse.ArgumentTypeError(str(exc)) from None
+
+        return typed
+
+    def add(parser: argparse.ArgumentParser, option: _Option, default: object) -> None:
+        if option.flag:
+            parser.add_argument(option.name, action="store_true", help=option.help)
+            return
+        parser.add_argument(
+            option.name,
+            type=checked(option.type) if option.type else None,
+            choices=option.choices,
+            default=default,
+            required=option.required,
+            help=option.help,
+        )
+
+    # the help page's description is the docstring's first two paragraphs
+    parser = _Parser(prog="ampcg", description="\n\n".join(__doc__.split("\n\n")[:2]))
     parser.add_argument("--version", action="version", version=f"ampcg {__version__}")
-    formats = {"choices": _ALL_FORMATS, "help": "output format (default: text)"}
-    parser.add_argument("--format", default="text", **formats)
-    # after the subcommand too; SUPPRESS keeps an absent one from resetting
-    # the value given before it
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", default=argparse.SUPPRESS, **formats)
-    parser.add_argument("--seed", type=_non_negative, default=0, help="random seed")
-    parser.add_argument(
-        "--max-edges", type=_non_negative, default=MAX_EDGES, help="cap for class enumerations"
-    )
+    for option in _GLOBAL_OPTIONS:
+        add(parser, option, option.default)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="parse and validate a graph document", parents=[fmt])
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_validate, formats=_ALL_FORMATS)
-
-    p = sub.add_parser("components", help="chain components in topological order", parents=[fmt])
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_components, formats=_TEXT_JSON)
-
-    p = sub.add_parser("sep", help="test a separation query", parents=[fmt])
-    p.add_argument("graph")
-    p.add_argument("--x", required=True, help="comma-separated nodes")
-    p.add_argument("--y", required=True, help="comma-separated nodes")
-    p.add_argument("--z", default="", help="comma-separated nodes")
-    p.set_defaults(func=_cmd_sep, formats=_TEXT_JSON)
-
-    p = sub.add_parser("equiv", help="test Markov equivalence of two graphs")
-    p.add_argument("graph1")
-    p.add_argument("graph2")
-    p.set_defaults(func=_cmd_equiv, formats=_TEXT)
-
-    p = sub.add_parser("class", help="enumerate the equivalence class", parents=[fmt])
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_class, formats=_TEXT_JSON)
-
-    p = sub.add_parser("eg", help="construct the essential graph", parents=[fmt])
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_eg, formats=_ALL_FORMATS)
-
-    p = sub.add_parser("strong", help="label strong edges in the essential graph", parents=[fmt])
-    p.add_argument("graph")
-    p.add_argument(
-        "--rules-only", action="store_true",
-        help="report only the labels found by the shortcut rules",
-    )
-    p.set_defaults(func=_cmd_strong, formats=_ALL_FORMATS)
-
-    p = sub.add_parser("minmax", help="minimally or maximally oriented members", parents=[fmt])
-    p.add_argument("graph")
-    p.add_argument("--mode", choices=("min", "max"), required=True)
-    p.set_defaults(func=_cmd_minmax, formats=_ALL_FORMATS)
-
-    p = sub.add_parser("adjust", help="enumerate adjusting sets for a node", parents=[fmt])
-    p.add_argument("graph")
-    p.add_argument("--x", required=True)
-    p.add_argument("--mode", choices=MODES, default="maxoriented")
-    p.set_defaults(func=_cmd_adjust, formats=_TEXT_JSON)
-
-    p = sub.add_parser("sample", help="sample a random model on the graph")
-    p.add_argument("graph")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sample, formats=_TEXT)
-
-    p = sub.add_parser("bound", help="bound a causal effect from data", parents=[fmt])
-    p.add_argument("graph")
-    p.add_argument("--data", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--mode", choices=MODES, default="maxoriented")
-    p.set_defaults(func=_cmd_bound, formats=_TEXT_JSON)
-
-    p = sub.add_parser("oracle", help="run the brute-force cross-checks on a graph")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_oracle, formats=_TEXT)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.formats != _TEXT:
+            # SUPPRESS keeps an absent one from resetting the value given before it
+            add(p, _FORMAT, argparse.SUPPRESS)
+        for positional in command.positionals:
+            p.add_argument(positional)
+        for option in command.options:
+            add(p, option, option.default)
+        p.set_defaults(func=command.func, formats=command.formats)
     return parser
 
 
 def cli(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        ns = parser.parse_args(argv)
+        ns = _read_canonical(argv)
+        if ns is None:
+            ns = _build_parser().parse_args(argv)
         _check_format(ns)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
@@ -468,6 +617,13 @@ def cli(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    """The console script and `python -m ampcg.cli`: a closed stdout pipe
+    ends the process by SIGPIPE, as it ends `cat`, where the platform has
+    one; `cli()` leaves in-process callers' signal handling alone."""
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(cli())
 
 

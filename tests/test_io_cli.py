@@ -1,6 +1,10 @@
 import csv
 import json
 import os
+import random
+import signal
+import subprocess
+import sys
 import threading
 import tracemalloc
 from contextlib import contextmanager
@@ -16,8 +20,10 @@ from ampcg import (
     MarkedGraph,
     StrongLabeling,
     essential_graph,
+    node_names,
     pair,
     parse_graph,
+    random_chain_graph,
     random_model,
     read_dataset,
     sample,
@@ -28,7 +34,7 @@ from ampcg import (
     write_dataset,
 )
 from ampcg import graphs, io_text
-from ampcg.cli import _build_parser, cli
+from ampcg.cli import _build_parser, _read_canonical, cli
 from ampcg.errors import DuplicateEdgeError, GraphError, ParseError
 from ampcg.gaussian import Dataset
 from ampcg.io_text import graph_to_json
@@ -753,7 +759,16 @@ class TestCli:
         ):
             assert cli(argv) == 0
         assert unseeded.read_bytes() == seed0.read_bytes() != seeded.read_bytes()
-        assert _build_parser.cache_info().misses <= 1
+        # a valid command line builds no parser; a usage error builds it once
+        _build_parser.cache_clear()
+        assert cli(["eg", graph_file]) == 0
+        assert cli(["--seed", "3", "sample", graph_file, "--n", "20", "--out", str(seeded)]) == 0
+        assert _build_parser.cache_info().misses == 0
+        capsys.readouterr()
+        for _ in range(2):
+            assert cli(["eg", graph_file, "--seed", "3"]) == 1
+            assert capsys.readouterr().err == "usage error: unrecognized arguments: --seed 3\n"
+        assert _build_parser.cache_info().misses == 1
 
     def test_json_format(self, graph_file, capsys):
         assert cli(["--format", "json", "eg", graph_file]) == 0
@@ -777,3 +792,189 @@ class TestCli:
         assert row.endswith("FAIL")
         assert "shortcut labels" in captured.err
 
+
+# the README's command lines, with the graph, data and output files as
+# placeholders
+README_EXAMPLES = [
+    "validate GRAPH",
+    "components GRAPH",
+    "sep GRAPH --x A --y D --z B",
+    "equiv GRAPH GRAPH",
+    "class GRAPH",
+    "eg GRAPH",
+    "strong GRAPH",
+    "strong GRAPH --rules-only",
+    "minmax GRAPH --mode min",
+    "minmax GRAPH --mode max",
+    "adjust GRAPH --x C --mode maxoriented",
+    "--seed 1 sample GRAPH --n 1000 --out OUT",
+    "bound GRAPH --data DATA --x C --y B --mode class",
+    "oracle GRAPH",
+    "eg GRAPH --format json",
+]
+
+# the argument shapes of the four bench workloads
+BENCH_SHAPES = [
+    "--format json strong GRAPH",
+    "--format json eg GRAPH",
+    "minmax GRAPH --mode max",
+    "--format json bound GRAPH --data DATA --x V1 --y V4 --mode maxoriented",
+]
+
+
+def _canonical_argvs():
+    """Every WRITES row in every format it writes, with --format before the
+    command and (where it takes one) after it, with and without the other
+    global options; then the README examples and the bench shapes."""
+    argvs = []
+    for command, args, writes in WRITES:
+        argv = _argv(command, args, "GRAPH", Path("TMP"))
+        argvs += [argv, ["--seed", "3", "--max-edges", "10", *argv]]
+        for fmt in writes.split():
+            argvs.append(["--format", fmt, *argv])
+            if writes != "text":
+                argvs.append([*argv, "--format", fmt])
+    return argvs + [line.split() for line in README_EXAMPLES + BENCH_SHAPES]
+
+
+# what a mutation draws from: command and option names, abbreviations,
+# `=` forms, help, version and `--`, and values good and bad
+VOCABULARY = [
+    *(command.split()[0] for command, _, _ in WRITES), "no-such",
+    "--format", "--seed", "--max-edges", "--x", "--y", "--z", "--mode", "--n",
+    "--out", "--data", "--rules-only", "--via",
+    "--mod", "--form", "--max", "--rules", "--da", "--seed=1", "--format=json",
+    "--mode=max", "--x=A", "-h", "--help", "--version", "--", "-", "-x",
+    "json", "text", "dot", "xml", "min", "max", "maxoriented", "class", "superset",
+    "A", "B", "C", "D", "0", "1", "3", "-1", "0x1", "1.5", "x", "", " ", "GRAPH",
+]
+
+
+def _mutated(rng, argv):
+    """`argv` after one to three random insertions, deletions, replacements,
+    swaps or repeats."""
+    argv = list(argv)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(5)
+        at = rng.randrange(len(argv) + 1)
+        if kind == 0:
+            argv.insert(at, rng.choice(VOCABULARY))
+        elif argv and kind == 1:
+            del argv[min(at, len(argv) - 1)]
+        elif argv and kind == 2:
+            argv[min(at, len(argv) - 1)] = rng.choice(VOCABULARY)
+        elif len(argv) > 1 and kind == 3:
+            i, j = rng.sample(range(len(argv)), 2)
+            argv[i], argv[j] = argv[j], argv[i]
+        elif argv:
+            i = min(at, len(argv) - 2)
+            argv[i:i] = argv[i:i + 2]
+    return argv
+
+
+class TestCommandLineReader:
+    def test_every_canonical_argv_is_read_as_argparse_reads_it(self):
+        canonical = _canonical_argvs()
+        assert len(canonical) == 102
+        for argv in canonical:
+            ns = _read_canonical(argv)
+            assert ns is not None, argv
+            assert vars(ns) == vars(_build_parser().parse_args(argv)), argv
+
+    def test_whatever_the_reader_accepts_argparse_reads_the_same(self, capsys):
+        rng = random.Random(55)
+        canonical = _canonical_argvs()
+        corpus = [_mutated(rng, rng.choice(canonical)) for _ in range(20_000)]
+        corpus += [rng.choices(VOCABULARY, k=rng.randint(0, 8)) for _ in range(20_000)]
+        accepted = 0
+        for argv in corpus:
+            ns = _read_canonical(argv)
+            if ns is None:
+                continue
+            accepted += 1
+            assert vars(ns) == vars(_build_parser().parse_args(argv)), argv
+        assert capsys.readouterr() == ("", "")
+        # the corpus reaches both sides of the rule
+        assert 500 < accepted < len(corpus) - 500
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["--version"],
+            ["minmax", "GRAPH", "--mode=max"],
+            ["minmax", "GRAPH", "--mod", "max"],
+            ["--form", "text", "eg", "GRAPH"],
+            ["minmax", "GRAPH", "--mode", "max", "--mode", "min"],
+            ["minmax", "--mode", "max", "--", "GRAPH"],
+            ["eg", "GRAPH", "--seed", "3"],
+            ["equiv", "GRAPH", "GRAPH", "--format", "text"],
+            ["sample", "GRAPH", "--n", "5", "--out", "OUT", "--format", "text"],
+            ["--seed", "-1", "eg", "GRAPH"],
+            ["--seed", "x", "eg", "GRAPH"],
+            ["sample", "GRAPH", "--n", "0", "--out", "OUT"],
+            ["minmax", "GRAPH", "--mode", "mid"],
+            ["minmax", "GRAPH"],
+            ["eg"],
+            ["eg", "GRAPH", "GRAPH"],
+            ["eg", "-1"],
+            ["sep", "GRAPH", "--x", "-A", "--y", "B"],
+            ["strong", "GRAPH", "--rules-only", "--rules-only"],
+        ],
+    )
+    def test_anything_else_goes_to_argparse(self, argv):
+        assert _read_canonical(argv) is None
+
+    @pytest.mark.parametrize(
+        "argv, canonical",
+        [
+            (["minmax", "G", "--mod", "max"], ["minmax", "G", "--mode", "max"]),
+            (["eg", "G", "--form", "text"], ["eg", "G", "--format", "text"]),
+            (["minmax", "G", "--mode=max"], ["minmax", "G", "--mode", "max"]),
+            (["eg", "G", "--format=json"], ["eg", "G", "--format", "json"]),
+            (["minmax", "G", "--mode", "min", "--mode", "max"], ["minmax", "G", "--mode", "max"]),
+            (["minmax", "--mode", "max", "--", "G"], ["minmax", "G", "--mode", "max"]),
+        ],
+    )
+    def test_the_fallback_reads_the_other_forms(self, graph_file, capsys, argv, canonical):
+        def run(argv):
+            assert cli([graph_file if a == "G" else a for a in argv]) == 0
+            return capsys.readouterr()
+
+        assert _read_canonical(argv) is None
+        assert run(argv) == run(canonical)
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "ampcg 0.1.0\n"
+
+    @pytest.mark.parametrize("argv", [["-h"], ["minmax", "-h"]])
+    def test_help(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ampcg")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_a_closed_stdout_pipe_ends_the_command_by_sigpipe(tmp_path):
+    # 352 926 bytes of output, more than a pipe holds, so the writer is still
+    # writing when the reader closes its end
+    graph = tmp_path / "g4000.txt"
+    graph.write_text(
+        serialize_graph(random_chain_graph(random.Random(1), node_names(4000), .002, .002))
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ampcg.cli", "validate", str(graph)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"node V0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""

@@ -33,7 +33,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Runs the pipeline commands in one process and reports whether numpy has been
 # imported after the graph commands and after `sample` and `bound`, then
-# whether `ampcg.oracle` has been, before and after one oracle command.
+# whether `ampcg.oracle` has been, before and after one oracle command, and
+# last whether `argparse` has been, which a valid command line never needs.
 _LAZY_SCRIPT = """
 import contextlib, io, sys
 from ampcg.cli import cli
@@ -60,6 +61,7 @@ print("numpy" in sys.modules)
 print("ampcg.oracle" in sys.modules)
 run("class", graph)
 print("ampcg.oracle" in sys.modules)
+print("argparse" in sys.modules)
 """
 
 
@@ -72,7 +74,7 @@ def test_pipeline_commands_leave_the_oracle_unloaded(tmp_path):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True", "False", "True"]
+    assert proc.stdout.split() == ["False", "True", "False", "True", "False"]
 
 
 def test_star_import_binds_exactly_all_and_no_module():
